@@ -58,10 +58,13 @@ class DiscreteSystem1D:
 
 @dataclass(frozen=True)
 class Solution1D:
-    """Nodal potential and the per-element reaction flux density."""
+    """Nodal potential, the per-element reaction flux density and the
+    max-norm residual |A x - b| that the solver accepted (NaN when the
+    solution was not produced by solve_1d)."""
 
     a_y: np.ndarray
     b_x: np.ndarray
+    residual: float = float("nan")
 
 
 def assemble_1d(mesh: Mesh1D, material: Material, profile, scheme: Scheme) -> DiscreteSystem1D:
@@ -130,7 +133,7 @@ def solve_1d(system: DiscreteSystem1D) -> Solution1D:
         raise NumericalFailureError(
             f"residual {resid:.3e} exceeds budget {budget:.3e}; "
             f"matrix inf-norm {system.inf_norm():.3e} suggests ill-conditioning")
-    return Solution1D(a_y=a_y, b_x=reaction_field(a_y, system.mesh))
+    return Solution1D(a_y=a_y, b_x=reaction_field(a_y, system.mesh), residual=resid)
 
 
 def reaction_field(solution, mesh: Mesh1D) -> np.ndarray:

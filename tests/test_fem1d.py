@@ -68,6 +68,7 @@ def test_solve_residual_within_budget():
     budget = 1e-10 * (system.inf_norm() * np.max(np.abs(sol.a_y))
                       + np.max(np.abs(system.rhs)))
     assert resid <= budget
+    assert sol.residual == resid
 
 
 def test_singular_system_raises():

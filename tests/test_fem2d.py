@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from eddyfem.core import (InvalidArgumentError, Material, Mesh2D,
                           NumericalFailureError, Scheme, SmoothCircle2D,
@@ -119,7 +120,7 @@ def test_zero_input_gives_zero_solution():
 # the sheet scenario
 
 
-def sheet_case(pe, scheme, nz=33, refine_z=1):
+def sheet_system(pe, scheme, nz=33, refine_z=1):
     from eddyfem.cli import ScenarioConfig, build_2d_case
     raw = {
         "dimension": 2, "scheme": "both", "pe": [float(pe)],
@@ -134,8 +135,12 @@ def sheet_case(pe, scheme, nz=33, refine_z=1):
         # keep the physical velocity of the unrefined grid
         base_dz = 6.0 * 2 * 1.3 / (nz - 1)
         material = material_for_peclet(pe, base_dz, sigma=material.sigma, mu=material.mu)
-    system = assemble_2d(mesh, material, regions, profile, scheme)
-    return solve_2d(system), mesh
+    return assemble_2d(mesh, material, regions, profile, scheme)
+
+
+def sheet_case(pe, scheme, nz=33, refine_z=1):
+    system = sheet_system(pe, scheme, nz, refine_z)
+    return solve_2d(system), system.mesh
 
 
 def spurious_deviation(pe, scheme, nz=33, refine=8):
@@ -181,6 +186,18 @@ def test_scheme_stability_contrast_persists_at_high_pe():
     window = z < -2.5 * 1.3
     assert oscillation_metric(dev_g[window], 1.0) >= 0.1
     assert oscillation_metric(dev_a[window], 1.0) <= 0.01
+
+
+@pytest.mark.parametrize("nz", [33, 65])   # ny = 41: both numbering orientations
+@pytest.mark.parametrize("pe", [2.0, 2000.0])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_banded_solve_agrees_with_sparse_reference(nz, pe, scheme):
+    system = sheet_system(pe, scheme, nz=nz)
+    sol = solve_2d(system)
+    x = np.concatenate([sol.phi.ravel(), sol.a_y.ravel(), sol.a_z.ravel()])
+    x_ref = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    assert np.max(np.abs(x - x_ref)) <= 1e-9 * np.max(np.abs(x_ref))
+    assert sol.residual == np.max(np.abs(system.matrix @ x - system.rhs))
 
 
 def test_mesh_symmetry_of_even_input():
@@ -260,5 +277,18 @@ def test_singular_system_raises():
     n = 3 * mesh.node_count
     singular = sp.csr_matrix((n, n))
     bad = DiscreteSystem2D(matrix=singular, rhs=np.ones(n), mesh=mesh)
+    with pytest.raises(NumericalFailureError):
+        solve_2d(bad)
+
+
+def test_rank_deficient_system_raises():
+    mesh, material, regions, profile, scheme = uniform_conductor_case()
+    system = assemble_2d(mesh, material, regions, profile, scheme)
+    a = system.matrix.tolil()
+    rhs = system.rhs.copy()
+    center = (mesh.ny // 2) * mesh.nz + mesh.nz // 2
+    a[center + 1] = a[center]            # two identical phi rows
+    rhs[center + 1] = rhs[center]
+    bad = DiscreteSystem2D(matrix=a.tocsr(), rhs=rhs, mesh=mesh)
     with pytest.raises(NumericalFailureError):
         solve_2d(bad)
