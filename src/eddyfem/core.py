@@ -222,9 +222,6 @@ class SmoothCircle2D:
         return out if out.ndim else float(out)
 
 
-FieldProfile = (RectPulse1D, RectPulse2D, SmoothCircle2D)
-
-
 def sample_profile(profile, point):
     """Evaluate a field profile at a point (z for 1D, (z, y) for 2D)."""
     if isinstance(point, (tuple, list)):

@@ -35,14 +35,6 @@ class DiscreteSystem1D:
     rhs: np.ndarray
     mesh: Mesh1D
 
-    def dense(self) -> np.ndarray:
-        n = len(self.diag)
-        a = np.zeros((n, n))
-        a[np.arange(n), np.arange(n)] = self.diag
-        a[np.arange(1, n), np.arange(n - 1)] = self.lower
-        a[np.arange(n - 1), np.arange(1, n)] = self.upper
-        return a
-
     def matmul(self, x: np.ndarray) -> np.ndarray:
         y = self.diag * x
         y[1:] += self.lower * x[:-1]

@@ -16,20 +16,24 @@ Boundary conditions: A_y = A_z = 0 on the inlet column and on both y edges;
 the outflow column keeps its natural rows; phi is pinned to zero at one
 node on the y = 0 row to fix its additive constant.
 
-The elemental blocks are computed in the arithmetic of their inputs, so the
-same code produces exact Fraction-valued patches for the stencil tests and
-float blocks for production assembly.
+The elemental blocks are computed in the arithmetic of their inputs, and
+one table (BLOCK_TABLE) says how they combine into the coupled blocks, so
+the same code produces exact Fraction-valued patches for the stencil tests
+and the float production assembly. assemble_2d builds every element's
+entries in one vectorized pass over the whole mesh.
 
 The block order (phi, A_y, A_z) of DiscreteSystem2D and Solution2D is the
 public contract. solve_2d factors the system as a banded LU (LAPACK
 dgbtrf/dgbtrs) under an internal node-interleaved numbering with the
 shorter grid axis fastest, so the band width is set by min(ny, nz) and not
-by the refined length of the longer axis.
+by the refined length of the longer axis. One factorization can serve
+several right-hand sides, such as both schemes' inputs on one mesh.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,56 +45,34 @@ from .core import (InvalidArgumentError, Material, Mesh2D, NumericalFailureError
 RESIDUAL_RTOL = 1e-8
 
 
-# 1D reference integrals over [0,1] for the linear basis pair (1-t, t),
-# in the arithmetic of the multiplicative unit passed in
-
-def _mass(one):
-    th, sx = one / 3, one / 6
-    return ((th, sx), (sx, th))
-
-
-def _stiff(one):
-    return ((one, -one), (-one, one))
-
-
-def _cross(one):
-    h = one / 2
-    return ((-h, h), (-h, h))
-
-
-def elemental_blocks(dz, dy) -> Dict[str, object]:
-    """4x4 elemental matrices (nested lists) for a dz-by-dy rectangle in
-    tensor node order (local index 2*iy + iz).
+def elemental_blocks(dz, dy) -> Dict[str, np.ndarray]:
+    """4x4 elemental matrices for a dz-by-dy rectangle in tensor node order
+    (local index 2*iy + iz).
 
     Works elementwise in the arithmetic of dz/dy: pass Fractions to get
-    exact blocks, floats to get float blocks.
+    exact (object-array) blocks, floats to get float blocks.
     """
     one = dz / dz  # multiplicative unit of the input arithmetic
-    m, s, c = _mass(one), _stiff(one), _cross(one)
-    ct = tuple(tuple(c[j][i] for j in range(2)) for i in range(2))
+    # 1D reference integrals over [0,1] for the linear basis pair (1-t, t)
+    h = one / 2
+    m = np.array([[one / 3, one / 6], [one / 6, one / 3]])   # mass
+    s = np.array([[one, -one], [-one, one]])                 # stiffness
+    c = np.array([[-h, h], [-h, h]])                         # N_i dN_j/dt
 
     def tens(Y, Zb, scale):
-        out = [[None] * 4 for _ in range(4)]
-        for iy in range(2):
-            for iz in range(2):
-                for jy in range(2):
-                    for jz in range(2):
-                        out[2 * iy + iz][2 * jy + jz] = scale * Y[iy][jy] * Zb[iz][jz]
-        return out
-
-    def add(A, B):
-        return [[A[i][j] + B[i][j] for j in range(4)] for i in range(4)]
+        # entry [2*iy + iz, 2*jy + jz] = scale * Y[iy, jy] * Zb[iz, jz]
+        return np.multiply.outer(scale * Y, Zb).transpose(0, 2, 1, 3).reshape(4, 4)
 
     return {
-        "lap": add(tens(m, s, dy / dz), tens(s, m, dz / dy)),
+        "lap": tens(m, s, dy / dz) + tens(s, m, dz / dy),
         "cz": tens(m, c, dy),            # int N_i dN_j/dz
         "cy": tens(c, m, dz),            # int N_i dN_j/dy
-        "gyz": tens(ct, c, one),         # int dN_i/dy dN_j/dz
+        "gyz": tens(c.T, c, one),        # int dN_i/dy dN_j/dz
         "gyy": tens(s, m, dz / dy),      # int dN_i/dy dN_j/dy
-        "gy0": tens(ct, m, dz),          # int dN_i/dy N_j
+        "gy0": tens(c.T, m, dz),         # int dN_i/dy N_j
         "mass": tens(m, m, dz * dy),
-        "int_n": [dz * dy / 4] * 4,      # int N_i
-        "int_ny": [-dz / 2, -dz / 2, dz / 2, dz / 2],   # int dN_i/dy
+        "int_n": np.array([dz * dy / 4] * 4),                    # int N_i
+        "int_ny": np.array([-dz / 2, -dz / 2, dz / 2, dz / 2]),  # int dN_i/dy
     }
 
 
@@ -147,95 +129,111 @@ class Solution2D:
     residual: float
 
 
-def _pin_row(mesh: Mesh2D) -> int:
-    """Row index used for the phi gauge pin: the node row nearest y = 0
-    (keeps the pin on the symmetry line of symmetric meshes)."""
-    return int(np.argmin(np.abs(mesh.node_y())))
+# The coupled element matrix, one entry per nonzero (row field, col field)
+# block, fields 0 = phi, 1 = A_y, 2 = A_z. Each block is the sum of its
+# terms sign * (product of the named factors) * elemental block, where flag
+# is the row's conductivity multiplier, u the velocity and musig
+# mu * sigma * flag. assemble_2d and exact_patch_rows both read this table.
+BLOCK_TABLE = (
+    (0, 0, ((-1, (), "lap"),)),
+    (0, 1, ((-1, ("flag", "u"), "gyz"),)),
+    (0, 2, ((1, ("flag", "u"), "gyy"),)),
+    (1, 0, ((1, ("musig",), "cy"),)),
+    (1, 1, ((1, (), "lap"), (1, ("musig", "u"), "cz"))),
+    (1, 2, ((-1, ("musig", "u"), "cy"),)),
+    (2, 0, ((1, ("musig",), "cz"),)),
+    (2, 2, ((1, (), "lap"),)),
+)
+
+
+def _coupled_blocks(blocks, factors):
+    """The BLOCK_TABLE blocks, in table order, from elemental blocks and
+    factor values given as scalars or arrays that broadcast together."""
+    def term(sign, names, block):
+        return math.prod((factors[f] for f in names), start=sign) * blocks[block]
+    return [sum((term(*t) for t in terms[1:]), term(*terms[0])) for _, _, terms in BLOCK_TABLE]
 
 
 def assemble_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
                 profile, scheme: Scheme) -> DiscreteSystem2D:
-    """Assemble the coupled system, element row by element row.
+    """Assemble the coupled system in one pass over the whole mesh.
 
     All elements in a mesh row share the same elemental blocks (uniform dz,
-    per-row dy), so the scatter is vectorized across each row. The final
-    matrix is a sum of per-element contributions and therefore independent
-    of the row visit order.
+    per-row dy), so the blocks are computed once per distinct row height
+    and the matrix entries of every element are scattered at once. The
+    entries reach the sparse sum in (row, block, i, j, element) order, so
+    duplicates round the same way on every run.
     """
     if len(regions.row_multipliers) != mesh.ny - 1:
         raise InvalidArgumentError("region map does not match the mesh rows")
     ny, nz, dz = mesh.ny, mesh.nz, mesh.dz
-    heights = mesh.row_heights
-    if any(not h > 0 for h in heights) or not dz > 0:
+    heights = np.asarray(mesh.row_heights, dtype=float)
+    if not (np.all(heights > 0) and dz > 0):
         raise InvalidArgumentError("degenerate element (non-positive extent)")
-    m_count = mesh.node_count
-    u = material.u_z
-    zs = mesh.node_z()
+    m_count, u = mesh.node_count, material.u_z
     ys = mesh.node_y()
-    bn = np.asarray(profile.sample(*np.meshgrid(zs, ys)), dtype=float)
+    bn = np.asarray(profile.sample(*np.meshgrid(mesh.node_z(), ys)), dtype=float)
     if bn.shape != (ny, nz):
         raise InvalidArgumentError("profile samples do not match the mesh nodes")
 
-    rows_idx, cols_idx, vals = [], [], []
-    rhs = np.zeros(3 * m_count)
-    ne = np.arange(nz - 1)
-    for me in range(ny - 1):
-        dy = heights[me]
-        flag = regions.row_multipliers[me]
-        musig = material.mu * material.sigma * flag
-        blk = {k: np.array(v, dtype=float) for k, v in elemental_blocks(dz, dy).items()}
-        nodes = np.stack([me * nz + ne, me * nz + ne + 1,
-                          (me + 1) * nz + ne, (me + 1) * nz + ne + 1])
-        bq = np.stack([bn[me, :-1], bn[me, 1:], bn[me + 1, :-1], bn[me + 1, 1:]])
+    dys, row_kind = np.unique(heights, return_inverse=True)
+    per_height = [elemental_blocks(dz, dy) for dy in dys]
+    blk = {k: np.array([b[k] for b in per_height], dtype=float)[row_kind]
+           for k in per_height[0]}
+    flag = np.asarray(regions.row_multipliers)
+    musig = material.mu * material.sigma * flag
 
-        blockspec = (
-            (0, 0, -blk["lap"]),
-            (0, 1, -flag * u * blk["gyz"]),
-            (0, 2, flag * u * blk["gyy"]),
-            (1, 0, musig * blk["cy"]),
-            (1, 1, blk["lap"] + musig * u * blk["cz"]),
-            (1, 2, -musig * u * blk["cy"]),
-            (2, 0, musig * blk["cz"]),
-            (2, 2, blk["lap"]),
-        )
-        for rf, cf, b in blockspec:
-            for i in range(4):
-                for j in range(4):
-                    if b[i, j] == 0.0:
-                        continue
-                    rows_idx.append(rf * m_count + nodes[i])
-                    cols_idx.append(cf * m_count + nodes[j])
-                    vals.append(np.full(nz - 1, b[i, j]))
-        if scheme is Scheme.GALERKIN:
-            for i in range(4):
-                np.add.at(rhs, m_count + nodes[i], musig * u * (blk["mass"][i] @ bq))
-                np.add.at(rhs, nodes[i], -flag * u * (blk["gy0"][i] @ bq))
-        else:
-            be = bq.mean(axis=0)
-            for i in range(4):
-                np.add.at(rhs, m_count + nodes[i], musig * u * blk["int_n"][i] * be)
-                np.add.at(rhs, nodes[i], -flag * u * blk["int_ny"][i] * be)
+    # Dirichlet rows: A_y = A_z = 0 on the inlet column and both y edges,
+    # and the phi gauge pin at the inlet node nearest y = 0 (on the
+    # symmetry line of symmetric meshes); each keeps only its unit diagonal
+    edge = np.concatenate([np.arange(ny) * nz, np.arange(nz), (ny - 1) * nz + np.arange(nz)])
+    fixed = np.zeros(3 * m_count, dtype=bool)
+    fixed[m_count + edge] = fixed[2 * m_count + edge] = True
+    fixed[int(np.argmin(np.abs(ys))) * nz] = True
+    fixed_dofs = np.flatnonzero(fixed).astype(np.int32)
 
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows_idx), np.concatenate(cols_idx))),
-        shape=(3 * m_count, 3 * m_count)).tocsr()
-
-    # Dirichlet rows: A_y = A_z = 0 on inlet column and both y edges
-    fixed = set()
-    for m in range(ny):
-        fixed.add(m * nz)
-    for col in range(nz):
-        fixed.add(col)                  # bottom row
-        fixed.add((ny - 1) * nz + col)  # top row
-    fixed_dofs = sorted([m_count + g for g in fixed] + [2 * m_count + g for g in fixed]
-                        + [_pin_row(mesh) * nz])  # phi gauge pin at the inlet
-    for f in fixed_dofs:
-        matrix.data[matrix.indptr[f]:matrix.indptr[f + 1]] = 0.0
-        rhs[f] = 0.0
-    matrix = (matrix + sp.coo_matrix(
-        (np.ones(len(fixed_dofs)), (fixed_dofs, fixed_dofs)),
-        shape=matrix.shape).tocsr())
+    # matrix entries: each nonzero (row, block, i, j) value runs along the
+    # row's elements. A run lies on one node row, so its rows are either
+    # all fixed (a y edge; its second entry is never on the inlet column)
+    # or at most its first is (the inlet column)
+    per_row = {"flag": flag[:, None, None], "u": u, "musig": musig[:, None, None]}
+    vals = np.stack(_coupled_blocks(blk, per_row), axis=1)   # (row, block, i, j)
+    # int32 indices: a mesh of 2**31 / 3 nodes could never be factored
+    ne = np.arange(nz - 1, dtype=np.int32)
+    local = np.array([0, 1, nz, nz + 1], dtype=np.int32)   # element corner offsets
+    nodes = (np.arange(ny - 1, dtype=np.int32)[:, None] * nz + local)[..., None] + ne
+    r, k, i, j = np.nonzero(vals)
+    fields = np.array([spec[:2] for spec in BLOCK_TABLE], dtype=np.int32)
+    row0 = fields[k, 0] * m_count + nodes[r, i, 0]
+    col0 = fields[k, 1] * m_count + nodes[r, j, 0]
+    run = ~fixed[row0 + 1]
+    row0, col0 = row0[run], col0[run]
+    data = np.repeat(vals[r, k, i, j][run], nz - 1).reshape(len(row0), nz - 1)
+    data[fixed[row0], 0] = 0.0   # removed with the exact cancellations below
+    matrix = sp.csr_matrix(
+        (np.concatenate([data.ravel(), np.ones(len(fixed_dofs))]),
+         (np.concatenate([(row0[:, None] + ne).ravel(), fixed_dofs]),
+          np.concatenate([(col0[:, None] + ne).ravel(), fixed_dofs]))),
+        shape=(3 * m_count, 3 * m_count))
     matrix.eliminate_zeros()
+
+    # right-hand side, summed per dof in (row, corner, element) order like
+    # the matrix entries
+    corners = np.stack([bn[:-1, :-1], bn[:-1, 1:], bn[1:, :-1], bn[1:, 1:]], axis=1)
+    ay_coef, ph_coef = (musig * u)[:, None], (-flag * u)[:, None]
+    if scheme is Scheme.GALERKIN:
+        # one corner-weight row against the element's corner samples
+        weigh = lambda w: (w[:, :, None, :] @ corners[:, None])[:, :, 0]
+        ay = ay_coef[..., None] * weigh(blk["mass"])
+        ph = ph_coef[..., None] * weigh(blk["gy0"])
+    else:
+        mean = corners.mean(axis=1)[:, None]
+        ay = (ay_coef * blk["int_n"])[..., None] * mean
+        ph = (ph_coef * blk["int_ny"])[..., None] * mean
+    rhs = np.zeros(3 * m_count)
+    np.add.at(rhs, m_count + nodes, ay)
+    np.add.at(rhs, nodes, ph)
+    rhs[fixed] = 0.0
     return DiscreteSystem2D(matrix=matrix, rhs=rhs, mesh=mesh)
 
 
@@ -243,14 +241,15 @@ def _node_interleaved(mesh: Mesh2D) -> np.ndarray:
     """Band position of every block-ordered unknown: the three fields of a
     node sit next to each other and the shorter grid axis varies fastest,
     so the bandwidth is about 3*min(ny, nz) whatever the longer axis."""
-    m, n = np.divmod(np.arange(mesh.node_count), mesh.nz)
+    m, n = np.divmod(np.arange(mesh.node_count, dtype=np.int32), np.int32(mesh.nz))
     node = n * mesh.ny + m if mesh.ny <= mesh.nz else m * mesh.nz + n
-    return (3 * node + np.arange(3)[:, None]).ravel()
+    return (3 * node + np.arange(3, dtype=np.int32)[:, None]).ravel()
 
 
-def solve_2d(system: DiscreteSystem2D) -> Solution2D:
+def solve_2d(system: DiscreteSystem2D, more_rhs: Optional[Sequence[np.ndarray]] = None
+             ) -> Union[Solution2D, List[Solution2D]]:
     """Banded LU solve (LAPACK dgbtrf/dgbtrs) with a residual acceptance
-    check on the original matrix.
+    check on the original matrix for every right-hand side.
 
     The matrix and right-hand side keep their block order (phi, A_y, A_z);
     the solver renumbers the unknowns node-interleaved with the shorter
@@ -258,41 +257,53 @@ def solve_2d(system: DiscreteSystem2D) -> Solution2D:
     and scatters the solution back. Band storage is (2*kl + ku + 1) * 3M
     doubles with kl = ku = 3*min(ny, nz) + 5: about 97 MB for the refined
     sheet at nz = 257 and 194 MB at nz = 513.
+
+    Returns the Solution2D of system.rhs. Given ``more_rhs``, a sequence of
+    further right-hand sides for the same matrix (say, the other scheme's),
+    the factorization is shared and the result is a list of solutions,
+    system.rhs first.
     """
-    a, rhs, mesh = system.matrix, system.rhs, system.mesh
+    a, mesh = system.matrix.tocsr(), system.mesh
+    rhs_all = [system.rhs] + list(more_rhs or ())
+    if any(np.shape(b) != (a.shape[0],) for b in rhs_all):
+        raise InvalidArgumentError("right-hand side does not match the matrix")
+    if not a.has_canonical_format:
+        a = a.copy()
+        a.sum_duplicates()   # the band fill below assigns, so duplicates must be summed
     perm = _node_interleaved(mesh)
-    coo = a.tocoo()
-    coo.sum_duplicates()   # the band fill below assigns, so duplicates must be summed
-    rows, cols = perm[coo.row], perm[coo.col]
+    rows = np.repeat(perm, np.diff(a.indptr))
+    cols = perm[a.indices]
     kl = int(np.max(rows - cols, initial=0))
     ku = int(np.max(cols - rows, initial=0))
     # LAPACK band layout: A[i, j] sits at ab[kl + ku + i - j, j]; the top
     # kl rows are workspace for the fill that row pivoting creates
     ab = np.zeros((2 * kl + ku + 1, len(perm)), order="F")
-    ab[kl + ku + rows - cols, cols] = coo.data
+    ab[kl + ku + rows - cols, cols] = a.data
+    del rows, cols
     lu, piv, info = lapack.dgbtrf(ab, kl, ku, overwrite_ab=1)
     if info > 0:
         raise NumericalFailureError(f"2D band LU hit an exact zero pivot in band "
                                     f"column {info} (singular system)")
-    xp, _ = lapack.dgbtrs(lu, kl, ku, rhs[np.argsort(perm)], piv)
-    x = xp[perm]
-    if not np.all(np.isfinite(x)):
-        raise NumericalFailureError("2D solve produced non-finite values "
-                                    "(singular or badly scaled system)")
-    resid = float(np.max(np.abs(a @ x - rhs)))
+    inv = np.argsort(perm)
+    xp, _ = lapack.dgbtrs(lu, kl, ku, np.column_stack(rhs_all)[inv], piv)
+    del lu, ab
     norm_a = float(np.max(np.abs(a).sum(axis=1)))
-    budget = RESIDUAL_RTOL * (norm_a * float(np.max(np.abs(x))) + float(np.max(np.abs(rhs))))
-    if resid > budget:
-        raise NumericalFailureError(
-            f"2D residual {resid:.3e} exceeds budget {budget:.3e} "
-            f"(matrix inf-norm {norm_a:.3e})")
-    m_count = mesh.node_count
-    phi = x[:m_count].reshape(mesh.ny, mesh.nz)
-    a_y = x[m_count:2 * m_count].reshape(mesh.ny, mesh.nz)
-    a_z = x[2 * m_count:].reshape(mesh.ny, mesh.nz)
-    return Solution2D(phi=phi, a_y=a_y, a_z=a_z,
-                      b_x=reaction_field_2d(a_y, a_z, mesh), mesh=mesh,
-                      residual=resid)
+    sols = []
+    for c, rhs in enumerate(rhs_all):
+        x = xp[perm, c]
+        if not np.all(np.isfinite(x)):
+            raise NumericalFailureError("2D solve produced non-finite values "
+                                        "(singular or badly scaled system)")
+        resid = float(np.max(np.abs(a @ x - rhs)))
+        budget = RESIDUAL_RTOL * (norm_a * float(np.max(np.abs(x))) + float(np.max(np.abs(rhs))))
+        if resid > budget:
+            raise NumericalFailureError(
+                f"2D residual {resid:.3e} exceeds budget {budget:.3e} "
+                f"(matrix inf-norm {norm_a:.3e})")
+        phi, a_y, a_z = x.reshape(3, mesh.ny, mesh.nz)
+        sols.append(Solution2D(phi=phi, a_y=a_y, a_z=a_z, b_x=reaction_field_2d(a_y, a_z, mesh),
+                               mesh=mesh, residual=resid))
+    return sols[0] if more_rhs is None else sols
 
 
 def reaction_field_2d(a_y: np.ndarray, a_z: np.ndarray, mesh: Mesh2D) -> np.ndarray:
@@ -349,11 +360,10 @@ def exact_patch_rows(pe, u, scheme: Scheme, nn: int = 5, nm: int = 5):
     """
     from fractions import Fraction
 
-    pe = Fraction(pe)
-    u = Fraction(u)
-    one = Fraction(1)
+    pe, u, one = Fraction(pe), Fraction(u), Fraction(1)
     musig = 2 * pe / u
     blk = elemental_blocks(one, one)
+    coupled = _coupled_blocks(blk, {"flag": one, "u": u, "musig": musig})
 
     n0 = (nn // 2, nm // 2)
     nid = lambda n, m: m * nn + n
@@ -371,23 +381,12 @@ def exact_patch_rows(pe, u, scheme: Scheme, nn: int = 5, nm: int = 5):
     for me in range(nm - 1):
         for ne in range(nn - 1):
             nodes = [nid(ne, me), nid(ne + 1, me), nid(ne, me + 1), nid(ne + 1, me + 1)]
-            entries = (
-                (0, 0, lambda i, j: -blk["lap"][i][j]),
-                (0, 1, lambda i, j: -u * blk["gyz"][i][j]),
-                (0, 2, lambda i, j: u * blk["gyy"][i][j]),
-                (1, 0, lambda i, j: musig * blk["cy"][i][j]),
-                (1, 1, lambda i, j: blk["lap"][i][j] + musig * u * blk["cz"][i][j]),
-                (1, 2, lambda i, j: -musig * u * blk["cy"][i][j]),
-                (2, 0, lambda i, j: musig * blk["cz"][i][j]),
-                (2, 2, lambda i, j: blk["lap"][i][j]),
-            )
             for i in range(4):
                 if nodes[i] != center:
                     continue
-                for rf, cf, f in entries:
-                    for j in range(4):
-                        put(lhs.setdefault((rf, cf), {}), nodes[j], f(i, j))
                 for j in range(4):
+                    for (rf, cf, _), b in zip(BLOCK_TABLE, coupled):
+                        put(lhs.setdefault((rf, cf), {}), nodes[j], b[i, j])
                     if scheme is Scheme.GALERKIN:
                         put(rhs_w[1], nodes[j], musig * u * blk["mass"][i][j])
                         put(rhs_w[0], nodes[j], -u * blk["gy0"][i][j])

@@ -179,9 +179,6 @@ class PoleZeroReport:
     classification: Stability
     cancelled_pairs: Tuple[Root, ...]
 
-    def pole_locations(self) -> List[complex]:
-        return [p.location for p in self.poles]
-
 
 _UNIT_TOL = 1e-9
 

@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eddyfem import fem2d
 from eddyfem.cli import (ConfigError, ScenarioConfig, build_2d_case, main,
-                         measured_peak_error, run_1d, run_2d, sweep_error,
-                         verify)
+                         measured_peak_error, measured_peak_errors, run_1d,
+                         run_2d, sweep_error, verify)
 from eddyfem.core import Scheme
 from eddyfem.oracle import peak_error
 from eddyfem.ztransfer import polys_2d
@@ -138,6 +139,32 @@ def test_run_2d_rect_pulse_field(tmp_path):
     assert rec.stats[0]["residual"] < 1e-6
 
 
+def test_run_2d_factors_once_per_pe_and_keeps_output_order(tmp_path, monkeypatch):
+    calls = []
+    solve = fem2d.solve_2d
+
+    def counting_solve(system, more_rhs=None):
+        calls.append(len(more_rhs or ()))
+        return solve(system, more_rhs)
+
+    monkeypatch.setattr(fem2d, "solve_2d", counting_solve)
+    cfg = small_2d_cfg(scheme="both", pe=[2.0, 60.0])
+    rec = run_2d(cfg, tmp_path / "both")
+    assert calls == [1, 1]   # one factorization per Pe serves both schemes
+    assert [(st["scheme"], st["pe"]) for st in rec.stats] == [
+        ("galerkin", 2.0), ("galerkin", 60.0), ("averaged", 2.0), ("averaged", 60.0)]
+    assert [Path(p).name for p in rec.outputs] == [
+        "field2d_galerkin_pe2.0.csv", "field2d_galerkin_pe60.0.csv", "centerline_galerkin.csv",
+        "field2d_averaged_pe2.0.csv", "field2d_averaged_pe60.0.csv", "centerline_averaged.csv"]
+    # the shared solve writes the same data as a single-scheme run (the
+    # '#' header lines echo the config, which differs)
+    alone = run_2d(small_2d_cfg(pe=[2.0, 60.0]), tmp_path / "alone")
+    body = lambda path: [ln for ln in Path(path).read_text().splitlines()
+                         if not ln.startswith("#")]
+    for path in alone.outputs:
+        assert body(path) == body(tmp_path / "both" / Path(path).name), path
+
+
 def test_build_2d_case_grid_layout():
     cfg = small_2d_cfg()
     mesh, material, regions, profile = build_2d_case(cfg, 2.0)
@@ -176,6 +203,12 @@ def test_measured_error_tracks_closed_form():
     for pe in (2.0, 50.0):
         got = measured_peak_error(pe, 0.2, 40, 30, 40, Scheme.ELEMENT_AVERAGED)
         assert got == pytest.approx(peak_error(Scheme.ELEMENT_AVERAGED, pe, 1.0), abs=1e-9)
+
+
+def test_shared_reference_gives_the_single_scheme_errors():
+    both = measured_peak_errors(60.0, 0.2, 40, 30, 40, tuple(Scheme), 1.0)
+    for scheme in Scheme:
+        assert both[scheme] == measured_peak_error(60.0, 0.2, 40, 30, 40, scheme, 1.0)
 
 
 # ---------------------------------------------------------------------------

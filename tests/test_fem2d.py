@@ -85,6 +85,35 @@ def test_float_assembly_matches_exact_patch():
                 assert stencil[k] == pytest.approx(exp[k], rel=1e-13), (rf, cf, k)
 
 
+class Impulse:
+    """Unit input at one node, zero at every other."""
+
+    def __init__(self, z, y):
+        self.z, self.y = z, y
+
+    def sample(self, z, y=0.0):
+        return np.where((np.asarray(z) == self.z) & (np.asarray(y) == self.y), 1.0, 0.0)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_float_rhs_matches_exact_input_weights(scheme):
+    # an impulse at each neighbour of the centre node reads one weight of
+    # the certified input stencil off the assembled centre rows
+    _, rhs_w = exact_patch_rows(PE, U, scheme)
+    mesh, material, regions, _, _ = uniform_conductor_case()
+    zs, ys = mesh.node_z(), mesh.node_y()
+    nc, mc = mesh.nz // 2, mesh.ny // 2
+    center = mc * mesh.nz + nc
+    for dn in (-1, 0, 1):
+        for dm in (-1, 0, 1):
+            impulse = Impulse(zs[nc + dn], ys[mc + dm])
+            rhs = assemble_2d(mesh, material, regions, impulse, scheme).rhs
+            for rf in (0, 1):
+                exp = float(rhs_w[rf].get((dn + 1, dm + 1), 0))
+                got = rhs[rf * mesh.node_count + center]
+                assert got == pytest.approx(exp, rel=1e-13, abs=1e-14), (rf, dn, dm)
+
+
 def test_constant_input_same_rhs_for_both_schemes():
     class Flat:
         def sample(self, z, y=0.0):
@@ -205,6 +234,132 @@ def test_mesh_symmetry_of_even_input():
     bx = sol.b_x
     mirrored = bx[::-1, :]
     assert np.max(np.abs(bx - mirrored)) <= 1e-7 * np.max(np.abs(bx))
+
+
+# ---------------------------------------------------------------------------
+# whole-mesh assembly against an element-by-element reference
+
+
+def graded_air_case():
+    """Small graded mesh with two air rows at each y edge."""
+    heights = tuple(0.4 * 1.3 ** abs(k - 3.5) for k in range(8))
+    mesh = Mesh2D(nz=7, ny=9, dz=0.5, row_heights=heights, z0=-1.5,
+                  y0=-sum(heights[:4]))
+    material = Material(sigma=3.0, mu=1.2, u_z=2.5)
+    regions = RegionMap2D((0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0))
+    return mesh, material, regions, SmoothCircle2D(radius=0.8, amplitude=1.0)
+
+
+def dirichlet_dofs(mesh):
+    """A_y and A_z on the inlet column and both y edges, plus the phi pin."""
+    m_count, nz = mesh.node_count, mesh.nz
+    edge = set(range(0, m_count, nz)) | set(range(nz)) | set(range(m_count - nz, m_count))
+    pin = int(np.argmin(np.abs(mesh.node_y()))) * nz
+    return sorted({m_count + g for g in edge} | {2 * m_count + g for g in edge} | {pin})
+
+
+def loop_reference(mesh, material, regions, profile, scheme):
+    """Dense element-by-element assembly with the blocks written out term by
+    term. Also returns the sums of |contribution| per entry, which bound the
+    rounding of any other summation order."""
+    nz, m_count, u = mesh.nz, mesh.node_count, material.u_z
+    n = 3 * m_count
+    a, a_abs = np.zeros((n, n)), np.zeros((n, n))
+    rhs, rhs_abs = np.zeros(n), np.zeros(n)
+    bn = profile.sample(*np.meshgrid(mesh.node_z(), mesh.node_y())).ravel()
+    for me, dy in enumerate(mesh.row_heights):
+        flag = regions.row_multipliers[me]
+        musig = material.mu * material.sigma * flag
+        blk = {k: np.array(v, dtype=float) for k, v in elemental_blocks(mesh.dz, dy).items()}
+        spec = {
+            (0, 0): -blk["lap"],
+            (0, 1): -flag * u * blk["gyz"],
+            (0, 2): flag * u * blk["gyy"],
+            (1, 0): musig * blk["cy"],
+            (1, 1): blk["lap"] + musig * u * blk["cz"],
+            (1, 2): -musig * u * blk["cy"],
+            (2, 0): musig * blk["cz"],
+            (2, 2): blk["lap"],
+        }
+        for ne in range(nz - 1):
+            nodes = [me * nz + ne, me * nz + ne + 1, (me + 1) * nz + ne, (me + 1) * nz + ne + 1]
+            for (rf, cf), b in spec.items():
+                for i in range(4):
+                    for j in range(4):
+                        a[rf * m_count + nodes[i], cf * m_count + nodes[j]] += b[i, j]
+                        a_abs[rf * m_count + nodes[i], cf * m_count + nodes[j]] += abs(b[i, j])
+            for i in range(4):
+                for j in range(4):
+                    if scheme is Scheme.GALERKIN:
+                        ay = musig * u * blk["mass"][i, j] * bn[nodes[j]]
+                        ph = -flag * u * blk["gy0"][i, j] * bn[nodes[j]]
+                    else:
+                        ay = musig * u * blk["int_n"][i] * bn[nodes[j]] / 4
+                        ph = -flag * u * blk["int_ny"][i] * bn[nodes[j]] / 4
+                    for dof, w in ((m_count + nodes[i], ay), (nodes[i], ph)):
+                        rhs[dof] += w
+                        rhs_abs[dof] += abs(w)
+    fixed = dirichlet_dofs(mesh)
+    for arr in (a, a_abs):
+        arr[fixed] = 0.0
+    a[fixed, fixed] = 1.0
+    rhs[fixed] = 0.0
+    return a, a_abs, rhs, rhs_abs
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_assembly_matches_element_loop_reference(scheme):
+    case = graded_air_case()
+    system = assemble_2d(*case, scheme)
+    a, a_abs, rhs, rhs_abs = loop_reference(*case, scheme)
+    eps = np.finfo(float).eps
+    # at most four element contributions meet in an entry; 8 eps covers
+    # every summation order and product association
+    assert np.all(np.abs(system.matrix.toarray() - a) <= 8 * eps * a_abs)
+    assert np.all(np.abs(system.rhs - rhs) <= 8 * eps * rhs_abs)
+    assert np.any(rhs != 0.0) and np.any(a_abs[: case[0].node_count] != 0.0)
+
+
+@pytest.mark.parametrize("case", ["graded_air", "sheet"])
+def test_assembled_matrix_is_canonical_with_unit_dirichlet_rows(case):
+    if case == "sheet":
+        system = sheet_system(60.0, Scheme.ELEMENT_AVERAGED)
+    else:
+        system = assemble_2d(*graded_air_case(), Scheme.GALERKIN)
+    a = system.matrix
+    assert a.format == "csr" and a.has_canonical_format
+    for r in range(a.shape[0]):   # sorted, duplicate-free column indices
+        assert np.all(np.diff(a.indices[a.indptr[r]:a.indptr[r + 1]]) > 0)
+    assert np.all(a.data != 0.0)
+    fixed = dirichlet_dofs(system.mesh)
+    for f in fixed:
+        assert list(a.indices[a.indptr[f]:a.indptr[f + 1]]) == [f]
+        assert a.data[a.indptr[f]] == 1.0
+    assert np.all(system.rhs[fixed] == 0.0)
+
+
+def test_multi_rhs_solve_equals_separate_solves():
+    g = sheet_system(60.0, Scheme.GALERKIN)
+    e = sheet_system(60.0, Scheme.ELEMENT_AVERAGED)
+    assert (g.matrix != e.matrix).nnz == 0   # the scheme changes only the rhs
+    more = [e.rhs, -3.0 * g.rhs]
+    sols = solve_2d(g, more_rhs=more)
+    assert len(sols) == 3
+    for sol, rhs in zip(sols, [g.rhs] + more):
+        ref = solve_2d(DiscreteSystem2D(matrix=g.matrix, rhs=rhs, mesh=g.mesh))
+        for name in ("phi", "a_y", "a_z", "b_x"):
+            assert np.array_equal(getattr(sol, name), getattr(ref, name)), name
+        assert sol.residual == ref.residual
+    only = solve_2d(g, more_rhs=[])
+    assert len(only) == 1 and np.array_equal(only[0].a_y, sols[0].a_y)
+
+
+def test_multi_rhs_solve_checks_every_rhs():
+    g = sheet_system(2.0, Scheme.GALERKIN)
+    with pytest.raises(NumericalFailureError):
+        solve_2d(g, more_rhs=[np.full_like(g.rhs, np.nan)])
+    with pytest.raises(InvalidArgumentError):
+        solve_2d(g, more_rhs=[g.rhs[:-1]])
 
 
 def test_assembly_is_deterministic():
