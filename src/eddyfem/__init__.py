@@ -18,7 +18,7 @@ from .fem1d import (  # noqa: F401
     peak_spurious_error, reaction_field, rect_pulse_case, solve_1d)
 from .fem2d import (  # noqa: F401
     DiscreteSystem2D, RegionMap2D, Solution2D, assemble_2d, axis_profile,
-    oscillation_metric, solve_2d)
+    oscillation_metric, rhs_2d, solve_2d)
 from .oracle import (  # noqa: F401
     AnalyticParams, AnalyticSolution, OutOfValidityError, analytic_solve,
     error_extremum, peak_error, peak_error_from_solution)

@@ -128,6 +128,8 @@ def _fmt(v) -> str:
         return repr(float(v))  # shortest round-trip decimal form
     if isinstance(v, np.integer):
         return str(int(v))
+    if isinstance(v, tuple):
+        return ",".join(_fmt(x) for x in v)
     return str(v)
 
 
@@ -303,19 +305,20 @@ def run_2d(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
     _need_dimension(cfg, 2)
     out_dir.mkdir(parents=True, exist_ok=True)
     record = RunRecord(config_hash=cfg.hash())
-    # the left-hand side does not depend on the scheme: factor it once per
-    # (mesh, Pe) and solve every scheme's right-hand side with it; wall_s
-    # is the time of that joint assembly and solve
+    # the left-hand side does not depend on the scheme: assemble and factor
+    # it once per (mesh, Pe) and solve every scheme's right-hand side with
+    # it; wall_s is the time of that joint assembly and solve
     solved = {}
     for pe in cfg.pe_values:
         mesh, material, regions, profile = build_2d_case(cfg, pe)
         t0 = time.perf_counter()
-        systems = [fem2d.assemble_2d(mesh, material, regions, profile, scheme)
-                   for scheme in cfg.schemes]
-        sols = fem2d.solve_2d(systems[0], more_rhs=[s.rhs for s in systems[1:]])
+        system = fem2d.assemble_2d(mesh, material, regions, profile, cfg.schemes[0])
+        more = [fem2d.rhs_2d(mesh, material, regions, profile, scheme)
+                for scheme in cfg.schemes[1:]]
+        sols = fem2d.solve_2d(system, more_rhs=more)
         wall = time.perf_counter() - t0
         for scheme, sol in zip(cfg.schemes, sols):
-            solved[scheme, pe] = (sol, systems[0].matrix.shape[0], wall)
+            solved[scheme, pe] = (sol, system.matrix.shape[0], wall)
     for scheme in cfg.schemes:
         traces = {}
         zc_ref = None
@@ -339,7 +342,8 @@ def run_2d(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
             write_csv(out_dir / name, cfg, ["y", "z", "b_x", "a_y", "a_z", "phi"], rows)
             record.outputs.append(str(out_dir / name))
             record.stats.append({"scheme": scheme.value, "pe": pe, "dofs": dofs,
-                                 "residual": sol.residual, "wall_s": wall})
+                                 "band_kl": sol.band_kl, "residual": sol.residual,
+                                 "wall_s": wall})
         cols = ["z"] + [f"b_x_pe{_fmt(float(pe))}" for pe in cfg.pe_values]
         rows = [[zc_ref[i]] + [traces[pe][i] for pe in cfg.pe_values]
                 for i in range(len(zc_ref))]

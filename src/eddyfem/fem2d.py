@@ -27,7 +27,19 @@ public contract. solve_2d factors the system as a banded LU (LAPACK
 dgbtrf/dgbtrs) under an internal node-interleaved numbering with the
 shorter grid axis fastest, so the band width is set by min(ny, nz) and not
 by the refined length of the longer axis. One factorization can serve
-several right-hand sides, such as both schemes' inputs on one mesh.
+several right-hand sides, such as both schemes' inputs on one mesh; the
+matrix does not depend on the scheme, and rhs_2d assembles a right-hand
+side alone.
+
+Every sheet the package builds is mirror-symmetric about its y = 0 node
+row. The elemental blocks cy, gyz, gy0 and int_ny carry one y derivative
+and are odd in y, the rest are even; so every coupled block of
+BLOCK_TABLE is even or odd as its (row, col) fields demand, and the
+matrix commutes with the signed reflection
+(phi, A_y, A_z)(y) -> (-phi, +A_y, -A_z)(-y) (MIRROR_PARITY). solve_2d
+checks this and then solves the even and the odd sector separately, each
+on half the grid height with half the bandwidth; other systems get one
+band LU over the whole grid.
 """
 from __future__ import annotations
 
@@ -119,7 +131,8 @@ class DiscreteSystem2D:
 class Solution2D:
     """Nodal fields on the (ny, nz) grid plus the element-centroid reaction
     flux density b_x = dA_z/dy - dA_y/dz on the (ny-1, nz-1) elements, and
-    the max-norm residual |A x - b| that the solver accepted."""
+    the max-norm residual |A x - b| that the solver accepted and the lower
+    bandwidth of each band LU it factored (one per mirror sector)."""
 
     phi: np.ndarray
     a_y: np.ndarray
@@ -127,6 +140,7 @@ class Solution2D:
     b_x: np.ndarray
     mesh: Mesh2D
     residual: float
+    band_kl: Tuple[int, ...]
 
 
 # The coupled element matrix, one entry per nonzero (row field, col field)
@@ -154,6 +168,38 @@ def _coupled_blocks(blocks, factors):
     return [sum((term(*t) for t in terms[1:]), term(*terms[0])) for _, _, terms in BLOCK_TABLE]
 
 
+def _mesh_rows(mesh: Mesh2D, regions: RegionMap2D):
+    """What the matrix and the right-hand side share: the elemental blocks
+    of every mesh row (computed once per distinct row height), the row
+    flags, the corner nodes of every element as (row, corner, element) and
+    the Dirichlet mask over the block-ordered dofs."""
+    if len(regions.row_multipliers) != mesh.ny - 1:
+        raise InvalidArgumentError("region map does not match the mesh rows")
+    ny, nz, dz = mesh.ny, mesh.nz, mesh.dz
+    heights = np.asarray(mesh.row_heights, dtype=float)
+    if not (np.all(heights > 0) and dz > 0):
+        raise InvalidArgumentError("degenerate element (non-positive extent)")
+    dys, row_kind = np.unique(heights, return_inverse=True)
+    per_height = [elemental_blocks(dz, dy) for dy in dys]
+    blk = {k: np.array([b[k] for b in per_height], dtype=float)[row_kind]
+           for k in per_height[0]}
+    flag = np.asarray(regions.row_multipliers)
+    # int32 indices: a mesh of 2**31 / 3 nodes could never be factored
+    local = np.array([0, 1, nz, nz + 1], dtype=np.int32)   # element corner offsets
+    nodes = ((np.arange(ny - 1, dtype=np.int32)[:, None] * nz + local)[..., None]
+             + np.arange(nz - 1, dtype=np.int32))
+
+    # Dirichlet rows: A_y = A_z = 0 on the inlet column and both y edges,
+    # and the phi gauge pin at the inlet node nearest y = 0 (on the
+    # symmetry line of symmetric meshes); each keeps only its unit diagonal
+    m_count = mesh.node_count
+    edge = np.concatenate([np.arange(ny) * nz, np.arange(nz), (ny - 1) * nz + np.arange(nz)])
+    fixed = np.zeros(3 * m_count, dtype=bool)
+    fixed[m_count + edge] = fixed[2 * m_count + edge] = True
+    fixed[int(np.argmin(np.abs(mesh.node_y()))) * nz] = True
+    return blk, flag, nodes, fixed
+
+
 def assemble_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
                 profile, scheme: Scheme) -> DiscreteSystem2D:
     """Assemble the coupled system in one pass over the whole mesh.
@@ -162,46 +208,22 @@ def assemble_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
     per-row dy), so the blocks are computed once per distinct row height
     and the matrix entries of every element are scattered at once. The
     entries reach the sparse sum in (row, block, i, j, element) order, so
-    duplicates round the same way on every run.
+    duplicates round the same way on every run. The matrix does not depend
+    on the scheme; the right-hand side is rhs_2d's.
     """
-    if len(regions.row_multipliers) != mesh.ny - 1:
-        raise InvalidArgumentError("region map does not match the mesh rows")
-    ny, nz, dz = mesh.ny, mesh.nz, mesh.dz
-    heights = np.asarray(mesh.row_heights, dtype=float)
-    if not (np.all(heights > 0) and dz > 0):
-        raise InvalidArgumentError("degenerate element (non-positive extent)")
-    m_count, u = mesh.node_count, material.u_z
-    ys = mesh.node_y()
-    bn = np.asarray(profile.sample(*np.meshgrid(mesh.node_z(), ys)), dtype=float)
-    if bn.shape != (ny, nz):
-        raise InvalidArgumentError("profile samples do not match the mesh nodes")
-
-    dys, row_kind = np.unique(heights, return_inverse=True)
-    per_height = [elemental_blocks(dz, dy) for dy in dys]
-    blk = {k: np.array([b[k] for b in per_height], dtype=float)[row_kind]
-           for k in per_height[0]}
-    flag = np.asarray(regions.row_multipliers)
-    musig = material.mu * material.sigma * flag
-
-    # Dirichlet rows: A_y = A_z = 0 on the inlet column and both y edges,
-    # and the phi gauge pin at the inlet node nearest y = 0 (on the
-    # symmetry line of symmetric meshes); each keeps only its unit diagonal
-    edge = np.concatenate([np.arange(ny) * nz, np.arange(nz), (ny - 1) * nz + np.arange(nz)])
-    fixed = np.zeros(3 * m_count, dtype=bool)
-    fixed[m_count + edge] = fixed[2 * m_count + edge] = True
-    fixed[int(np.argmin(np.abs(ys))) * nz] = True
+    rhs = rhs_2d(mesh, material, regions, profile, scheme)
+    blk, flag, nodes, fixed = _mesh_rows(mesh, regions)
+    nz, m_count = mesh.nz, mesh.node_count
     fixed_dofs = np.flatnonzero(fixed).astype(np.int32)
 
     # matrix entries: each nonzero (row, block, i, j) value runs along the
     # row's elements. A run lies on one node row, so its rows are either
     # all fixed (a y edge; its second entry is never on the inlet column)
     # or at most its first is (the inlet column)
-    per_row = {"flag": flag[:, None, None], "u": u, "musig": musig[:, None, None]}
+    musig = material.mu * material.sigma * flag
+    per_row = {"flag": flag[:, None, None], "u": material.u_z, "musig": musig[:, None, None]}
     vals = np.stack(_coupled_blocks(blk, per_row), axis=1)   # (row, block, i, j)
-    # int32 indices: a mesh of 2**31 / 3 nodes could never be factored
     ne = np.arange(nz - 1, dtype=np.int32)
-    local = np.array([0, 1, nz, nz + 1], dtype=np.int32)   # element corner offsets
-    nodes = (np.arange(ny - 1, dtype=np.int32)[:, None] * nz + local)[..., None] + ne
     r, k, i, j = np.nonzero(vals)
     fields = np.array([spec[:2] for spec in BLOCK_TABLE], dtype=np.int32)
     row0 = fields[k, 0] * m_count + nodes[r, i, 0]
@@ -216,11 +238,22 @@ def assemble_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
           np.concatenate([(col0[:, None] + ne).ravel(), fixed_dofs]))),
         shape=(3 * m_count, 3 * m_count))
     matrix.eliminate_zeros()
+    return DiscreteSystem2D(matrix=matrix, rhs=rhs, mesh=mesh)
 
-    # right-hand side, summed per dof in (row, corner, element) order like
-    # the matrix entries
+
+def rhs_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
+           profile, scheme: Scheme) -> np.ndarray:
+    """The right-hand side of assemble_2d alone, bit for bit: the only part
+    of the system that depends on the scheme. Summed per dof in (row,
+    corner, element) order like the matrix entries."""
+    blk, flag, nodes, fixed = _mesh_rows(mesh, regions)
+    bn = np.asarray(profile.sample(*np.meshgrid(mesh.node_z(), mesh.node_y())), dtype=float)
+    if bn.shape != (mesh.ny, mesh.nz):
+        raise InvalidArgumentError("profile samples do not match the mesh nodes")
+    m_count, u = mesh.node_count, material.u_z
     corners = np.stack([bn[:-1, :-1], bn[:-1, 1:], bn[1:, :-1], bn[1:, 1:]], axis=1)
-    ay_coef, ph_coef = (musig * u)[:, None], (-flag * u)[:, None]
+    ay_coef = (material.mu * material.sigma * flag * u)[:, None]
+    ph_coef = (-flag * u)[:, None]
     if scheme is Scheme.GALERKIN:
         # one corner-weight row against the element's corner samples
         weigh = lambda w: (w[:, :, None, :] @ corners[:, None])[:, :, 0]
@@ -234,43 +267,28 @@ def assemble_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
     np.add.at(rhs, m_count + nodes, ay)
     np.add.at(rhs, nodes, ph)
     rhs[fixed] = 0.0
-    return DiscreteSystem2D(matrix=matrix, rhs=rhs, mesh=mesh)
+    return rhs
 
 
-def _node_interleaved(mesh: Mesh2D) -> np.ndarray:
-    """Band position of every block-ordered unknown: the three fields of a
-    node sit next to each other and the shorter grid axis varies fastest,
-    so the bandwidth is about 3*min(ny, nz) whatever the longer axis."""
-    m, n = np.divmod(np.arange(mesh.node_count, dtype=np.int32), np.int32(mesh.nz))
-    node = n * mesh.ny + m if mesh.ny <= mesh.nz else m * mesh.nz + n
+def _node_interleaved(ny: int, nz: int) -> np.ndarray:
+    """Band position of every block-ordered unknown of an ny-by-nz grid:
+    the three fields of a node sit next to each other and the shorter grid
+    axis varies fastest, so the bandwidth is about 3*min(ny, nz) whatever
+    the longer axis."""
+    m, n = np.divmod(np.arange(ny * nz, dtype=np.int32), np.int32(nz))
+    node = n * ny + m if ny <= nz else m * nz + n
     return (3 * node + np.arange(3, dtype=np.int32)[:, None]).ravel()
 
 
-def solve_2d(system: DiscreteSystem2D, more_rhs: Optional[Sequence[np.ndarray]] = None
-             ) -> Union[Solution2D, List[Solution2D]]:
-    """Banded LU solve (LAPACK dgbtrf/dgbtrs) with a residual acceptance
-    check on the original matrix for every right-hand side.
+def _band_solve(a: sp.csr_matrix, perm: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Solve a @ x = rhs (one column per right-hand side) by a banded LU
+    (LAPACK dgbtrf/dgbtrs) with unknown i at band position perm[i].
 
-    The matrix and right-hand side keep their block order (phi, A_y, A_z);
-    the solver renumbers the unknowns node-interleaved with the shorter
-    grid axis fastest, takes the band widths from the renumbered entries
-    and scatters the solution back. Band storage is (2*kl + ku + 1) * 3M
-    doubles with kl = ku = 3*min(ny, nz) + 5: about 97 MB for the refined
-    sheet at nz = 257 and 194 MB at nz = 513.
-
-    Returns the Solution2D of system.rhs. Given ``more_rhs``, a sequence of
-    further right-hand sides for the same matrix (say, the other scheme's),
-    the factorization is shared and the result is a list of solutions,
-    system.rhs first.
+    ``a`` must hold no duplicate entries: the band fill assigns. A pivot
+    |u_kk| of at most eps * ||a||_inf counts as singular, so the verdict
+    does not hang on whether the elimination order happens to produce an
+    exact zero. Returns x in a's order and the lower bandwidth kl.
     """
-    a, mesh = system.matrix.tocsr(), system.mesh
-    rhs_all = [system.rhs] + list(more_rhs or ())
-    if any(np.shape(b) != (a.shape[0],) for b in rhs_all):
-        raise InvalidArgumentError("right-hand side does not match the matrix")
-    if not a.has_canonical_format:
-        a = a.copy()
-        a.sum_duplicates()   # the band fill below assigns, so duplicates must be summed
-    perm = _node_interleaved(mesh)
     rows = np.repeat(perm, np.diff(a.indptr))
     cols = perm[a.indices]
     kl = int(np.max(rows - cols, initial=0))
@@ -281,28 +299,130 @@ def solve_2d(system: DiscreteSystem2D, more_rhs: Optional[Sequence[np.ndarray]] 
     ab[kl + ku + rows - cols, cols] = a.data
     del rows, cols
     lu, piv, info = lapack.dgbtrf(ab, kl, ku, overwrite_ab=1)
-    if info > 0:
-        raise NumericalFailureError(f"2D band LU hit an exact zero pivot in band "
-                                    f"column {info} (singular system)")
-    inv = np.argsort(perm)
-    xp, _ = lapack.dgbtrs(lu, kl, ku, np.column_stack(rhs_all)[inv], piv)
-    del lu, ab
+    pivots = np.abs(lu[kl + ku])   # the diagonal of U
+    floor = np.finfo(float).eps * float(np.max(np.abs(a).sum(axis=1)))
+    k = int(np.argmin(pivots))
+    if info > 0 or pivots[k] <= floor:
+        raise NumericalFailureError(f"2D band LU pivot {pivots[k]:.3e} in band column {k + 1} "
+                                    f"is at most eps*||A||inf = {floor:.3e} (singular system)")
+    xp, _ = lapack.dgbtrs(lu, kl, ku, rhs[np.argsort(perm)], piv)
+    return xp[perm], kl
+
+
+# Sign of (phi, A_y, A_z) under the reflection y -> -y: the coupled block
+# (r, c) has the y parity MIRROR_PARITY[r] * MIRROR_PARITY[c] of its
+# elemental blocks (see the module docstring)
+MIRROR_PARITY = (-1, 1, -1)
+
+
+def _mirror_sectors(a: sp.csr_matrix, mesh: Mesh2D):
+    """The signed reflection P of the node rows and the two mirror sectors
+    of ``a``, or None unless ny is odd and max|P a P - a| <= 1e-3 *
+    RESIDUAL_RTOL * max|a| (a tolerance that cannot use up the residual
+    budget).
+
+    Sector s (+1 or -1) holds the vectors with P x = s x. Its unknowns are
+    the dofs of the lower half of the grid plus those of the centre row
+    whose field parity equals s (the others vanish there). Each sector is
+    (s, keep, q, perm): the kept block-ordered dofs, the injection q
+    (x = q @ x_s) and the band positions under _node_interleaved of the
+    half-height grid.
+    """
+    ny, nz, m_count = mesh.ny, mesh.nz, mesh.node_count
+    if ny % 2 == 0:
+        return None
+    dof = np.arange(3 * m_count, dtype=np.int32)
+    field, node = np.divmod(dof, np.int32(m_count))
+    row = node // nz
+    mirror = dof + (ny - 1 - 2 * row) * nz
+    parity = np.asarray(MIRROR_PARITY, dtype=float)[field]
+    p = sp.csr_matrix((parity, (dof, mirror)), shape=a.shape)
+    scale = float(np.max(np.abs(a.data), initial=0.0))
+    if float(np.max(np.abs((p @ a @ p - a).data), initial=0.0)) > 1e-3 * RESIDUAL_RTOL * scale:
+        return None
+    half = (ny + 1) // 2
+    band = _node_interleaved(half, nz)
+    sectors = []
+    for s in (1, -1):
+        keep = np.flatnonzero((row < half - 1) | ((row == half - 1) & (parity == s)))
+        lower = row[keep] < half - 1
+        k = np.arange(len(keep))
+        q = sp.csr_matrix((np.concatenate([np.ones(len(keep)), s * parity[keep][lower]]),
+                           (np.concatenate([keep, mirror[keep][lower]]),
+                            np.concatenate([k, k[lower]]))),
+                          shape=(len(dof), len(keep)))
+        perm = np.empty(len(keep), dtype=np.int32)
+        perm[np.argsort(band[field[keep] * (half * nz) + node[keep]])] = k
+        sectors.append((s, keep, q, perm))
+    return p, sectors
+
+
+def solve_2d(system: DiscreteSystem2D, more_rhs: Optional[Sequence[np.ndarray]] = None
+             ) -> Union[Solution2D, List[Solution2D]]:
+    """Banded LU solve (LAPACK dgbtrf/dgbtrs) with a residual acceptance
+    check on the original matrix for every right-hand side.
+
+    The matrix and right-hand side keep their block order (phi, A_y, A_z).
+    When the matrix commutes with the signed mirror reflection about the
+    centre node row (see MIRROR_PARITY and _mirror_sectors), as every
+    sheet of the package does, the system splits exactly into an even and
+    an odd sector on half the grid height. Each sector system is the
+    lower-half rows (plus the centre rows of its parity) folded onto the
+    sector unknowns, a[keep] @ q; each right-hand side is split into its
+    sector parts (b + s P b) / 2. The two sectors are band-factored one
+    after the other and their solutions added. Otherwise (an off-centre
+    band, even ny, a hand-built matrix) one band LU covers the whole grid.
+
+    Either way the unknowns are renumbered node-interleaved with the
+    shorter grid axis fastest, the band widths come from the renumbered
+    entries, and band storage is (2*kl + ku + 1) doubles per unknown. For
+    the refined sheet at nz = 257 (ny = 41) the whole grid has kl = ku =
+    128, a 97 MB band; the sectors have kl 66 and 67 on about half the
+    unknowns each, about 25 MB apiece, held one at a time.
+
+    Returns the Solution2D of system.rhs; Solution2D.band_kl records the
+    kl of each band factored, (66, 67) or (128,) for that sheet. Given
+    ``more_rhs``, a sequence of further right-hand sides for the same
+    matrix (say, the other scheme's), the factorization is shared and the
+    result is a list of solutions, system.rhs first.
+    """
+    a, mesh = system.matrix.tocsr(), system.mesh
+    if a.shape != (3 * mesh.node_count,) * 2:
+        raise InvalidArgumentError("matrix does not match the mesh")
+    rhs_all = [system.rhs] + list(more_rhs or ())
+    if any(np.shape(b) != (a.shape[0],) for b in rhs_all):
+        raise InvalidArgumentError("right-hand side does not match the matrix")
+    if not a.has_canonical_format:
+        a = a.copy()
+        a.sum_duplicates()   # the band fill assigns, so duplicates must be summed
+    rhs = np.column_stack(rhs_all)
+    mirror = _mirror_sectors(a, mesh)
+    if mirror is None:
+        xs, kl = _band_solve(a, _node_interleaved(mesh.ny, mesh.nz), rhs)
+        band_kl = (kl,)
+    else:
+        p, sectors = mirror
+        p_rhs, xs, band_kl = p @ rhs, np.zeros_like(rhs), ()
+        for s, keep, q, perm in sectors:
+            x_s, kl = _band_solve(a[keep] @ q, perm, ((rhs + s * p_rhs) / 2)[keep])
+            xs += q @ x_s
+            band_kl += (kl,)
     norm_a = float(np.max(np.abs(a).sum(axis=1)))
     sols = []
-    for c, rhs in enumerate(rhs_all):
-        x = xp[perm, c]
+    for c, b in enumerate(rhs_all):
+        x = xs[:, c]
         if not np.all(np.isfinite(x)):
             raise NumericalFailureError("2D solve produced non-finite values "
                                         "(singular or badly scaled system)")
-        resid = float(np.max(np.abs(a @ x - rhs)))
-        budget = RESIDUAL_RTOL * (norm_a * float(np.max(np.abs(x))) + float(np.max(np.abs(rhs))))
+        resid = float(np.max(np.abs(a @ x - b)))
+        budget = RESIDUAL_RTOL * (norm_a * float(np.max(np.abs(x))) + float(np.max(np.abs(b))))
         if resid > budget:
             raise NumericalFailureError(
                 f"2D residual {resid:.3e} exceeds budget {budget:.3e} "
                 f"(matrix inf-norm {norm_a:.3e})")
         phi, a_y, a_z = x.reshape(3, mesh.ny, mesh.nz)
         sols.append(Solution2D(phi=phi, a_y=a_y, a_z=a_z, b_x=reaction_field_2d(a_y, a_z, mesh),
-                               mesh=mesh, residual=resid))
+                               mesh=mesh, residual=resid, band_kl=band_kl))
     return sols[0] if more_rhs is None else sols
 
 

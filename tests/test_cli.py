@@ -165,6 +165,26 @@ def test_run_2d_factors_once_per_pe_and_keeps_output_order(tmp_path, monkeypatch
         assert body(path) == body(tmp_path / "both" / Path(path).name), path
 
 
+def test_run_2d_assembles_once_per_pe_and_prints_band_widths(tmp_path, monkeypatch, capsys):
+    calls = []
+    assemble = fem2d.assemble_2d
+
+    def counting_assemble(*args):
+        calls.append(args[-1])
+        return assemble(*args)
+
+    monkeypatch.setattr(fem2d, "assemble_2d", counting_assemble)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_2d_cfg(scheme="both", pe=[2.0, 60.0]).raw))
+    assert main(["run-2d", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 2   # one matrix per Pe; the other scheme only needs rhs_2d
+    stats = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("scheme=")]
+    assert len(stats) == 4
+    for line in stats:   # the symmetric sheet is solved as two mirror sectors
+        fields = dict(kv.split("=") for kv in line.split())
+        assert len(fields["band_kl"].split(",")) == 2
+
+
 def test_build_2d_case_grid_layout():
     cfg = small_2d_cfg()
     mesh, material, regions, profile = build_2d_case(cfg, 2.0)

@@ -8,9 +8,11 @@ import scipy.sparse.linalg as spla
 from eddyfem.core import (InvalidArgumentError, Material, Mesh2D,
                           NumericalFailureError, Scheme, SmoothCircle2D,
                           material_for_peclet)
-from eddyfem.fem2d import (DiscreteSystem2D, RegionMap2D, assemble_2d,
-                           axis_profile, elemental_blocks, exact_patch_rows,
-                           oscillation_metric, solve_2d)
+from eddyfem import fem2d
+from eddyfem.fem2d import (BLOCK_TABLE, MIRROR_PARITY, DiscreteSystem2D,
+                           RegionMap2D, assemble_2d, axis_profile,
+                           elemental_blocks, exact_patch_rows,
+                           oscillation_metric, rhs_2d, solve_2d)
 from stencil_utils import expected_lhs_stencils, expected_rhs_stencils
 
 PE = Fraction(7, 2)
@@ -149,7 +151,8 @@ def test_zero_input_gives_zero_solution():
 # the sheet scenario
 
 
-def sheet_system(pe, scheme, nz=33, refine_z=1):
+def sheet_parts(pe, nz=33, refine_z=1):
+    """(mesh, material, regions, profile) of the conducting-sheet scenario."""
     from eddyfem.cli import ScenarioConfig, build_2d_case
     raw = {
         "dimension": 2, "scheme": "both", "pe": [float(pe)],
@@ -164,7 +167,11 @@ def sheet_system(pe, scheme, nz=33, refine_z=1):
         # keep the physical velocity of the unrefined grid
         base_dz = 6.0 * 2 * 1.3 / (nz - 1)
         material = material_for_peclet(pe, base_dz, sigma=material.sigma, mu=material.mu)
-    return assemble_2d(mesh, material, regions, profile, scheme)
+    return mesh, material, regions, profile
+
+
+def sheet_system(pe, scheme, nz=33, refine_z=1):
+    return assemble_2d(*sheet_parts(pe, nz, refine_z), scheme)
 
 
 def sheet_case(pe, scheme, nz=33, refine_z=1):
@@ -234,6 +241,99 @@ def test_mesh_symmetry_of_even_input():
     bx = sol.b_x
     mirrored = bx[::-1, :]
     assert np.max(np.abs(bx - mirrored)) <= 1e-7 * np.max(np.abs(bx))
+
+
+# ---------------------------------------------------------------------------
+# mirror-sector solve
+
+
+def test_mirror_parity_follows_from_the_elemental_blocks():
+    # reflecting an element in y swaps its node rows (local 2*iy + iz);
+    # every elemental term of block (r, c) must pick up the sign
+    # MIRROR_PARITY[r] * MIRROR_PARITY[c], and the input weights of row r
+    # the sign MIRROR_PARITY[r]
+    blk = elemental_blocks(Fraction(2, 3), Fraction(5, 7))
+    flip = [2, 3, 0, 1]
+    for rf, cf, terms in BLOCK_TABLE:
+        for _, _, name in terms:
+            b = blk[name]
+            assert np.all(b[np.ix_(flip, flip)] == MIRROR_PARITY[rf] * MIRROR_PARITY[cf] * b), name
+    for rf, names in ((0, ("gy0", "int_ny")), (1, ("mass", "int_n"))):
+        for name in names:
+            b = blk[name]
+            flipped = b[np.ix_(flip, flip)] if b.ndim == 2 else b[flip]
+            assert np.all(flipped == MIRROR_PARITY[rf] * b), name
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_sheet_matrix_commutes_with_the_signed_mirror(scheme):
+    system = sheet_system(60.0, scheme)
+    a, mesh = system.matrix, system.mesh
+    m_count, nz = mesh.node_count, mesh.nz
+    dof = np.arange(3 * m_count)
+    field, node = np.divmod(dof, m_count)
+    mirror = field * m_count + (mesh.ny - 1 - node // nz) * nz + node % nz
+    p = sp.csr_matrix((np.take(MIRROR_PARITY, field).astype(float), (dof, mirror)),
+                      shape=a.shape)
+    diff = p @ a @ p - a
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(diff.data), initial=0.0) <= 4 * eps * np.max(np.abs(a.data))
+
+
+def counted_dgbtrf(monkeypatch):
+    """Record the kl of every band LU factored from here on."""
+    calls = []
+    dgbtrf = fem2d.lapack.dgbtrf
+
+    def counting(ab, kl, ku, **kwargs):
+        calls.append(kl)
+        return dgbtrf(ab, kl, ku, **kwargs)
+
+    monkeypatch.setattr(fem2d.lapack, "dgbtrf", counting)
+    return calls
+
+
+def flat(sol):
+    return np.concatenate([sol.phi.ravel(), sol.a_y.ravel(), sol.a_z.ravel()])
+
+
+@pytest.mark.parametrize("case", ["sheet", "off_centre_band", "even_ny"])
+def test_solver_path_and_sparse_agreement(case, monkeypatch):
+    # the symmetric sheet splits into two half-height sectors; an
+    # off-centre band on the same mesh, or an even ny (its gauge pin is
+    # off the midline), takes one band LU over the whole grid
+    mesh, material, regions, profile = sheet_parts(60.0)
+    if case == "off_centre_band":
+        regions = RegionMap2D.conducting_band(mesh, 1.3, center=0.3)
+    elif case == "even_ny":
+        mesh, material, regions, profile, _ = uniform_conductor_case(nz=15, ny=12)
+    system = assemble_2d(mesh, material, regions, profile, Scheme.GALERKIN)
+    calls = counted_dgbtrf(monkeypatch)
+    sol = solve_2d(system)
+    assert len(calls) == (2 if case == "sheet" else 1)
+    assert sol.band_kl == tuple(calls)
+    if case == "sheet":   # ny = 41: each sector has half the bandwidth
+        assert max(calls) < 3 * (mesh.ny + 1) // 2 + 5 < 3 * min(mesh.ny, mesh.nz)
+    x_ref = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    assert np.max(np.abs(flat(sol) - x_ref)) <= 1e-9 * np.max(np.abs(x_ref))
+
+
+def test_sector_solve_of_an_asymmetric_extra_rhs(monkeypatch):
+    # a random load has a nonzero part in both sectors
+    system = sheet_system(2000.0, Scheme.ELEMENT_AVERAGED)
+    load = np.random.default_rng(7).standard_normal(system.rhs.shape)
+    calls = counted_dgbtrf(monkeypatch)
+    _, sol = solve_2d(system, more_rhs=[load])
+    assert len(calls) == 2
+    x_ref = spla.spsolve(system.matrix.tocsc(), load)
+    assert np.max(np.abs(flat(sol) - x_ref)) <= 1e-9 * np.max(np.abs(x_ref))
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_rhs_2d_is_the_assembled_rhs_bit_for_bit(scheme):
+    for case in (sheet_parts(60.0), graded_air_case()):
+        rhs = rhs_2d(*case, scheme)
+        assert rhs.tobytes() == assemble_2d(*case, scheme).rhs.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +534,14 @@ def test_singular_system_raises():
     bad = DiscreteSystem2D(matrix=singular, rhs=np.ones(n), mesh=mesh)
     with pytest.raises(NumericalFailureError):
         solve_2d(bad)
+
+
+def test_matrix_of_another_mesh_is_rejected():
+    mesh, material, regions, profile, scheme = uniform_conductor_case()
+    system = assemble_2d(mesh, material, regions, profile, scheme)
+    other = Mesh2D.uniform(nz=5, ny=7, dz=1.0, dy=1.0, y0=-3.0)
+    with pytest.raises(InvalidArgumentError):
+        solve_2d(DiscreteSystem2D(matrix=system.matrix, rhs=system.rhs, mesh=other))
 
 
 def test_rank_deficient_system_raises():
