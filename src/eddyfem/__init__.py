@@ -27,4 +27,4 @@ from .zpoly import (  # noqa: F401
 from .ztransfer import (  # noqa: F401
     PoleZeroReport, SingularNormalizationError, Stability, TransferFunction2D,
     UnsupportedStructureError, analyze, polys_2d, run_identity_checks, tf_1d,
-    tf_2d, verify_identity_denominator, verify_identity_numerator)
+    tf_2d, verify_identity_denominator)

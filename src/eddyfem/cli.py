@@ -40,10 +40,14 @@ class ConfigError(ValueError):
         self.path = path
 
 
-def _require(cfg: dict, path: str, typ, predicate=None, what: str = ""):
+def _require(cfg: dict, path: str, typ, predicate=None, what: str = "", default=None):
+    """The value at the dotted ``path``, checked for its type and
+    ``predicate``; a missing key gives ``default`` if there is one."""
     cur = cfg
     for part in path.split("."):
         if not isinstance(cur, dict) or part not in cur:
+            if default is not None and isinstance(cur, dict):
+                return default
             raise ConfigError(path, "missing")
         cur = cur[part]
     if typ is float and isinstance(cur, int):
@@ -53,6 +57,10 @@ def _require(cfg: dict, path: str, typ, predicate=None, what: str = ""):
     if predicate is not None and not predicate(cur):
         raise ConfigError(path, what or "invalid value")
     return cur
+
+
+def _positive(v) -> bool:
+    return math.isfinite(v) and v > 0
 
 
 def _schemes_of(cfg: dict, override: Optional[str] = None) -> List[Scheme]:
@@ -69,8 +77,9 @@ def _pe_list(cfg: dict) -> List[float]:
         pes = _require(cfg, "pe", list, lambda v: len(v) > 0, "empty Pe list")
         return [float(p) for p in pes]
     if "pe_sweep" in cfg:
-        lo = _require(cfg, "pe_sweep.lo", float, lambda v: v > 0)
-        hi = _require(cfg, "pe_sweep.hi", float, lambda v: v > lo, "hi must exceed lo")
+        lo = _require(cfg, "pe_sweep.lo", float, _positive, "must be finite and > 0")
+        hi = _require(cfg, "pe_sweep.hi", float, lambda v: math.isfinite(v) and v > lo,
+                      "must be finite and exceed lo")
         n = _require(cfg, "pe_sweep.points", int, lambda v: v >= 2)
         grid = list(np.geomspace(lo, hi, n))
         for extra in cfg["pe_sweep"].get("include", []):
@@ -193,16 +202,16 @@ def svg_line_chart(path: Path, series: Dict[str, Tuple[np.ndarray, np.ndarray]],
 
 def build_1d_case(cfg: ScenarioConfig, pe: float):
     raw = cfg.raw
-    dz = _require(raw, "dz", float, lambda v: v > 0, "must be > 0")
-    length = _require(raw, "length", float, lambda v: v > 2 * dz, "domain too short")
+    dz = _require(raw, "dz", float, _positive, "must be finite and > 0")
+    length = _require(raw, "length", float, lambda v: math.isfinite(v) and v > 2 * dz,
+                      "must be finite and longer than two elements")
     a = _require(raw, "pulse.a", float)
     b = _require(raw, "pulse.b", float)
     amp = _require(raw, "pulse.amplitude", float, lambda v: v >= 0, "must be >= 0")
     if not (0 < a < b < length):
         raise ConfigError("pulse", f"need 0 < a < b < length, got [{a}, {b}] in {length}")
-    mat_cfg = raw.get("material", {})
-    sigma = float(mat_cfg.get("sigma", 1.0))
-    mu = float(mat_cfg.get("mu", 1.0))
+    sigma = _require(raw, "material.sigma", float, _positive, "must be finite and > 0", 1.0)
+    mu = _require(raw, "material.mu", float, _positive, "must be finite and > 0", 1.0)
     mesh = Mesh1D.from_length(length, dz)
     material = material_for_peclet(pe, dz, sigma=sigma, mu=mu)
     profile = RectPulse1D(a=a, b=b, amplitude=amp)
@@ -230,27 +239,30 @@ def graded_sheet_rows(thickness: float, conductor_rows: int, air_factor: float,
 
 def build_2d_case(cfg: ScenarioConfig, pe: float):
     raw = cfg.raw
-    d = _require(raw, "sheet.thickness", float, lambda v: v > 0, "must be > 0")
-    sigma = _require(raw, "sheet.sigma", float, lambda v: v > 0, "must be > 0")
-    mu_r = float(raw["sheet"].get("mu_r", 1.0))
-    air_factor = float(raw["sheet"].get("air_factor", 5.0))
+    d = _require(raw, "sheet.thickness", float, _positive, "must be finite and > 0")
+    sigma = _require(raw, "sheet.sigma", float, _positive, "must be finite and > 0")
+    mu_r = _require(raw, "sheet.mu_r", float, _positive, "must be finite and > 0", 1.0)
+    air_factor = _require(raw, "sheet.air_factor", float,
+                          lambda v: math.isfinite(v) and v >= 0, "must be finite and >= 0", 5.0)
     kind = _require(raw, "field.kind", str,
                     lambda v: v in ("smooth_circle", "rect_pulse"),
                     "must be smooth_circle or rect_pulse")
     amp = _require(raw, "field.amplitude", float, lambda v: v >= 0, "must be >= 0")
     if kind == "smooth_circle":
-        radius = _require(raw, "field.radius", float, lambda v: v > 0, "must be > 0")
+        radius = _require(raw, "field.radius", float, _positive, "must be finite and > 0")
         profile = SmoothCircle2D(radius=radius, amplitude=amp)
         axial_width = 2 * radius
     else:
-        a = _require(raw, "field.a", float, lambda v: v > 0, "must be > 0")
-        b_ext = _require(raw, "field.b_extent", float, lambda v: v > 0, "must be > 0")
+        a = _require(raw, "field.a", float, _positive, "must be finite and > 0")
+        b_ext = _require(raw, "field.b_extent", float, _positive, "must be finite and > 0")
         profile = RectPulse2D(a=a, b_extent=b_ext, amplitude=amp)
         axial_width = 2 * a
     nz = _require(raw, "grid.nz", int, lambda v: v >= 5, "must be >= 5")
     rows = _require(raw, "grid.conductor_rows", int, lambda v: v >= 2)
-    ratio = float(raw["grid"].get("air_ratio", 1.3))
-    axial_factor = float(raw["grid"].get("axial_factor", 6.0))
+    ratio = _require(raw, "grid.air_ratio", float,
+                     lambda v: math.isfinite(v) and v >= 1, "must be finite and >= 1", 1.3)
+    axial_factor = _require(raw, "grid.axial_factor", float, _positive,
+                            "must be finite and > 0", 6.0)
 
     lz = axial_factor * axial_width
     dz = lz / (nz - 1)
@@ -401,11 +413,11 @@ def sweep_error(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
     _need_dimension(cfg, 1)
     out_dir.mkdir(parents=True, exist_ok=True)
     raw = cfg.raw
-    dz = _require(raw, "dz", float, lambda v: v > 0, "must be > 0")
-    m_b = int(raw.get("upstream_elements", 40))
-    m_c = int(raw.get("plateau_elements", 30))
-    m_d = int(raw.get("downstream_elements", 40))
-    amp = float(raw.get("amplitude", 1.0))
+    dz = _require(raw, "dz", float, _positive, "must be finite and > 0")
+    m_b = _require(raw, "upstream_elements", int, lambda v: v >= 1, "must be >= 1", 40)
+    m_c = _require(raw, "plateau_elements", int, lambda v: v >= 1, "must be >= 1", 30)
+    m_d = _require(raw, "downstream_elements", int, lambda v: v >= 1, "must be >= 1", 40)
+    amp = _require(raw, "amplitude", float, _positive, "must be finite and > 0", 1.0)
     record = RunRecord(config_hash=cfg.hash())
     rows = []
     t0 = time.perf_counter()
@@ -441,8 +453,8 @@ def verify(stream=None, polys=None) -> int:
     """Run every exact identity check and the cancellation certificates;
     print the proof reports; return 0 if all hold, 4 otherwise.
 
-    ``polys`` overrides the stencil polynomial set (negative-control hook
-    for tests)."""
+    ``polys`` overrides the named stencil polynomials of the identity checks
+    (negative-control hook for tests)."""
     out = stream or sys.stdout
     ok = True
     reports = ztransfer.run_identity_checks(polys)
@@ -463,19 +475,19 @@ def verify(stream=None, polys=None) -> int:
           f"{sorted(p.location.real for p in ea.poles)}", file=out)
     ok = ok and g_keeps and e_cancels
 
-    print("\n2D transfer-function certificates:", file=out)
-    t2g = ztransfer.tf_2d(Scheme.GALERKIN)
-    t2a = ztransfer.tf_2d(Scheme.ELEMENT_AVERAGED)
-    g2 = t2g.has_zn_pole(-1)
-    a2 = not t2a.has_zn_pole(-1)
-    print(f"    [{'PASS' if g2 else 'FAIL'}] galerkin flow-direction denominator "
-          f"{t2g.zn_denom} has the Z_n = -1 root", file=out)
-    print(f"    [{'PASS' if a2 else 'FAIL'}] element-averaged flow-direction "
-          f"denominator {t2a.zn_denom} does not; cancelled factors: "
-          f"{', '.join(str(p) for p in t2a.cancelled_zn)}", file=out)
-    if t2a.notes:
-        print(f"    note: {t2a.notes}", file=out)
-    ok = ok and g2 and a2
+    print("\n2D transfer-function certificates (Cramer's rule on the assembled "
+          "interior stencils, leading terms in Pe):", file=out)
+    for scheme, keeps in ((Scheme.GALERKIN, True), (Scheme.ELEMENT_AVERAGED, False)):
+        t = ztransfer.tf_2d(scheme)
+        (den_minus, num_minus), (den_plus, num_plus) = (t.zn_multiplicities[-1],
+                                                        t.zn_multiplicities[1])
+        print(f"    {scheme.value}: det A ~ Pe^{t.denominator_pe_degree} "
+              f"(Z_n+1)^{den_minus} (Z_n-1)^{den_plus}; A_y numerator ~ "
+              f"Pe^{t.numerator_pe_degree} (Z_n+1)^{num_minus} (Z_n-1)^{num_plus}", file=out)
+        good = t.has_zn_pole(-1) == keeps
+        print(f"    [{'PASS' if good else 'FAIL'}] {scheme.value} "
+              f"{'keeps' if keeps else 'cancels'} the Z_n = -1 pole", file=out)
+        ok = ok and good
     print(f"\nverification {'PASSED' if ok else 'FAILED'}", file=out)
     return 0 if ok else 4
 

@@ -260,20 +260,16 @@ class Poly:
             rem.pop()
 
         def rebuild(coef_list: List[Poly]) -> Poly:
-            out = Poly.zero(self.variables)
+            # coefficient e of var, a Poly in the other variable (a constant
+            # for univariate self), back into one polynomial
+            i = self.variables.index(var)
+            out = {}
             for e, p in enumerate(coef_list):
-                if p.is_zero():
-                    continue
-                if len(self.variables) == 1:
-                    out = out + Poly(self.variables, {(e,): p.eval(**{var: 0})})
-                else:
-                    i = self.variables.index(var)
-                    for (eo,), c in p.coeffs.items():
-                        k = [0, 0]
-                        k[i] = e
-                        k[1 - i] = eo
-                        out = out + Poly(self.variables, {tuple(k): c})
-            return out
+                for (eo,), c in p.coeffs.items():
+                    k = [eo] * len(self.variables)
+                    k[i] = e
+                    out[tuple(k)] = c
+            return Poly(self.variables, out)
 
         return rebuild(quo), rebuild(rem)
 

@@ -1,7 +1,12 @@
 """Z-domain machinery: discrete transfer functions of the 1D scheme, the
-named stencil polynomials of the coupled 2D system, pole-zero analysis with
-exact cancellation detection, and the exact factorization identities behind
-the stabilization argument.
+high-Pe 2D pole-cancellation certificate, pole-zero analysis with exact
+cancellation detection, and the named 2D stencil polynomials with their
+factorization identities.
+
+tf_2d derives the 2D certificate by Cramer's rule from the exact stencils
+of fem2d.exact_patch_rows, which reads the same block table as the float
+assembly. polys_2d and the identities document the same stencils by name;
+the stencil-equivalence tests tie them to the assembled rows.
 
 Everything here is exact-rational (see zpoly); numeric root-finding happens
 only after exact GCD reduction, so a reported cancellation can never be a
@@ -15,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from . import fem2d
 from .core import Peclet, Scheme
 from .zpoly import (InexactDivisionError, Poly, RationalFunction,
                     gcd_univariate, roots_univariate, separate)
@@ -35,7 +41,8 @@ class SingularNormalizationError(ValueError):
 
 
 class UnsupportedStructureError(ValueError):
-    """Bivariate input that is not separable cannot be analyzed here."""
+    """Input the analysis cannot handle: a bivariate rational function that
+    is not separable, or a 2D transfer function that vanishes for every Pe."""
 
 
 def _pe_fraction(pe) -> Optional[Fraction]:
@@ -109,12 +116,6 @@ def transverse_numerator_poly_galerkin() -> Poly:
     """2(Z_m^2-2Z_m+1)(Z_m^2+4Z_m+1) - 3(Z_m^2-1)^2, the transverse cofactor
     of the eliminated consistent-mass numerator (expands to -(Z_m-1)^4)."""
     return (_zm([1, -2, 1]) * _zm([1, 4, 1])) * 2 - (_zm([-1, 0, 1]) ** 2) * 3
-
-
-def transverse_numerator_quartic_difference() -> Poly:
-    """(Z_m^2-2Z_m+1)(Z_m^2+2Z_m+1) - (Z_m^2-1)^2; expands to the zero
-    polynomial, which is exactly what the exact-division route confirms."""
-    return _zm([1, -2, 1]) * _zm([1, 2, 1]) - (_zm([-1, 0, 1]) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -290,51 +291,6 @@ def verify_identity_denominator(polys: Optional[Dict[str, Poly]] = None) -> Iden
     return rep
 
 
-def verify_identity_numerator(polys: Optional[Dict[str, Poly]] = None) -> IdentityReport:
-    """Expand S3*N1 - Q1*R1 exactly, certify divisibility by (Z_n+1)^2 and
-    by (Z_n^2+4Z_n+1), and output the transverse cofactor of the exact
-    division.
-
-    The expansion is the zero polynomial: the two products coincide term by
-    term, so every divisibility holds with quotient zero and the derived
-    cofactor is 0. The conventional quartic-difference form of this
-    cofactor also expands to zero, consistently. The report states this
-    rather than masking it; the pole-cancellation conclusion is carried by
-    the transfer-function construction, which does not depend on the
-    cofactor's value.
-    """
-    P = polys or polys_2d()
-    combo = P["S3"] * P["N1"] - P["Q1"] * P["R1"]
-    rep = IdentityReport("numerator factorization", True)
-    rep.statements.append(f"S3*N1 - Q1*R1 expands to {combo.term_count()} terms"
-                          + (" (the zero polynomial)" if combo.is_zero() else ""))
-    try:
-        q1 = combo.exact_div(ZN_SQUARE_PLUS, ZN)
-        rep.statements.append("division by (Z_n+1)^2 is exact")
-        q2 = q1.exact_div(ZN_QUAD, ZN)
-        rep.statements.append("division by (Z_n^2+4Z_n+1) is exact")
-    except InexactDivisionError as err:
-        rep.ok = False
-        rep.statements.append(f"structural failure: {err}")
-        rep.difference = err.remainder
-        return rep
-    if q2.degree(ZN) > 0:
-        rep.ok = False
-        rep.statements.append("cofactor still depends on Z_n; factorization fails")
-        rep.difference = q2
-        return rep
-    cof = Poly((ZM,), {(k[1],): v for k, v in q2.coeffs.items()})
-    rep.cofactor = cof
-    quartic_form = transverse_numerator_quartic_difference()
-    rep.statements.append(
-        "quartic-difference form of the cofactor expands to "
-        + ("the zero polynomial; it agrees with the derived cofactor"
-           if quartic_form.is_zero() and cof.is_zero() else f"{quartic_form}"))
-    if not combo.is_zero():
-        rep.statements.append("note: expansion is nonzero; derived cofactor shown below")
-    return rep
-
-
 def verify_identity_galerkin_numerator(polys: Optional[Dict[str, Poly]] = None) -> IdentityReport:
     """Prove 2*S3*M1 - 3*Q1^2 == (Z_n^2+4Z_n+1)^2 * f1(Z_m) with
     f1 = 2(Z_m^2-2Z_m+1)(Z_m^2+4Z_m+1) - 3(Z_m^2-1)^2, and record that f1
@@ -377,120 +333,99 @@ def run_identity_checks(polys: Optional[Dict[str, Poly]] = None) -> List[Identit
     by negative-control tests."""
     return [
         verify_identity_denominator(polys),
-        verify_identity_numerator(polys),
         verify_identity_galerkin_numerator(polys),
         verify_n1_factorization(polys),
     ]
 
 
 # ---------------------------------------------------------------------------
-# 2D transfer function (high-Pe limit)
+# 2D transfer function (high-Pe limit), derived from the assembled stencils
+
+
+# Every stencil entry and input weight is affine in Pe (each BLOCK_TABLE term
+# carries mu*sigma = 2 Pe / u at most once), so det A and its Cramer
+# numerator have Pe-degree <= 3: four exact samples determine them.
+_PE_SAMPLES = (2, 3, 5, 7)
+
+
+def _pe_leading(samples: List[Poly]) -> Tuple[Poly, int]:
+    """Leading nonzero Pe coefficient, and its degree, of the polynomial in
+    Pe that takes the values ``samples`` at _PE_SAMPLES (exact Lagrange
+    interpolation)."""
+    bases = []   # ascending Pe coefficients of the Lagrange basis of each sample
+    for xi in _PE_SAMPLES:
+        basis = [Fraction(1)]
+        for xj in _PE_SAMPLES:
+            if xj != xi:
+                basis = [(a - xj * b) / (xi - xj) for a, b in zip([0] + basis, basis + [0])]
+        bases.append(basis)
+    for degree in reversed(range(len(_PE_SAMPLES))):
+        coeff = sum((y * b[degree] for y, b in zip(samples, bases)), Poly.zero(_BIVAR))
+        if not coeff.is_zero():
+            return coeff, degree
+    raise UnsupportedStructureError("vanishes identically in Pe")
+
+
+def _zn_multiplicity(p: Poly, location) -> int:
+    """How many times (Z_n - location) divides the nonzero polynomial p,
+    counted by repeated exact division."""
+    if p.is_zero():
+        raise UnsupportedStructureError("the zero polynomial has no finite multiplicity")
+    factor, k = _zn([-Fraction(location), 1]), 0
+    try:
+        while True:
+            p = p.exact_div(factor, ZN)
+            k += 1
+    except InexactDivisionError:
+        return k
 
 
 @dataclass(frozen=True)
 class TransferFunction2D:
-    """Separable high-Pe transfer ratio from input flux to transported
-    potential, split into flow-direction (Z_n) and transverse (Z_m) parts.
-
-    prefactor multiplies dz. ``cancelled_zn`` lists the common Z_n factors
-    removed from numerator and denominator. For the element-averaged scheme
-    the exact numerator expands to the zero polynomial; the Z_n parts then
-    follow the certified divisibility structure and ``zm_numer`` is the
-    derived (zero) cofactor -- see ``notes``.
-    """
+    """High-Pe limit of the transfer function from the input to A_y at an
+    interior node: the leading Pe coefficients of det A (``denominator``)
+    and of its Cramer numerator, their Pe-degrees, and the multiplicities
+    (denominator, numerator) of the factors (Z_n + 1) and (Z_n - 1), keyed
+    by the roots -1 and 1."""
 
     scheme: Scheme
-    prefactor: Fraction
-    zn_numer: Poly
-    zn_denom: Poly
-    zm_numer: Poly
-    zm_denom: Poly
-    cancelled_zn: Tuple[Poly, ...]
-    raw_numerator: Poly
-    raw_denominator: Poly
-    notes: str = ""
+    numerator: Poly
+    denominator: Poly
+    numerator_pe_degree: int
+    denominator_pe_degree: int
+    zn_multiplicities: Dict[int, Tuple[int, int]]
 
     def has_zn_pole(self, location) -> bool:
-        """Exact test for a pole of the Z_n part at ``location``."""
-        return self.zn_denom.eval(**{ZN: Fraction(location)}) == 0
-
-    def zn_poles(self) -> List[Root]:
-        return [Root(ZN, loc, mult, exact)
-                for loc, mult, exact in roots_univariate(self.zn_denom)]
-
-    def as_rational(self) -> RationalFunction:
-        num = (self.zn_numer.map_variables(_BIVAR, 0)
-               * self.zm_numer.map_variables(_BIVAR, 1) * self.prefactor)
-        den = (self.zn_denom.map_variables(_BIVAR, 0)
-               * self.zm_denom.map_variables(_BIVAR, 1))
-        return RationalFunction(num, den)
+        """Exact test: (Z_n - location) divides the leading denominator more
+        often than the leading numerator."""
+        den, num = self.zn_multiplicities.get(location) or (
+            _zn_multiplicity(self.denominator, location),
+            _zn_multiplicity(self.numerator, location))
+        return den > num
 
 
 def tf_2d(scheme: Scheme) -> TransferFunction2D:
-    """High-Pe transfer ratio built by eliminating the two companion fields
-    from the three coupled stencil equations, then cancelling the common
-    (Z_n^2+4Z_n+1) factor exactly.
+    """Derive the high-Pe transfer function by Cramer's rule on the exact
+    3x3 interior-stencil matrix A of the coupled (phi, A_y, A_z) rows.
 
-    Galerkin keeps the oscillatory Z_n = -1 denominator root; the element-
-    averaged scheme does not.
+    A and the input weights come from fem2d.exact_patch_rows, which reads
+    the BLOCK_TABLE of the production assembly (unit spacing, u = 1). The
+    denominator is det A, the numerator det A with its A_y column replaced
+    by the input-weight stencils. Galerkin keeps the oscillatory Z_n = -1
+    pole; the element-averaged input cancels it.
     """
-    P = polys_2d()
-    den_core = P["S3"] * P["Q2"] * 2 - P["Q1"] * P["S2"] * 3
-    if scheme is Scheme.GALERKIN:
-        num_core = P["S3"] * P["M1"] * 2 - P["Q1"] * P["Q1"] * 3
-        prefactor = Fraction(1, 3)
-    else:
-        num_core = P["S3"] * P["N1"] - P["Q1"] * P["R1"]
-        prefactor = Fraction(3, 2)
-
-    # denominator: strip the shared Z_n quadratic, then split separably
-    den_rest = den_core.exact_div(ZN_QUAD, ZN)
-    dsep = separate(den_rest)
-    if dsep is None:
-        raise UnsupportedStructureError("eliminated denominator is not separable")
-    zn_den_extra, zm_den = dsep
-    lead = zn_den_extra.dense_1d()[-1]
-    zn_den_extra = zn_den_extra * (Fraction(1) / lead)
-    zm_den = zm_den * lead
-    zn_den_full = ZN_QUAD * zn_den_extra
-
-    notes = ""
-    if scheme is Scheme.GALERKIN:
-        zm_num = num_core.exact_div(ZN_QUAD, ZN).exact_div(ZN_QUAD, ZN)
-        if zm_num.degree(ZN) != 0:
-            raise UnsupportedStructureError("numerator cofactor depends on Z_n")
-        zm_num = Poly((ZM,), {(k[1],): v for k, v in zm_num.coeffs.items()})
-        zn_num_full = ZN_QUAD * ZN_QUAD
-    else:
-        # exact expansion is the zero polynomial: divisibility by the claimed
-        # Z_n factors is certified (quotient zero) and the derived transverse
-        # cofactor is 0; the Z_n parts below are that certified structure.
-        num_core.exact_div(ZN_SQUARE_PLUS, ZN).exact_div(ZN_QUAD, ZN)
-        zm_num = Poly.zero((ZM,))
-        zn_num_full = ZN_QUAD * ZN_SQUARE_PLUS
-        notes = ("exact numerator expands to the zero polynomial; Z_n parts "
-                 "follow the certified divisibility structure with derived "
-                 "transverse cofactor 0 (reported, not masked)")
-
-    g = gcd_univariate(zn_num_full, zn_den_full)
-    cancelled: List[Poly] = []
-    if g.degree() > 0:
-        zn_num_red = zn_num_full.exact_div(g, ZN)
-        zn_den_red = zn_den_full.exact_div(g, ZN)
-        try:  # report the shared quadratic and any further linear factor separately
-            extra = g.exact_div(ZN_QUAD, ZN)
-            cancelled.append(ZN_QUAD)
-            if extra.degree() > 0:
-                cancelled.append(extra)
-        except InexactDivisionError:
-            cancelled.append(g)
-    else:
-        zn_num_red, zn_den_red = zn_num_full, zn_den_full
-
-    return TransferFunction2D(
-        scheme=scheme, prefactor=prefactor,
-        zn_numer=zn_num_red, zn_denom=zn_den_red,
-        zm_numer=zm_num, zm_denom=zm_den,
-        cancelled_zn=tuple(cancelled),
-        raw_numerator=num_core, raw_denominator=den_core,
-        notes=notes)
+    dets, nums = [], []
+    for pe in _PE_SAMPLES:
+        lhs, weights = fem2d.exact_patch_rows(pe, 1, scheme, nn=3, nm=3)
+        a = [[Poly(_BIVAR, lhs.get((r, c), {})) for c in range(3)] for r in range(3)]
+        b = [Poly(_BIVAR, weights.get(r, {})) for r in range(3)]
+        # cofactors of the A_y column, shared by det A and the numerator
+        cof = [a[1][2] * a[2][0] - a[1][0] * a[2][2],
+               a[0][0] * a[2][2] - a[0][2] * a[2][0],
+               a[0][2] * a[1][0] - a[0][0] * a[1][2]]
+        dets.append(a[0][1] * cof[0] + a[1][1] * cof[1] + a[2][1] * cof[2])
+        nums.append(b[0] * cof[0] + b[1] * cof[1] + b[2] * cof[2])
+    den, den_degree = _pe_leading(dets)
+    num, num_degree = _pe_leading(nums)
+    mults = {loc: (_zn_multiplicity(den, loc), _zn_multiplicity(num, loc)) for loc in (-1, 1)}
+    return TransferFunction2D(scheme, num, den, num_degree, den_degree, mults)

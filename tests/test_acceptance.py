@@ -22,8 +22,9 @@ from eddyfem.fem1d import assemble_1d, rect_pulse_case, solve_1d
 from eddyfem.fem2d import exact_patch_rows, oscillation_metric
 from eddyfem.oracle import analytic_solve, peak_error
 from eddyfem.cli import measured_peak_error
-from eddyfem.ztransfer import (Stability, analyze, run_identity_checks,
-                               tf_1d, tf_2d, verify_identity_numerator)
+from eddyfem.zpoly import InexactDivisionError
+from eddyfem.ztransfer import (ZN, ZN_SQUARE_PLUS, Stability, analyze,
+                               run_identity_checks, tf_1d, tf_2d)
 from stencil_utils import expected_lhs_stencils, expected_rhs_stencils
 from test_fem2d import spurious_deviation
 
@@ -93,31 +94,36 @@ def test_criterion_2_peak_error_sweep():
 
 def test_criterion_3_symbolic_identities():
     """Exact factorization identities: zero difference polynomial for the
-    eliminated denominator, certified divisibility of the eliminated
-    numerator, and the N1 product form. No tolerance anywhere."""
+    eliminated denominator and the consistent-mass numerator, the N1
+    product form, and certified divisibility by (Z_n+1)^2 of the nonzero
+    leading numerator derived for the averaged input. No tolerance
+    anywhere."""
     t0 = time.perf_counter()
     reports = run_identity_checks()
     by_name = {r.name: r for r in reports}
-    num_rep = verify_identity_numerator()
-    divis_ok = (any("(Z_n+1)^2 is exact" in s for s in num_rep.statements)
-                and any("(Z_n^2+4Z_n+1) is exact" in s for s in num_rep.statements))
+    num = tf_2d(Scheme.ELEMENT_AVERAGED).numerator
+    try:
+        num.exact_div(ZN_SQUARE_PLUS, ZN)
+        divis_ok = not num.is_zero()
+    except InexactDivisionError:
+        divis_ok = False
     wall = time.perf_counter() - t0
     ok = (all(r.ok for r in reports) and divis_ok
           and by_name["N1 factorization"].ok
           and by_name["denominator factorization"].ok
-          and num_rep.cofactor is not None
           and wall < 1.0)
     _report(3, ok,
             f"symbolic identities: {', '.join(r.name for r in reports)} all exact; "
-            f"derived transverse numerator cofactor is "
-            f"{'the zero polynomial' if num_rep.cofactor.is_zero() else num_rep.cofactor}; "
-            f"{wall * 1e3:.0f} ms")
+            f"derived averaged leading numerator has {num.term_count()} terms and "
+            f"(Z_n+1)^2 divides it: {divis_ok}; {wall * 1e3:.0f} ms")
 
 
 def test_criterion_4_pole_zero_certificates():
     """High-Pe pole-zero structure: Galerkin keeps poles {+1, -1} with zeros
     -2 +- sqrt(3); the averaged input cancels Z = -1 in 1D and has no
-    Z_n = -1 pole in 2D while Galerkin does. All location checks exact."""
+    Z_n = -1 pole in 2D while Galerkin does. The derived 2D (Z_n-1)
+    multiplicities of the leading denominator and numerator are 2 and 1
+    for Galerkin, 2 and 2 for the averaged input. All checks exact."""
     rep_g = analyze(tf_1d(Scheme.GALERKIN, math.inf, 1.0))
     poles_g = sorted(p.location.real for p in rep_g.poles)
     zeros_g = sorted(z.location.real for z in rep_g.zeros)
@@ -133,13 +139,16 @@ def test_criterion_4_pole_zero_certificates():
 
     t2g, t2a = tf_2d(Scheme.GALERKIN), tf_2d(Scheme.ELEMENT_AVERAGED)
     two_d_ok = (t2g.has_zn_pole(-1) and not t2a.has_zn_pole(-1)
-                and t2a.has_zn_pole(1))
+                and t2g.zn_multiplicities[1] == (2, 1)
+                and t2a.zn_multiplicities[1] == (2, 2))
     ok = g_ok and a_ok and two_d_ok
     _report(4, ok,
             f"pole-zero certificates: galerkin 1D poles {poles_g}, zeros "
             f"[{zeros_g[0]:.4f}, {zeros_g[1]:.4f}]; averaged 1D cancels -1, "
-            f"remaining {[p.location.real for p in rep_a.poles]}; 2D flow-direction "
-            f"denominators: galerkin {t2g.zn_denom}, averaged {t2a.zn_denom}")
+            f"remaining {[p.location.real for p in rep_a.poles]}; 2D (Z_n+1), (Z_n-1) "
+            f"multiplicities (denominator, numerator): galerkin "
+            f"{t2g.zn_multiplicities[-1]}, {t2g.zn_multiplicities[1]}; averaged "
+            f"{t2a.zn_multiplicities[-1]}, {t2a.zn_multiplicities[1]}")
 
 
 def test_criterion_5_2d_stabilization():

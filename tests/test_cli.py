@@ -1,17 +1,19 @@
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eddyfem import fem2d
-from eddyfem.cli import (ConfigError, ScenarioConfig, build_2d_case, main,
-                         measured_peak_error, measured_peak_errors, run_1d,
-                         run_2d, sweep_error, verify)
+from eddyfem import cli, fem2d
+from eddyfem.cli import (ConfigError, ScenarioConfig, build_1d_case,
+                         build_2d_case, main, measured_peak_error,
+                         measured_peak_errors, run_1d, run_2d, sweep_error,
+                         verify)
 from eddyfem.core import Scheme
 from eddyfem.oracle import peak_error
-from eddyfem.ztransfer import polys_2d
+from eddyfem.ztransfer import polys_2d, tf_2d
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -36,7 +38,6 @@ def test_empty_pe_list_is_config_error():
 
 def test_missing_field_names_path():
     cfg = ScenarioConfig.from_dict({"dimension": 1, "pe": [2.0]})
-    from eddyfem.cli import build_1d_case
     with pytest.raises(ConfigError) as err:
         build_1d_case(cfg, 2.0)
     assert err.value.path == "dz"
@@ -50,6 +51,81 @@ def test_bad_scheme_rejected():
     raw["scheme"] = "upwind"
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict(raw)
+
+
+def _with(raw, path, value):
+    *parents, leaf = path.split(".")
+    node = raw
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[leaf] = value
+    return raw
+
+
+def _no_grading(*args):
+    raise AssertionError("sheet grading reached with an invalid config")
+
+
+BAD_2D_VALUES = [
+    ("grid.air_ratio", 0.5), ("grid.air_ratio", -1.0), ("grid.air_ratio", math.nan),
+    ("grid.air_ratio", math.inf), ("grid.axial_factor", 0.0), ("grid.axial_factor", -6.0),
+    ("sheet.mu_r", 0.0), ("sheet.mu_r", math.nan), ("sheet.air_factor", math.nan),
+    ("sheet.air_factor", -1.0), ("sheet.air_factor", math.inf), ("grid.air_ratio", "1.3"),
+    ("sheet.thickness", math.inf), ("field.radius", math.inf),
+]
+
+
+@pytest.mark.parametrize("path, value", BAD_2D_VALUES)
+def test_bad_2d_grading_and_sheet_values_are_config_errors(path, value, monkeypatch):
+    # an air_ratio below 1 never reached the padding target; grading is
+    # stubbed out so a missed check fails instead of hanging
+    monkeypatch.setattr(cli, "graded_sheet_rows", _no_grading)
+    raw = _with(json.loads((CONFIG_DIR / "sheet2d_circle.json").read_text()), path, value)
+    with pytest.raises(ConfigError) as err:
+        build_2d_case(ScenarioConfig.from_dict(raw), 2.0)
+    assert err.value.path == path
+
+
+def test_bad_2d_value_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "graded_sheet_rows", _no_grading)
+    raw = _with(json.loads((CONFIG_DIR / "sheet2d_circle.json").read_text()),
+                "grid.air_ratio", 0.5)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["run-2d", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "grid.air_ratio" in capsys.readouterr().err
+
+
+def test_optional_2d_fields_default_to_the_shipped_values():
+    raw = json.loads((CONFIG_DIR / "sheet2d_circle.json").read_text())
+    mesh, material, regions, _ = build_2d_case(ScenarioConfig.from_dict(raw), 2.0)
+    for section, key in (("grid", "air_ratio"), ("grid", "axial_factor"),
+                         ("sheet", "mu_r"), ("sheet", "air_factor")):
+        del raw[section][key]
+    bare = build_2d_case(ScenarioConfig.from_dict(raw), 2.0)
+    assert (bare[0], bare[1], bare[2]) == (mesh, material, regions)
+
+
+@pytest.mark.parametrize("path, value", [
+    ("material.sigma", 0.0), ("material.sigma", math.inf), ("material.mu", math.nan),
+    ("material.mu", -1.0), ("material.sigma", "1"), ("length", math.inf), ("dz", math.inf)])
+def test_bad_1d_values_are_config_errors(path, value):
+    raw = _with(json.loads((CONFIG_DIR / "fig_pulse1d_pe2.json").read_text()), path, value)
+    with pytest.raises(ConfigError) as err:
+        build_1d_case(ScenarioConfig.from_dict(raw), 2.0)
+    assert err.value.path == path
+
+
+@pytest.mark.parametrize("key, value", [
+    ("upstream_elements", 40.7), ("plateau_elements", "40"), ("downstream_elements", 0),
+    ("amplitude", 0.0), ("amplitude", math.nan), ("amplitude", "1")])
+def test_bad_sweep_counts_and_amplitude_exit_2(tmp_path, key, value, capsys):
+    raw = json.loads((CONFIG_DIR / "sweep_peak_error.json").read_text())
+    raw.update({"pe_sweep": {"lo": 2.0, "hi": 3.0, "points": 2}, "svg": False, key: value})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["sweep-error", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_pe_sweep_expansion():
@@ -240,6 +316,9 @@ def test_verify_passes():
     assert verify(stream=buf) == 0
     text = buf.getvalue()
     assert "derived transverse cofactor" in text
+    assert "galerkin: det A ~ Pe^2 (Z_n+1)^2 (Z_n-1)^2; A_y numerator ~ Pe^2 (Z_n+1)^1" in text
+    assert "averaged: det A ~ Pe^2 (Z_n+1)^2 (Z_n-1)^2; A_y numerator ~ Pe^1 (Z_n+1)^2" in text
+    assert "note:" not in text
     assert "verification PASSED" in text
 
 
@@ -250,6 +329,21 @@ def test_verify_negative_control_names_n1():
     assert verify(stream=buf, polys=polys) == 4
     text = buf.getvalue()
     assert "[FAIL] N1 factorization" in text
+
+
+def test_verify_reads_the_assembly_stencils(monkeypatch):
+    # give the averaged patch the Galerkin input weights: the certificate
+    # must follow the stencils the assembly reads, not polys_2d
+    real = fem2d.exact_patch_rows
+
+    def galerkin_weights(pe, u, scheme, nn=5, nm=5):
+        return real(pe, u, scheme, nn, nm)[0], real(pe, u, Scheme.GALERKIN, nn, nm)[1]
+
+    monkeypatch.setattr(fem2d, "exact_patch_rows", galerkin_weights)
+    assert tf_2d(Scheme.ELEMENT_AVERAGED).has_zn_pole(-1)
+    buf = io.StringIO()
+    assert verify(stream=buf) == 4
+    assert "[FAIL] averaged cancels the Z_n = -1 pole" in buf.getvalue()
 
 
 def test_main_exit_codes(tmp_path, capsys):

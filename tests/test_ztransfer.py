@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,14 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eddyfem.core import Scheme
-from eddyfem.zpoly import Poly
+from eddyfem import fem2d
+from eddyfem.zpoly import Poly, RationalFunction
 from eddyfem.ztransfer import (Stability, SingularNormalizationError,
-                               UnsupportedStructureError, ZN, ZM, analyze,
-                               polys_2d, run_identity_checks, tf_1d, tf_2d,
-                               transverse_denominator_poly,
+                               UnsupportedStructureError, ZN, ZM, ZN_CIRCLE,
+                               ZN_QUAD, analyze, polys_2d, run_identity_checks,
+                               tf_1d, tf_2d, transverse_denominator_poly,
                                verify_identity_denominator,
                                verify_identity_galerkin_numerator,
-                               verify_identity_numerator,
                                verify_n1_factorization)
 
 GOLDEN_TERMS = {"S1": 9, "Q2": 6, "S2": 4, "S3": 9, "Q1": 6, "M1": 9, "R1": 6, "N1": 9}
@@ -138,11 +139,26 @@ def test_denominator_identity_exact():
     assert rep.difference is None
 
 
-def test_numerator_identity_reports_zero_cofactor():
-    rep = verify_identity_numerator()
-    assert rep.ok
-    assert rep.cofactor is not None and rep.cofactor.is_zero()
-    assert any("zero polynomial" in s for s in rep.statements)
+def test_averaged_input_loses_the_pe2_numerator_term(monkeypatch):
+    # the Pe^2 term of the averaged numerator is Q2 (S3*N1 - Q1*R1) / 288,
+    # and S3*N1 and Q1*R1 coincide term for term, so the Pe^1 term leads
+    p = polys_2d()
+    assert p["S3"] * p["N1"] == p["Q1"] * p["R1"]
+    g, a = tf_2d(Scheme.GALERKIN), tf_2d(Scheme.ELEMENT_AVERAGED)
+    assert (g.denominator_pe_degree, g.numerator_pe_degree) == (2, 2)
+    assert (a.denominator_pe_degree, a.numerator_pe_degree) == (2, 1)
+    assert not a.numerator.is_zero()
+    # doubling the phi-row input weight (R1) breaks the coincidence
+    real = fem2d.exact_patch_rows
+
+    def doubled_r1(pe, u, scheme, nn=5, nm=5):
+        lhs, w = real(pe, u, scheme, nn, nm)
+        return lhs, {0: {k: 2 * v for k, v in w[0].items()}, 1: w[1]}
+
+    monkeypatch.setattr(fem2d, "exact_patch_rows", doubled_r1)
+    t = tf_2d(Scheme.ELEMENT_AVERAGED)
+    assert t.numerator_pe_degree == 2
+    assert t.numerator == p["Q2"] * (p["S3"] * p["N1"] - p["Q1"] * p["R1"] * 2) * Fraction(1, 288)
 
 
 def test_galerkin_numerator_identity_and_cofactor_equality():
@@ -180,30 +196,45 @@ def test_denominator_identity_spot_values():
 # 2D transfer functions
 
 
+def _bivar(p):
+    return p.map_variables((ZN, ZM), 0 if p.variables == (ZN,) else 1)
+
+
 def test_tf2d_galerkin_keeps_oscillatory_pole():
     t = tf_2d(Scheme.GALERKIN)
-    assert t.zn_denom == Poly.univariate(ZN, [-1, 0, 1])
-    assert t.zn_numer == Poly.univariate(ZN, [1, 4, 1])
+    assert t.zn_multiplicities == {-1: (2, 1), 1: (2, 1)}
     assert t.has_zn_pole(-1)
     assert t.has_zn_pole(1)
-    # transverse cofactors are equal, so they cancel in the ratio
-    assert t.zm_numer == t.zm_denom
+    assert not t.has_zn_pole(Fraction(1, 2))
+    # the leading ratio is (Z_n^2+4Z_n+1) / (3 (Z_n^2-1)): the transverse
+    # parts cancel
+    assert t.numerator * _bivar(ZN_CIRCLE) * 3 == t.denominator * _bivar(ZN_QUAD)
 
 
 def test_tf2d_averaged_cancels_oscillatory_pole():
     t = tf_2d(Scheme.ELEMENT_AVERAGED)
-    assert t.zn_denom == Poly.univariate(ZN, [-1, 1])
-    assert t.zn_numer == Poly.univariate(ZN, [1, 1])
+    assert t.zn_multiplicities == {-1: (2, 2), 1: (2, 2)}
     assert not t.has_zn_pole(-1)
-    assert t.has_zn_pole(1)
-    assert any(c == Poly.univariate(ZN, [1, 4, 1]) for c in t.cancelled_zn)
-    assert t.zm_numer.is_zero()
-    assert t.raw_numerator.is_zero()
-    assert "zero polynomial" in t.notes
+    assert not t.has_zn_pole(1)
+    # the matrix does not depend on the scheme
+    assert t.denominator == tf_2d(Scheme.GALERKIN).denominator
+    # the leading ratio is 3 (Z_m+1)^2 S1 / ((Z_m-1)^4 (Z_n^2+4Z_n+1)): no
+    # Z_n = +-1 pole is left, and it does not separate
+    zm_plus = _bivar(Poly.univariate(ZM, [1, 2, 1]))
+    assert (t.numerator * _bivar(transverse_denominator_poly()) * _bivar(ZN_QUAD)
+            == t.denominator * zm_plus * polys_2d()["S1"] * -3)
+
+
+def test_tf2d_zero_numerator_raises_instead_of_looping():
+    t = tf_2d(Scheme.GALERKIN)
+    zero = dataclasses.replace(t, numerator=Poly.zero((ZN, ZM)))
+    with pytest.raises(UnsupportedStructureError):
+        zero.has_zn_pole(Fraction(1, 2))
 
 
 def test_tf2d_galerkin_rational_is_separable_and_analyzable():
-    rep = analyze(tf_2d(Scheme.GALERKIN).as_rational())
+    t = tf_2d(Scheme.GALERKIN)
+    rep = analyze(RationalFunction(t.numerator, t.denominator))
     zn_poles = sorted(p.location.real for p in rep.poles if p.variable == ZN)
     assert zn_poles == pytest.approx([-1.0, 1.0])
     assert not [p for p in rep.poles if p.variable == ZM]  # transverse parts cancel
@@ -221,3 +252,47 @@ def test_high_pe_limit_consistent_with_large_finite_pe():
     lim_zeros = sorted(z.location.real for z in lim.zeros)
     fin_zeros = sorted(z.location.real for z in fin.zeros)
     assert lim_zeros == pytest.approx(fin_zeros, abs=1e-5)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_tf2d_matches_a_sympy_derivation(scheme):
+    # an independent route: sympy determinants of the stencil matrix with a
+    # symbolic Pe, each entry fitted through two patches and checked at a
+    # third (the entries must be affine in Pe)
+    sympy = pytest.importorskip("sympy")
+    pe, zn, zm = sympy.symbols("Pe Z_n Z_m")
+    q = lambda f: sympy.Rational(f.numerator, f.denominator)
+    samples = [(Fraction(p), fem2d.exact_patch_rows(p, 1, scheme, nn=3, nm=3))
+               for p in (Fraction(3, 2), 11, 40)]
+
+    def entry(pick):
+        (p0, s0), (p1, s1), (p2, s2) = [(p, pick(s)) for p, s in samples]
+        expr = 0
+        for k in set(s0) | set(s1) | set(s2):
+            e0, e1, e2 = (Fraction(s.get(k, 0)) for s in (s0, s1, s2))
+            slope = (e1 - e0) / (p1 - p0)
+            assert e2 == e0 + slope * (p2 - p0), "stencil entry not affine in Pe"
+            expr += (q(e0) + q(slope) * (pe - q(p0))) * zn ** k[0] * zm ** k[1]
+        return expr
+
+    a = sympy.Matrix(3, 3, lambda r, c: entry(lambda s: s[0].get((r, c), {})))
+    cramer = a.copy()
+    cramer[:, 1] = sympy.Matrix([entry(lambda s: s[1].get(r, {})) for r in range(3)])
+    den = sympy.Poly(a.det(method="berkowitz"), pe)
+    num = sympy.Poly(cramer.det(method="berkowitz"), pe)
+
+    def multiplicity(expr, root):
+        p, f, k = sympy.Poly(expr, zn, zm), sympy.Poly(zn - root, zn, zm), 0
+        while True:
+            quo, rem = sympy.div(p, f)
+            if not rem.is_zero:
+                return k
+            p, k = quo, k + 1
+
+    t = tf_2d(scheme)
+    assert (den.degree(), num.degree()) == (t.denominator_pe_degree, t.numerator_pe_degree)
+    assert t.zn_multiplicities == {
+        r: (multiplicity(den.LC(), r), multiplicity(num.LC(), r)) for r in (-1, 1)}
+    as_expr = lambda p: sum(q(c) * zn ** i * zm ** j for (i, j), c in p.coeffs.items())
+    assert sympy.expand(den.LC() - as_expr(t.denominator)) == 0
+    assert sympy.expand(num.LC() - as_expr(t.numerator)) == 0
