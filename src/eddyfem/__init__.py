@@ -21,10 +21,10 @@ from .fem2d import (  # noqa: F401
     oscillation_metric, rhs_2d, solve_2d)
 from .oracle import (  # noqa: F401
     AnalyticParams, AnalyticSolution, OutOfValidityError, analytic_solve,
-    error_extremum, peak_error, peak_error_from_solution)
+    peak_error, peak_error_from_solution)
 from .zpoly import (  # noqa: F401
     InexactDivisionError, Poly, RationalFunction)
 from .ztransfer import (  # noqa: F401
     PoleZeroReport, SingularNormalizationError, Stability, TransferFunction2D,
-    UnsupportedStructureError, analyze, polys_2d, run_identity_checks, tf_1d,
-    tf_2d, verify_identity_denominator)
+    UnsupportedStructureError, analyze, peak_error_certificate, polys_2d,
+    run_identity_checks, tf_1d, tf_2d)

@@ -30,6 +30,11 @@ from .core import (InvalidArgumentError, Mesh1D, Mesh2D,
 from . import fem1d, fem2d, oracle, ztransfer
 
 MU0 = 4e-7 * math.pi
+# Caps on what a config can make the program allocate: 400 times the shipped 25
+# sweep points, and 25 times the shipped 20 sheet rows per side (a sheet near
+# 10^5 dofs at nz = 33; at air_ratio 1 the air rows grow with air_factor).
+MAX_SWEEP_POINTS = 10_000
+MAX_ROWS_PER_SIDE = 500
 
 
 class ConfigError(ValueError):
@@ -45,45 +50,50 @@ def _require(cfg: dict, path: str, typ, predicate=None, what: str = "", default=
     ``predicate``; a missing key gives ``default`` if there is one."""
     cur = cfg
     for part in path.split("."):
+        if isinstance(cur, list) and part.isdigit():   # an index into a list
+            cur = cur[int(part)]
+            continue
         if not isinstance(cur, dict) or part not in cur:
             if default is not None and isinstance(cur, dict):
                 return default
             raise ConfigError(path, "missing")
         cur = cur[part]
-    if typ is float and isinstance(cur, int):
-        cur = float(cur)
-    if not isinstance(cur, typ):
+    if typ is float and type(cur) is int:   # too large for a float: read as infinite
+        cur = float(cur) if abs(cur) <= sys.float_info.max else math.inf
+    if not isinstance(cur, typ) or isinstance(cur, bool):
         raise ConfigError(path, f"expected {typ.__name__}, got {type(cur).__name__}")
     if predicate is not None and not predicate(cur):
         raise ConfigError(path, what or "invalid value")
     return cur
 
 
-def _positive(v) -> bool:
-    return math.isfinite(v) and v > 0
+# (predicate, message) pairs for _require
+POSITIVE = (lambda v: 0 < v < math.inf, "must be finite and > 0")
+NONNEGATIVE = (lambda v: 0 <= v < math.inf, "must be finite and >= 0")
+FINITE = (math.isfinite, "must be finite")
 
 
 def _schemes_of(cfg: dict, override: Optional[str] = None) -> List[Scheme]:
-    name = override or cfg.get("scheme", "both")
     table = {"galerkin": [Scheme.GALERKIN], "averaged": [Scheme.ELEMENT_AVERAGED],
              "both": [Scheme.GALERKIN, Scheme.ELEMENT_AVERAGED]}
-    if name not in table:
-        raise ConfigError("scheme", f"must be galerkin|averaged|both, got {name!r}")
-    return table[name]
+    return table[override or _require(cfg, "scheme", str, lambda v: v in table,
+                                      "must be galerkin|averaged|both", "both")]
 
 
 def _pe_list(cfg: dict) -> List[float]:
     if "pe" in cfg:
         pes = _require(cfg, "pe", list, lambda v: len(v) > 0, "empty Pe list")
-        return [float(p) for p in pes]
+        return [_require(cfg, f"pe.{i}", float, *FINITE) for i in range(len(pes))]
     if "pe_sweep" in cfg:
-        lo = _require(cfg, "pe_sweep.lo", float, _positive, "must be finite and > 0")
+        lo = _require(cfg, "pe_sweep.lo", float, *POSITIVE)
         hi = _require(cfg, "pe_sweep.hi", float, lambda v: math.isfinite(v) and v > lo,
                       "must be finite and exceed lo")
-        n = _require(cfg, "pe_sweep.points", int, lambda v: v >= 2)
+        n = _require(cfg, "pe_sweep.points", int, lambda v: 2 <= v <= MAX_SWEEP_POINTS,
+                     f"must be from 2 to {MAX_SWEEP_POINTS}")
         grid = list(np.geomspace(lo, hi, n))
-        for extra in cfg["pe_sweep"].get("include", []):
-            grid.append(float(extra))
+        include = _require(cfg, "pe_sweep.include", list, default=[])
+        grid += [_require(cfg, f"pe_sweep.include.{i}", float, *FINITE)
+                 for i in range(len(include))]
         return sorted(set(grid))
     raise ConfigError("pe", "missing (provide 'pe' or 'pe_sweep')")
 
@@ -202,16 +212,19 @@ def svg_line_chart(path: Path, series: Dict[str, Tuple[np.ndarray, np.ndarray]],
 
 def build_1d_case(cfg: ScenarioConfig, pe: float):
     raw = cfg.raw
-    dz = _require(raw, "dz", float, _positive, "must be finite and > 0")
+    dz = _require(raw, "dz", float, *POSITIVE)
     length = _require(raw, "length", float, lambda v: math.isfinite(v) and v > 2 * dz,
                       "must be finite and longer than two elements")
+    n = length / dz   # > 2, so finite unless it overflowed
+    if not (n < math.inf and math.isclose(n, round(n), rel_tol=1e-9)):
+        raise ConfigError("length", f"must be a whole number of dz elements, got {n:g}")
     a = _require(raw, "pulse.a", float)
     b = _require(raw, "pulse.b", float)
-    amp = _require(raw, "pulse.amplitude", float, lambda v: v >= 0, "must be >= 0")
+    amp = _require(raw, "pulse.amplitude", float, *NONNEGATIVE)
     if not (0 < a < b < length):
         raise ConfigError("pulse", f"need 0 < a < b < length, got [{a}, {b}] in {length}")
-    sigma = _require(raw, "material.sigma", float, _positive, "must be finite and > 0", 1.0)
-    mu = _require(raw, "material.mu", float, _positive, "must be finite and > 0", 1.0)
+    sigma = _require(raw, "material.sigma", float, *POSITIVE, 1.0)
+    mu = _require(raw, "material.mu", float, *POSITIVE, 1.0)
     mesh = Mesh1D.from_length(length, dz)
     material = material_for_peclet(pe, dz, sigma=sigma, mu=mu)
     profile = RectPulse1D(a=a, b=b, amplitude=amp)
@@ -230,6 +243,9 @@ def graded_sheet_rows(thickness: float, conductor_rows: int, air_factor: float,
     acc, target = thickness / 2, thickness / 2 + air_factor * thickness
     step = h
     while acc < target * (1 - 1e-12):
+        if len(up) >= MAX_ROWS_PER_SIDE:
+            raise ConfigError("sheet.air_factor", f"the grading needs more than "
+                              f"{MAX_ROWS_PER_SIDE} rows per side; raise grid.air_ratio")
         step = min(step * air_ratio, target - acc)
         up.append(step)
         acc += step
@@ -239,30 +255,29 @@ def graded_sheet_rows(thickness: float, conductor_rows: int, air_factor: float,
 
 def build_2d_case(cfg: ScenarioConfig, pe: float):
     raw = cfg.raw
-    d = _require(raw, "sheet.thickness", float, _positive, "must be finite and > 0")
-    sigma = _require(raw, "sheet.sigma", float, _positive, "must be finite and > 0")
-    mu_r = _require(raw, "sheet.mu_r", float, _positive, "must be finite and > 0", 1.0)
-    air_factor = _require(raw, "sheet.air_factor", float,
-                          lambda v: math.isfinite(v) and v >= 0, "must be finite and >= 0", 5.0)
+    d = _require(raw, "sheet.thickness", float, *POSITIVE)
+    sigma = _require(raw, "sheet.sigma", float, *POSITIVE)
+    mu_r = _require(raw, "sheet.mu_r", float, *POSITIVE, 1.0)
+    air_factor = _require(raw, "sheet.air_factor", float, *NONNEGATIVE, 5.0)
     kind = _require(raw, "field.kind", str,
                     lambda v: v in ("smooth_circle", "rect_pulse"),
                     "must be smooth_circle or rect_pulse")
-    amp = _require(raw, "field.amplitude", float, lambda v: v >= 0, "must be >= 0")
+    amp = _require(raw, "field.amplitude", float, *NONNEGATIVE)
     if kind == "smooth_circle":
-        radius = _require(raw, "field.radius", float, _positive, "must be finite and > 0")
+        radius = _require(raw, "field.radius", float, *POSITIVE)
         profile = SmoothCircle2D(radius=radius, amplitude=amp)
         axial_width = 2 * radius
     else:
-        a = _require(raw, "field.a", float, _positive, "must be finite and > 0")
-        b_ext = _require(raw, "field.b_extent", float, _positive, "must be finite and > 0")
+        a = _require(raw, "field.a", float, *POSITIVE)
+        b_ext = _require(raw, "field.b_extent", float, *POSITIVE)
         profile = RectPulse2D(a=a, b_extent=b_ext, amplitude=amp)
         axial_width = 2 * a
     nz = _require(raw, "grid.nz", int, lambda v: v >= 5, "must be >= 5")
-    rows = _require(raw, "grid.conductor_rows", int, lambda v: v >= 2)
+    rows = _require(raw, "grid.conductor_rows", int, lambda v: 2 <= v <= 2 * MAX_ROWS_PER_SIDE,
+                    f"must be from 2 to {2 * MAX_ROWS_PER_SIDE}")
     ratio = _require(raw, "grid.air_ratio", float,
                      lambda v: math.isfinite(v) and v >= 1, "must be finite and >= 1", 1.3)
-    axial_factor = _require(raw, "grid.axial_factor", float, _positive,
-                            "must be finite and > 0", 6.0)
+    axial_factor = _require(raw, "grid.axial_factor", float, *POSITIVE, 6.0)
 
     lz = axial_factor * axial_width
     dz = lz / (nz - 1)
@@ -413,11 +428,11 @@ def sweep_error(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
     _need_dimension(cfg, 1)
     out_dir.mkdir(parents=True, exist_ok=True)
     raw = cfg.raw
-    dz = _require(raw, "dz", float, _positive, "must be finite and > 0")
+    dz = _require(raw, "dz", float, *POSITIVE)
     m_b = _require(raw, "upstream_elements", int, lambda v: v >= 1, "must be >= 1", 40)
     m_c = _require(raw, "plateau_elements", int, lambda v: v >= 1, "must be >= 1", 30)
     m_d = _require(raw, "downstream_elements", int, lambda v: v >= 1, "must be >= 1", 40)
-    amp = _require(raw, "amplitude", float, _positive, "must be finite and > 0", 1.0)
+    amp = _require(raw, "amplitude", float, *POSITIVE, 1.0)
     record = RunRecord(config_hash=cfg.hash())
     rows = []
     t0 = time.perf_counter()
@@ -449,22 +464,22 @@ def sweep_error(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
     return record
 
 
-def verify(stream=None, polys=None) -> int:
-    """Run every exact identity check and the cancellation certificates;
-    print the proof reports; return 0 if all hold, 4 otherwise.
-
-    ``polys`` overrides the named stencil polynomials of the identity checks
-    (negative-control hook for tests)."""
+def verify(stream=None) -> int:
+    """Run every exact identity check and certificate; print the proof
+    reports; return 0 if all hold, 4 otherwise."""
     out = stream or sys.stdout
     ok = True
-    reports = ztransfer.run_identity_checks(polys)
+    reports = ztransfer.run_identity_checks()
+    reports += [ztransfer.peak_error_certificate(s) for s in Scheme]
     for rep in reports:
         print(rep.render(), file=out)
         ok = ok and rep.ok
 
-    print("\n1D transfer-function certificates:", file=out)
-    ga = ztransfer.analyze(ztransfer.tf_1d(Scheme.GALERKIN, math.inf, 1.0))
-    ea = ztransfer.analyze(ztransfer.tf_1d(Scheme.ELEMENT_AVERAGED, math.inf, 1.0))
+    print("\n1D transfer-function certificates (fem1d element table, high-Pe limit):", file=out)
+    limits = {s: ztransfer.tf_1d(s, math.inf, 1.0) for s in Scheme}
+    for scheme, rf in limits.items():
+        print(f"    {scheme.value}: {rf}", file=out)
+    ga, ea = (ztransfer.analyze(limits[s]) for s in Scheme)
     g_keeps = any(p.exact and p.location == -1 for p in ga.poles)
     e_cancels = any(c.exact and c.location == -1 for c in ea.cancelled_pairs) \
         and not any(p.exact and p.location == -1 for p in ea.poles)

@@ -1,13 +1,14 @@
 """Assembly and solution of the 1D discrete system.
 
-Rows are kept in the dz-scaled form whose interior stencil is
-(-1-Pe, 2, -1+Pe); the load side carries 2*Pe*dz times the weighted input.
-The inlet node is Dirichlet (potential pinned to zero, row replacement);
-the outlet keeps the natural zero-gradient row produced by the assembly.
+Rows are kept in the dz-scaled form; the element table below is the one
+place where the stencil and the input weights are written down. The inlet
+node is Dirichlet (potential pinned to zero, row replacement); the outlet
+keeps the natural zero-gradient row produced by the assembly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -17,12 +18,37 @@ from .core import (InvalidArgumentError, Mesh1D, Material, NumericalFailureError
 
 RESIDUAL_RTOL = 1e-10
 
+# The exact dz-scaled element. Row i (0 = left, 1 = right node) has a + b*Pe
+# on node j, (a, b) = ELEMENT_LHS[i][j], and the load
+# dz * LOAD_SCALE * sum_j ELEMENT_WEIGHTS[scheme][i][j] * B_j.
+ELEMENT_LHS = (((1, -1), (-1, 1)), ((-1, -1), (1, 1)))
+LOAD_SCALE = (0, 2)
+ELEMENT_WEIGHTS = {
+    Scheme.GALERKIN: ((Fraction(1, 3), Fraction(1, 6)), (Fraction(1, 6), Fraction(1, 3))),
+    Scheme.ELEMENT_AVERAGED: ((Fraction(1, 4), Fraction(1, 4)),) * 2,
+}
+
+
+def _rows(pe):
+    return [[a + b * pe for a, b in row] for row in ELEMENT_LHS]
+
+
+def _fold(rows):
+    """Interior-node stencil (nodes n-1, n, n+1) of 2x2 element rows."""
+    return rows[1][0], rows[1][1] + rows[0][0], rows[0][1]
+
+
+def exact_stencil(pe, scheme: Scheme):
+    """The interior row, (-1-Pe, 2, -1+Pe), and its load per dz, 2*Pe times
+    the input weights, in the arithmetic of pe."""
+    scale = LOAD_SCALE[0] + LOAD_SCALE[1] * pe
+    return _fold(_rows(pe)), tuple(scale * w for w in _fold(ELEMENT_WEIGHTS[scheme]))
+
 
 def input_weights(scheme: Scheme) -> np.ndarray:
-    """Three-node weights applied to the nodal input flux density."""
-    if scheme is Scheme.GALERKIN:
-        return np.array([1.0, 4.0, 1.0]) / 6.0
-    return np.array([1.0, 2.0, 1.0]) / 4.0
+    """Three-node weights applied to the nodal input flux density: (1, 4, 1)/6
+    (Galerkin) or (1, 2, 1)/4 (element-averaged)."""
+    return np.array([float(w) for w in _fold(ELEMENT_WEIGHTS[scheme])])
 
 
 @dataclass(frozen=True)
@@ -81,19 +107,17 @@ def assemble_1d(mesh: Mesh1D, material: Material, profile, scheme: Scheme) -> Di
     upper = np.zeros(n - 1)
     rhs = np.zeros(n)
 
-    # element matrix rows (left node, right node), dz-scaled
-    diag[:-1] += 1.0 - pe
-    upper[:] += -1.0 + pe
-    lower[:] += -1.0 - pe
-    diag[1:] += 1.0 + pe
+    (l00, l01), (l10, l11) = _rows(pe)
+    diag[:-1] += l00
+    upper[:] += l01
+    lower[:] += l10
+    diag[1:] += l11
 
-    if scheme is Scheme.GALERKIN:
-        f_left = 2.0 * pe * mesh.dz * (bn[:-1] / 3.0 + bn[1:] / 6.0)
-        f_right = 2.0 * pe * mesh.dz * (bn[:-1] / 6.0 + bn[1:] / 3.0)
-    else:
-        b_elem = 0.5 * (bn[:-1] + bn[1:])
-        f_left = pe * mesh.dz * b_elem
-        f_right = f_left.copy()
+    # the weights are unit fractions; dividing by their denominators keeps
+    # the rounding of the written-out bn/3, bn/6 and bn/4 the CSVs were made with
+    load = (LOAD_SCALE[0] + LOAD_SCALE[1] * pe) * mesh.dz
+    f_left, f_right = [load * (bn[:-1] / w0.denominator + bn[1:] / w1.denominator)
+                       for w0, w1 in ELEMENT_WEIGHTS[scheme]]
     rhs[:-1] += f_left
     rhs[1:] += f_right
 

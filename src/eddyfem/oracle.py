@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Dict, Tuple
 
 import numpy as np
@@ -39,13 +40,13 @@ def _particulars(scheme: Scheme, r: float, lam: float) -> Tuple[Callable, Callab
     """Quartic particular solutions on the rising (F) and falling (G)
     transitions; scheme-specific because the input weights differ."""
     if scheme is Scheme.GALERKIN:
-        c4 = lam / 24.0
+        c4 = lam / 24
         c3 = lam * (r - 2) / (6 * (r - 1))
         c2 = lam * (r * r - 5) / (8 * (r - 1) ** 2)
         c1f = -lam * (r ** 3 - 10 * r * r + 17 * r + 4) / (12 * (r - 1) ** 3)
         c1g = lam * (13 * r ** 3 - 46 * r * r + 53 * r - 8) / (12 * (r - 1) ** 3)
     else:
-        c4 = lam / 48.0
+        c4 = lam / 48
         c3 = lam * (r - 2) / (12 * (r - 1))
         c2 = lam * (7 * r * r - 8 * r - 11) / (48 * (r - 1) ** 2)
         c1f = lam * (r ** 3 + 8 * r * r - 19 * r - 2) / (24 * (r - 1) ** 3)
@@ -188,14 +189,15 @@ def peak_error(scheme: Scheme, pe, amplitude: float) -> float:
     Element-averaged: B (1-Pe) / (1+Pe)^3.
     Galerkin:         B (Pe^2-3)(Pe-1) / (3 (Pe+1)^3).
 
-    Both formulas vanish at Pe = 1, the edge of their validity range.
+    Both formulas vanish at Pe = 1, the edge of their validity range. An
+    exact Fraction Pe gives an exact value; any other Pe is read as a float.
     """
-    pev = _pe_value(pe)
-    if pev < 1.0:
+    pev = pe if isinstance(pe, Fraction) else _pe_value(pe)
+    if pev < 1:
         raise OutOfValidityError(f"peak-error formulas require Pe >= 1, got {pev}")
     if scheme is Scheme.ELEMENT_AVERAGED:
-        return amplitude * (1.0 - pev) / (1.0 + pev) ** 3
-    return amplitude * (pev * pev - 3.0) * (pev - 1.0) / (3.0 * (1.0 + pev) ** 3)
+        return amplitude * (1 - pev) / (1 + pev) ** 3
+    return amplitude * (pev * pev - 3) * (pev - 1) / (3 * (1 + pev) ** 3)
 
 
 def peak_error_from_solution(sol: AnalyticSolution) -> float:
@@ -203,32 +205,3 @@ def peak_error_from_solution(sol: AnalyticSolution) -> float:
     c2 (r^(m_c - 1) - r^(m_c)) / dz, anchored to avoid large powers."""
     p = sol.params
     return sol._K_c * (1.0 / p.r - 1.0) / p.dz
-
-
-def error_extremum(scheme: Scheme, amplitude: float = 1.0,
-                   pe_lo: float = 1.0 + 1e-9, pe_hi: float = 1e4) -> Tuple[float, float]:
-    """Location and value of the largest |peak_error| over (pe_lo, pe_hi].
-
-    A log-spaced scan brackets the global maximum, then golden-section
-    refines it to 1e-10 in Pe. For the element-averaged scheme this lands
-    on Pe = 2; for Galerkin the magnitude grows monotonically (beyond a
-    small bump near Pe = 1), so the scan ends at the upper limit.
-    """
-    f = lambda pe: abs(peak_error(scheme, pe, amplitude))
-    grid = np.geomspace(pe_lo, pe_hi, 600)
-    k = int(np.argmax([f(p) for p in grid]))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    while b - a > 1e-10:
-        if f(c) > f(d):
-            b, d = d, c
-            c = b - phi * (b - a)
-        else:
-            a, c = c, d
-            d = a + phi * (b - a)
-    pe_star = 0.5 * (a + b)
-    return pe_star, f(pe_star)

@@ -1,12 +1,12 @@
 """Z-domain machinery: discrete transfer functions of the 1D scheme, the
 high-Pe 2D pole-cancellation certificate, pole-zero analysis with exact
-cancellation detection, and the named 2D stencil polynomials with their
-factorization identities.
+cancellation detection, the named 2D stencil polynomials with their
+factorization identities, and the exact certificate of the paper's 1D
+peak-error bound.
 
-tf_2d derives the 2D certificate by Cramer's rule from the exact stencils
-of fem2d.exact_patch_rows, which reads the same block table as the float
-assembly. polys_2d and the identities document the same stencils by name;
-the stencil-equivalence tests tie them to the assembled rows.
+Every stencil and input weight here is read from the tables the float
+assembly reads: tf_1d from the fem1d element table, tf_2d and polys_2d
+from fem2d.exact_patch_rows, which assembles fem2d.BLOCK_TABLE exactly.
 
 Everything here is exact-rational (see zpoly); numeric root-finding happens
 only after exact GCD reduction, so a reported cancellation can never be a
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from . import fem2d
+from . import fem1d, fem2d, oracle
 from .core import Peclet, Scheme
 from .zpoly import (InexactDivisionError, Poly, RationalFunction,
                     gcd_univariate, roots_univariate, separate)
@@ -47,13 +47,8 @@ class UnsupportedStructureError(ValueError):
 
 def _pe_fraction(pe) -> Optional[Fraction]:
     """Exact rational Peclet value; None encodes the high-Pe limit."""
-    if pe is None:
-        return None
-    if isinstance(pe, Peclet):
-        pe = pe.value
-    if isinstance(pe, float) and math.isinf(pe):
-        return None
-    return Fraction(pe)
+    pe = pe.value if isinstance(pe, Peclet) else pe
+    return None if pe is None or pe == math.inf else Fraction(pe)
 
 
 # ---------------------------------------------------------------------------
@@ -61,37 +56,17 @@ def _pe_fraction(pe) -> Optional[Fraction]:
 
 
 def polys_2d() -> Dict[str, Poly]:
-    """The eight interior-stencil polynomials of the coupled 2D system,
-    keyed by their conventional short names.
-
-    Exponent tuples are (power of Z_n, power of Z_m). These coefficient
-    lists are cross-checked against the assembled finite-element rows by
-    the stencil-equivalence tests.
-    """
-    def P(d):
-        return Poly(_BIVAR, {k: Fraction(v) for k, v in d.items()})
-
-    return {
-        # 9-point Laplacian stencil (row sums vanish at (1,1))
-        "S1": P({(2, 2): 1, (1, 2): 1, (0, 2): 1, (2, 1): 1, (1, 1): -8,
-                 (0, 1): 1, (2, 0): 1, (1, 0): 1, (0, 0): 1}),
-        # z-derivative stencil, mass-weighted across y
-        "Q2": P({(2, 2): 1, (0, 2): -1, (2, 1): 4, (0, 1): -4, (2, 0): 1, (0, 0): -1}),
-        # mixed yz cross-derivative stencil
-        "S2": P({(2, 2): 1, (0, 2): -1, (2, 0): -1, (0, 0): 1}),
-        # y-stiffness stencil, mass-weighted across z
-        "S3": P({(2, 2): 1, (1, 2): 4, (0, 2): 1, (2, 1): -2, (1, 1): -8,
-                 (0, 1): -2, (2, 0): 1, (1, 0): 4, (0, 0): 1}),
-        # y-derivative stencil, mass-weighted across z
-        "Q1": P({(2, 2): 1, (1, 2): 4, (0, 2): 1, (2, 0): -1, (1, 0): -4, (0, 0): -1}),
-        # consistent-mass load stencil (nodal input)
-        "M1": P({(2, 2): 1, (1, 2): 4, (0, 2): 1, (2, 1): 4, (1, 1): 16,
-                 (0, 1): 4, (2, 0): 1, (1, 0): 4, (0, 0): 1}),
-        # load stencils of the element-averaged input
-        "R1": P({(2, 2): 1, (1, 2): 2, (0, 2): 1, (2, 0): -1, (1, 0): -2, (0, 0): -1}),
-        "N1": P({(2, 2): 1, (1, 2): 2, (0, 2): 1, (2, 1): 2, (1, 1): 4,
-                 (0, 1): 2, (2, 0): 1, (1, 0): 2, (0, 0): 1}),
-    }
+    """The eight interior-stencil polynomials of the coupled 2D system, read
+    with fixed scales from the exact assembled patch at Pe = 1, u = 1 (fields
+    0 = phi, 1 = A_y, 2 = A_z): S1 Laplacian; Q2, Q1 z- and y-derivative; S2
+    yz cross-derivative; S3 y-stiffness; M1 consistent-mass load; N1, R1
+    element-averaged loads. Exponents are (power of Z_n, power of Z_m)."""
+    (lhs, w_g), (_, w_a) = (fem2d.exact_patch_rows(1, 1, s, nn=3, nm=3)
+                            for s in (Scheme.GALERKIN, Scheme.ELEMENT_AVERAGED))
+    named = {"S1": (-3, lhs[2, 2]), "Q2": (6, lhs[2, 0]), "S2": (4, lhs[0, 1]),
+             "S3": (-6, lhs[0, 2]), "Q1": (6, lhs[1, 0]),
+             "M1": (18, w_g[1]), "N1": (8, w_a[1]), "R1": (8, w_a[0])}
+    return {name: Poly(_BIVAR, stencil) * scale for name, (scale, stencil) in named.items()}
 
 
 def _zn(coeffs_ascending) -> Poly:
@@ -102,9 +77,9 @@ def _zm(coeffs_ascending) -> Poly:
     return Poly.univariate(ZM, coeffs_ascending)
 
 
-ZN_QUAD = _zn([1, 4, 1])          # Z_n^2 + 4 Z_n + 1
-ZN_SQUARE_PLUS = _zn([1, 2, 1])   # (Z_n + 1)^2
-ZN_CIRCLE = _zn([-1, 0, 1])       # (Z_n - 1)(Z_n + 1)
+ZN_QUAD = _zn([2, 1]) ** 2 - 3      # Z_n^2 + 4 Z_n + 1, zeros -2 +- sqrt(3)
+ZN_SQUARE_PLUS = _zn([1, 1]) ** 2   # (Z_n + 1)^2
+ZN_CIRCLE = _zn([-1, 0, 1])         # (Z_n - 1)(Z_n + 1)
 
 
 def transverse_denominator_poly() -> Poly:
@@ -115,7 +90,7 @@ def transverse_denominator_poly() -> Poly:
 def transverse_numerator_poly_galerkin() -> Poly:
     """2(Z_m^2-2Z_m+1)(Z_m^2+4Z_m+1) - 3(Z_m^2-1)^2, the transverse cofactor
     of the eliminated consistent-mass numerator (expands to -(Z_m-1)^4)."""
-    return (_zm([1, -2, 1]) * _zm([1, 4, 1])) * 2 - (_zm([-1, 0, 1]) ** 2) * 3
+    return (_zm([-1, 1]) ** 2 * (_zm([2, 1]) ** 2 - 3)) * 2 - (_zm([-1, 0, 1]) ** 2) * 3
 
 
 # ---------------------------------------------------------------------------
@@ -123,34 +98,26 @@ def transverse_numerator_poly_galerkin() -> Poly:
 
 
 def tf_1d(scheme: Scheme, pe, dz) -> RationalFunction:
-    """Exact 1D transfer function from input flux density to nodal potential.
+    """Exact 1D transfer function from input flux density to nodal potential,
+    built from the interior row of the fem1d element table.
 
     ``pe`` may be a Peclet, a number, ``math.inf`` or None; the last two
-    select the high-Pe limit computed by degree dominance. The denominator
-    is kept in the unnormalized form (Pe-1) Z^2 + 2 Z - (1+Pe), whose roots
-    are 1 and (-1-Pe)/(-1+Pe).
+    select the high-Pe limit, the leading Pe coefficients of numerator and
+    denominator. The denominator is the unnormalized stencil polynomial,
+    whose roots are 1 and the growth ratio r = (-1-Pe)/(-1+Pe).
     """
+    def at(p):
+        lhs, load = fem1d.exact_stencil(p, scheme)
+        return Poly.univariate(Z1, load) * Fraction(dz), Poly.univariate(Z1, lhs)
+
     pef = _pe_fraction(pe)
-    dzf = Fraction(dz)
-    if scheme is Scheme.GALERKIN:
-        shape = Poly.univariate(Z1, [1, 4, 1])
-        weight_scale = Fraction(1, 3)
-    else:
-        shape = Poly.univariate(Z1, [1, 2, 1])
-        weight_scale = Fraction(1, 2)
-
-    if pef is None:  # high-Pe limit: divide by Pe and drop vanishing terms
-        num = shape * (dzf * weight_scale)
-        den = Poly.univariate(Z1, [-1, 0, 1])
-        return RationalFunction(num, den)
-
-    num = shape * (pef * dzf * weight_scale)
-    den = Poly.univariate(Z1, [-(1 + pef), 2, pef - 1])
-    rf = RationalFunction(num, den)
+    if pef is None:
+        nums, dens = zip(*(at(p) for p in _PE_SAMPLES))
+        return RationalFunction(_pe_leading(nums)[0], _pe_leading(dens)[0])
+    rf = RationalFunction(*at(pef))
     if pef == 1:
-        raise SingularNormalizationError(
-            "Pe = 1 makes the denominator normalization singular "
-            "(leading coefficient Pe - 1 vanishes)", rf)
+        raise SingularNormalizationError("Pe = 1 makes the denominator normalization "
+                                         "singular (leading coefficient Pe - 1 vanishes)", rf)
     return rf
 
 
@@ -268,74 +235,34 @@ class IdentityReport:
         return out
 
 
-def verify_identity_denominator(polys: Optional[Dict[str, Poly]] = None) -> IdentityReport:
-    """Prove 2*S3*Q2 - 3*Q1*S2 == (Z_n^2+4Z_n+1)(Z_n^2-1) * (-(Z_m-1)^4)
-    by exact expansion of the difference."""
-    P = polys or polys_2d()
-    lhs = P["S3"] * P["Q2"] * 2 - P["Q1"] * P["S2"] * 3
-    rhs = (ZN_QUAD.map_variables(_BIVAR, 0) * ZN_CIRCLE.map_variables(_BIVAR, 0)
-           * transverse_denominator_poly().map_variables(_BIVAR, 1))
-    diff = lhs - rhs
-    rep = IdentityReport("denominator factorization", diff.is_zero())
-    rep.statements.append(f"lhs expansion: {lhs.term_count()} terms; "
-                          f"rhs expansion: {rhs.term_count()} terms")
-    spot = {ZN: Fraction(2), ZM: Fraction(3)}
-    rep.statements.append(
-        f"spot value at (Z_n, Z_m) = (2, 3): lhs = {lhs.eval(**spot)}, rhs = {rhs.eval(**spot)}")
-    rep.statements.append(
-        f"spot value at Z_n = 1: lhs = {lhs.eval(Z_n=1, Z_m=7)} (factor Z_n^2-1)")
-    if diff.is_zero():
-        rep.statements.append("difference expands to the zero polynomial (exact)")
-    else:
-        rep.difference = diff
-    return rep
-
-
-def verify_identity_galerkin_numerator(polys: Optional[Dict[str, Poly]] = None) -> IdentityReport:
-    """Prove 2*S3*M1 - 3*Q1^2 == (Z_n^2+4Z_n+1)^2 * f1(Z_m) with
-    f1 = 2(Z_m^2-2Z_m+1)(Z_m^2+4Z_m+1) - 3(Z_m^2-1)^2, and record that f1
-    expands to -(Z_m-1)^4, i.e. it equals the denominator cofactor (the
-    transverse parts cancel in the consistent-mass transfer ratio)."""
-    P = polys or polys_2d()
-    lhs = P["S3"] * P["M1"] * 2 - P["Q1"] * P["Q1"] * 3
+def run_identity_checks() -> List[IdentityReport]:
+    """Prove three identities of one polys_2d extraction by exact expansion:
+    2*S3*Q2 - 3*Q1*S2 == (Z_n^2+4Z_n+1)(Z_n^2-1) * (-(Z_m-1)^4);
+    2*S3*M1 - 3*Q1^2 == (Z_n^2+4Z_n+1)^2 * f1(Z_m), where f1 expands to the
+    same -(Z_m-1)^4 (the transverse parts cancel in the consistent-mass
+    transfer ratio); and N1 == (Z_n+1)^2 (Z_m+1)^2."""
+    p = polys_2d()
+    quad, circle = (q.map_variables(_BIVAR, 0) for q in (ZN_QUAD, ZN_CIRCLE))
     f1 = transverse_numerator_poly_galerkin()
-    rhs = ((ZN_QUAD * ZN_QUAD).map_variables(_BIVAR, 0) * f1.map_variables(_BIVAR, 1))
-    diff = lhs - rhs
-    rep = IdentityReport("consistent-mass numerator factorization", diff.is_zero())
-    rep.statements.append(f"lhs expansion: {lhs.term_count()} terms; "
-                          f"rhs expansion: {rhs.term_count()} terms")
-    rep.cofactor = f1
-    agrees = f1 == transverse_denominator_poly()
-    rep.statements.append("factored transverse cofactor expands to -(Z_m-1)^4: "
-                          + ("yes (equals the denominator cofactor)" if agrees else "NO"))
-    if not diff.is_zero():
-        rep.difference = diff
-    return rep
-
-
-def verify_n1_factorization(polys: Optional[Dict[str, Poly]] = None) -> IdentityReport:
-    """Confirm N1 == (Z_n+1)^2 (Z_m+1)^2 coefficient by coefficient."""
-    P = polys or polys_2d()
-    built = (ZN_SQUARE_PLUS.map_variables(_BIVAR, 0)
-             * Poly.univariate(ZM, [1, 2, 1]).map_variables(_BIVAR, 1))
-    diff = P["N1"] - built
-    rep = IdentityReport("N1 factorization", diff.is_zero())
-    if diff.is_zero():
-        rep.statements.append("N1 equals (Z_n+1)^2 (Z_m+1)^2 exactly")
-    else:
-        rep.statements.append("N1 does NOT equal (Z_n+1)^2 (Z_m+1)^2")
-        rep.difference = diff
-    return rep
-
-
-def run_identity_checks(polys: Optional[Dict[str, Poly]] = None) -> List[IdentityReport]:
-    """All factorization identity checks; ``polys`` is an override hook used
-    by negative-control tests."""
-    return [
-        verify_identity_denominator(polys),
-        verify_identity_galerkin_numerator(polys),
-        verify_n1_factorization(polys),
-    ]
+    identities = (
+        ("denominator factorization", p["S3"] * p["Q2"] * 2 - p["Q1"] * p["S2"] * 3,
+         quad * circle * transverse_denominator_poly().map_variables(_BIVAR, 1)),
+        ("consistent-mass numerator factorization", p["S3"] * p["M1"] * 2 - p["Q1"] * p["Q1"] * 3,
+         quad * quad * f1.map_variables(_BIVAR, 1)),
+        ("N1 factorization", p["N1"],
+         ZN_SQUARE_PLUS.map_variables(_BIVAR, 0) * (_zm([1, 1]) ** 2).map_variables(_BIVAR, 1)),
+    )
+    reports = []
+    for name, lhs, rhs in identities:
+        diff = lhs - rhs
+        reports.append(IdentityReport(name, diff.is_zero(), [
+            f"lhs expansion: {lhs.term_count()} terms; rhs expansion: {rhs.term_count()} terms; "
+            f"the difference is {'' if diff.is_zero() else 'NOT '}the zero polynomial"],
+            None if diff.is_zero() else diff))
+    reports[1].cofactor = f1
+    reports[1].statements.append("factored transverse cofactor expands to -(Z_m-1)^4: " + (
+        "yes (equals the denominator cofactor)" if f1 == transverse_denominator_poly() else "NO"))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +275,10 @@ def run_identity_checks(polys: Optional[Dict[str, Poly]] = None) -> List[Identit
 _PE_SAMPLES = (2, 3, 5, 7)
 
 
-def _pe_leading(samples: List[Poly]) -> Tuple[Poly, int]:
-    """Leading nonzero Pe coefficient, and its degree, of the polynomial in
-    Pe that takes the values ``samples`` at _PE_SAMPLES (exact Lagrange
-    interpolation)."""
+def _pe_coefficients(samples) -> list:
+    """Ascending Pe coefficients of the polynomial of degree <= 3 in Pe that
+    takes the values ``samples`` (Fractions or Polys) at _PE_SAMPLES (exact
+    Lagrange interpolation)."""
     bases = []   # ascending Pe coefficients of the Lagrange basis of each sample
     for xi in _PE_SAMPLES:
         basis = [Fraction(1)]
@@ -359,8 +286,14 @@ def _pe_leading(samples: List[Poly]) -> Tuple[Poly, int]:
             if xj != xi:
                 basis = [(a - xj * b) / (xi - xj) for a, b in zip([0] + basis, basis + [0])]
         bases.append(basis)
-    for degree in reversed(range(len(_PE_SAMPLES))):
-        coeff = sum((y * b[degree] for y, b in zip(samples, bases)), Poly.zero(_BIVAR))
+    return [sum(y * b[degree] for y, b in zip(samples, bases))
+            for degree in range(len(_PE_SAMPLES))]
+
+
+def _pe_leading(samples) -> Tuple[Poly, int]:
+    """Leading nonzero Pe coefficient, and its degree, of the polynomial
+    _pe_coefficients interpolates through the Poly ``samples``."""
+    for degree, coeff in reversed(list(enumerate(_pe_coefficients(samples)))):
         if not coeff.is_zero():
             return coeff, degree
     raise UnsupportedStructureError("vanishes identically in Pe")
@@ -429,3 +362,38 @@ def tf_2d(scheme: Scheme) -> TransferFunction2D:
     num, num_degree = _pe_leading(nums)
     mults = {loc: (_zn_multiplicity(den, loc), _zn_multiplicity(num, loc)) for loc in (-1, 1)}
     return TransferFunction2D(scheme, num, den, num_degree, den_degree, mults)
+
+
+# ---------------------------------------------------------------------------
+# the paper's 1D peak-error bound, certified exactly
+
+
+def peak_error_certificate(scheme: Scheme) -> IdentityReport:
+    """Certify the paper's bound on f = oracle.peak_error(scheme, Pe, B) over
+    Pe > 1 exactly, per unit B. g = (1+Pe)^3 f is interpolated as a cubic and
+    checked at a fifth sample; df/dPe has the sign of k = (1+Pe) g' - 3 g. p is
+    positive on Pe >= s when p(t + s) has nonnegative coefficients in t and
+    a positive constant term."""
+    def f(pe):
+        return (1 + pe) ** 3 * oracle.peak_error(scheme, Fraction(pe), 1)
+
+    def positive_from(p, s):
+        c = _pe_coefficients([p.eval(Pe=t + s) for t in _PE_SAMPLES])
+        return c[0] > 0 and min(c) >= 0
+
+    g = Poly.univariate("Pe", _pe_coefficients([f(pe) for pe in _PE_SAMPLES]))
+    one_plus = Poly.univariate("Pe", [1, 1])
+    k = g.derivative("Pe") * one_plus - g * 3
+    bound = one_plus ** 3 * Fraction(1, 3)
+    q, rem = k.divmod_in(Poly.univariate("Pe", [-2, 1]), "Pe")   # k = (Pe - 2) q + rem
+    only_two = rem.is_zero() and positive_from(q, 1)
+    checks = [(f"(1+Pe)^3 f/B is the cubic {g} (checked at Pe = 11)", g.eval(Pe=11) == f(11))]
+    checks += ([("df/dPe vanishes on Pe > 1 only at Pe = 2", only_two),
+                (f"f(2) = {g.eval(Pe=2) / 27} B, the bound -B/27", g.eval(Pe=2) == -1)]
+               if scheme is Scheme.ELEMENT_AVERAGED else
+               [("|f| < B/3 for every Pe > 1",
+                 positive_from(bound - g, 1) and positive_from(bound + g, 1)),
+                ("f -> B/3 as Pe -> oo", g.coeffs.get((3,)) == Fraction(1, 3)),
+                ("f increases for Pe >= 2", positive_from(k, 2))])
+    return IdentityReport(f"{scheme.value} peak-error bound", all(ok for _, ok in checks),
+                          [f"{text}: {'yes' if ok else 'NO'}" for text, ok in checks])

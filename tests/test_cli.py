@@ -6,14 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eddyfem import cli, fem2d
+from eddyfem import cli, fem1d, fem2d
 from eddyfem.cli import (ConfigError, ScenarioConfig, build_1d_case,
-                         build_2d_case, main, measured_peak_error,
-                         measured_peak_errors, run_1d, run_2d, sweep_error,
-                         verify)
+                         build_2d_case, graded_sheet_rows, main,
+                         measured_peak_error, measured_peak_errors, run_1d,
+                         run_2d, sweep_error, verify)
 from eddyfem.core import Scheme
 from eddyfem.oracle import peak_error
-from eddyfem.ztransfer import polys_2d, tf_2d
+from eddyfem.ztransfer import tf_2d
+from test_ztransfer import perturb_averaged_a_y_weight
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -71,7 +72,8 @@ BAD_2D_VALUES = [
     ("grid.air_ratio", math.inf), ("grid.axial_factor", 0.0), ("grid.axial_factor", -6.0),
     ("sheet.mu_r", 0.0), ("sheet.mu_r", math.nan), ("sheet.air_factor", math.nan),
     ("sheet.air_factor", -1.0), ("sheet.air_factor", math.inf), ("grid.air_ratio", "1.3"),
-    ("sheet.thickness", math.inf), ("field.radius", math.inf),
+    ("sheet.thickness", math.inf), ("field.radius", math.inf), ("field.amplitude", math.inf),
+    ("grid.conductor_rows", 2 * cli.MAX_ROWS_PER_SIDE + 2),
 ]
 
 
@@ -108,7 +110,8 @@ def test_optional_2d_fields_default_to_the_shipped_values():
 
 @pytest.mark.parametrize("path, value", [
     ("material.sigma", 0.0), ("material.sigma", math.inf), ("material.mu", math.nan),
-    ("material.mu", -1.0), ("material.sigma", "1"), ("length", math.inf), ("dz", math.inf)])
+    ("material.mu", -1.0), ("material.sigma", "1"), ("length", math.inf), ("dz", math.inf),
+    ("pulse.amplitude", math.inf), ("dz", 10 ** 400), ("scheme", ["both"])])
 def test_bad_1d_values_are_config_errors(path, value):
     raw = _with(json.loads((CONFIG_DIR / "fig_pulse1d_pe2.json").read_text()), path, value)
     with pytest.raises(ConfigError) as err:
@@ -118,6 +121,7 @@ def test_bad_1d_values_are_config_errors(path, value):
 
 @pytest.mark.parametrize("key, value", [
     ("upstream_elements", 40.7), ("plateau_elements", "40"), ("downstream_elements", 0),
+    ("upstream_elements", True),
     ("amplitude", 0.0), ("amplitude", math.nan), ("amplitude", "1")])
 def test_bad_sweep_counts_and_amplitude_exit_2(tmp_path, key, value, capsys):
     raw = json.loads((CONFIG_DIR / "sweep_peak_error.json").read_text())
@@ -126,6 +130,59 @@ def test_bad_sweep_counts_and_amplitude_exit_2(tmp_path, key, value, capsys):
     bad.write_text(json.dumps(raw))
     assert main(["sweep-error", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert key in capsys.readouterr().err
+
+
+def _exit_code_and_err(tmp_path, capsys, raw, command="run-1d"):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    code = main([command, "--config", str(bad), "--out", str(tmp_path / "o")])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, path", [
+    ("pe", ["x"], "pe.0"), ("pe", [2.0, [3.0]], "pe.1"), ("pe", [math.nan], "pe.0"),
+    ("pe_sweep", {"lo": 2.0, "hi": 3.0, "points": 2, "include": ["x"]}, "pe_sweep.include.0"),
+    ("pe_sweep", {"lo": 2.0, "hi": 3.0, "points": 2, "include": 5.0}, "pe_sweep.include"),
+    ("pe_sweep", {"lo": 2.0, "hi": 3.0, "points": 10 ** 9}, "pe_sweep.points")])
+def test_pe_entries_go_through_the_validator(tmp_path, capsys, key, value, path):
+    # the entries used to be read with a bare float(): "x" ended in a
+    # traceback with exit 1
+    raw = json.loads((CONFIG_DIR / "fig_pulse1d_pe2.json").read_text())
+    raw.pop("pe")
+    raw.update({key: value, "svg": False})
+    code, err = _exit_code_and_err(tmp_path, capsys, raw)
+    assert code == 2 and f"'{path}'" in err
+
+
+@pytest.mark.parametrize("path, value", [
+    ("dimension", True), ("dz", True), ("length", False), ("pulse.amplitude", True),
+    ("pe", [True])])
+def test_json_booleans_are_not_numbers(tmp_path, capsys, path, value):
+    # bool is a subclass of int: {"dimension": true} used to read as 1
+    raw = _with(json.loads((CONFIG_DIR / "fig_pulse1d_pe2.json").read_text()), path, value)
+    raw["svg"] = False
+    code, err = _exit_code_and_err(tmp_path, capsys, raw)
+    assert code == 2 and "got bool" in err and f"'{path}" in err
+
+
+def test_length_must_be_a_whole_number_of_elements():
+    raw = json.loads((CONFIG_DIR / "fig_pulse1d_pe2.json").read_text())
+    with pytest.raises(ConfigError) as err:
+        build_1d_case(ScenarioConfig.from_dict({**raw, "length": 10.1}), 2.0)
+    assert err.value.path == "length"
+    # the shipped 10.0 / 0.2 is 50 elements up to rounding
+    raw = json.loads((CONFIG_DIR / "fig_pulse1d_pe2000.json").read_text())
+    mesh, _, _ = build_1d_case(ScenarioConfig.from_dict(raw), 2000.0)
+    assert mesh.node_count == 51
+
+
+def test_graded_sheet_rows_are_capped():
+    # at air_ratio 1 an air_factor of 1e4 would plan 40,002 rows per side
+    with pytest.raises(ConfigError) as err:
+        graded_sheet_rows(1.3, 4, 1e4, 1.0)
+    assert err.value.path == "sheet.air_factor"
+    heights, mid = graded_sheet_rows(1.3, 16, 5.0, 1.3)   # the shipped grading
+    assert mid == 20 and len(heights) == 40
 
 
 def test_pe_sweep_expansion():
@@ -316,19 +373,31 @@ def test_verify_passes():
     assert verify(stream=buf) == 0
     text = buf.getvalue()
     assert "derived transverse cofactor" in text
+    assert "galerkin: (1/3*Z^2 + 4/3*Z + 1/3) / (Z^2 - 1)" in text
+    assert "averaged: (1/2*Z^2 + Z + 1/2) / (Z^2 - 1)" in text
+    assert "f(2) = -1/27 B, the bound -B/27: yes" in text
+    assert "|f| < B/3 for every Pe > 1: yes" in text
     assert "galerkin: det A ~ Pe^2 (Z_n+1)^2 (Z_n-1)^2; A_y numerator ~ Pe^2 (Z_n+1)^1" in text
     assert "averaged: det A ~ Pe^2 (Z_n+1)^2 (Z_n-1)^2; A_y numerator ~ Pe^1 (Z_n+1)^2" in text
     assert "note:" not in text
     assert "verification PASSED" in text
 
 
-def test_verify_negative_control_names_n1():
-    polys = polys_2d()
-    polys["N1"] = polys["N1"] + 1
+def test_verify_negative_control_names_n1(monkeypatch):
+    perturb_averaged_a_y_weight(monkeypatch)
     buf = io.StringIO()
-    assert verify(stream=buf, polys=polys) == 4
+    assert verify(stream=buf) == 4
     text = buf.getvalue()
     assert "[FAIL] N1 factorization" in text
+
+
+def test_verify_reads_the_1d_element_table(monkeypatch):
+    weights = fem1d.ELEMENT_WEIGHTS[Scheme.ELEMENT_AVERAGED]
+    monkeypatch.setitem(fem1d.ELEMENT_WEIGHTS, Scheme.ELEMENT_AVERAGED,
+                        (weights[0], (weights[1][0], weights[1][1] * 2)))
+    buf = io.StringIO()
+    assert verify(stream=buf) == 4
+    assert "[FAIL] element-averaged high-Pe limit cancels Z = -1" in buf.getvalue()
 
 
 def test_verify_reads_the_assembly_stencils(monkeypatch):

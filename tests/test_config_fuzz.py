@@ -1,0 +1,69 @@
+"""Property test of the 1D config validation: any JSON-like config dict,
+run through ScenarioConfig.from_dict and build_1d_case with no solve,
+either builds a case or raises ConfigError / InvalidArgumentError."""
+import math
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from eddyfem.cli import ConfigError, ScenarioConfig, build_1d_case
+from eddyfem.core import InvalidArgumentError
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, "2.0"]),
+    st.lists(st.one_of(st.integers(), st.floats()), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+SIZES = st.floats(1e-3, 50)
+PE = st.one_of(st.floats(0, 1e4), st.integers(0, 100))
+# fields a corruption may replace; a missing parent leaves the config as is
+PATHS = ["dimension", "scheme", "pe", "pe.0", "pe_sweep", "pe_sweep.lo", "pe_sweep.hi",
+         "pe_sweep.points", "pe_sweep.include", "pe_sweep.include.0", "dz", "length",
+         "pulse", "pulse.a", "pulse.b", "pulse.amplitude", "material", "material.sigma",
+         "material.mu"]
+
+
+def _put(raw, path, value):
+    *parents, leaf = path.split(".")
+    node = raw
+    for part in parents:
+        node = node.get(part) if isinstance(node, dict) else None
+    if isinstance(node, dict):
+        node[leaf] = value
+    elif isinstance(node, list) and node:
+        node[int(leaf)] = value
+
+
+@st.composite
+def configs(draw):
+    """A valid 1D config, with a length that is often not a whole number of
+    dz, and up to two fields replaced by junk."""
+    dz = draw(st.floats(1e-2, 2))
+    length = draw(st.one_of(st.integers(3, 500).map(lambda n: n * dz), SIZES))
+    raw = {"dimension": 1, "scheme": draw(st.sampled_from(["galerkin", "averaged", "both"])),
+           "dz": dz, "length": length,
+           "pulse": {"a": length * draw(st.floats(0.01, 0.5)),
+                     "b": length * draw(st.floats(0.5, 0.99)), "amplitude": draw(st.floats(-1, 5))},
+           "material": {"sigma": draw(SIZES), "mu": draw(SIZES)}}
+    if draw(st.booleans()):
+        raw["pe"] = draw(st.lists(PE, min_size=1, max_size=3))
+    else:
+        lo = draw(st.floats(0.5, 100))
+        raw["pe_sweep"] = {"lo": lo, "hi": lo * draw(st.floats(1.1, 100)),
+                           "points": draw(st.integers(2, 30)),
+                           "include": draw(st.lists(PE, max_size=2))}
+    for path in draw(st.lists(st.sampled_from(PATHS), max_size=2)):
+        _put(raw, path, draw(JUNK))
+    return raw
+
+
+@settings(max_examples=200, deadline=1000, suppress_health_check=[HealthCheck.too_slow])
+@given(configs())
+def test_1d_configs_build_or_raise_config_errors(raw):
+    try:
+        cfg = ScenarioConfig.from_dict(raw)
+        for pe in cfg.pe_values:
+            build_1d_case(cfg, pe)
+    except (ConfigError, InvalidArgumentError):
+        pass

@@ -1,11 +1,13 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from eddyfem.core import (InvalidArgumentError, Mesh1D, NumericalFailureError,
-                          RectPulse1D, Scheme, material_for_peclet)
-from eddyfem.fem1d import (DiscreteSystem1D, Solution1D, assemble_1d,
-                           peak_spurious_error, reaction_field,
-                           rect_pulse_case, solve_1d)
+                          RectPulse1D, Scheme, material_for_peclet, peclet_of)
+from eddyfem.fem1d import (ELEMENT_WEIGHTS, DiscreteSystem1D, Solution1D, assemble_1d,
+                           exact_stencil, input_weights, peak_spurious_error,
+                           reaction_field, rect_pulse_case, solve_1d)
 
 
 def small_case(pe=2.0, dz=0.25, scheme=Scheme.GALERKIN, n=41, pulse=(3.875, 6.125)):
@@ -21,6 +23,59 @@ def test_interior_row_coefficients():
     assert system.lower[k - 1] == pytest.approx(-3.0)   # -1 - Pe
     assert system.diag[k] == pytest.approx(2.0)
     assert system.upper[k] == pytest.approx(1.0)        # -1 + Pe
+
+
+def _written_out_assembly(mesh, pe, bn, scheme):
+    """The hand-written element formulas the element table replaced."""
+    n = mesh.node_count
+    diag, lower, upper, rhs = np.zeros(n), np.zeros(n - 1), np.zeros(n - 1), np.zeros(n)
+    diag[:-1] += 1.0 - pe
+    upper[:] += -1.0 + pe
+    lower[:] += -1.0 - pe
+    diag[1:] += 1.0 + pe
+    if scheme is Scheme.GALERKIN:
+        f_left = 2.0 * pe * mesh.dz * (bn[:-1] / 3.0 + bn[1:] / 6.0)
+        f_right = 2.0 * pe * mesh.dz * (bn[:-1] / 6.0 + bn[1:] / 3.0)
+    else:
+        f_left = pe * mesh.dz * (0.5 * (bn[:-1] + bn[1:]))
+        f_right = f_left.copy()
+    rhs[:-1] += f_left
+    rhs[1:] += f_right
+    diag[0], upper[0], rhs[0] = 1.0, 0.0, 0.0
+    return lower, diag, upper, rhs
+
+
+class _Samples:
+    def __init__(self, values):
+        self.values = values
+
+    def sample(self, z):
+        return self.values
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_table_assembly_is_bit_identical_to_the_written_out_formulas(scheme):
+    rng = np.random.default_rng(7)
+    for pe in (1.0, 1.1, 2.0, 7.3, 60.0, 2000.0, 1e6):
+        for dz in (0.17, 0.2, 0.25, 1.0, 3.3):
+            mesh = Mesh1D.from_node_count(dz, 23)
+            material = material_for_peclet(pe, dz, sigma=1.7)
+            bn = rng.normal(size=23) * 10.0 ** rng.uniform(-6, 6)
+            got = assemble_1d(mesh, material, _Samples(bn), scheme)
+            ref = _written_out_assembly(mesh, peclet_of(material, dz).value, bn, scheme)
+            for name, want in zip(("lower", "diag", "upper", "rhs"), ref):
+                assert getattr(got, name).tobytes() == want.tobytes(), (name, pe, dz)
+
+
+def test_element_table_folds_to_the_interior_stencil():
+    pe = Fraction(7, 3)
+    for scheme, shape in ((Scheme.GALERKIN, (1, 4, 1)), (Scheme.ELEMENT_AVERAGED, (1, 2, 1))):
+        lhs, load = exact_stencil(pe, scheme)
+        assert lhs == (-1 - pe, 2, -1 + pe)
+        assert load == tuple(2 * pe * Fraction(c, sum(shape)) for c in shape)
+        assert input_weights(scheme).tolist() == [c / sum(shape) for c in shape]
+        # assemble_1d divides by the denominators of these unit fractions
+        assert {w.numerator for row in ELEMENT_WEIGHTS[scheme] for w in row} == {1}
 
 
 def test_interior_row_sum_is_zero():

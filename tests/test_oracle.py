@@ -1,10 +1,15 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from eddyfem import oracle
 from eddyfem.core import Scheme
-from eddyfem.fem1d import assemble_1d, input_weights, rect_pulse_case, solve_1d
-from eddyfem.oracle import (OutOfValidityError, analytic_solve, error_extremum,
+from eddyfem.fem1d import (assemble_1d, exact_stencil, input_weights,
+                           rect_pulse_case, solve_1d)
+from eddyfem.oracle import (OutOfValidityError, _particulars, analytic_solve,
                             growth_ratio, peak_error, peak_error_from_solution)
+from eddyfem.ztransfer import peak_error_certificate
 
 FIG8_CASES = [
     (Scheme.GALERKIN, 200.0, 0.20, 38, 12, 38),
@@ -92,6 +97,16 @@ def test_peak_error_closed_forms():
         peak_error(Scheme.GALERKIN, 0.9, B)
 
 
+def test_peak_error_is_exact_for_fractions_and_keeps_its_float_bits():
+    assert peak_error(Scheme.ELEMENT_AVERAGED, Fraction(2), 1) == Fraction(-1, 27)
+    assert peak_error(Scheme.GALERKIN, Fraction(3), 3) == Fraction(3, 16)
+    for pe in list(np.geomspace(1.0, 1e4, 97)) + [2, 7.5]:
+        p = float(pe)
+        assert peak_error(Scheme.ELEMENT_AVERAGED, pe, 0.7) == 0.7 * (1.0 - p) / (1.0 + p) ** 3
+        assert peak_error(Scheme.GALERKIN, pe, 0.7) == \
+            0.7 * (p * p - 3.0) * (p - 1.0) / (3.0 * (1.0 + p) ** 3)
+
+
 def test_peak_error_from_constants_matches_closed_form():
     for pe in (2.0, 10.0, 100.0, 1000.0):
         for scheme in Scheme:
@@ -101,16 +116,62 @@ def test_peak_error_from_constants_matches_closed_form():
             assert via_constants == pytest.approx(closed, rel=1e-9)
 
 
-def test_error_extremum_averaged_is_at_pe_two():
-    pe_star, err = error_extremum(Scheme.ELEMENT_AVERAGED)
-    assert pe_star == pytest.approx(2.0, abs=1e-7)
-    assert err == pytest.approx(1.0 / 27.0, rel=1e-10)
+def _perturb_peak_error(monkeypatch, factor):
+    real = oracle.peak_error
+    monkeypatch.setattr(oracle, "peak_error",
+                        lambda scheme, pe, b: real(scheme, pe, b) * factor(pe))
 
 
-def test_error_extremum_galerkin_grows_toward_limit():
-    pe_star, err = error_extremum(Scheme.GALERKIN, pe_hi=1e4)
-    assert pe_star == pytest.approx(1e4, rel=1e-3)   # no interior extremum
-    assert err == pytest.approx(1.0 / 3.0, rel=0.01)
+def test_error_extremum_averaged_is_at_pe_two(monkeypatch):
+    # certified exactly: the only stationary point on Pe > 1 is Pe = 2 and
+    # the value there is -B/27
+    rep = peak_error_certificate(Scheme.ELEMENT_AVERAGED)
+    assert rep.ok, rep.render()
+    assert rep.statements[1:] == ["df/dPe vanishes on Pe > 1 only at Pe = 2: yes",
+                                  "f(2) = -1/27 B, the bound -B/27: yes"]
+    # a cubic whose extremum sits elsewhere fails both claims
+    _perturb_peak_error(monkeypatch, lambda pe: 1 + pe / 100)
+    rep = peak_error_certificate(Scheme.ELEMENT_AVERAGED)
+    assert not rep.ok and rep.statements[0].endswith("yes")
+    assert [s.endswith("NO") for s in rep.statements[1:]] == [True, True]
+
+
+def test_error_extremum_galerkin_grows_toward_limit(monkeypatch):
+    # certified exactly: no interior extremum past Pe = 2, |f| < B/3 on
+    # Pe > 1 and f -> B/3
+    rep = peak_error_certificate(Scheme.GALERKIN)
+    assert rep.ok, rep.render()
+    assert [s.rsplit(": ", 1)[0] for s in rep.statements[1:]] == [
+        "|f| < B/3 for every Pe > 1", "f -> B/3 as Pe -> oo", "f increases for Pe >= 2"]
+    _perturb_peak_error(monkeypatch, lambda pe: Fraction(101, 100))
+    rep = peak_error_certificate(Scheme.GALERKIN)
+    assert [s.endswith("yes") for s in rep.statements] == [True, False, False, True]
+    # a value that is not a cubic over (1+Pe)^3 fails the fifth-sample check
+    _perturb_peak_error(monkeypatch, lambda pe: 1 / (1 + pe))
+    assert peak_error_certificate(Scheme.GALERKIN).statements[0].endswith("NO")
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_particulars_satisfy_the_table_stencil_exactly(scheme):
+    # on the rising transition F the input is on from local node 2, on the
+    # falling transition G up to local node 1; the interior transition nodes
+    # 1 and 2 see the whole stencil inside the transition
+    lam = Fraction(3, 10)
+    rising, falling = (lambda n: n >= 2), (lambda n: n <= 1)
+
+    def residuals(y_pf, y_pg, pe):
+        lhs, load = exact_stencil(pe, scheme)
+        return [sum(c * y(n - 1 + k) for k, c in enumerate(lhs))
+                - lam * sum(c * on(n - 1 + k) for k, c in enumerate(load))
+                for y, on in ((y_pf, rising), (y_pg, falling)) for n in (1, 2)]
+
+    for pe in (Fraction(11, 10), Fraction(2), Fraction(7, 3), Fraction(50), Fraction(1001, 3)):
+        r = Fraction(-1 - pe, -1 + pe)
+        y_pf, y_pg = _particulars(scheme, r, lam)
+        assert residuals(y_pf, y_pg, pe) == [0, 0, 0, 0]
+        # a perturbed cubic coefficient leaves a nonzero residual
+        bent = lambda n: y_pf(n) + Fraction(1, 10 ** 9) * n ** 3
+        assert residuals(bent, y_pg, pe)[:2] != [0, 0]
 
 
 def test_error_vanishes_just_above_one():

@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eddyfem.core import Scheme
-from eddyfem import fem2d
+from eddyfem import fem1d, fem2d
 from eddyfem.zpoly import Poly, RationalFunction
 from eddyfem.ztransfer import (Stability, SingularNormalizationError,
                                UnsupportedStructureError, ZN, ZM, ZN_CIRCLE,
-                               ZN_QUAD, analyze, polys_2d, run_identity_checks,
-                               tf_1d, tf_2d, transverse_denominator_poly,
-                               verify_identity_denominator,
-                               verify_identity_galerkin_numerator,
-                               verify_n1_factorization)
+                               ZN_QUAD, ZN_SQUARE_PLUS, analyze, polys_2d,
+                               run_identity_checks, tf_1d, tf_2d,
+                               transverse_denominator_poly)
+from stencil_utils import GOLDEN_POLYS
 
 GOLDEN_TERMS = {"S1": 9, "Q2": 6, "S2": 4, "S3": 9, "Q1": 6, "M1": 9, "R1": 6, "N1": 9}
 
@@ -23,6 +22,17 @@ def test_polys_match_reference_term_counts():
     p = polys_2d()
     for name, n in GOLDEN_TERMS.items():
         assert p[name].term_count() == n, name
+
+
+def test_polys_2d_equals_the_golden_pin():
+    # polys_2d reads the assembled patch; the coefficient lists are written
+    # out only in the test helpers
+    assert polys_2d() == GOLDEN_POLYS
+
+
+def test_named_2d_factors_are_the_paper_polynomials():
+    assert ZN_QUAD == Poly.univariate(ZN, [1, 4, 1])
+    assert ZN_SQUARE_PLUS == Poly.univariate(ZN, [1, 2, 1])
 
 
 def test_s1_and_q2_vanish_at_unit_point():
@@ -76,6 +86,22 @@ def test_tf1d_denominator_factors_as_unit_and_growth_root():
         r = Fraction(-1 - pe, -1 + pe)
         assert rf.denominator.eval(Z=1) == 0
         assert rf.denominator.eval(Z=r) == 0
+
+
+def test_tf1d_reads_the_fem1d_element_table(monkeypatch):
+    # the finite-Pe numerator is dz * 2 Pe * (folded weights), the
+    # denominator the folded stencil (-1-Pe, 2, -1+Pe)
+    pe, dz = Fraction(7, 2), Fraction(1, 4)
+    for scheme, shape in ((Scheme.GALERKIN, [1, 4, 1]), (Scheme.ELEMENT_AVERAGED, [1, 2, 1])):
+        rf = tf_1d(scheme, pe, dz)
+        assert rf.numerator == Poly.univariate("Z", shape) * (2 * pe * dz / sum(shape))
+        assert rf.denominator == Poly.univariate("Z", [-1 - pe, 2, -1 + pe])
+    # an averaged table with Galerkin weights loses the Z = -1 cancellation
+    monkeypatch.setitem(fem1d.ELEMENT_WEIGHTS, Scheme.ELEMENT_AVERAGED,
+                        fem1d.ELEMENT_WEIGHTS[Scheme.GALERKIN])
+    rep = analyze(tf_1d(Scheme.ELEMENT_AVERAGED, math.inf, 1.0))
+    assert rep.classification is Stability.OSCILLATORY_MARGINAL
+    assert not rep.cancelled_pairs
 
 
 def test_tf1d_pe_one_raises_with_unreduced_form():
@@ -133,8 +159,12 @@ def test_analyze_rejects_non_separable():
 # identities
 
 
+def _identity(name):
+    return {r.name: r for r in run_identity_checks()}[name]
+
+
 def test_denominator_identity_exact():
-    rep = verify_identity_denominator()
+    rep = _identity("denominator factorization")
     assert rep.ok
     assert rep.difference is None
 
@@ -162,23 +192,45 @@ def test_averaged_input_loses_the_pe2_numerator_term(monkeypatch):
 
 
 def test_galerkin_numerator_identity_and_cofactor_equality():
-    rep = verify_identity_galerkin_numerator()
+    rep = _identity("consistent-mass numerator factorization")
     assert rep.ok
     assert rep.cofactor == transverse_denominator_poly()
 
 
 def test_n1_factorization_check():
-    assert verify_n1_factorization().ok
+    assert _identity("N1 factorization").ok
 
 
-def test_identity_negative_control_perturbed_n1():
-    polys = polys_2d()
-    polys["N1"] = polys["N1"] + 1
-    reports = run_identity_checks(polys)
-    failed = [r.name for r in reports if not r.ok]
-    assert any("N1" in name or "numerator" in name for name in failed)
-    named = [r for r in reports if r.name == "N1 factorization"][0]
+def perturb_averaged_a_y_weight(monkeypatch):
+    """Make fem2d.exact_patch_rows give the averaged A_y row (N1 = 8 w[1]
+    at Pe = u = 1) one more unit of weight at the centre node."""
+    real = fem2d.exact_patch_rows
+
+    def perturbed(pe, u, scheme, nn=5, nm=5):
+        lhs, w = real(pe, u, scheme, nn, nm)
+        if scheme is Scheme.ELEMENT_AVERAGED:
+            w = {**w, 1: {**w[1], (1, 1): w[1][(1, 1)] + Fraction(1, 8)}}
+        return lhs, w
+
+    monkeypatch.setattr(fem2d, "exact_patch_rows", perturbed)
+
+
+def test_identity_negative_control_perturbed_n1(monkeypatch):
+    perturb_averaged_a_y_weight(monkeypatch)
+    assert polys_2d()["N1"] == GOLDEN_POLYS["N1"] + Poly((ZN, ZM), {(1, 1): 1})
+    reports = run_identity_checks()
+    assert [r.name for r in reports if not r.ok] == ["N1 factorization"]
+    named = reports[-1]
     assert not named.ok and not named.difference.is_zero()
+
+
+def test_identity_checks_extract_the_stencils_once(monkeypatch):
+    calls = []
+    real = fem2d.exact_patch_rows
+    monkeypatch.setattr(fem2d, "exact_patch_rows",
+                        lambda *a, **k: calls.append(a[2]) or real(*a, **k))
+    assert all(r.ok for r in run_identity_checks())
+    assert calls == [Scheme.GALERKIN, Scheme.ELEMENT_AVERAGED]   # one polys_2d
 
 
 def test_denominator_identity_spot_values():
