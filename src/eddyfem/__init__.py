@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 from .core import (  # noqa: F401
     InvalidArgumentError, NumericalFailureError, Material, Mesh1D, Mesh2D,
-    Peclet, RectPulse1D, RectPulse2D, Scheme, SmoothCircle2D,
-    material_for_peclet, peclet_of, sample_profile)
+    RectPulse1D, RectPulse2D, Scheme, SmoothCircle2D, material_for_peclet,
+    peclet_of, sample_profile)
 from .fem1d import (  # noqa: F401
     DiscreteSystem1D, Solution1D, assemble_1d, input_weights,
     peak_spurious_error, reaction_field, rect_pulse_case, solve_1d)

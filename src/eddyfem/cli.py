@@ -30,11 +30,16 @@ from .core import (InvalidArgumentError, Mesh1D, Mesh2D,
 from . import fem1d, fem2d, oracle, ztransfer
 
 MU0 = 4e-7 * math.pi
-# Caps on what a config can make the program allocate: 400 times the shipped 25
-# sweep points, and 25 times the shipped 20 sheet rows per side (a sheet near
-# 10^5 dofs at nz = 33; at air_ratio 1 the air rows grow with air_factor).
+# Caps on what a config can make the program allocate, as multiples of the
+# shipped or benchmarked sizes: 400x the 25 sweep points; 25x the 20 sheet rows
+# per side; 16x the refined sheet's nz = 257 and 3x its 31,611 dofs; 250x the
+# sweep's 40 elements per run; 4x the 232,001 nodes of its refined reference.
 MAX_SWEEP_POINTS = 10_000
 MAX_ROWS_PER_SIDE = 500
+MAX_NZ = 4097
+MAX_DOFS_2D = 100_000
+MAX_NODES_1D = 1_000_000
+MAX_SWEEP_ELEMENTS = 10_000
 
 
 class ConfigError(ValueError):
@@ -215,9 +220,10 @@ def build_1d_case(cfg: ScenarioConfig, pe: float):
     dz = _require(raw, "dz", float, *POSITIVE)
     length = _require(raw, "length", float, lambda v: math.isfinite(v) and v > 2 * dz,
                       "must be finite and longer than two elements")
-    n = length / dz   # > 2, so finite unless it overflowed
-    if not (n < math.inf and math.isclose(n, round(n), rel_tol=1e-9)):
-        raise ConfigError("length", f"must be a whole number of dz elements, got {n:g}")
+    n = length / dz   # > 2
+    if not (n < MAX_NODES_1D and math.isclose(n, round(n), rel_tol=1e-9)):
+        raise ConfigError("length", f"must be a whole number of dz elements, at most "
+                          f"{MAX_NODES_1D - 1}, got {n:g}")
     a = _require(raw, "pulse.a", float)
     b = _require(raw, "pulse.b", float)
     amp = _require(raw, "pulse.amplitude", float, *NONNEGATIVE)
@@ -272,7 +278,7 @@ def build_2d_case(cfg: ScenarioConfig, pe: float):
         b_ext = _require(raw, "field.b_extent", float, *POSITIVE)
         profile = RectPulse2D(a=a, b_extent=b_ext, amplitude=amp)
         axial_width = 2 * a
-    nz = _require(raw, "grid.nz", int, lambda v: v >= 5, "must be >= 5")
+    nz = _require(raw, "grid.nz", int, lambda v: 5 <= v <= MAX_NZ, f"must be from 5 to {MAX_NZ}")
     rows = _require(raw, "grid.conductor_rows", int, lambda v: 2 <= v <= 2 * MAX_ROWS_PER_SIDE,
                     f"must be from 2 to {2 * MAX_ROWS_PER_SIDE}")
     ratio = _require(raw, "grid.air_ratio", float,
@@ -282,9 +288,12 @@ def build_2d_case(cfg: ScenarioConfig, pe: float):
     lz = axial_factor * axial_width
     dz = lz / (nz - 1)
     heights, mid = graded_sheet_rows(d, rows, air_factor, ratio)
+    ny = len(heights) + 1
+    if 3 * ny * nz > MAX_DOFS_2D:
+        raise ConfigError("grid.nz", f"{ny} x {nz} nodes: {3 * ny * nz} dofs, over {MAX_DOFS_2D}")
     # place the y = 0 node exactly: y0 is minus the cumulative height below it
     y0 = -float(np.cumsum(heights)[mid - 1])
-    mesh = Mesh2D(nz=nz, ny=len(heights) + 1, dz=dz, row_heights=heights,
+    mesh = Mesh2D(nz=nz, ny=ny, dz=dz, row_heights=heights,
                   z0=-lz / 2, y0=y0)
     material = material_for_peclet(pe, dz, sigma=sigma, mu=mu_r * MU0)
     regions = fem2d.RegionMap2D.conducting_band(mesh, d)
@@ -385,6 +394,13 @@ def run_2d(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
     return record
 
 
+def reference_mesh(mesh: Mesh1D, pe: float, reference_pe: float = 0.5) -> Mesh1D:
+    """The refined Galerkin reference of measured_peak_errors: each element
+    of ``mesh`` split until its Pe is at most reference_pe (no arrays built)."""
+    refine = max(1, math.ceil(pe / reference_pe))
+    return Mesh1D.from_node_count(mesh.dz / refine, mesh.element_count * refine + 1)
+
+
 def measured_peak_errors(pe: float, dz: float, m_b: int, m_c: int, m_d: int,
                          schemes: Sequence[Scheme], amplitude: float = 1.0,
                          reference_pe: float = 0.5) -> Dict[Scheme, float]:
@@ -398,8 +414,7 @@ def measured_peak_errors(pe: float, dz: float, m_b: int, m_c: int, m_d: int,
     pole-zero cancellation shows up.
     """
     mesh, material, profile = fem1d.rect_pulse_case(pe, dz, m_b, m_c, m_d, amplitude)
-    refine = max(1, math.ceil(pe / reference_pe))
-    fine_mesh = Mesh1D.from_node_count(dz / refine, (mesh.node_count - 1) * refine + 1)
+    fine_mesh = reference_mesh(mesh, pe, reference_pe)
     fine = fem1d.solve_1d(fem1d.assemble_1d(fine_mesh, material, profile, Scheme.GALERKIN))
 
     z_lo, z_hi = (m_b + 3) * dz, (m_b + 3 + m_c) * dz
@@ -429,10 +444,18 @@ def sweep_error(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
     out_dir.mkdir(parents=True, exist_ok=True)
     raw = cfg.raw
     dz = _require(raw, "dz", float, *POSITIVE)
-    m_b = _require(raw, "upstream_elements", int, lambda v: v >= 1, "must be >= 1", 40)
-    m_c = _require(raw, "plateau_elements", int, lambda v: v >= 1, "must be >= 1", 30)
-    m_d = _require(raw, "downstream_elements", int, lambda v: v >= 1, "must be >= 1", 40)
+    elements = (lambda v: 1 <= v <= MAX_SWEEP_ELEMENTS, f"must be from 1 to {MAX_SWEEP_ELEMENTS}")
+    m_b = _require(raw, "upstream_elements", int, *elements, 40)
+    m_c = _require(raw, "plateau_elements", int, *elements, 30)
+    m_d = _require(raw, "downstream_elements", int, *elements, 40)
     amp = _require(raw, "amplitude", float, *POSITIVE, 1.0)
+    top = max(cfg.pe_values)   # the sweep's largest mesh is the reference at the top Pe
+    if top > 1.0:
+        coarse = fem1d.rect_pulse_case(top, dz, m_b, m_c, m_d, amp)[0]
+        nodes = reference_mesh(coarse, top).node_count
+        if nodes > MAX_NODES_1D:
+            raise ConfigError("pe" if "pe" in raw else "pe_sweep", f"the reference mesh at "
+                              f"Pe = {top:g} needs {nodes} nodes, over {MAX_NODES_1D}")
     record = RunRecord(config_hash=cfg.hash())
     rows = []
     t0 = time.perf_counter()

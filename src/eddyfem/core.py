@@ -34,9 +34,9 @@ class Scheme(enum.Enum):
 class Material:
     """Conductor properties and rectilinear velocity.
 
-    sigma : electrical conductivity (S/m), > 0
-    mu    : magnetic permeability (H/m), > 0
-    u_z   : conductor velocity along z (m/s), >= 0
+    sigma : electrical conductivity (S/m), finite and > 0
+    mu    : magnetic permeability (H/m), finite and > 0
+    u_z   : conductor velocity along z (m/s), finite and >= 0
     """
 
     sigma: float
@@ -44,33 +44,19 @@ class Material:
     u_z: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise InvalidArgumentError(f"sigma must be > 0, got {self.sigma}")
-        if not self.mu > 0:
-            raise InvalidArgumentError(f"mu must be > 0, got {self.mu}")
-        if self.u_z < 0:
-            raise InvalidArgumentError(f"u_z must be >= 0, got {self.u_z}")
+        if not 0 < self.sigma < math.inf:
+            raise InvalidArgumentError(f"sigma must be finite and > 0, got {self.sigma}")
+        if not 0 < self.mu < math.inf:
+            raise InvalidArgumentError(f"mu must be finite and > 0, got {self.mu}")
+        if not 0 <= self.u_z < math.inf:
+            raise InvalidArgumentError(f"u_z must be finite and >= 0, got {self.u_z}")
 
 
-@dataclass(frozen=True)
-class Peclet:
-    """Dimensionless convective/diffusive strength per element."""
-
-    value: float
-
-    def __post_init__(self):
-        if self.value < 0 or math.isnan(self.value):
-            raise InvalidArgumentError(f"Peclet value must be >= 0, got {self.value}")
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def peclet_of(material: Material, dz: float) -> Peclet:
+def peclet_of(material: Material, dz: float) -> float:
     """Peclet number mu*sigma*|u_z|*dz/2 for element length dz."""
     if not dz > 0:
         raise InvalidArgumentError(f"dz must be > 0, got {dz}")
-    return Peclet(material.mu * material.sigma * abs(material.u_z) * dz / 2.0)
+    return material.mu * material.sigma * abs(material.u_z) * dz / 2.0
 
 
 def material_for_peclet(pe: float, dz: float, sigma: float = 1.0, mu: float = 1.0) -> Material:

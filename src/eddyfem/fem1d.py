@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import (InvalidArgumentError, Mesh1D, Material, NumericalFailureError,
-                   Peclet, RectPulse1D, Scheme, material_for_peclet, peclet_of)
+                   RectPulse1D, Scheme, material_for_peclet, peclet_of)
 
 RESIDUAL_RTOL = 1e-10
 
@@ -92,7 +92,7 @@ def assemble_1d(mesh: Mesh1D, material: Material, profile, scheme: Scheme) -> Di
     element by their mean before integrating the load, which is what folds
     the (Z+1) factor into the discrete input.
     """
-    pe = peclet_of(material, mesh.dz).value
+    pe = peclet_of(material, mesh.dz)
     z = mesh.nodes()
     try:
         bn = np.asarray(profile.sample(z), dtype=float)
@@ -181,10 +181,9 @@ def rect_pulse_case(pe, dz: float, m_b: int, m_c: int, m_d: int,
     bounds are inset by half an element so node membership is immune to
     floating-point placement of the node coordinates.
     """
-    pe_v = pe.value if isinstance(pe, Peclet) else float(pe)
     n = m_b + m_c + m_d + 7
     mesh = Mesh1D.from_node_count(dz, n)
-    material = material_for_peclet(pe_v, dz, sigma=sigma, mu=mu)
+    material = material_for_peclet(float(pe), dz, sigma=sigma, mu=mu)
     lo, hi = m_b + 2, m_b + m_c + 4
     profile = RectPulse1D(a=(lo - 0.5) * dz, b=(hi + 0.5) * dz, amplitude=amplitude)
     return mesh, material, profile

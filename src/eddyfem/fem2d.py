@@ -17,10 +17,12 @@ the outflow column keeps its natural rows; phi is pinned to zero at one
 node on the y = 0 row to fix its additive constant.
 
 The elemental blocks are computed in the arithmetic of their inputs, and
-one table (BLOCK_TABLE) says how they combine into the coupled blocks, so
-the same code produces exact Fraction-valued patches for the stencil tests
-and the float production assembly. assemble_2d builds every element's
-entries in one vectorized pass over the whole mesh.
+two tables say how they combine: BLOCK_TABLE into the coupled matrix
+blocks, LOAD_TABLE into the loads of the right-hand side. The float
+production assembly reads both, and exact_patch_rows folds the same element
+rows into the exact Fraction-valued interior stencils that the certificates
+read. assemble_2d builds every element's entries in one vectorized pass
+over the whole mesh.
 
 The block order (phi, A_y, A_z) of DiscreteSystem2D and Solution2D is the
 public contract. solve_2d factors the system as a banded LU (LAPACK
@@ -160,19 +162,34 @@ BLOCK_TABLE = (
 )
 
 
+# The loaded rows of the element, one entry per row field: the load is
+# sign * (product of the named factors, as in BLOCK_TABLE) * the scheme's
+# elemental load. A 4x4 load weighs the element's corner samples of the
+# input, a 4-vector load weighs their mean (the element-averaged input that
+# plants the (Z_n+1) factor). rhs_2d and exact_patch_rows both read this table.
+LOAD_TABLE = (
+    (1, 1, ("musig", "u"), {Scheme.GALERKIN: "mass", Scheme.ELEMENT_AVERAGED: "int_n"}),
+    (0, -1, ("flag", "u"), {Scheme.GALERKIN: "gy0", Scheme.ELEMENT_AVERAGED: "int_ny"}),
+)
+
+
+def _coef(sign, names, factors):
+    return math.prod((factors[f] for f in names), start=sign)
+
+
 def _coupled_blocks(blocks, factors):
     """The BLOCK_TABLE blocks, in table order, from elemental blocks and
     factor values given as scalars or arrays that broadcast together."""
     def term(sign, names, block):
-        return math.prod((factors[f] for f in names), start=sign) * blocks[block]
+        return _coef(sign, names, factors) * blocks[block]
     return [sum((term(*t) for t in terms[1:]), term(*terms[0])) for _, _, terms in BLOCK_TABLE]
 
 
-def _mesh_rows(mesh: Mesh2D, regions: RegionMap2D):
+def _mesh_rows(mesh: Mesh2D, material: Material, regions: RegionMap2D):
     """What the matrix and the right-hand side share: the elemental blocks
-    of every mesh row (computed once per distinct row height), the row
-    flags, the corner nodes of every element as (row, corner, element) and
-    the Dirichlet mask over the block-ordered dofs."""
+    of every mesh row (computed once per distinct row height), the table
+    factors per row, the corner nodes of every element as (row, corner,
+    element) and the Dirichlet mask over the block-ordered dofs."""
     if len(regions.row_multipliers) != mesh.ny - 1:
         raise InvalidArgumentError("region map does not match the mesh rows")
     ny, nz, dz = mesh.ny, mesh.nz, mesh.dz
@@ -183,7 +200,8 @@ def _mesh_rows(mesh: Mesh2D, regions: RegionMap2D):
     per_height = [elemental_blocks(dz, dy) for dy in dys]
     blk = {k: np.array([b[k] for b in per_height], dtype=float)[row_kind]
            for k in per_height[0]}
-    flag = np.asarray(regions.row_multipliers)
+    flag = np.asarray(regions.row_multipliers)[:, None, None]
+    factors = {"flag": flag, "u": material.u_z, "musig": material.mu * material.sigma * flag}
     # int32 indices: a mesh of 2**31 / 3 nodes could never be factored
     local = np.array([0, 1, nz, nz + 1], dtype=np.int32)   # element corner offsets
     nodes = ((np.arange(ny - 1, dtype=np.int32)[:, None] * nz + local)[..., None]
@@ -197,7 +215,7 @@ def _mesh_rows(mesh: Mesh2D, regions: RegionMap2D):
     fixed = np.zeros(3 * m_count, dtype=bool)
     fixed[m_count + edge] = fixed[2 * m_count + edge] = True
     fixed[int(np.argmin(np.abs(mesh.node_y()))) * nz] = True
-    return blk, flag, nodes, fixed
+    return blk, factors, nodes, fixed
 
 
 def assemble_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
@@ -212,7 +230,7 @@ def assemble_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
     on the scheme; the right-hand side is rhs_2d's.
     """
     rhs = rhs_2d(mesh, material, regions, profile, scheme)
-    blk, flag, nodes, fixed = _mesh_rows(mesh, regions)
+    blk, factors, nodes, fixed = _mesh_rows(mesh, material, regions)
     nz, m_count = mesh.nz, mesh.node_count
     fixed_dofs = np.flatnonzero(fixed).astype(np.int32)
 
@@ -220,9 +238,7 @@ def assemble_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
     # row's elements. A run lies on one node row, so its rows are either
     # all fixed (a y edge; its second entry is never on the inlet column)
     # or at most its first is (the inlet column)
-    musig = material.mu * material.sigma * flag
-    per_row = {"flag": flag[:, None, None], "u": material.u_z, "musig": musig[:, None, None]}
-    vals = np.stack(_coupled_blocks(blk, per_row), axis=1)   # (row, block, i, j)
+    vals = np.stack(_coupled_blocks(blk, factors), axis=1)   # (row, block, i, j)
     ne = np.arange(nz - 1, dtype=np.int32)
     r, k, i, j = np.nonzero(vals)
     fields = np.array([spec[:2] for spec in BLOCK_TABLE], dtype=np.int32)
@@ -246,26 +262,19 @@ def rhs_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
     """The right-hand side of assemble_2d alone, bit for bit: the only part
     of the system that depends on the scheme. Summed per dof in (row,
     corner, element) order like the matrix entries."""
-    blk, flag, nodes, fixed = _mesh_rows(mesh, regions)
+    blk, factors, nodes, fixed = _mesh_rows(mesh, material, regions)
     bn = np.asarray(profile.sample(*np.meshgrid(mesh.node_z(), mesh.node_y())), dtype=float)
     if bn.shape != (mesh.ny, mesh.nz):
         raise InvalidArgumentError("profile samples do not match the mesh nodes")
-    m_count, u = mesh.node_count, material.u_z
     corners = np.stack([bn[:-1, :-1], bn[:-1, 1:], bn[1:, :-1], bn[1:, 1:]], axis=1)
-    ay_coef = (material.mu * material.sigma * flag * u)[:, None]
-    ph_coef = (-flag * u)[:, None]
-    if scheme is Scheme.GALERKIN:
-        # one corner-weight row against the element's corner samples
-        weigh = lambda w: (w[:, :, None, :] @ corners[:, None])[:, :, 0]
-        ay = ay_coef[..., None] * weigh(blk["mass"])
-        ph = ph_coef[..., None] * weigh(blk["gy0"])
-    else:
-        mean = corners.mean(axis=1)[:, None]
-        ay = (ay_coef * blk["int_n"])[..., None] * mean
-        ph = (ph_coef * blk["int_ny"])[..., None] * mean
-    rhs = np.zeros(3 * m_count)
-    np.add.at(rhs, m_count + nodes, ay)
-    np.add.at(rhs, nodes, ph)
+    rhs = np.zeros(3 * mesh.node_count)
+    for field, sign, names, loads in LOAD_TABLE:
+        coef, w = _coef(sign, names, factors), blk[loads[scheme]]
+        if w.ndim == 3:   # a 4x4 load per mesh row: weigh the corner samples
+            load = coef * (w[:, :, None, :] @ corners[:, None])[:, :, 0]
+        else:
+            load = (coef * w[..., None]) * corners.mean(axis=1)[:, None]
+        np.add.at(rhs, field * mesh.node_count + nodes, load)
     rhs[fixed] = 0.0
     return rhs
 
@@ -469,9 +478,10 @@ def oscillation_metric(trace, amplitude: float) -> float:
 # exact interior-row extraction (stencil-equivalence checks)
 
 
-def exact_patch_rows(pe, u, scheme: Scheme, nn: int = 5, nm: int = 5):
-    """Assemble a uniform all-conductor nn x nm patch with unit spacing in
-    exact rational arithmetic and return the interior-node row stencils.
+def exact_patch_rows(pe, u, scheme: Scheme):
+    """The interior-node row stencils of a uniform all-conductor mesh with
+    unit spacing, in exact rational arithmetic, folded from the BLOCK_TABLE
+    and LOAD_TABLE rows of the four elements around the node.
 
     Returns (lhs, rhs_weights): lhs maps (row_field, col_field) to
     {(i+1, j+1): coeff} stencil dictionaries keyed like the Z_n/Z_m
@@ -481,38 +491,22 @@ def exact_patch_rows(pe, u, scheme: Scheme, nn: int = 5, nm: int = 5):
     from fractions import Fraction
 
     pe, u, one = Fraction(pe), Fraction(u), Fraction(1)
-    musig = 2 * pe / u
+    factors = {"flag": one, "u": u, "musig": 2 * pe / u}
     blk = elemental_blocks(one, one)
-    coupled = _coupled_blocks(blk, {"flag": one, "u": u, "musig": musig})
+    lhs = dict(zip((spec[:2] for spec in BLOCK_TABLE), _coupled_blocks(blk, factors)))
+    # a load that weighs the corner mean weighs each corner by a quarter
+    corner_weights = lambda w: w if w.ndim == 2 else np.multiply.outer(w, np.full(4, one / 4))
+    rhs_w = {field: _coef(sign, names, factors) * corner_weights(blk[loads[scheme]])
+             for field, sign, names, loads in LOAD_TABLE}
 
-    n0 = (nn // 2, nm // 2)
-    nid = lambda n, m: m * nn + n
-    center = nid(*n0)
-    lhs: Dict[Tuple[int, int], Dict[Tuple[int, int], Fraction]] = {}
-    rhs_w: Dict[int, Dict[Tuple[int, int], Fraction]] = {0: {}, 1: {}}
+    def fold(rows):
+        # the node is corner i = 2*iy + iz of one element around it, whose
+        # corner j = 2*jy + jz sits at stencil offset (1 + jz - iz, 1 + jy - iy)
+        stencil = {}
+        for (i, j), w in np.ndenumerate(rows):
+            (iy, iz), (jy, jz) = divmod(i, 2), divmod(j, 2)
+            off = (1 + jz - iz, 1 + jy - iy)
+            stencil[off] = stencil.get(off, 0) + w
+        return {o: w for o, w in stencil.items() if w != 0}
 
-    def put(stencil, gj, w):
-        if w == 0:
-            return
-        m, n = divmod(gj, nn)
-        off = (n - n0[0] + 1, m - n0[1] + 1)
-        stencil[off] = stencil.get(off, Fraction(0)) + w
-
-    for me in range(nm - 1):
-        for ne in range(nn - 1):
-            nodes = [nid(ne, me), nid(ne + 1, me), nid(ne, me + 1), nid(ne + 1, me + 1)]
-            for i in range(4):
-                if nodes[i] != center:
-                    continue
-                for j in range(4):
-                    for (rf, cf, _), b in zip(BLOCK_TABLE, coupled):
-                        put(lhs.setdefault((rf, cf), {}), nodes[j], b[i, j])
-                    if scheme is Scheme.GALERKIN:
-                        put(rhs_w[1], nodes[j], musig * u * blk["mass"][i][j])
-                        put(rhs_w[0], nodes[j], -u * blk["gy0"][i][j])
-                    else:
-                        put(rhs_w[1], nodes[j], musig * u * blk["int_n"][i] * Fraction(1, 4))
-                        put(rhs_w[0], nodes[j], -u * blk["int_ny"][i] * Fraction(1, 4))
-    lhs = {k: {o: w for o, w in d.items() if w != 0} for k, d in lhs.items()}
-    rhs_w = {k: {o: w for o, w in d.items() if w != 0} for k, d in rhs_w.items()}
-    return lhs, rhs_w
+    return ({k: fold(b) for k, b in lhs.items()}, {k: fold(b) for k, b in rhs_w.items()})

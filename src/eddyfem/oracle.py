@@ -23,17 +23,13 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from .core import InvalidArgumentError, Peclet, Scheme
+from .core import InvalidArgumentError, Scheme
 
 TRANSITION_SPAN = 3  # elements spanned by each input transition
 
 
 class OutOfValidityError(ValueError):
     """Closed form requires Pe > 1 (r well-defined with |r| > 1)."""
-
-
-def _pe_value(pe) -> float:
-    return pe.value if isinstance(pe, Peclet) else float(pe)
 
 
 def _particulars(scheme: Scheme, r: float, lam: float) -> Tuple[Callable, Callable]:
@@ -172,7 +168,7 @@ def growth_ratio(pe: float) -> float:
 def analytic_solve(pe, dz: float, amplitude: float, m_b: int, m_c: int, m_d: int,
                    scheme: Scheme) -> AnalyticSolution:
     """Closed-form nodal solution for the rectangular-pulse scenario."""
-    pev = _pe_value(pe)
+    pev = float(pe)
     if pev <= 1.0:
         raise OutOfValidityError(f"closed form requires Pe > 1, got {pev}")
     if not dz > 0:
@@ -192,7 +188,7 @@ def peak_error(scheme: Scheme, pe, amplitude: float) -> float:
     Both formulas vanish at Pe = 1, the edge of their validity range. An
     exact Fraction Pe gives an exact value; any other Pe is read as a float.
     """
-    pev = pe if isinstance(pe, Fraction) else _pe_value(pe)
+    pev = pe if isinstance(pe, Fraction) else float(pe)
     if pev < 1:
         raise OutOfValidityError(f"peak-error formulas require Pe >= 1, got {pev}")
     if scheme is Scheme.ELEMENT_AVERAGED:

@@ -6,7 +6,8 @@ peak-error bound.
 
 Every stencil and input weight here is read from the tables the float
 assembly reads: tf_1d from the fem1d element table, tf_2d and polys_2d
-from fem2d.exact_patch_rows, which assembles fem2d.BLOCK_TABLE exactly.
+from fem2d.exact_patch_rows, which folds fem2d.BLOCK_TABLE and
+fem2d.LOAD_TABLE exactly.
 
 Everything here is exact-rational (see zpoly); numeric root-finding happens
 only after exact GCD reduction, so a reported cancellation can never be a
@@ -21,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import fem1d, fem2d, oracle
-from .core import Peclet, Scheme
+from .core import Scheme
 from .zpoly import (InexactDivisionError, Poly, RationalFunction,
                     gcd_univariate, roots_univariate, separate)
 
@@ -47,7 +48,6 @@ class UnsupportedStructureError(ValueError):
 
 def _pe_fraction(pe) -> Optional[Fraction]:
     """Exact rational Peclet value; None encodes the high-Pe limit."""
-    pe = pe.value if isinstance(pe, Peclet) else pe
     return None if pe is None or pe == math.inf else Fraction(pe)
 
 
@@ -61,7 +61,7 @@ def polys_2d() -> Dict[str, Poly]:
     0 = phi, 1 = A_y, 2 = A_z): S1 Laplacian; Q2, Q1 z- and y-derivative; S2
     yz cross-derivative; S3 y-stiffness; M1 consistent-mass load; N1, R1
     element-averaged loads. Exponents are (power of Z_n, power of Z_m)."""
-    (lhs, w_g), (_, w_a) = (fem2d.exact_patch_rows(1, 1, s, nn=3, nm=3)
+    (lhs, w_g), (_, w_a) = (fem2d.exact_patch_rows(1, 1, s)
                             for s in (Scheme.GALERKIN, Scheme.ELEMENT_AVERAGED))
     named = {"S1": (-3, lhs[2, 2]), "Q2": (6, lhs[2, 0]), "S2": (4, lhs[0, 1]),
              "S3": (-6, lhs[0, 2]), "Q1": (6, lhs[1, 0]),
@@ -101,7 +101,7 @@ def tf_1d(scheme: Scheme, pe, dz) -> RationalFunction:
     """Exact 1D transfer function from input flux density to nodal potential,
     built from the interior row of the fem1d element table.
 
-    ``pe`` may be a Peclet, a number, ``math.inf`` or None; the last two
+    ``pe`` may be a number, ``math.inf`` or None; the last two
     select the high-Pe limit, the leading Pe coefficients of numerator and
     denominator. The denominator is the unnormalized stencil polynomial,
     whose roots are 1 and the growth ratio r = (-1-Pe)/(-1+Pe).
@@ -342,14 +342,15 @@ def tf_2d(scheme: Scheme) -> TransferFunction2D:
     3x3 interior-stencil matrix A of the coupled (phi, A_y, A_z) rows.
 
     A and the input weights come from fem2d.exact_patch_rows, which reads
-    the BLOCK_TABLE of the production assembly (unit spacing, u = 1). The
+    the BLOCK_TABLE and LOAD_TABLE of the production assembly (unit
+    spacing, u = 1). The
     denominator is det A, the numerator det A with its A_y column replaced
     by the input-weight stencils. Galerkin keeps the oscillatory Z_n = -1
     pole; the element-averaged input cancels it.
     """
     dets, nums = [], []
     for pe in _PE_SAMPLES:
-        lhs, weights = fem2d.exact_patch_rows(pe, 1, scheme, nn=3, nm=3)
+        lhs, weights = fem2d.exact_patch_rows(pe, 1, scheme)
         a = [[Poly(_BIVAR, lhs.get((r, c), {})) for c in range(3)] for r in range(3)]
         b = [Poly(_BIVAR, weights.get(r, {})) for r in range(3)]
         # cofactors of the A_y column, shared by det A and the numerator

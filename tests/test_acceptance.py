@@ -198,7 +198,7 @@ def test_criterion_6_stencil_consistency():
     pe, u = Fraction(7, 2), Fraction(3)
     exact_ok = True
     for scheme in Scheme:
-        lhs, rhs_w = exact_patch_rows(pe, u, scheme, nn=5, nm=5)
+        lhs, rhs_w = exact_patch_rows(pe, u, scheme)
         exp_l = expected_lhs_stencils(pe, u)
         exp_r = expected_rhs_stencils(pe, u, scheme)
         exact_ok = exact_ok and lhs == exp_l and rhs_w == exp_r

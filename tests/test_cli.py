@@ -73,7 +73,7 @@ BAD_2D_VALUES = [
     ("sheet.mu_r", 0.0), ("sheet.mu_r", math.nan), ("sheet.air_factor", math.nan),
     ("sheet.air_factor", -1.0), ("sheet.air_factor", math.inf), ("grid.air_ratio", "1.3"),
     ("sheet.thickness", math.inf), ("field.radius", math.inf), ("field.amplitude", math.inf),
-    ("grid.conductor_rows", 2 * cli.MAX_ROWS_PER_SIDE + 2),
+    ("grid.conductor_rows", 2 * cli.MAX_ROWS_PER_SIDE + 2), ("grid.nz", cli.MAX_NZ + 1),
 ]
 
 
@@ -174,6 +174,65 @@ def test_length_must_be_a_whole_number_of_elements():
     raw = json.loads((CONFIG_DIR / "fig_pulse1d_pe2000.json").read_text())
     mesh, _, _ = build_1d_case(ScenarioConfig.from_dict(raw), 2000.0)
     assert mesh.node_count == 51
+
+
+def _no_assembly(*args):
+    raise AssertionError("assembly reached with an oversized mesh")
+
+
+@pytest.mark.parametrize("config, path, value, field", [
+    ("sheet2d_circle.json", "grid.nz", cli.MAX_NZ + 1, "grid.nz"),
+    ("sheet2d_circle.json", "grid.nz", 814, "grid.nz"),   # 41 node rows: 100,122 dofs
+    ("fig_pulse1d_pe2.json", "length", 1e9, "length"),    # 4e9 elements of dz = 0.25
+    ("sweep_peak_error.json", "upstream_elements", cli.MAX_SWEEP_ELEMENTS + 1,
+     "upstream_elements"),
+    ("sweep_peak_error.json", "plateau_elements", cli.MAX_SWEEP_ELEMENTS + 1, "plateau_elements"),
+    ("sweep_peak_error.json", "downstream_elements", 10 ** 12, "downstream_elements"),
+    # the refined reference has 116 * ceil(Pe / 0.5) + 1 nodes: 232,000,001 at Pe = 1e6
+    ("sweep_peak_error.json", "pe_sweep.hi", 1e6, "pe_sweep"),
+    ("sweep_peak_error.json", "pe_sweep.include", [5000.0], "pe_sweep"),
+    ("sweep_peak_error.json", "pe", [2.0, 5000.0], "pe")])
+def test_mesh_size_caps_exit_2_before_any_assembly(tmp_path, capsys, monkeypatch, config, path,
+                                                   value, field):
+    monkeypatch.setattr(fem1d, "assemble_1d", _no_assembly)
+    monkeypatch.setattr(fem2d, "assemble_2d", _no_assembly)
+    raw = _with(json.loads((CONFIG_DIR / config).read_text()), path, value)
+    if path == "pe":   # ascending, so a cap checked per point would solve Pe = 2 first
+        del raw["pe_sweep"]
+    raw["svg"] = False
+    command = {"sheet2d_circle.json": "run-2d", "fig_pulse1d_pe2.json": "run-1d",
+               "sweep_peak_error.json": "sweep-error"}[config]
+    code, err = _exit_code_and_err(tmp_path, capsys, raw, command)
+    assert code == 2 and f"'{field}'" in err
+
+
+def test_mesh_size_caps_admit_the_shipped_and_benchmarked_sizes():
+    sheet = lambda: json.loads((CONFIG_DIR / "sheet2d_circle.json").read_text())
+    for nz, dofs in ((33, 4059), (257, 31_611), (813, 99_999)):   # 257: the refined sheet
+        mesh = build_2d_case(ScenarioConfig.from_dict(_with(sheet(), "grid.nz", nz)), 2.0)[0]
+        assert 3 * mesh.node_count == dofs
+    thin = _with(_with(sheet(), "grid.conductor_rows", 2), "sheet.air_factor", 0.0)
+    mesh = build_2d_case(ScenarioConfig.from_dict(_with(thin, "grid.nz", cli.MAX_NZ)), 2.0)[0]
+    assert mesh.ny == 3
+    pulse = json.loads((CONFIG_DIR / "fig_pulse1d_pe2.json").read_text())
+    longest = dict(pulse, length=pulse["dz"] * (cli.MAX_NODES_1D - 1))
+    assert build_1d_case(ScenarioConfig.from_dict(longest), 2.0)[0].node_count == cli.MAX_NODES_1D
+    with pytest.raises(ConfigError, match="at most"):
+        build_1d_case(ScenarioConfig.from_dict(dict(pulse, length=pulse["dz"] * cli.MAX_NODES_1D)),
+                      2.0)
+    # the shipped sweep's largest mesh, the reference at Pe = 1000
+    coarse = fem1d.rect_pulse_case(1000.0, 0.2, 40, 30, 40)[0]
+    assert cli.reference_mesh(coarse, 1000.0).node_count == 232_001 <= cli.MAX_NODES_1D
+
+
+def test_overflowing_velocity_exits_2(tmp_path, capsys, monkeypatch):
+    # 2 * Pe / (mu * sigma * dz) overflows to an infinite velocity, which
+    # used to reach the solver and end in a traceback
+    monkeypatch.setattr(fem1d, "assemble_1d", _no_assembly)
+    raw = _with(json.loads((CONFIG_DIR / "fig_pulse1d_pe2.json").read_text()),
+                "material.sigma", 1e-308)
+    code, err = _exit_code_and_err(tmp_path, capsys, raw)
+    assert code == 2 and "u_z must be finite" in err
 
 
 def test_graded_sheet_rows_are_capped():
@@ -326,7 +385,7 @@ def test_build_2d_case_grid_layout():
     assert sum(regions.row_multipliers) == 8         # conductor rows
     assert mesh.node_z()[0] == pytest.approx(-7.8)   # 6x field width, centered
     from eddyfem.core import peclet_of
-    assert peclet_of(material, mesh.dz).value == pytest.approx(2.0, rel=1e-12)
+    assert peclet_of(material, mesh.dz) == pytest.approx(2.0, rel=1e-12)
     assert ys[-1] - ys[0] == pytest.approx(11 * 1.3, rel=1e-9)  # d + 2*5d
 
 
@@ -405,8 +464,8 @@ def test_verify_reads_the_assembly_stencils(monkeypatch):
     # must follow the stencils the assembly reads, not polys_2d
     real = fem2d.exact_patch_rows
 
-    def galerkin_weights(pe, u, scheme, nn=5, nm=5):
-        return real(pe, u, scheme, nn, nm)[0], real(pe, u, Scheme.GALERKIN, nn, nm)[1]
+    def galerkin_weights(pe, u, scheme):
+        return real(pe, u, scheme)[0], real(pe, u, Scheme.GALERKIN)[1]
 
     monkeypatch.setattr(fem2d, "exact_patch_rows", galerkin_weights)
     assert tf_2d(Scheme.ELEMENT_AVERAGED).has_zn_pole(-1)

@@ -1,11 +1,12 @@
-"""Property test of the 1D config validation: any JSON-like config dict,
-run through ScenarioConfig.from_dict and build_1d_case with no solve,
-either builds a case or raises ConfigError / InvalidArgumentError."""
+"""Property tests of the 1D and 2D config validation: any JSON-like config
+dict, run through ScenarioConfig.from_dict and build_1d_case or
+build_2d_case with no assembly, either builds a case or raises ConfigError /
+InvalidArgumentError."""
 import math
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from eddyfem.cli import ConfigError, ScenarioConfig, build_1d_case
+from eddyfem.cli import ConfigError, ScenarioConfig, build_1d_case, build_2d_case
 from eddyfem.core import InvalidArgumentError
 
 JUNK = st.one_of(
@@ -22,6 +23,10 @@ PATHS = ["dimension", "scheme", "pe", "pe.0", "pe_sweep", "pe_sweep.lo", "pe_swe
          "pe_sweep.points", "pe_sweep.include", "pe_sweep.include.0", "dz", "length",
          "pulse", "pulse.a", "pulse.b", "pulse.amplitude", "material", "material.sigma",
          "material.mu"]
+PATHS_2D = ["dimension", "scheme", "pe", "pe.0", "sheet", "sheet.thickness", "sheet.sigma",
+            "sheet.mu_r", "sheet.air_factor", "field", "field.kind", "field.amplitude",
+            "field.radius", "field.a", "field.b_extent", "grid", "grid.nz",
+            "grid.conductor_rows", "grid.air_ratio", "grid.axial_factor"]
 
 
 def _put(raw, path, value):
@@ -58,12 +63,44 @@ def configs(draw):
     return raw
 
 
-@settings(max_examples=200, deadline=1000, suppress_health_check=[HealthCheck.too_slow])
-@given(configs())
-def test_1d_configs_build_or_raise_config_errors(raw):
+@st.composite
+def configs_2d(draw):
+    """A 2D sheet config, with grid sizes, row counts and grading that
+    often reach past their caps, and up to two fields replaced by junk."""
+    kind = draw(st.sampled_from(["smooth_circle", "rect_pulse"]))
+    shape = ({"radius": draw(SIZES)} if kind == "smooth_circle"
+             else {"a": draw(SIZES), "b_extent": draw(SIZES)})
+    raw = {"dimension": 2, "scheme": draw(st.sampled_from(["galerkin", "averaged", "both"])),
+           "pe": draw(st.lists(PE, min_size=1, max_size=3)),
+           "sheet": {"thickness": draw(SIZES), "sigma": draw(st.floats(1e-3, 1e8)),
+                     "mu_r": draw(SIZES), "air_factor": draw(st.floats(0, 20))},
+           "field": {"kind": kind, "amplitude": draw(st.floats(0, 5)), **shape},
+           "grid": {"nz": draw(st.one_of(st.integers(5, 100), st.integers(0, 6000))),
+                    "conductor_rows": draw(st.one_of(st.integers(1, 10).map(lambda n: 2 * n),
+                                                     st.integers(0, 1100))),
+                    "air_ratio": draw(st.one_of(st.floats(1.05, 3), st.floats(0.5, 3))),
+                    "axial_factor": draw(SIZES)}}
+    for path in draw(st.lists(st.sampled_from(PATHS_2D), max_size=2)):
+        _put(raw, path, draw(JUNK))
+    return raw
+
+
+def _build_or_raise(raw, build):
     try:
         cfg = ScenarioConfig.from_dict(raw)
         for pe in cfg.pe_values:
-            build_1d_case(cfg, pe)
+            build(cfg, pe)
     except (ConfigError, InvalidArgumentError):
         pass
+
+
+@settings(max_examples=200, deadline=1000, suppress_health_check=[HealthCheck.too_slow])
+@given(configs())
+def test_1d_configs_build_or_raise_config_errors(raw):
+    _build_or_raise(raw, build_1d_case)
+
+
+@settings(max_examples=120, deadline=1000, suppress_health_check=[HealthCheck.too_slow])
+@given(configs_2d())
+def test_2d_configs_build_or_raise_config_errors(raw):
+    _build_or_raise(raw, build_2d_case)

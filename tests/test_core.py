@@ -12,18 +12,19 @@ from eddyfem.core import (InvalidArgumentError, Material, Mesh1D, Mesh2D,
 def test_peclet_high_speed_case():
     # mu*sigma*u = 20000 per m, dz = 0.2 -> Pe = 2000
     mat = Material(sigma=20000.0, mu=1.0, u_z=1.0)
-    assert peclet_of(mat, 0.2).value == pytest.approx(2000.0, rel=1e-14)
+    assert peclet_of(mat, 0.2) == pytest.approx(2000.0, rel=1e-14)
+    assert type(peclet_of(mat, 0.2)) is float
 
 
 def test_peclet_zero_velocity():
     mat = Material(sigma=5.0, mu=2.0, u_z=0.0)
-    assert peclet_of(mat, 0.7).value == 0.0
+    assert peclet_of(mat, 0.7) == 0.0
 
 
 def test_peclet_moderate_case():
     # mu*sigma*u = 16 per m, dz = 0.25 -> Pe = 2
     mat = Material(sigma=4.0, mu=2.0, u_z=2.0)
-    assert peclet_of(mat, 0.25).value == pytest.approx(2.0, rel=1e-14)
+    assert peclet_of(mat, 0.25) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_peclet_rejects_bad_dz():
@@ -37,20 +38,20 @@ def test_peclet_rejects_bad_dz():
 @given(st.floats(0.1, 50), st.floats(0.1, 50), st.floats(0.0, 50), st.floats(0.01, 10),
        st.floats(0.5, 4))
 def test_peclet_linear_in_each_constituent(sigma, mu, u, dz, factor):
-    base = peclet_of(Material(sigma, mu, u), dz).value
-    assert peclet_of(Material(sigma * factor, mu, u), dz).value == pytest.approx(
+    base = peclet_of(Material(sigma, mu, u), dz)
+    assert peclet_of(Material(sigma * factor, mu, u), dz) == pytest.approx(
         base * factor, rel=1e-12)
-    assert peclet_of(Material(sigma, mu * factor, u), dz).value == pytest.approx(
+    assert peclet_of(Material(sigma, mu * factor, u), dz) == pytest.approx(
         base * factor, rel=1e-12)
-    assert peclet_of(Material(sigma, mu, u * factor), dz).value == pytest.approx(
+    assert peclet_of(Material(sigma, mu, u * factor), dz) == pytest.approx(
         base * factor, rel=1e-12)
-    assert peclet_of(Material(sigma, mu, u), dz * factor).value == pytest.approx(
+    assert peclet_of(Material(sigma, mu, u), dz * factor) == pytest.approx(
         base * factor, rel=1e-12)
 
 
 def test_material_for_peclet_round_trips():
     mat = material_for_peclet(37.5, 0.2, sigma=7.21e6, mu=4e-7 * math.pi)
-    assert peclet_of(mat, 0.2).value == pytest.approx(37.5, rel=1e-12)
+    assert peclet_of(mat, 0.2) == pytest.approx(37.5, rel=1e-12)
 
 
 def test_material_invariants():
@@ -60,6 +61,22 @@ def test_material_invariants():
         Material(sigma=1.0, mu=-1.0, u_z=1.0)
     with pytest.raises(InvalidArgumentError):
         Material(sigma=1.0, mu=1.0, u_z=-0.5)
+
+
+@pytest.mark.parametrize("sigma, mu, u_z", [
+    (1.0, 1.0, math.nan), (1.0, 1.0, math.inf), (math.inf, 1.0, 1.0), (1.0, math.inf, 1.0),
+    (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (-math.inf, 1.0, 1.0)])
+def test_material_rejects_non_finite_values(sigma, mu, u_z):
+    with pytest.raises(InvalidArgumentError):
+        Material(sigma, mu, u_z)
+
+
+def test_overflowing_velocity_is_an_invalid_argument():
+    # 2 * Pe / (mu * sigma * dz) overflows to inf, which used to construct
+    with pytest.raises(InvalidArgumentError, match="u_z must be finite"):
+        material_for_peclet(1e300, 1e-10, sigma=1e-10)
+    with pytest.raises(InvalidArgumentError):
+        material_for_peclet(math.nan, 0.2)
 
 
 def test_mesh1d_invariants():

@@ -1,3 +1,4 @@
+import io
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,8 @@ from eddyfem.fem2d import (BLOCK_TABLE, MIRROR_PARITY, DiscreteSystem2D,
                            RegionMap2D, assemble_2d, axis_profile,
                            elemental_blocks, exact_patch_rows,
                            oscillation_metric, rhs_2d, solve_2d)
+from eddyfem.cli import verify
+from eddyfem.ztransfer import tf_2d
 from stencil_utils import expected_lhs_stencils, expected_rhs_stencils
 
 PE = Fraction(7, 2)
@@ -97,8 +100,7 @@ class Impulse:
         return np.where((np.asarray(z) == self.z) & (np.asarray(y) == self.y), 1.0, 0.0)
 
 
-@pytest.mark.parametrize("scheme", list(Scheme))
-def test_float_rhs_matches_exact_input_weights(scheme):
+def assert_rhs_reads_the_exact_input_weights(scheme):
     # an impulse at each neighbour of the centre node reads one weight of
     # the certified input stencil off the assembled centre rows
     _, rhs_w = exact_patch_rows(PE, U, scheme)
@@ -114,6 +116,31 @@ def test_float_rhs_matches_exact_input_weights(scheme):
                 exp = float(rhs_w[rf].get((dn + 1, dm + 1), 0))
                 got = rhs[rf * mesh.node_count + center]
                 assert got == pytest.approx(exp, rel=1e-13, abs=1e-14), (rf, dn, dm)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_float_rhs_matches_exact_input_weights(scheme):
+    assert_rhs_reads_the_exact_input_weights(scheme)
+
+
+def test_load_table_is_the_one_source_of_the_input_weights(monkeypatch):
+    # give the averaged A_y row the consistent-mass load: the float rhs and
+    # the exact stencils both follow, and the certificate then finds the
+    # Galerkin Z_n = -1 pole in the averaged scheme
+    table = [(f, sign, names, {**loads, Scheme.ELEMENT_AVERAGED: "mass"} if f == 1 else loads)
+             for f, sign, names, loads in fem2d.LOAD_TABLE]
+    monkeypatch.setattr(fem2d, "LOAD_TABLE", tuple(table))
+    (_, w_g), (_, w_a) = (exact_patch_rows(PE, U, s) for s in Scheme)
+    assert w_a[1] == w_g[1] and w_a[0] != w_g[0]
+    assert_rhs_reads_the_exact_input_weights(Scheme.ELEMENT_AVERAGED)
+    mesh, material, regions, profile, _ = uniform_conductor_case()
+    rhs_g, rhs_a = (rhs_2d(mesh, material, regions, profile, s) for s in Scheme)
+    a_y = slice(mesh.node_count, 2 * mesh.node_count)
+    assert np.array_equal(rhs_a[a_y], rhs_g[a_y]) and not np.array_equal(rhs_a, rhs_g)
+    assert tf_2d(Scheme.ELEMENT_AVERAGED).has_zn_pole(-1)
+    buf = io.StringIO()
+    assert verify(stream=buf) == 4
+    assert "[FAIL] averaged cancels the Z_n = -1 pole" in buf.getvalue()
 
 
 def test_constant_input_same_rhs_for_both_schemes():

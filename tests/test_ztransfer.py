@@ -181,8 +181,8 @@ def test_averaged_input_loses_the_pe2_numerator_term(monkeypatch):
     # doubling the phi-row input weight (R1) breaks the coincidence
     real = fem2d.exact_patch_rows
 
-    def doubled_r1(pe, u, scheme, nn=5, nm=5):
-        lhs, w = real(pe, u, scheme, nn, nm)
+    def doubled_r1(pe, u, scheme):
+        lhs, w = real(pe, u, scheme)
         return lhs, {0: {k: 2 * v for k, v in w[0].items()}, 1: w[1]}
 
     monkeypatch.setattr(fem2d, "exact_patch_rows", doubled_r1)
@@ -206,8 +206,8 @@ def perturb_averaged_a_y_weight(monkeypatch):
     at Pe = u = 1) one more unit of weight at the centre node."""
     real = fem2d.exact_patch_rows
 
-    def perturbed(pe, u, scheme, nn=5, nm=5):
-        lhs, w = real(pe, u, scheme, nn, nm)
+    def perturbed(pe, u, scheme):
+        lhs, w = real(pe, u, scheme)
         if scheme is Scheme.ELEMENT_AVERAGED:
             w = {**w, 1: {**w[1], (1, 1): w[1][(1, 1)] + Fraction(1, 8)}}
         return lhs, w
@@ -314,7 +314,7 @@ def test_tf2d_matches_a_sympy_derivation(scheme):
     sympy = pytest.importorskip("sympy")
     pe, zn, zm = sympy.symbols("Pe Z_n Z_m")
     q = lambda f: sympy.Rational(f.numerator, f.denominator)
-    samples = [(Fraction(p), fem2d.exact_patch_rows(p, 1, scheme, nn=3, nm=3))
+    samples = [(Fraction(p), fem2d.exact_patch_rows(p, 1, scheme))
                for p in (Fraction(3, 2), 11, 40)]
 
     def entry(pick):
