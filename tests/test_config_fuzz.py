@@ -36,7 +36,7 @@ def _put(raw, path, value):
         node = node.get(part) if isinstance(node, dict) else None
     if isinstance(node, dict):
         node[leaf] = value
-    elif isinstance(node, list) and node:
+    elif isinstance(node, list) and node and leaf.isdigit():
         node[int(leaf)] = value
 
 
