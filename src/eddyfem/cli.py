@@ -40,6 +40,8 @@ MAX_NZ = 4097
 MAX_DOFS_2D = 100_000
 MAX_NODES_1D = 1_000_000
 MAX_SWEEP_ELEMENTS = 10_000
+# the sweep's Galerkin reference is refined until its per-element Pe is at most this
+REFERENCE_PE = 0.5
 
 
 class ConfigError(ValueError):
@@ -65,7 +67,7 @@ def _require(cfg: dict, path: str, typ, predicate=None, what: str = "", default=
         cur = cur[part]
     if typ is float and type(cur) is int:   # too large for a float: read as infinite
         cur = float(cur) if abs(cur) <= sys.float_info.max else math.inf
-    if not isinstance(cur, typ) or isinstance(cur, bool):
+    if not isinstance(cur, typ) or (isinstance(cur, bool) and typ is not bool):
         raise ConfigError(path, f"expected {typ.__name__}, got {type(cur).__name__}")
     if predicate is not None and not predicate(cur):
         raise ConfigError(path, what or "invalid value")
@@ -75,7 +77,6 @@ def _require(cfg: dict, path: str, typ, predicate=None, what: str = "", default=
 # (predicate, message) pairs for _require
 POSITIVE = (lambda v: 0 < v < math.inf, "must be finite and > 0")
 NONNEGATIVE = (lambda v: 0 <= v < math.inf, "must be finite and >= 0")
-FINITE = (math.isfinite, "must be finite")
 
 
 def _schemes_of(cfg: dict, override: Optional[str] = None) -> List[Scheme]:
@@ -88,7 +89,7 @@ def _schemes_of(cfg: dict, override: Optional[str] = None) -> List[Scheme]:
 def _pe_list(cfg: dict) -> List[float]:
     if "pe" in cfg:
         pes = _require(cfg, "pe", list, lambda v: len(v) > 0, "empty Pe list")
-        return [_require(cfg, f"pe.{i}", float, *FINITE) for i in range(len(pes))]
+        return [_require(cfg, f"pe.{i}", float, *NONNEGATIVE) for i in range(len(pes))]
     if "pe_sweep" in cfg:
         lo = _require(cfg, "pe_sweep.lo", float, *POSITIVE)
         hi = _require(cfg, "pe_sweep.hi", float, lambda v: math.isfinite(v) and v > lo,
@@ -97,7 +98,7 @@ def _pe_list(cfg: dict) -> List[float]:
                      f"must be from 2 to {MAX_SWEEP_POINTS}")
         grid = list(np.geomspace(lo, hi, n))
         include = _require(cfg, "pe_sweep.include", list, default=[])
-        grid += [_require(cfg, f"pe_sweep.include.{i}", float, *FINITE)
+        grid += [_require(cfg, f"pe_sweep.include.{i}", float, *NONNEGATIVE)
                  for i in range(len(include))]
         return sorted(set(grid))
     raise ConfigError("pe", "missing (provide 'pe' or 'pe_sweep')")
@@ -111,6 +112,7 @@ class ScenarioConfig:
     dimension: int
     schemes: Tuple[Scheme, ...]
     pe_values: Tuple[float, ...]
+    svg: bool
 
     @classmethod
     def load(cls, path, scheme_override: Optional[str] = None) -> "ScenarioConfig":
@@ -125,7 +127,8 @@ class ScenarioConfig:
         dim = _require(raw, "dimension", int, lambda v: v in (1, 2), "must be 1 or 2")
         schemes = tuple(_schemes_of(raw, scheme_override))
         pes = tuple(_pe_list(raw))
-        return cls(raw=raw, dimension=dim, schemes=schemes, pe_values=pes)
+        svg = _require(raw, "svg", bool, default=False)
+        return cls(raw=raw, dimension=dim, schemes=schemes, pe_values=pes, svg=svg)
 
     def hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -168,10 +171,10 @@ def write_csv(path: Path, config: ScenarioConfig, columns: List[str],
 
 
 def svg_line_chart(path: Path, series: Dict[str, Tuple[np.ndarray, np.ndarray]],
-                   title: str, width: int = 640, height: int = 400) -> None:
+                   title: str) -> None:
     """Minimal SVG polyline rendering of (x, y) series; a convenience view
     of the CSV data with no extra semantics."""
-    pad = 48
+    width, height, pad = 640, 400, 48
     xs = np.concatenate([x for x, _ in series.values()])
     ys = np.concatenate([y for _, y in series.values()])
     x0, x1 = float(xs.min()), float(xs.max())
@@ -215,6 +218,15 @@ def svg_line_chart(path: Path, series: Dict[str, Tuple[np.ndarray, np.ndarray]],
 # case builders
 
 
+def _material(pe: float, dz: float, sigma: float, mu: float, sigma_path: str):
+    """material_for_peclet, whose rejection (an overflowing mu*sigma*dz or
+    velocity) is reported against the config field of sigma."""
+    try:
+        return material_for_peclet(pe, dz, sigma=sigma, mu=mu)
+    except InvalidArgumentError as err:
+        raise ConfigError(sigma_path, str(err))
+
+
 def build_1d_case(cfg: ScenarioConfig, pe: float):
     raw = cfg.raw
     dz = _require(raw, "dz", float, *POSITIVE)
@@ -232,7 +244,7 @@ def build_1d_case(cfg: ScenarioConfig, pe: float):
     sigma = _require(raw, "material.sigma", float, *POSITIVE, 1.0)
     mu = _require(raw, "material.mu", float, *POSITIVE, 1.0)
     mesh = Mesh1D.from_length(length, dz)
-    material = material_for_peclet(pe, dz, sigma=sigma, mu=mu)
+    material = _material(pe, dz, sigma, mu, "material.sigma")
     profile = RectPulse1D(a=a, b=b, amplitude=amp)
     return mesh, material, profile
 
@@ -287,15 +299,17 @@ def build_2d_case(cfg: ScenarioConfig, pe: float):
 
     lz = axial_factor * axial_width
     dz = lz / (nz - 1)
+    if not 0 < dz < math.inf:
+        raise ConfigError("grid.axial_factor", f"the axial extent {lz:g} over {nz - 1} "
+                          f"elements gives dz = {dz:g}, not finite and > 0")
     heights, mid = graded_sheet_rows(d, rows, air_factor, ratio)
     ny = len(heights) + 1
     if 3 * ny * nz > MAX_DOFS_2D:
         raise ConfigError("grid.nz", f"{ny} x {nz} nodes: {3 * ny * nz} dofs, over {MAX_DOFS_2D}")
     # place the y = 0 node exactly: y0 is minus the cumulative height below it
     y0 = -float(np.cumsum(heights)[mid - 1])
-    mesh = Mesh2D(nz=nz, ny=ny, dz=dz, row_heights=heights,
-                  z0=-lz / 2, y0=y0)
-    material = material_for_peclet(pe, dz, sigma=sigma, mu=mu_r * MU0)
+    mesh = Mesh2D(nz=nz, dz=dz, row_heights=heights, z0=-lz / 2, y0=y0)
+    material = _material(pe, dz, sigma, mu_r * MU0, "sheet.sigma")
     regions = fem2d.RegionMap2D.conducting_band(mesh, d)
     return mesh, material, regions, profile
 
@@ -311,11 +325,11 @@ def _need_dimension(cfg: ScenarioConfig, dim: int):
 
 def run_1d(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
     _need_dimension(cfg, 1)
+    cases = [(pe, build_1d_case(cfg, pe)) for pe in cfg.pe_values]
     out_dir.mkdir(parents=True, exist_ok=True)
     record = RunRecord(config_hash=cfg.hash())
     for scheme in cfg.schemes:
-        for pe in cfg.pe_values:
-            mesh, material, profile = build_1d_case(cfg, pe)
+        for pe, (mesh, material, profile) in cases:
             t0 = time.perf_counter()
             system = fem1d.assemble_1d(mesh, material, profile, scheme)
             sol = fem1d.solve_1d(system)
@@ -328,7 +342,7 @@ def run_1d(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
             record.outputs.append(str(out_dir / name))
             record.stats.append({"scheme": scheme.value, "pe": pe, "n": mesh.node_count,
                                  "residual": sol.residual, "wall_s": wall})
-            if cfg.raw.get("svg"):
+            if cfg.svg:
                 zc = 0.5 * (z[:-1] + z[1:])
                 svg = out_dir / name.replace(".csv", ".svg")
                 svg_line_chart(svg, {f"b_x {scheme.value} Pe={pe:g}": (zc, sol.b_x)},
@@ -339,7 +353,6 @@ def run_1d(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
 
 def run_2d(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
     _need_dimension(cfg, 2)
-    out_dir.mkdir(parents=True, exist_ok=True)
     record = RunRecord(config_hash=cfg.hash())
     # the left-hand side does not depend on the scheme: assemble and factor
     # it once per (mesh, Pe) and solve every scheme's right-hand side with
@@ -355,6 +368,7 @@ def run_2d(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
         wall = time.perf_counter() - t0
         for scheme, sol in zip(cfg.schemes, sols):
             solved[scheme, pe] = (sol, system.matrix.shape[0], wall)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for scheme in cfg.schemes:
         traces = {}
         zc_ref = None
@@ -386,7 +400,7 @@ def run_2d(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
         name = f"centerline_{scheme.value}.csv"
         write_csv(out_dir / name, cfg, cols, rows)
         record.outputs.append(str(out_dir / name))
-        if cfg.raw.get("svg"):
+        if cfg.svg:
             svg = out_dir / name.replace(".csv", ".svg")
             svg_line_chart(svg, {f"Pe={pe:g}": (zc_ref, traces[pe]) for pe in cfg.pe_values},
                            f"centerline b_x, {scheme.value} input")
@@ -394,16 +408,15 @@ def run_2d(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
     return record
 
 
-def reference_mesh(mesh: Mesh1D, pe: float, reference_pe: float = 0.5) -> Mesh1D:
+def reference_mesh(mesh: Mesh1D, pe: float) -> Mesh1D:
     """The refined Galerkin reference of measured_peak_errors: each element
-    of ``mesh`` split until its Pe is at most reference_pe (no arrays built)."""
-    refine = max(1, math.ceil(pe / reference_pe))
-    return Mesh1D.from_node_count(mesh.dz / refine, mesh.element_count * refine + 1)
+    of ``mesh`` split until its Pe is at most REFERENCE_PE (no arrays built)."""
+    refine = max(1, math.ceil(pe / REFERENCE_PE))
+    return Mesh1D(mesh.dz / refine, mesh.element_count * refine + 1)
 
 
 def measured_peak_errors(pe: float, dz: float, m_b: int, m_c: int, m_d: int,
-                         schemes: Sequence[Scheme], amplitude: float = 1.0,
-                         reference_pe: float = 0.5) -> Dict[Scheme, float]:
+                         schemes: Sequence[Scheme], amplitude: float = 1.0) -> Dict[Scheme, float]:
     """Spurious-oscillation amplitude of the pulse scenario for each scheme,
     measured against one refined Galerkin reference.
 
@@ -414,7 +427,7 @@ def measured_peak_errors(pe: float, dz: float, m_b: int, m_c: int, m_d: int,
     pole-zero cancellation shows up.
     """
     mesh, material, profile = fem1d.rect_pulse_case(pe, dz, m_b, m_c, m_d, amplitude)
-    fine_mesh = reference_mesh(mesh, pe, reference_pe)
+    fine_mesh = reference_mesh(mesh, pe)
     fine = fem1d.solve_1d(fem1d.assemble_1d(fine_mesh, material, profile, Scheme.GALERKIN))
 
     z_lo, z_hi = (m_b + 3) * dz, (m_b + 3 + m_c) * dz
@@ -432,16 +445,13 @@ def measured_peak_errors(pe: float, dz: float, m_b: int, m_c: int, m_d: int,
 
 
 def measured_peak_error(pe: float, dz: float, m_b: int, m_c: int, m_d: int,
-                        scheme: Scheme, amplitude: float = 1.0,
-                        reference_pe: float = 0.5) -> float:
+                        scheme: Scheme, amplitude: float = 1.0) -> float:
     """measured_peak_errors for a single scheme."""
-    return measured_peak_errors(pe, dz, m_b, m_c, m_d, (scheme,), amplitude,
-                                reference_pe)[scheme]
+    return measured_peak_errors(pe, dz, m_b, m_c, m_d, (scheme,), amplitude)[scheme]
 
 
 def sweep_error(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
     _need_dimension(cfg, 1)
-    out_dir.mkdir(parents=True, exist_ok=True)
     raw = cfg.raw
     dz = _require(raw, "dz", float, *POSITIVE)
     elements = (lambda v: 1 <= v <= MAX_SWEEP_ELEMENTS, f"must be from 1 to {MAX_SWEEP_ELEMENTS}")
@@ -469,13 +479,14 @@ def sweep_error(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
         fa = oracle.peak_error(Scheme.ELEMENT_AVERAGED, pe, amp)
         rows.append((pe, mg, fg, ma, fa, "ok"))
     name = "sweep_error.csv"
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / name, cfg,
               ["pe", "measured_error_galerkin", "formula_error_galerkin",
                "measured_error_averaged", "formula_error_averaged", "status"],
               rows)
     record.outputs.append(str(out_dir / name))
     record.stats.append({"points": len(rows), "wall_s": time.perf_counter() - t0})
-    if raw.get("svg"):
+    if cfg.svg:
         valid = [r for r in rows if r[5] == "ok"]
         pe_v = np.array([r[0] for r in valid])
         svg = out_dir / "sweep_error.svg"

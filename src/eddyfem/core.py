@@ -52,51 +52,43 @@ class Material:
             raise InvalidArgumentError(f"u_z must be finite and >= 0, got {self.u_z}")
 
 
+def _check_dz(dz: float) -> None:
+    if not 0 < dz < math.inf:
+        raise InvalidArgumentError(f"dz must be finite and > 0, got {dz}")
+
+
 def peclet_of(material: Material, dz: float) -> float:
     """Peclet number mu*sigma*|u_z|*dz/2 for element length dz."""
-    if not dz > 0:
-        raise InvalidArgumentError(f"dz must be > 0, got {dz}")
+    _check_dz(dz)
     return material.mu * material.sigma * abs(material.u_z) * dz / 2.0
 
 
 def material_for_peclet(pe: float, dz: float, sigma: float = 1.0, mu: float = 1.0) -> Material:
     """Material whose velocity realizes the requested Peclet number on dz."""
-    if not dz > 0:
-        raise InvalidArgumentError(f"dz must be > 0, got {dz}")
+    _check_dz(dz)
     if pe < 0:
         raise InvalidArgumentError(f"pe must be >= 0, got {pe}")
-    return Material(sigma=sigma, mu=mu, u_z=2.0 * pe / (mu * sigma * dz))
-
-
-_LENGTH_RTOL = 1e-12
+    musig_dz = mu * sigma * dz
+    if not musig_dz < math.inf:   # an infinite product would give u_z = 0 and Pe = NaN
+        raise InvalidArgumentError(f"mu*sigma*dz must be finite, got {mu}*{sigma}*{dz}")
+    return Material(sigma=sigma, mu=mu, u_z=2.0 * pe / musig_dz)
 
 
 @dataclass(frozen=True)
 class Mesh1D:
-    """Uniform 1D node line: length = (node_count - 1) * dz."""
+    """Uniform 1D node line of node_count nodes dz apart."""
 
-    length: float
     dz: float
     node_count: int
 
     def __post_init__(self):
         if self.node_count < 3:
             raise InvalidArgumentError(f"node_count must be >= 3, got {self.node_count}")
-        if not self.dz > 0:
-            raise InvalidArgumentError(f"dz must be > 0, got {self.dz}")
-        expect = (self.node_count - 1) * self.dz
-        if abs(self.length - expect) > _LENGTH_RTOL * max(abs(expect), 1.0):
-            raise InvalidArgumentError(
-                f"length {self.length} inconsistent with (N-1)*dz = {expect}")
-
-    @classmethod
-    def from_node_count(cls, dz: float, node_count: int) -> "Mesh1D":
-        return cls(length=(node_count - 1) * dz, dz=dz, node_count=node_count)
+        _check_dz(self.dz)
 
     @classmethod
     def from_length(cls, length: float, dz: float) -> "Mesh1D":
-        n = int(round(length / dz)) + 1
-        return cls(length=(n - 1) * dz, dz=dz, node_count=n)
+        return cls(dz=dz, node_count=int(round(length / dz)) + 1)
 
     def nodes(self) -> np.ndarray:
         return np.arange(self.node_count) * self.dz
@@ -111,12 +103,11 @@ class Mesh2D:
     """Structured quadrilateral grid: uniform spacing dz along the flow (z),
     per-row heights along y (grading allowed).
 
-    nz : node columns along z, ny : node rows along y.
+    nz : node columns along z; the ny = len(row_heights) + 1 node rows run along y.
     z0, y0 : coordinates of the first node column / row.
     """
 
     nz: int
-    ny: int
     dz: float
     row_heights: tuple
     z0: float = 0.0
@@ -125,11 +116,7 @@ class Mesh2D:
     def __post_init__(self):
         if self.nz < 3 or self.ny < 3:
             raise InvalidArgumentError(f"nz and ny must be >= 3, got {self.nz}, {self.ny}")
-        if not self.dz > 0:
-            raise InvalidArgumentError(f"dz must be > 0, got {self.dz}")
-        if len(self.row_heights) != self.ny - 1:
-            raise InvalidArgumentError(
-                f"row_heights must have ny-1 = {self.ny - 1} entries, got {len(self.row_heights)}")
+        _check_dz(self.dz)
         if any(not h > 0 for h in self.row_heights):
             raise InvalidArgumentError("all row heights must be > 0")
         object.__setattr__(self, "row_heights", tuple(float(h) for h in self.row_heights))
@@ -137,7 +124,11 @@ class Mesh2D:
     @classmethod
     def uniform(cls, nz: int, ny: int, dz: float, dy: float,
                 z0: float = 0.0, y0: float = 0.0) -> "Mesh2D":
-        return cls(nz=nz, ny=ny, dz=dz, row_heights=(dy,) * (ny - 1), z0=z0, y0=y0)
+        return cls(nz=nz, dz=dz, row_heights=(dy,) * (ny - 1), z0=z0, y0=y0)
+
+    @property
+    def ny(self) -> int:
+        return len(self.row_heights) + 1
 
     def node_z(self) -> np.ndarray:
         return self.z0 + np.arange(self.nz) * self.dz
@@ -206,10 +197,3 @@ class SmoothCircle2D:
         tail = self.amplitude * np.exp(-(((r - self.radius) / (0.5 * self.radius)) ** 2))
         out = np.where(r <= self.radius, self.amplitude, tail)
         return out if out.ndim else float(out)
-
-
-def sample_profile(profile, point):
-    """Evaluate a field profile at a point (z for 1D, (z, y) for 2D)."""
-    if isinstance(point, (tuple, list)):
-        return profile.sample(*point)
-    return profile.sample(point)

@@ -77,12 +77,11 @@ class DiscreteSystem1D:
 @dataclass(frozen=True)
 class Solution1D:
     """Nodal potential, the per-element reaction flux density and the
-    max-norm residual |A x - b| that the solver accepted (NaN when the
-    solution was not produced by solve_1d)."""
+    max-norm residual |A x - b| that the solver accepted."""
 
     a_y: np.ndarray
     b_x: np.ndarray
-    residual: float = float("nan")
+    residual: float
 
 
 def assemble_1d(mesh: Mesh1D, material: Material, profile, scheme: Scheme) -> DiscreteSystem1D:
@@ -137,7 +136,7 @@ def solve_1d(system: DiscreteSystem1D) -> Solution1D:
     ab[2, :-1] = system.lower
     try:
         a_y = scipy.linalg.solve_banded((1, 1), ab, system.rhs)
-    except scipy.linalg.LinAlgError as err:
+    except ValueError as err:   # a singular matrix (LinAlgError) or non-finite entries
         raise NumericalFailureError(f"banded solve failed: {err}")
     if not np.all(np.isfinite(a_y)):
         raise NumericalFailureError("solution contains non-finite entries "
@@ -152,23 +151,11 @@ def solve_1d(system: DiscreteSystem1D) -> Solution1D:
     return Solution1D(a_y=a_y, b_x=reaction_field(a_y, system.mesh), residual=resid)
 
 
-def reaction_field(solution, mesh: Mesh1D) -> np.ndarray:
+def reaction_field(a_y: np.ndarray, mesh: Mesh1D) -> np.ndarray:
     """Per-element reaction flux density -(a_y[e+1] - a_y[e]) / dz."""
-    a_y = solution.a_y if isinstance(solution, Solution1D) else np.asarray(solution, dtype=float)
     if len(a_y) != mesh.node_count:
         raise InvalidArgumentError("solution is not sized to the mesh")
     return -np.diff(a_y) / mesh.dz
-
-
-def peak_spurious_error(solution, reference, amplitude: float) -> float:
-    """Max |b_x - b_x,ref| / amplitude over a common sample set."""
-    if not amplitude > 0:
-        raise InvalidArgumentError("amplitude must be > 0")
-    b = solution.b_x if isinstance(solution, Solution1D) else np.asarray(solution, dtype=float)
-    b_ref = reference.b_x if isinstance(reference, Solution1D) else np.asarray(reference, dtype=float)
-    if b.shape != b_ref.shape:
-        raise InvalidArgumentError("solutions must live on a common sample set")
-    return float(np.max(np.abs(b - b_ref))) / amplitude
 
 
 def rect_pulse_case(pe, dz: float, m_b: int, m_c: int, m_d: int,
@@ -182,7 +169,7 @@ def rect_pulse_case(pe, dz: float, m_b: int, m_c: int, m_d: int,
     floating-point placement of the node coordinates.
     """
     n = m_b + m_c + m_d + 7
-    mesh = Mesh1D.from_node_count(dz, n)
+    mesh = Mesh1D(dz, n)
     material = material_for_peclet(float(pe), dz, sigma=sigma, mu=mu)
     lo, hi = m_b + 2, m_b + m_c + 4
     profile = RectPulse1D(a=(lo - 0.5) * dz, b=(hi + 0.5) * dz, amplitude=amplitude)

@@ -66,12 +66,6 @@ class Poly:
         return cls(variables, {(0,) * len(variables): _frac(value)})
 
     @classmethod
-    def var(cls, name: str, variables: Tuple[str, ...]) -> "Poly":
-        e = [0] * len(variables)
-        e[variables.index(name)] = 1
-        return cls(variables, {tuple(e): Fraction(1)})
-
-    @classmethod
     def univariate(cls, name: str, coeffs_ascending: Iterable) -> "Poly":
         return cls((name,), {(i,): _frac(c) for i, c in enumerate(coeffs_ascending)})
 
@@ -417,9 +411,8 @@ def separate(p: Poly) -> Optional[Tuple[Poly, Poly]]:
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """Ratio of polynomials. Construction keeps the given (possibly common-
-    factor-carrying) form; ``reduced()`` performs the exact GCD reduction so
-    cancellation detection never depends on floating point."""
+    """Ratio of polynomials, kept in the given (possibly common-factor-
+    carrying) form; ztransfer.analyze reduces it by exact GCD."""
 
     numerator: Poly
     denominator: Poly
@@ -429,20 +422,6 @@ class RationalFunction:
             raise ValueError("numerator/denominator variable mismatch")
         if self.denominator.is_zero():
             raise ZeroDivisionError("denominator is identically zero")
-
-    def reduced(self) -> Tuple["RationalFunction", Poly]:
-        """(reduced rational, cancelled common factor). Univariate only;
-        bivariate callers go through the separable machinery."""
-        if len(self.numerator.variables) != 1:
-            raise ValueError("reduced() supports univariate rationals")
-        var = self.numerator.variables[0]
-        if self.numerator.is_zero():
-            return RationalFunction(self.numerator, Poly.const(1, (var,))), Poly.const(1, (var,))
-        g = gcd_univariate(self.numerator, self.denominator)
-        if g.degree() <= 0:
-            return self, Poly.const(1, (var,))
-        return RationalFunction(self.numerator.exact_div(g, var),
-                                self.denominator.exact_div(g, var)), g
 
     def eval_complex(self, **values) -> complex:
         return (self.numerator.eval_complex(**values)

@@ -46,11 +46,6 @@ class UnsupportedStructureError(ValueError):
     is not separable, or a 2D transfer function that vanishes for every Pe."""
 
 
-def _pe_fraction(pe) -> Optional[Fraction]:
-    """Exact rational Peclet value; None encodes the high-Pe limit."""
-    return None if pe is None or pe == math.inf else Fraction(pe)
-
-
 # ---------------------------------------------------------------------------
 # named stencil polynomials of the coupled 2D discrete system
 
@@ -101,21 +96,20 @@ def tf_1d(scheme: Scheme, pe, dz) -> RationalFunction:
     """Exact 1D transfer function from input flux density to nodal potential,
     built from the interior row of the fem1d element table.
 
-    ``pe`` may be a number, ``math.inf`` or None; the last two
-    select the high-Pe limit, the leading Pe coefficients of numerator and
-    denominator. The denominator is the unnormalized stencil polynomial,
-    whose roots are 1 and the growth ratio r = (-1-Pe)/(-1+Pe).
+    ``pe`` may be a number, or ``math.inf`` for the high-Pe limit, the
+    leading Pe coefficients of numerator and denominator. The denominator
+    is the unnormalized stencil polynomial, whose roots are 1 and the
+    growth ratio r = (-1-Pe)/(-1+Pe).
     """
     def at(p):
         lhs, load = fem1d.exact_stencil(p, scheme)
         return Poly.univariate(Z1, load) * Fraction(dz), Poly.univariate(Z1, lhs)
 
-    pef = _pe_fraction(pe)
-    if pef is None:
+    if pe == math.inf:
         nums, dens = zip(*(at(p) for p in _PE_SAMPLES))
         return RationalFunction(_pe_leading(nums)[0], _pe_leading(dens)[0])
-    rf = RationalFunction(*at(pef))
-    if pef == 1:
+    rf = RationalFunction(*at(Fraction(pe)))
+    if pe == 1:
         raise SingularNormalizationError("Pe = 1 makes the denominator normalization "
                                          "singular (leading coefficient Pe - 1 vanishes)", rf)
     return rf

@@ -74,6 +74,7 @@ BAD_2D_VALUES = [
     ("sheet.air_factor", -1.0), ("sheet.air_factor", math.inf), ("grid.air_ratio", "1.3"),
     ("sheet.thickness", math.inf), ("field.radius", math.inf), ("field.amplitude", math.inf),
     ("grid.conductor_rows", 2 * cli.MAX_ROWS_PER_SIDE + 2), ("grid.nz", cli.MAX_NZ + 1),
+    ("grid.axial_factor", 1e308),   # times the field width 2.6 overflows dz
 ]
 
 
@@ -92,10 +93,8 @@ def test_bad_2d_value_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "graded_sheet_rows", _no_grading)
     raw = _with(json.loads((CONFIG_DIR / "sheet2d_circle.json").read_text()),
                 "grid.air_ratio", 0.5)
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(raw))
-    assert main(["run-2d", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-    assert "grid.air_ratio" in capsys.readouterr().err
+    code, err = _exit_code_and_err(tmp_path, capsys, raw, "run-2d")
+    assert code == 2 and "grid.air_ratio" in err
 
 
 def test_optional_2d_fields_default_to_the_shipped_values():
@@ -111,7 +110,8 @@ def test_optional_2d_fields_default_to_the_shipped_values():
 @pytest.mark.parametrize("path, value", [
     ("material.sigma", 0.0), ("material.sigma", math.inf), ("material.mu", math.nan),
     ("material.mu", -1.0), ("material.sigma", "1"), ("length", math.inf), ("dz", math.inf),
-    ("pulse.amplitude", math.inf), ("dz", 10 ** 400), ("scheme", ["both"])])
+    ("pulse.amplitude", math.inf), ("dz", 10 ** 400), ("scheme", ["both"]), ("svg", "no"),
+    ("svg", 1)])
 def test_bad_1d_values_are_config_errors(path, value):
     raw = _with(json.loads((CONFIG_DIR / "fig_pulse1d_pe2.json").read_text()), path, value)
     with pytest.raises(ConfigError) as err:
@@ -126,16 +126,17 @@ def test_bad_1d_values_are_config_errors(path, value):
 def test_bad_sweep_counts_and_amplitude_exit_2(tmp_path, key, value, capsys):
     raw = json.loads((CONFIG_DIR / "sweep_peak_error.json").read_text())
     raw.update({"pe_sweep": {"lo": 2.0, "hi": 3.0, "points": 2}, "svg": False, key: value})
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(raw))
-    assert main(["sweep-error", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-    assert key in capsys.readouterr().err
+    code, err = _exit_code_and_err(tmp_path, capsys, raw, "sweep-error")
+    assert code == 2 and key in err
 
 
 def _exit_code_and_err(tmp_path, capsys, raw, command="run-1d"):
+    """Run ``command`` on the config ``raw``; a failed run must not have
+    created its output directory."""
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
     code = main([command, "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 0 or not (tmp_path / "o").exists()
     return code, capsys.readouterr().err
 
 
@@ -143,13 +144,16 @@ def _exit_code_and_err(tmp_path, capsys, raw, command="run-1d"):
     ("pe", ["x"], "pe.0"), ("pe", [2.0, [3.0]], "pe.1"), ("pe", [math.nan], "pe.0"),
     ("pe_sweep", {"lo": 2.0, "hi": 3.0, "points": 2, "include": ["x"]}, "pe_sweep.include.0"),
     ("pe_sweep", {"lo": 2.0, "hi": 3.0, "points": 2, "include": 5.0}, "pe_sweep.include"),
-    ("pe_sweep", {"lo": 2.0, "hi": 3.0, "points": 10 ** 9}, "pe_sweep.points")])
+    ("pe_sweep", {"lo": 2.0, "hi": 3.0, "points": 10 ** 9}, "pe_sweep.points"),
+    ("pe", [2.0, -1.0], "pe.1"),
+    ("pe_sweep", {"lo": 2.0, "hi": 3.0, "points": 2, "include": [-1.0]}, "pe_sweep.include.0")])
 def test_pe_entries_go_through_the_validator(tmp_path, capsys, key, value, path):
     # the entries used to be read with a bare float(): "x" ended in a
-    # traceback with exit 1
+    # traceback with exit 1. A negative Pe used to pass, so run-1d wrote the
+    # Pe = 2 CSV and SVG before it failed on Pe = -1
     raw = json.loads((CONFIG_DIR / "fig_pulse1d_pe2.json").read_text())
     raw.pop("pe")
-    raw.update({key: value, "svg": False})
+    raw[key] = value
     code, err = _exit_code_and_err(tmp_path, capsys, raw)
     assert code == 2 and f"'{path}'" in err
 
@@ -233,6 +237,28 @@ def test_overflowing_velocity_exits_2(tmp_path, capsys, monkeypatch):
                 "material.sigma", 1e-308)
     code, err = _exit_code_and_err(tmp_path, capsys, raw)
     assert code == 2 and "u_z must be finite" in err
+    # every case is built before any is solved or written: a Pe whose
+    # velocity overflows fails the run before the good Pe = 2 is assembled
+    raw = _with(json.loads((CONFIG_DIR / "fig_pulse1d_pe2.json").read_text()), "pe", [2.0, 1e308])
+    code, err = _exit_code_and_err(tmp_path, capsys, raw)
+    assert code == 2 and "u_z must be finite" in err
+
+
+@pytest.mark.parametrize("config, overrides, field", [
+    # lz = 2 * radius * axial_factor overflowed to dz = inf: exit 3, "pivot nan"
+    ("sheet2d_circle.json", {"field.radius": 1e300, "grid.axial_factor": 1e10},
+     "grid.axial_factor"),
+    # mu * sigma overflowed: NaN in the coupled blocks and exit 3 in 2D, a
+    # scipy ValueError traceback and exit 1 in 1D
+    ("sheet2d_circle.json", {"sheet.sigma": 1e300, "sheet.mu_r": 1e300}, "sheet.sigma"),
+    ("fig_pulse1d_pe2.json", {"material.sigma": 1e300, "material.mu": 1e300}, "material.sigma")])
+def test_overflowing_configs_exit_2_naming_the_field(tmp_path, capsys, config, overrides, field):
+    raw = json.loads((CONFIG_DIR / config).read_text())
+    for path, value in overrides.items():
+        _with(raw, path, value)
+    command = "run-2d" if config.startswith("sheet") else "run-1d"
+    code, err = _exit_code_and_err(tmp_path, capsys, raw, command)
+    assert code == 2 and f"'{field}'" in err
 
 
 def test_graded_sheet_rows_are_capped():

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from eddyfem.core import (InvalidArgumentError, Material, Mesh1D, Mesh2D,
                           RectPulse1D, RectPulse2D, SmoothCircle2D,
-                          material_for_peclet, peclet_of, sample_profile)
+                          material_for_peclet, peclet_of)
 
 
 def test_peclet_high_speed_case():
@@ -33,6 +36,10 @@ def test_peclet_rejects_bad_dz():
         peclet_of(mat, 0.0)
     with pytest.raises(InvalidArgumentError):
         peclet_of(mat, -1.0)
+    with pytest.raises(InvalidArgumentError, match="dz must be finite"):
+        peclet_of(mat, math.inf)
+    with pytest.raises(InvalidArgumentError, match="dz must be finite"):
+        material_for_peclet(2.0, math.inf)
 
 
 @given(st.floats(0.1, 50), st.floats(0.1, 50), st.floats(0.0, 50), st.floats(0.01, 10),
@@ -77,40 +84,48 @@ def test_overflowing_velocity_is_an_invalid_argument():
         material_for_peclet(1e300, 1e-10, sigma=1e-10)
     with pytest.raises(InvalidArgumentError):
         material_for_peclet(math.nan, 0.2)
+    # an infinite mu*sigma*dz used to give u_z = 0, then Pe = inf * 0 = NaN
+    with pytest.raises(InvalidArgumentError, match=r"mu\*sigma\*dz must be finite"):
+        material_for_peclet(2.0, 0.25, sigma=1e300, mu=1e300)
 
 
 def test_mesh1d_invariants():
-    m = Mesh1D.from_node_count(0.25, 41)
-    assert m.length == pytest.approx(10.0)
+    m = Mesh1D(0.25, 41)
+    assert m.nodes()[-1] == 10.0
     assert m.element_count == 40
+    assert Mesh1D.from_length(10.0, 0.25) == m
     with pytest.raises(InvalidArgumentError):
-        Mesh1D(length=1.0, dz=0.25, node_count=41)  # inconsistent length
-    with pytest.raises(InvalidArgumentError):
-        Mesh1D.from_node_count(0.25, 2)  # too few nodes
+        Mesh1D(0.25, 2)  # too few nodes
+    for dz in (0.0, math.inf, math.nan):
+        with pytest.raises(InvalidArgumentError):
+            Mesh1D(dz, 41)
 
 
 def test_mesh2d_invariants():
     m = Mesh2D.uniform(nz=5, ny=4, dz=1.0, dy=0.5)
-    assert m.node_count == 20
+    assert (m.ny, m.node_count) == (4, 20)
     assert np.allclose(m.node_y(), [0, 0.5, 1.0, 1.5])
     with pytest.raises(InvalidArgumentError):
-        Mesh2D(nz=5, ny=4, dz=1.0, row_heights=(0.5, 0.5))  # wrong count
+        Mesh2D(nz=5, dz=1.0, row_heights=(0.5, -0.5, 0.5))
     with pytest.raises(InvalidArgumentError):
-        Mesh2D(nz=5, ny=4, dz=1.0, row_heights=(0.5, -0.5, 0.5))
+        Mesh2D(nz=5, dz=1.0, row_heights=(0.5,))  # ny = 2
+    for dz in (0.0, math.inf, math.nan):
+        with pytest.raises(InvalidArgumentError):
+            Mesh2D(nz=5, dz=dz, row_heights=(0.5,) * 3)
 
 
 def test_rect_pulse_inside():
     p = RectPulse1D(a=1.0, b=2.0, amplitude=1.0)
-    assert sample_profile(p, 1.5) == 1.0
-    assert sample_profile(p, 0.99) == 0.0
-    assert sample_profile(p, 1.0) == 1.0  # inclusive bounds
+    assert p.sample(1.5) == 1.0
+    assert p.sample(0.99) == 0.0
+    assert p.sample(1.0) == 1.0  # inclusive bounds
 
 
 def test_smooth_circle_plateau_edge_and_tail():
     p = SmoothCircle2D(radius=1.0, amplitude=1.0)
-    assert sample_profile(p, (1.0, 0.0)) == 1.0
-    assert sample_profile(p, (1.5, 0.0)) == pytest.approx(math.exp(-1.0), rel=1e-12)
-    assert sample_profile(p, (0.6, 0.8)) == 1.0  # r = 1 exactly
+    assert p.sample(1.0, 0.0) == 1.0
+    assert p.sample(1.5, 0.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
+    assert p.sample(0.6, 0.8) == 1.0  # r = 1 exactly
 
 
 def test_smooth_circle_continuous_at_plateau():
@@ -139,3 +154,14 @@ def test_profile_vectorized_sampling():
     p = RectPulse1D(a=1.0, b=2.0, amplitude=1.0)
     z = np.array([0.0, 1.2, 3.0])
     assert np.array_equal(p.sample(z), [0.0, 1.0, 0.0])
+
+
+def test_bare_import_loads_no_submodule_numpy_or_scipy():
+    # the package namespace re-exports nothing: its names are imported from
+    # the submodules, so a bare import stays cheap
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import eddyfem; print(sorted("
+            "m for m in sys.modules if m.startswith(('eddyfem.', 'numpy', 'scipy'))))")
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -370,7 +370,7 @@ def test_rhs_2d_is_the_assembled_rhs_bit_for_bit(scheme):
 def graded_air_case():
     """Small graded mesh with two air rows at each y edge."""
     heights = tuple(0.4 * 1.3 ** abs(k - 3.5) for k in range(8))
-    mesh = Mesh2D(nz=7, ny=9, dz=0.5, row_heights=heights, z0=-1.5,
+    mesh = Mesh2D(nz=7, dz=0.5, row_heights=heights, z0=-1.5,
                   y0=-sum(heights[:4]))
     material = Material(sigma=3.0, mu=1.2, u_z=2.5)
     regions = RegionMap2D((0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0))

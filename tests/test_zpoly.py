@@ -41,8 +41,8 @@ def test_exact_div_raises_with_remainder():
 
 
 def test_exact_div_bivariate_by_univariate_factor():
-    zn = Poly.var("Z_n", ("Z_n", "Z_m"))
-    zm = Poly.var("Z_m", ("Z_n", "Z_m"))
+    zn = Poly(("Z_n", "Z_m"), {(1, 0): 1})
+    zm = Poly(("Z_n", "Z_m"), {(0, 1): 1})
     p = (zn + 1) ** 2 * (zm * zm - 1)
     q = p.exact_div(Poly.univariate("Z_n", [1, 2, 1]), "Z_n")
     assert q == zm * zm - 1
@@ -92,14 +92,6 @@ def test_separate_rejects_coupled_poly():
     # the 9-point stencil polynomial is not a product of univariate parts
     from eddyfem.ztransfer import polys_2d
     assert separate(polys_2d()["S1"]) is None
-
-
-def test_rational_reduced_cancels_common_factor():
-    num = zp(-0.5, 1)
-    rf = RationalFunction(num, num)
-    red, cancelled = rf.reduced()
-    assert red.numerator.degree() == 0 and red.denominator.degree() == 0
-    assert cancelled == zp(-0.5, 1) or cancelled == zp(Fraction(-1, 2), 1)
 
 
 def test_rational_rejects_zero_denominator():
