@@ -34,10 +34,14 @@ MU0 = 4e-7 * math.pi
 # shipped or benchmarked sizes: 400x the 25 sweep points; 25x the 20 sheet rows
 # per side; 16x the refined sheet's nz = 257 and 3x its 31,611 dofs; 250x the
 # sweep's 40 elements per run; 4x the 232,001 nodes of its refined reference.
+# run-2d holds every solution of a run until it writes, about 33 bytes per dof
+# per Pe for both schemes, so its Pe count times the dofs is capped at 16
+# meshes of MAX_DOFS_2D (about 53 MB; 3 Pe at 4,059 dofs are shipped).
 MAX_SWEEP_POINTS = 10_000
 MAX_ROWS_PER_SIDE = 500
 MAX_NZ = 4097
 MAX_DOFS_2D = 100_000
+MAX_RUN_DOFS_2D = 16 * MAX_DOFS_2D
 MAX_NODES_1D = 1_000_000
 MAX_SWEEP_ELEMENTS = 10_000
 # the sweep's Galerkin reference is refined until its per-element Pe is at most this
@@ -214,6 +218,17 @@ def svg_line_chart(path: Path, series: Dict[str, Tuple[np.ndarray, np.ndarray]],
     path.write_text("\n".join(parts) + "\n")
 
 
+def _write_outputs(record: RunRecord, cfg: ScenarioConfig, path: Path, columns: List[str],
+                   rows: Sequence[Sequence], chart: Optional[Tuple[dict, str]] = None) -> None:
+    """Write the CSV ``path`` and, when cfg.svg is set and a (series, title)
+    chart is given, its SVG beside it; record both paths."""
+    write_csv(path, cfg, columns, rows)
+    record.outputs.append(str(path))
+    if cfg.svg and chart is not None:
+        svg_line_chart(path.with_suffix(".svg"), *chart)
+        record.outputs.append(str(path.with_suffix(".svg")))
+
+
 # ---------------------------------------------------------------------------
 # case builders
 
@@ -306,6 +321,9 @@ def build_2d_case(cfg: ScenarioConfig, pe: float):
     ny = len(heights) + 1
     if 3 * ny * nz > MAX_DOFS_2D:
         raise ConfigError("grid.nz", f"{ny} x {nz} nodes: {3 * ny * nz} dofs, over {MAX_DOFS_2D}")
+    if len(cfg.pe_values) * 3 * ny * nz > MAX_RUN_DOFS_2D:
+        raise ConfigError("pe" if "pe" in raw else "pe_sweep", f"{len(cfg.pe_values)} Pe values "
+                          f"of {3 * ny * nz} dofs each: over {MAX_RUN_DOFS_2D} dofs in one run")
     # place the y = 0 node exactly: y0 is minus the cumulative height below it
     y0 = -float(np.cumsum(heights)[mid - 1])
     mesh = Mesh2D(nz=nz, dz=dz, row_heights=heights, z0=-lz / 2, y0=y0)
@@ -337,29 +355,24 @@ def run_1d(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
             z = mesh.nodes()
             rows = [(z[i], sol.a_y[i], sol.b_x[i] if i < len(sol.b_x) else None)
                     for i in range(mesh.node_count)]
-            name = f"run1d_{scheme.value}_pe{_fmt(float(pe))}.csv"
-            write_csv(out_dir / name, cfg, ["z", "a_y", "b_x"], rows)
-            record.outputs.append(str(out_dir / name))
+            _write_outputs(record, cfg, out_dir / f"run1d_{scheme.value}_pe{_fmt(float(pe))}.csv",
+                           ["z", "a_y", "b_x"], rows,
+                           ({f"b_x {scheme.value} Pe={pe:g}": (0.5 * (z[:-1] + z[1:]), sol.b_x)},
+                            "reaction flux density along z"))
             record.stats.append({"scheme": scheme.value, "pe": pe, "n": mesh.node_count,
                                  "residual": sol.residual, "wall_s": wall})
-            if cfg.svg:
-                zc = 0.5 * (z[:-1] + z[1:])
-                svg = out_dir / name.replace(".csv", ".svg")
-                svg_line_chart(svg, {f"b_x {scheme.value} Pe={pe:g}": (zc, sol.b_x)},
-                               "reaction flux density along z")
-                record.outputs.append(str(svg))
     return record
 
 
 def run_2d(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
     _need_dimension(cfg, 2)
+    cases = [(pe, build_2d_case(cfg, pe)) for pe in cfg.pe_values]
     record = RunRecord(config_hash=cfg.hash())
     # the left-hand side does not depend on the scheme: assemble and factor
     # it once per (mesh, Pe) and solve every scheme's right-hand side with
     # it; wall_s is the time of that joint assembly and solve
     solved = {}
-    for pe in cfg.pe_values:
-        mesh, material, regions, profile = build_2d_case(cfg, pe)
+    for pe, (mesh, material, regions, profile) in cases:
         t0 = time.perf_counter()
         system = fem2d.assemble_2d(mesh, material, regions, profile, cfg.schemes[0])
         more = [fem2d.rhs_2d(mesh, material, regions, profile, scheme)
@@ -370,41 +383,26 @@ def run_2d(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
             solved[scheme, pe] = (sol, system.matrix.shape[0], wall)
     out_dir.mkdir(parents=True, exist_ok=True)
     for scheme in cfg.schemes:
-        traces = {}
-        zc_ref = None
+        traces = []
         for pe in cfg.pe_values:
             sol, dofs, wall = solved.pop((scheme, pe))
-            mesh = sol.mesh
-            trace = fem2d.axis_profile(sol, mesh)
-            zc_ref = trace[:, 0]
-            traces[pe] = trace[:, 1]
-            # full field at element centroids
-            zc = 0.5 * (mesh.node_z()[:-1] + mesh.node_z()[1:])
-            yc = 0.5 * (mesh.node_y()[:-1] + mesh.node_y()[1:])
-            cent = lambda f: 0.25 * (f[:-1, :-1] + f[:-1, 1:] + f[1:, :-1] + f[1:, 1:])
-            phi_c, ay_c, az_c = cent(sol.phi), cent(sol.a_y), cent(sol.a_z)
-            rows = []
-            for mi in range(len(yc)):
-                for nib in range(len(zc)):
-                    rows.append((yc[mi], zc[nib], sol.b_x[mi, nib],
-                                 ay_c[mi, nib], az_c[mi, nib], phi_c[mi, nib]))
-            name = f"field2d_{scheme.value}_pe{_fmt(float(pe))}.csv"
-            write_csv(out_dir / name, cfg, ["y", "z", "b_x", "a_y", "a_z", "phi"], rows)
-            record.outputs.append(str(out_dir / name))
-            record.stats.append({"scheme": scheme.value, "pe": pe, "dofs": dofs,
-                                 "band_kl": sol.band_kl, "residual": sol.residual,
-                                 "wall_s": wall})
-        cols = ["z"] + [f"b_x_pe{_fmt(float(pe))}" for pe in cfg.pe_values]
-        rows = [[zc_ref[i]] + [traces[pe][i] for pe in cfg.pe_values]
-                for i in range(len(zc_ref))]
-        name = f"centerline_{scheme.value}.csv"
-        write_csv(out_dir / name, cfg, cols, rows)
-        record.outputs.append(str(out_dir / name))
-        if cfg.svg:
-            svg = out_dir / name.replace(".csv", ".svg")
-            svg_line_chart(svg, {f"Pe={pe:g}": (zc_ref, traces[pe]) for pe in cfg.pe_values},
-                           f"centerline b_x, {scheme.value} input")
-            record.outputs.append(str(svg))
+            trace = fem2d.axis_profile(sol, sol.mesh)
+            traces.append(trace[:, 1])
+            # full field at element centroids, one row per element, y-major
+            yc, zc = (0.5 * (v[:-1] + v[1:]) for v in (sol.mesh.node_y(), sol.mesh.node_z()))
+            f = np.stack([sol.a_y, sol.a_z, sol.phi])
+            centroid = 0.25 * (f[:, :-1, :-1] + f[:, :-1, 1:] + f[:, 1:, :-1] + f[:, 1:, 1:])
+            rows = np.column_stack([*(v.ravel() for v in np.meshgrid(yc, zc, indexing="ij")),
+                                    sol.b_x.ravel(), *centroid.reshape(3, -1)])
+            _write_outputs(record, cfg, out_dir / f"field2d_{scheme.value}_pe{_fmt(float(pe))}.csv",
+                           ["y", "z", "b_x", "a_y", "a_z", "phi"], rows)
+            record.stats.append({"scheme": scheme.value, "pe": pe, "dofs": dofs, "band_kl":
+                                 sol.band_kl, "residual": sol.residual, "wall_s": wall})
+        _write_outputs(record, cfg, out_dir / f"centerline_{scheme.value}.csv",
+                       ["z"] + [f"b_x_pe{_fmt(float(pe))}" for pe in cfg.pe_values],
+                       np.column_stack([trace[:, 0]] + traces),
+                       ({f"Pe={pe:g}": (trace[:, 0], t) for pe, t in zip(cfg.pe_values, traces)},
+                        f"centerline b_x, {scheme.value} input"))
     return record
 
 
@@ -478,23 +476,15 @@ def sweep_error(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
         fg = oracle.peak_error(Scheme.GALERKIN, pe, amp)
         fa = oracle.peak_error(Scheme.ELEMENT_AVERAGED, pe, amp)
         rows.append((pe, mg, fg, ma, fa, "ok"))
-    name = "sweep_error.csv"
+    valid = np.array([r[:4] for r in rows if r[5] == "ok"], dtype=float).reshape(-1, 4)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(out_dir / name, cfg,
-              ["pe", "measured_error_galerkin", "formula_error_galerkin",
-               "measured_error_averaged", "formula_error_averaged", "status"],
-              rows)
-    record.outputs.append(str(out_dir / name))
+    _write_outputs(record, cfg, out_dir / "sweep_error.csv",
+                   ["pe", "measured_error_galerkin", "formula_error_galerkin",
+                    "measured_error_averaged", "formula_error_averaged", "status"], rows,
+                   ({"measured galerkin": (valid[:, 0], np.abs(valid[:, 1])),
+                     "measured averaged": (valid[:, 0], np.abs(valid[:, 3]))},
+                    "peak spurious error vs Pe") if len(valid) else None)   # no Pe > 1: no chart
     record.stats.append({"points": len(rows), "wall_s": time.perf_counter() - t0})
-    if cfg.svg:
-        valid = [r for r in rows if r[5] == "ok"]
-        pe_v = np.array([r[0] for r in valid])
-        svg = out_dir / "sweep_error.svg"
-        svg_line_chart(svg, {
-            "measured galerkin": (pe_v, np.abs([r[1] for r in valid])),
-            "measured averaged": (pe_v, np.abs([r[3] for r in valid]))},
-            "peak spurious error vs Pe")
-        record.outputs.append(str(svg))
     return record
 
 
@@ -502,41 +492,12 @@ def verify(stream=None) -> int:
     """Run every exact identity check and certificate; print the proof
     reports; return 0 if all hold, 4 otherwise."""
     out = stream or sys.stdout
-    ok = True
-    reports = ztransfer.run_identity_checks()
-    reports += [ztransfer.peak_error_certificate(s) for s in Scheme]
+    reports = (ztransfer.run_identity_checks()
+               + [ztransfer.peak_error_certificate(s) for s in Scheme]
+               + ztransfer.pole_certificates())
     for rep in reports:
         print(rep.render(), file=out)
-        ok = ok and rep.ok
-
-    print("\n1D transfer-function certificates (fem1d element table, high-Pe limit):", file=out)
-    limits = {s: ztransfer.tf_1d(s, math.inf, 1.0) for s in Scheme}
-    for scheme, rf in limits.items():
-        print(f"    {scheme.value}: {rf}", file=out)
-    ga, ea = (ztransfer.analyze(limits[s]) for s in Scheme)
-    g_keeps = any(p.exact and p.location == -1 for p in ga.poles)
-    e_cancels = any(c.exact and c.location == -1 for c in ea.cancelled_pairs) \
-        and not any(p.exact and p.location == -1 for p in ea.poles)
-    print(f"    [{'PASS' if g_keeps else 'FAIL'}] galerkin high-Pe limit keeps the "
-          f"Z = -1 pole (classification {ga.classification.value})", file=out)
-    print(f"    [{'PASS' if e_cancels else 'FAIL'}] element-averaged high-Pe limit "
-          f"cancels Z = -1; remaining poles "
-          f"{sorted(p.location.real for p in ea.poles)}", file=out)
-    ok = ok and g_keeps and e_cancels
-
-    print("\n2D transfer-function certificates (Cramer's rule on the assembled "
-          "interior stencils, leading terms in Pe):", file=out)
-    for scheme, keeps in ((Scheme.GALERKIN, True), (Scheme.ELEMENT_AVERAGED, False)):
-        t = ztransfer.tf_2d(scheme)
-        (den_minus, num_minus), (den_plus, num_plus) = (t.zn_multiplicities[-1],
-                                                        t.zn_multiplicities[1])
-        print(f"    {scheme.value}: det A ~ Pe^{t.denominator_pe_degree} "
-              f"(Z_n+1)^{den_minus} (Z_n-1)^{den_plus}; A_y numerator ~ "
-              f"Pe^{t.numerator_pe_degree} (Z_n+1)^{num_minus} (Z_n-1)^{num_plus}", file=out)
-        good = t.has_zn_pole(-1) == keeps
-        print(f"    [{'PASS' if good else 'FAIL'}] {scheme.value} "
-              f"{'keeps' if keeps else 'cancels'} the Z_n = -1 pole", file=out)
-        ok = ok and good
+    ok = all(rep.ok for rep in reports)
     print(f"\nverification {'PASSED' if ok else 'FAILED'}", file=out)
     return 0 if ok else 4
 

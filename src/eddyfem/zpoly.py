@@ -217,18 +217,10 @@ class Poly:
 
     # -- division -----------------------------------------------------
     def divmod_in(self, divisor: "Poly", var: str) -> Tuple["Poly", "Poly"]:
-        """Long division by a divisor univariate in ``var`` with rational
-        coefficients, treating self as a polynomial in ``var`` over the
-        remaining variable."""
-        dvar = divisor.variables
-        if len(dvar) == 1:
-            dcoef = divisor.dense_1d()
-        else:
-            i = dvar.index(var)
-            j = 1 - i
-            if divisor.degree(dvar[j]) > 0:
-                raise ValueError("divisor must be univariate in the division variable")
-            dcoef = [p.eval(**{dvar[j]: 0}) for p in divisor.as_univariate_in(var)]
+        """Long division by a univariate divisor (a polynomial in ``var``
+        with rational coefficients), treating self as a polynomial in ``var``
+        over the remaining variable; dense_1d rejects a bivariate divisor."""
+        dcoef = divisor.dense_1d()
         while dcoef and dcoef[-1] == 0:
             dcoef.pop()
         if not dcoef:
@@ -269,10 +261,7 @@ class Poly:
 
     def exact_div(self, divisor: "Poly", var: Optional[str] = None) -> "Poly":
         """Exact quotient; raises InexactDivisionError if a remainder is left."""
-        if var is None:
-            var = divisor.variables[0] if len(divisor.variables) == 1 else \
-                next(v for v in divisor.variables if divisor.degree(v) > 0)
-        q, r = self.divmod_in(divisor, var)
+        q, r = self.divmod_in(divisor, var or divisor.variables[0])
         if not r.is_zero():
             raise InexactDivisionError(
                 f"division by {divisor} not exact (remainder {r})", r)

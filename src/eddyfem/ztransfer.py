@@ -1,8 +1,8 @@
 """Z-domain machinery: discrete transfer functions of the 1D scheme, the
-high-Pe 2D pole-cancellation certificate, pole-zero analysis with exact
-cancellation detection, the named 2D stencil polynomials with their
-factorization identities, and the exact certificate of the paper's 1D
-peak-error bound.
+high-Pe 1D and 2D pole-cancellation certificates (exact multiplicities of
+the factors at -1 and +1), pole-zero analysis with exact cancellation
+detection, the named 2D stencil polynomials with their factorization
+identities, and the exact certificate of the paper's 1D peak-error bound.
 
 Every stencil and input weight here is read from the tables the float
 assembly reads: tf_1d from the fem1d element table, tf_2d and polys_2d
@@ -293,18 +293,25 @@ def _pe_leading(samples) -> Tuple[Poly, int]:
     raise UnsupportedStructureError("vanishes identically in Pe")
 
 
-def _zn_multiplicity(p: Poly, location) -> int:
-    """How many times (Z_n - location) divides the nonzero polynomial p,
-    counted by repeated exact division."""
+def _multiplicity(p: Poly, location) -> int:
+    """How many times (v - location) divides the nonzero polynomial p, v its
+    first variable (Z in 1D, Z_n in 2D), counted by repeated exact division."""
     if p.is_zero():
         raise UnsupportedStructureError("the zero polynomial has no finite multiplicity")
-    factor, k = _zn([-Fraction(location), 1]), 0
+    var = p.variables[0]
+    factor, k = Poly.univariate(var, [-Fraction(location), 1]), 0
     try:
         while True:
-            p = p.exact_div(factor, ZN)
+            p = p.exact_div(factor, var)
             k += 1
     except InexactDivisionError:
         return k
+
+
+def _multiplicities(den: Poly, num: Poly) -> Dict[int, Tuple[int, int]]:
+    """(denominator, numerator) multiplicities of (v + 1) and (v - 1),
+    keyed by the roots -1 and 1."""
+    return {loc: (_multiplicity(den, loc), _multiplicity(num, loc)) for loc in (-1, 1)}
 
 
 @dataclass(frozen=True)
@@ -326,8 +333,7 @@ class TransferFunction2D:
         """Exact test: (Z_n - location) divides the leading denominator more
         often than the leading numerator."""
         den, num = self.zn_multiplicities.get(location) or (
-            _zn_multiplicity(self.denominator, location),
-            _zn_multiplicity(self.numerator, location))
+            _multiplicity(self.denominator, location), _multiplicity(self.numerator, location))
         return den > num
 
 
@@ -337,10 +343,9 @@ def tf_2d(scheme: Scheme) -> TransferFunction2D:
 
     A and the input weights come from fem2d.exact_patch_rows, which reads
     the BLOCK_TABLE and LOAD_TABLE of the production assembly (unit
-    spacing, u = 1). The
-    denominator is det A, the numerator det A with its A_y column replaced
-    by the input-weight stencils. Galerkin keeps the oscillatory Z_n = -1
-    pole; the element-averaged input cancels it.
+    spacing, u = 1). The denominator is det A, the numerator det A with its
+    A_y column replaced by the input-weight stencils. Galerkin keeps the
+    oscillatory Z_n = -1 pole; the element-averaged input cancels it.
     """
     dets, nums = [], []
     for pe in _PE_SAMPLES:
@@ -355,8 +360,37 @@ def tf_2d(scheme: Scheme) -> TransferFunction2D:
         nums.append(b[0] * cof[0] + b[1] * cof[1] + b[2] * cof[2])
     den, den_degree = _pe_leading(dets)
     num, num_degree = _pe_leading(nums)
-    mults = {loc: (_zn_multiplicity(den, loc), _zn_multiplicity(num, loc)) for loc in (-1, 1)}
-    return TransferFunction2D(scheme, num, den, num_degree, den_degree, mults)
+    return TransferFunction2D(scheme, num, den, num_degree, den_degree, _multiplicities(den, num))
+
+
+def pole_certificates() -> List[IdentityReport]:
+    """The high-Pe pole-cancellation certificates, 1D (tf_1d) then 2D
+    (tf_2d), each for both schemes: Galerkin keeps the oscillatory pole at
+    v = -1 (v = Z in 1D, Z_n in 2D), the element-averaged input cancels it.
+    Each is read off the exact multiplicities of (v + 1) and (v - 1) in the
+    derived denominator and numerator; no root is located."""
+    reports = []
+    for dim, scheme in ((d, s) for d in (1, 2) for s in Scheme):
+        keeps = scheme is Scheme.GALERKIN
+        verb = "keeps" if keeps else "cancels"
+        if dim == 1:
+            rf = tf_1d(scheme, math.inf, 1)
+            var, m = Z1, _multiplicities(rf.denominator, rf.numerator)
+            name = f"{'galerkin' if keeps else 'element-averaged'} high-Pe limit {verb} Z = -1"
+            source = f"fem1d element table, high-Pe limit: {scheme.value}: {rf}"
+            den_label, num_label = "denominator", "numerator"
+        else:
+            t = tf_2d(scheme)
+            var, m = ZN, t.zn_multiplicities
+            name = f"{scheme.value} {verb} the Z_n = -1 pole"
+            source = "Cramer's rule on the assembled interior stencils, leading terms in Pe"
+            den_label = f"{scheme.value}: det A ~ Pe^{t.denominator_pe_degree}"
+            num_label = f"A_y numerator ~ Pe^{t.numerator_pe_degree}"
+        den_f, num_f = (f"({var}+1)^{m[-1][i]} ({var}-1)^{m[1][i]}" for i in (0, 1))
+        den, num = m[-1]
+        reports.append(IdentityReport(name, den > num if keeps else 0 < den <= num,
+                                      [source, f"{den_label} {den_f}; {num_label} {num_f}"]))
+    return reports
 
 
 # ---------------------------------------------------------------------------

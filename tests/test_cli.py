@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eddyfem import cli, fem1d, fem2d
+from eddyfem import cli, fem1d, fem2d, zpoly, ztransfer
 from eddyfem.cli import (ConfigError, ScenarioConfig, build_1d_case,
                          build_2d_case, graded_sheet_rows, main,
                          measured_peak_error, measured_peak_errors, run_1d,
@@ -195,14 +195,16 @@ def _no_assembly(*args):
     # the refined reference has 116 * ceil(Pe / 0.5) + 1 nodes: 232,000,001 at Pe = 1e6
     ("sweep_peak_error.json", "pe_sweep.hi", 1e6, "pe_sweep"),
     ("sweep_peak_error.json", "pe_sweep.include", [5000.0], "pe_sweep"),
-    ("sweep_peak_error.json", "pe", [2.0, 5000.0], "pe")])
+    ("sweep_peak_error.json", "pe", [2.0, 5000.0], "pe"),
+    # 400 Pe values of the shipped sheet's 4,059 dofs: 1,623,600 dofs held by one run
+    ("sheet2d_circle.json", "pe", [2.0 + k for k in range(400)], "pe")])
 def test_mesh_size_caps_exit_2_before_any_assembly(tmp_path, capsys, monkeypatch, config, path,
                                                    value, field):
     monkeypatch.setattr(fem1d, "assemble_1d", _no_assembly)
     monkeypatch.setattr(fem2d, "assemble_2d", _no_assembly)
     raw = _with(json.loads((CONFIG_DIR / config).read_text()), path, value)
     if path == "pe":   # ascending, so a cap checked per point would solve Pe = 2 first
-        del raw["pe_sweep"]
+        raw.pop("pe_sweep", None)
     raw["svg"] = False
     command = {"sheet2d_circle.json": "run-2d", "fig_pulse1d_pe2.json": "run-1d",
                "sweep_peak_error.json": "sweep-error"}[config]
@@ -215,6 +217,12 @@ def test_mesh_size_caps_admit_the_shipped_and_benchmarked_sizes():
     for nz, dofs in ((33, 4059), (257, 31_611), (813, 99_999)):   # 257: the refined sheet
         mesh = build_2d_case(ScenarioConfig.from_dict(_with(sheet(), "grid.nz", nz)), 2.0)[0]
         assert 3 * mesh.node_count == dofs
+    # the shipped 3-Pe sheet, and 16 Pe values of the largest sheet: 1,599,984
+    # dofs held by one run, just inside MAX_RUN_DOFS_2D
+    shipped = ScenarioConfig.from_dict(sheet())
+    assert len(shipped.pe_values) == 3 and build_2d_case(shipped, 2.0)[0].node_count == 1353
+    widest = _with(_with(sheet(), "grid.nz", 813), "pe", [2.0 + k for k in range(16)])
+    assert 3 * build_2d_case(ScenarioConfig.from_dict(widest), 2.0)[0].node_count * 16 == 1_599_984
     thin = _with(_with(sheet(), "grid.conductor_rows", 2), "sheet.air_factor", 0.0)
     mesh = build_2d_case(ScenarioConfig.from_dict(_with(thin, "grid.nz", cli.MAX_NZ)), 2.0)[0]
     assert mesh.ny == 3
@@ -242,6 +250,11 @@ def test_overflowing_velocity_exits_2(tmp_path, capsys, monkeypatch):
     raw = _with(json.loads((CONFIG_DIR / "fig_pulse1d_pe2.json").read_text()), "pe", [2.0, 1e308])
     code, err = _exit_code_and_err(tmp_path, capsys, raw)
     assert code == 2 and "u_z must be finite" in err
+    # run-2d too: it used to assemble and solve Pe = 2 before it built Pe = 1e308
+    monkeypatch.setattr(fem2d, "assemble_2d", _no_assembly)
+    raw = _with(json.loads((CONFIG_DIR / "sheet2d_circle.json").read_text()), "pe", [2.0, 1e308])
+    code, err = _exit_code_and_err(tmp_path, capsys, raw, "run-2d")
+    assert code == 2 and "'sheet.sigma'" in err and "u_z must be finite" in err
 
 
 @pytest.mark.parametrize("config, overrides, field", [
@@ -333,6 +346,26 @@ def test_run_2d_outputs(tmp_path):
     field = Path(tmp_path / "field2d_averaged_pe2.0.csv").read_text().splitlines()
     assert field[2] == "y,z,b_x,a_y,a_z,phi"
     assert rec.stats[0]["dofs"] > 0
+
+
+def test_field_csv_rows_are_the_element_centroids_y_major(tmp_path, monkeypatch):
+    # the per-element loop the field CSV was written with before its rows
+    # became one array: same values, same order, same text
+    solved = []
+    solve = fem2d.solve_2d
+    monkeypatch.setattr(fem2d, "solve_2d",
+                        lambda system, more_rhs=None: solved.append(solve(system, more_rhs))
+                        or solved[-1])
+    run_2d(small_2d_cfg(), tmp_path)
+    (sol,) = solved[0]
+    zc = 0.5 * (sol.mesh.node_z()[:-1] + sol.mesh.node_z()[1:])
+    yc = 0.5 * (sol.mesh.node_y()[:-1] + sol.mesh.node_y()[1:])
+    cent = lambda f: 0.25 * (f[:-1, :-1] + f[:-1, 1:] + f[1:, :-1] + f[1:, 1:])
+    ay, az, phi = cent(sol.a_y), cent(sol.a_z), cent(sol.phi)
+    rows = [",".join(cli._fmt(v) for v in (yc[mi], zc[ni], sol.b_x[mi, ni], ay[mi, ni],
+                                           az[mi, ni], phi[mi, ni]))
+            for mi in range(len(yc)) for ni in range(len(zc))]
+    assert (tmp_path / "field2d_averaged_pe2.0.csv").read_text().splitlines()[3:] == rows
 
 
 def test_run_2d_zero_amplitude_gives_zero_files(tmp_path):
@@ -437,6 +470,15 @@ def test_sweep_flags_out_of_validity_and_matches_formula(tmp_path):
         assert abs(float(r[3]) - float(r[4])) <= 1e-6
 
 
+def test_sweep_without_a_valid_pe_writes_no_chart(tmp_path, capsys):
+    # with no Pe > 1 the chart has no points; it used to end in a numpy
+    # traceback (exit 1) after the CSV was written
+    raw = {"dimension": 1, "pe": [0.5, 1.0], "dz": 0.2, "svg": True}
+    code, _ = _exit_code_and_err(tmp_path, capsys, raw, "sweep-error")
+    assert code == 0
+    assert [p.name for p in (tmp_path / "o").iterdir()] == ["sweep_error.csv"]
+
+
 def test_measured_error_tracks_closed_form():
     for pe in (2.0, 50.0):
         got = measured_peak_error(pe, 0.2, 40, 30, 40, Scheme.ELEMENT_AVERAGED)
@@ -466,6 +508,19 @@ def test_verify_passes():
     assert "averaged: det A ~ Pe^2 (Z_n+1)^2 (Z_n-1)^2; A_y numerator ~ Pe^1 (Z_n+1)^2" in text
     assert "note:" not in text
     assert "verification PASSED" in text
+
+
+def test_verify_takes_no_float_path(monkeypatch):
+    # every certificate is exact: no numeric pole analysis or root finder runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("float root path reached")
+
+    for module, name in ((ztransfer, "analyze"), (ztransfer, "roots_univariate"),
+                         (zpoly, "roots_univariate"), (np, "roots")):
+        monkeypatch.setattr(module, name, refuse)
+    buf = io.StringIO()
+    assert verify(stream=buf) == 0
+    assert "denominator (Z+1)^1 (Z-1)^1; numerator (Z+1)^2 (Z-1)^0" in buf.getvalue()
 
 
 def test_verify_negative_control_names_n1(monkeypatch):

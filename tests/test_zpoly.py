@@ -48,6 +48,18 @@ def test_exact_div_bivariate_by_univariate_factor():
     assert q == zm * zm - 1
 
 
+def test_bivariate_divisor_is_rejected():
+    # division is by a univariate factor only; a bivariate divisor raises,
+    # with or without a named division variable
+    zn = Poly(("Z_n", "Z_m"), {(1, 0): 1})
+    zm = Poly(("Z_n", "Z_m"), {(0, 1): 1})
+    for divisor in (zn + 1, zn * zm + 1):
+        with pytest.raises(ValueError):
+            (zn * zm).divmod_in(divisor, "Z_n")
+        with pytest.raises(ValueError):
+            (zn * zm).exact_div(divisor)
+
+
 def test_gcd_univariate():
     a = zp(-1, 1) * zp(2, 1)   # (Z-1)(Z+2)
     b = zp(-1, 1) * zp(3, 1)   # (Z-1)(Z+3)

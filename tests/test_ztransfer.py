@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eddyfem.core import Scheme
-from eddyfem import fem1d, fem2d
+from eddyfem import fem1d, fem2d, ztransfer
 from eddyfem.zpoly import Poly, RationalFunction
 from eddyfem.ztransfer import (Stability, SingularNormalizationError,
                                UnsupportedStructureError, ZN, ZM, ZN_CIRCLE,
-                               ZN_QUAD, ZN_SQUARE_PLUS, analyze, polys_2d,
-                               run_identity_checks, tf_1d, tf_2d,
+                               ZN_QUAD, ZN_SQUARE_PLUS, analyze, pole_certificates,
+                               polys_2d, run_identity_checks, tf_1d, tf_2d,
                                transverse_denominator_poly)
 from stencil_utils import GOLDEN_POLYS
 
@@ -109,6 +109,36 @@ def test_tf1d_pe_one_raises_with_unreduced_form():
         tf_1d(Scheme.GALERKIN, 1.0, 0.5)
     rf = err.value.unreduced
     assert rf.denominator.degree() == 1  # leading coefficient vanished
+
+
+def test_pole_certificates_count_exact_multiplicities():
+    reports = pole_certificates()
+    assert [r.name for r in reports] == [
+        "galerkin high-Pe limit keeps Z = -1", "element-averaged high-Pe limit cancels Z = -1",
+        "galerkin keeps the Z_n = -1 pole", "averaged cancels the Z_n = -1 pole"]
+    assert all(r.ok for r in reports)
+    assert [r.statements[1] for r in reports[:2]] == [
+        "denominator (Z+1)^1 (Z-1)^1; numerator (Z+1)^0 (Z-1)^0",
+        "denominator (Z+1)^1 (Z-1)^1; numerator (Z+1)^2 (Z-1)^0"]
+    assert reports[3].statements[1] == ("averaged: det A ~ Pe^2 (Z_n+1)^2 (Z_n-1)^2; "
+                                        "A_y numerator ~ Pe^1 (Z_n+1)^2 (Z_n-1)^2")
+
+
+def test_pole_certificates_need_a_pole_to_cancel(monkeypatch):
+    # an averaged 1D limit whose denominator has no (Z+1) factor cancels
+    # nothing: its certificate fails instead of passing vacuously
+    real = ztransfer.tf_1d
+
+    def no_minus_one(scheme, pe, dz):
+        rf = real(scheme, pe, dz)
+        if scheme is Scheme.ELEMENT_AVERAGED:
+            return RationalFunction(rf.numerator, Poly.univariate("Z", [1, -2, 1]))
+        return rf
+
+    monkeypatch.setattr(ztransfer, "tf_1d", no_minus_one)
+    reports = pole_certificates()
+    assert [r.ok for r in reports] == [True, False, True, True]
+    assert reports[1].statements[1] == "denominator (Z+1)^0 (Z-1)^2; numerator (Z+1)^2 (Z-1)^0"
 
 
 @given(st.fractions(min_value=Fraction(11, 10), max_value=Fraction(500)))
