@@ -41,10 +41,14 @@ matrix commutes with the signed reflection
 (phi, A_y, A_z)(y) -> (-phi, +A_y, -A_z)(-y) (MIRROR_PARITY). solve_2d
 checks this and then solves the even and the odd sector separately, each
 on half the grid height with half the bandwidth; other systems get one
-band LU over the whole grid.
+band LU over the whole grid. Every input the package ships is even in y
+as well. For such an input rhs_2d returns the load's even part, which is
+even bit for bit, so no right-hand side reaches the odd sector and
+solve_2d factors the even sector alone.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -122,11 +126,17 @@ class RegionMap2D:
 
 @dataclass(frozen=True)
 class DiscreteSystem2D:
-    """Sparse 3M x 3M system, block-ordered (phi, A_y, A_z), BCs applied."""
+    """Sparse 3M x 3M system, block-ordered (phi, A_y, A_z), BCs applied.
+
+    ``assembled`` is set by assemble_2d alone: solve_2d skips a mirror
+    sector that no right-hand side reaches only in such a system. A system
+    built by hand, say from an edited copy of an assembled matrix, has
+    every sector factored and tested for singularity."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     mesh: Mesh2D
+    assembled: bool = dataclasses.field(default=False, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -134,7 +144,8 @@ class Solution2D:
     """Nodal fields on the (ny, nz) grid plus the element-centroid reaction
     flux density b_x = dA_z/dy - dA_y/dz on the (ny-1, nz-1) elements, and
     the max-norm residual |A x - b| that the solver accepted and the lower
-    bandwidth of each band LU it factored (one per mirror sector)."""
+    bandwidth of each band LU it factored (one per mirror sector that a
+    right-hand side reaches)."""
 
     phi: np.ndarray
     a_y: np.ndarray
@@ -254,16 +265,23 @@ def assemble_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
           np.concatenate([(col0[:, None] + ne).ravel(), fixed_dofs]))),
         shape=(3 * m_count, 3 * m_count))
     matrix.eliminate_zeros()
-    return DiscreteSystem2D(matrix=matrix, rhs=rhs, mesh=mesh)
+    system = DiscreteSystem2D(matrix=matrix, rhs=rhs, mesh=mesh)
+    object.__setattr__(system, "assembled", True)
+    return system
 
 
 def rhs_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
            profile, scheme: Scheme) -> np.ndarray:
     """The right-hand side of assemble_2d alone, bit for bit: the only part
     of the system that depends on the scheme. Summed per dof in (row,
-    corner, element) order like the matrix entries."""
+    corner, element) order like the matrix entries.
+
+    When the load is even under MIRROR_PARITY in exact arithmetic (see
+    _even_input), the result is its even part (b + P b) / 2 with P the
+    signed reflection, so that P b == b holds in floats too."""
     blk, factors, nodes, fixed = _mesh_rows(mesh, material, regions)
-    bn = np.asarray(profile.sample(*np.meshgrid(mesh.node_z(), mesh.node_y())), dtype=float)
+    z, y = np.meshgrid(mesh.node_z(), mesh.node_y())
+    bn = np.asarray(profile.sample(z, y), dtype=float)
     if bn.shape != (mesh.ny, mesh.nz):
         raise InvalidArgumentError("profile samples do not match the mesh nodes")
     corners = np.stack([bn[:-1, :-1], bn[:-1, 1:], bn[1:, :-1], bn[1:, 1:]], axis=1)
@@ -276,7 +294,27 @@ def rhs_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
             load = (coef * w[..., None]) * corners.mean(axis=1)[:, None]
         np.add.at(rhs, field * mesh.node_count + nodes, load)
     rhs[fixed] = 0.0
+    if _even_input(mesh, regions, profile, z, y, bn):
+        # keep the even part (P b + b) / 2; negation and halving are exact
+        # and addition commutes, so it is even bit for bit and solve_2d
+        # finds the odd sector's load exactly zero
+        b = rhs.reshape(3, mesh.ny, mesh.nz)
+        even = b[:, ::-1] * np.asarray(MIRROR_PARITY, dtype=float)[:, None, None]
+        even += b
+        even *= 0.5
+        rhs = even.ravel()
     return rhs
+
+
+def _even_input(mesh: Mesh2D, regions: RegionMap2D, profile, z, y, bn) -> bool:
+    """Whether the load of rhs_2d is even under MIRROR_PARITY in exact
+    arithmetic: ny odd, the row heights and conductivity flags mirror
+    about the centre node row, that row lies at y = 0 exactly, and the
+    profile's samples bn at the nodes (z, y) equal its samples at (z, -y)."""
+    heights, flags = mesh.row_heights, regions.row_multipliers
+    return (mesh.ny % 2 == 1 and heights == heights[::-1] and flags == flags[::-1]
+            and mesh.node_y()[mesh.ny // 2] == 0.0
+            and np.array_equal(np.asarray(profile.sample(z, -y), dtype=float), bn))
 
 
 def _node_interleaved(ny: int, nz: int) -> np.ndarray:
@@ -378,9 +416,17 @@ def solve_2d(system: DiscreteSystem2D, more_rhs: Optional[Sequence[np.ndarray]] 
     an odd sector on half the grid height. Each sector system is the
     lower-half rows (plus the centre rows of its parity) folded onto the
     sector unknowns, a[keep] @ q; each right-hand side is split into its
-    sector parts (b + s P b) / 2. The two sectors are band-factored one
-    after the other and their solutions added. Otherwise (an off-centre
-    band, even ny, a hand-built matrix) one band LU covers the whole grid.
+    sector parts (b + s P b) / 2. The sectors are band-factored one after
+    the other and their solutions added. Otherwise (an off-centre band,
+    even ny, a hand-built matrix) one band LU covers the whole grid.
+
+    In a system from assemble_2d, a sector whose part of every right-hand
+    side is exactly zero is not folded or factored, and its part of the
+    solution is exactly zero: the even input of every shipped sheet
+    (see rhs_2d) reaches the even sector alone. Such a sector is not
+    factored, so its singularity is not tested; every factored band keeps
+    its pivot floor, and every solution its residual check on the full
+    matrix. A system built by hand has every sector factored.
 
     Either way the unknowns are renumbered node-interleaved with the
     shorter grid axis fastest, the band widths come from the renumbered
@@ -390,7 +436,8 @@ def solve_2d(system: DiscreteSystem2D, more_rhs: Optional[Sequence[np.ndarray]] 
     unknowns each, about 25 MB apiece, held one at a time.
 
     Returns the Solution2D of system.rhs; Solution2D.band_kl records the
-    kl of each band factored, (66, 67) or (128,) for that sheet. Given
+    kl of each band factored: (66,) for that sheet's even input, (66, 67)
+    for a load that reaches both sectors, (128,) for one whole-grid band. Given
     ``more_rhs``, a sequence of further right-hand sides for the same
     matrix (say, the other scheme's), the factorization is shared and the
     result is a list of solutions, system.rhs first.
@@ -413,7 +460,10 @@ def solve_2d(system: DiscreteSystem2D, more_rhs: Optional[Sequence[np.ndarray]] 
         p, sectors = mirror
         p_rhs, xs, band_kl = p @ rhs, np.zeros_like(rhs), ()
         for s, keep, q, perm in sectors:
-            x_s, kl = _band_solve(a[keep] @ q, perm, ((rhs + s * p_rhs) / 2)[keep])
+            part = ((rhs + s * p_rhs) / 2)[keep]
+            if system.assembled and not np.any(part):
+                continue   # no right-hand side reaches this sector: its x is 0
+            x_s, kl = _band_solve(a[keep] @ q, perm, part)
             xs += q @ x_s
             band_kl += (kl,)
     norm_a = float(np.max(np.abs(a).sum(axis=1)))

@@ -431,9 +431,9 @@ def test_run_2d_assembles_once_per_pe_and_prints_band_widths(tmp_path, monkeypat
     assert len(calls) == 2   # one matrix per Pe; the other scheme only needs rhs_2d
     stats = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("scheme=")]
     assert len(stats) == 4
-    for line in stats:   # the symmetric sheet is solved as two mirror sectors
+    for line in stats:   # the even input of the symmetric sheet: one mirror sector
         fields = dict(kv.split("=") for kv in line.split())
-        assert len(fields["band_kl"].split(",")) == 2
+        assert len(fields["band_kl"].split(",")) == 1
 
 
 def test_build_2d_case_grid_layout():

@@ -178,13 +178,18 @@ def test_zero_input_gives_zero_solution():
 # the sheet scenario
 
 
-def sheet_parts(pe, nz=33, refine_z=1):
+# the inputs of the shipped sheet2d_circle and sheet2d_rect configs
+CIRCLE = {"kind": "smooth_circle", "radius": 1.3, "amplitude": 1.0}
+RECT = {"kind": "rect_pulse", "a": 1.3, "b_extent": 1.3, "amplitude": 1.0}
+
+
+def sheet_parts(pe, nz=33, refine_z=1, field=CIRCLE):
     """(mesh, material, regions, profile) of the conducting-sheet scenario."""
     from eddyfem.cli import ScenarioConfig, build_2d_case
     raw = {
         "dimension": 2, "scheme": "both", "pe": [float(pe)],
         "sheet": {"thickness": 1.3, "sigma": 7.21e6, "mu_r": 1.0, "air_factor": 5.0},
-        "field": {"kind": "smooth_circle", "radius": 1.3, "amplitude": 1.0},
+        "field": field,
         "grid": {"nz": (nz - 1) * refine_z + 1, "conductor_rows": 16,
                  "air_ratio": 1.3, "axial_factor": 6.0},
     }
@@ -326,9 +331,10 @@ def flat(sol):
 
 @pytest.mark.parametrize("case", ["sheet", "off_centre_band", "even_ny"])
 def test_solver_path_and_sparse_agreement(case, monkeypatch):
-    # the symmetric sheet splits into two half-height sectors; an
-    # off-centre band on the same mesh, or an even ny (its gauge pin is
-    # off the midline), takes one band LU over the whole grid
+    # the symmetric sheet splits into two half-height sectors, and its even
+    # input reaches only the even one; an off-centre band on the same mesh,
+    # or an even ny (its gauge pin is off the midline), takes one band LU
+    # over the whole grid
     mesh, material, regions, profile = sheet_parts(60.0)
     if case == "off_centre_band":
         regions = RegionMap2D.conducting_band(mesh, 1.3, center=0.3)
@@ -337,9 +343,9 @@ def test_solver_path_and_sparse_agreement(case, monkeypatch):
     system = assemble_2d(mesh, material, regions, profile, Scheme.GALERKIN)
     calls = counted_dgbtrf(monkeypatch)
     sol = solve_2d(system)
-    assert len(calls) == (2 if case == "sheet" else 1)
+    assert len(calls) == 1
     assert sol.band_kl == tuple(calls)
-    if case == "sheet":   # ny = 41: each sector has half the bandwidth
+    if case == "sheet":   # ny = 41: the sector has half the bandwidth
         assert max(calls) < 3 * (mesh.ny + 1) // 2 + 5 < 3 * min(mesh.ny, mesh.nz)
     x_ref = spla.spsolve(system.matrix.tocsc(), system.rhs)
     assert np.max(np.abs(flat(sol) - x_ref)) <= 1e-9 * np.max(np.abs(x_ref))
@@ -354,6 +360,145 @@ def test_sector_solve_of_an_asymmetric_extra_rhs(monkeypatch):
     assert len(calls) == 2
     x_ref = spla.spsolve(system.matrix.tocsc(), load)
     assert np.max(np.abs(flat(sol) - x_ref)) <= 1e-9 * np.max(np.abs(x_ref))
+
+
+def reflected(v, mesh):
+    """P v: the signed mirror reflection of a block-ordered vector."""
+    f = v.reshape(3, mesh.ny, mesh.nz)
+    return (np.array(MIRROR_PARITY, dtype=float)[:, None, None] * f[:, ::-1]).ravel()
+
+
+def assert_exact_mirror_parity(sol):
+    assert np.array_equal(sol.a_y, sol.a_y[::-1])
+    assert np.array_equal(sol.phi, -sol.phi[::-1])
+    assert np.array_equal(sol.a_z, -sol.a_z[::-1])
+
+
+@pytest.mark.parametrize("field", [CIRCLE, RECT], ids=["circle", "rect"])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_even_sheet_input_reaches_the_even_sector_alone(field, scheme, monkeypatch):
+    # the load of a shipped sheet is even bit for bit, so its odd part is
+    # exactly zero and one half-height band is factored
+    parts = sheet_parts(60.0, field=field)
+    system = assemble_2d(*parts, scheme)
+    rhs, mesh = system.rhs, system.mesh
+    assert np.any(rhs != 0.0)
+    assert np.all((rhs - reflected(rhs, mesh)) / 2 == 0.0)
+    calls = counted_dgbtrf(monkeypatch)
+    sol = solve_2d(system)
+    assert len(calls) == 1 and sol.band_kl == tuple(calls)
+    x_ref = spla.spsolve(system.matrix.tocsc(), rhs)
+    assert np.max(np.abs(flat(sol) - x_ref)) <= 1e-9 * np.max(np.abs(x_ref))
+    assert_exact_mirror_parity(sol)
+
+
+def test_a_hand_built_system_factors_every_sector(monkeypatch):
+    # the skip is for assembled systems only: the same matrix and even load
+    # in a DiscreteSystem2D built by hand have both sectors factored, and
+    # the odd one contributes exact zeros
+    system = sheet_system(60.0, Scheme.GALERKIN)
+    calls = counted_dgbtrf(monkeypatch)
+    sol = solve_2d(system)
+    by_hand = solve_2d(DiscreteSystem2D(matrix=system.matrix, rhs=system.rhs, mesh=system.mesh))
+    assert system.assembled and len(calls) == 3 and by_hand.band_kl == tuple(calls[1:])
+    for name in ("phi", "a_y", "a_z", "b_x"):
+        assert np.array_equal(getattr(sol, name), getattr(by_hand, name)), name
+
+
+class OffAxis:
+    """The smooth circle centred at y = 0.2: not even in y."""
+
+    def sample(self, z, y=0.0):
+        return SmoothCircle2D(radius=1.3, amplitude=1.0).sample(z, np.asarray(y) - 0.2)
+
+
+@pytest.mark.parametrize("case", ["shifted_y0", "odd_profile", "off_centre_band",
+                                  "uneven_rows", "even_ny"])
+def test_inputs_that_are_not_even_keep_the_full_solve(case, monkeypatch):
+    # an input that is not even in y reaches both mirror sectors; the same
+    # palindromic mesh one row off centre (its phi pin moves off the
+    # centre row), a band off the centre line, rows that do not mirror
+    # about the y = 0 node row and an even ny with a node row at y = 0
+    # take one whole-grid band
+    mesh, material, regions, profile = sheet_parts(60.0)
+    if case == "shifted_y0":
+        mesh = Mesh2D(nz=mesh.nz, dz=mesh.dz, row_heights=mesh.row_heights,
+                      z0=mesh.z0, y0=mesh.y0 + mesh.row_heights[mesh.ny // 2])
+        assert mesh.node_y()[mesh.ny // 2] != 0.0
+    elif case == "odd_profile":
+        profile = OffAxis()
+    elif case == "off_centre_band":
+        regions = RegionMap2D.conducting_band(mesh, 1.3, center=0.3)
+    elif case == "uneven_rows":
+        heights = mesh.row_heights[:-1] + (2 * mesh.row_heights[-1],)
+        mesh = Mesh2D(nz=mesh.nz, dz=mesh.dz, row_heights=heights, z0=mesh.z0, y0=mesh.y0)
+        assert mesh.node_y()[mesh.ny // 2] == 0.0
+    else:
+        mesh = Mesh2D.uniform(nz=15, ny=12, dz=1.0, dy=1.0, y0=-6.0)
+        assert mesh.node_y()[mesh.ny // 2] == 0.0
+        regions = RegionMap2D.all_conductor(mesh)
+    system = assemble_2d(mesh, material, regions, profile, Scheme.GALERKIN)
+    assert np.any(system.rhs != reflected(system.rhs, mesh))
+    calls = counted_dgbtrf(monkeypatch)
+    sol = solve_2d(system)
+    if case == "odd_profile":
+        assert len(calls) == 2
+    else:
+        assert len(calls) == 1 and calls[0] > 3 * (mesh.ny + 1) // 2 + 5
+    assert sol.band_kl == tuple(calls)
+    x_ref = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    assert np.max(np.abs(flat(sol) - x_ref)) <= 1e-9 * np.max(np.abs(x_ref))
+
+
+@pytest.mark.parametrize("field", [CIRCLE, RECT], ids=["circle", "rect"])
+@pytest.mark.parametrize("pe", [2.0, 60.0, 2000.0])
+def test_skipped_odd_sector_clears_the_pivot_floor(field, pe, monkeypatch):
+    # the check that skipping the odd sector leaves out would pass: its
+    # folded matrix factors with every pivot above eps * ||A||inf (the
+    # matrix does not depend on the scheme)
+    system = assemble_2d(*sheet_parts(pe, field=field), Scheme.GALERKIN)
+    a = system.matrix
+    _, (_, (s, keep, q, perm)) = fem2d._mirror_sectors(a, system.mesh)
+    assert s == -1
+    a_odd = a[keep] @ q
+    factored = []
+    dgbtrf = fem2d.lapack.dgbtrf
+
+    def keeping(ab, kl, ku, **kwargs):
+        lu, piv, info = dgbtrf(ab, kl, ku, **kwargs)
+        factored.append((np.abs(lu[kl + ku]), info))
+        return lu, piv, info
+
+    monkeypatch.setattr(fem2d.lapack, "dgbtrf", keeping)
+    load = np.random.default_rng(3).standard_normal((len(keep), 1))
+    x, _ = fem2d._band_solve(a_odd, perm, load)
+    (pivots, info), = factored
+    floor = np.finfo(float).eps * float(np.max(np.abs(a_odd).sum(axis=1)))
+    assert info == 0 and np.min(pivots) > floor
+    assert np.max(np.abs(a_odd @ x - load)) <= 1e-8 * np.max(np.abs(load))
+
+
+@pytest.mark.parametrize("pe", [1 + 1e-9, 2.0, 1e6])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_minimal_symmetric_grids_solve_their_even_sector(pe, scheme, monkeypatch):
+    # edge regimes (Pe -> 1+, huge Pe) on the smallest mirror-symmetric
+    # grids: each solve passes its residual budget, agrees with a sparse
+    # direct solve and factors the even sector alone
+    calls = counted_dgbtrf(monkeypatch)
+    for ny in (3, 5):
+        for nz in (3, 5):
+            calls.clear()
+            system = assemble_2d(*uniform_conductor_case(nz=nz, ny=ny, scheme=scheme, pe=pe))
+            sol = solve_2d(system)
+            assert len(calls) == 1 and sol.band_kl == tuple(calls), (ny, nz)
+            x = flat(sol)
+            x_ref = spla.spsolve(system.matrix.tocsc(), system.rhs)
+            assert np.max(np.abs(x - x_ref)) <= 1e-9 * np.max(np.abs(x_ref)), (ny, nz)
+            norm_a = float(np.max(np.abs(system.matrix).sum(axis=1)))
+            budget = fem2d.RESIDUAL_RTOL * (norm_a * np.max(np.abs(x))
+                                            + np.max(np.abs(system.rhs)))
+            assert sol.residual == np.max(np.abs(system.matrix @ x - system.rhs)) <= budget
+            assert_exact_mirror_parity(sol)
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
