@@ -380,7 +380,7 @@ def run_2d(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
         sols = fem2d.solve_2d(system, more_rhs=more)
         wall = time.perf_counter() - t0
         for scheme, sol in zip(cfg.schemes, sols):
-            solved[scheme, pe] = (sol, system.matrix.shape[0], wall)
+            solved[scheme, pe] = (sol, 3 * mesh.node_count, wall)
     out_dir.mkdir(parents=True, exist_ok=True)
     for scheme in cfg.schemes:
         traces = []

@@ -21,8 +21,8 @@ two tables say how they combine: BLOCK_TABLE into the coupled matrix
 blocks, LOAD_TABLE into the loads of the right-hand side. The float
 production assembly reads both, and exact_patch_rows folds the same element
 rows into the exact Fraction-valued interior stencils that the certificates
-read. assemble_2d builds every element's entries in one vectorized pass
-over the whole mesh.
+read. assemble_2d writes the coupled matrix once, in one pass over the
+mesh, as the 9-point stencil that the solve and the CSR matrix read.
 
 The block order (phi, A_y, A_z) of DiscreteSystem2D and Solution2D is the
 public contract. solve_2d factors the system as a banded LU (LAPACK
@@ -35,20 +35,16 @@ side alone.
 
 Every sheet the package builds is mirror-symmetric about its y = 0 node
 row. The elemental blocks cy, gyz, gy0 and int_ny carry one y derivative
-and are odd in y, the rest are even; so every coupled block of
-BLOCK_TABLE is even or odd as its (row, col) fields demand, and the
-matrix commutes with the signed reflection
-(phi, A_y, A_z)(y) -> (-phi, +A_y, -A_z)(-y) (MIRROR_PARITY). solve_2d
-checks this and then solves the even and the odd sector separately, each
-on half the grid height with half the bandwidth; other systems get one
-band LU over the whole grid. Every input the package ships is even in y
-as well. For such an input rhs_2d returns the load's even part, which is
-even bit for bit, so no right-hand side reaches the odd sector and
-solve_2d factors the even sector alone.
+and are odd in y, the rest are even, so the matrix of a mirrored mesh
+commutes with the signed reflection (phi, A_y, A_z)(y) -> (-phi, +A_y,
+-A_z)(-y) (MIRROR_PARITY). solve_2d then solves the even and the odd
+sector apart, each on half the grid height with half the bandwidth. Every
+shipped input is even in y too; rhs_2d returns the load's even part, even
+bit for bit, so solve_2d factors the even sector alone.
 """
 from __future__ import annotations
 
-import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -124,19 +120,24 @@ class RegionMap2D:
         return cls((1.0,) * (mesh.ny - 1))
 
 
-@dataclass(frozen=True)
 class DiscreteSystem2D:
-    """Sparse 3M x 3M system, block-ordered (phi, A_y, A_z), BCs applied.
+    """The 3M x 3M system, block-ordered (phi, A_y, A_z), BCs applied.
 
-    ``assembled`` is set by assemble_2d alone: solve_2d skips a mirror
-    sector that no right-hand side reaches only in such a system. A system
-    built by hand, say from an edited copy of an assembled matrix, has
-    every sector factored and tested for singularity."""
+    assemble_2d writes the matrix as its stencil S[row field, col field,
+    dy, dz, m, n], the coefficient in the row of (row field, m, n) of the
+    unknown (col field, m + dy - 1, n + dz - 1). solve_2d reads only S, and
+    ``matrix`` is a CSR built from it on first read. A hand-built matrix
+    is scattered into a stencil at each solve (see solve_2d)."""
 
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-    mesh: Mesh2D
-    assembled: bool = dataclasses.field(default=False, init=False, repr=False, compare=False)
+    def __init__(self, matrix: sp.spmatrix, rhs: np.ndarray, mesh: Mesh2D):
+        self._matrix, self.rhs, self.mesh = matrix, rhs, mesh
+        self._stencil = self._mirrored = None   # set by assemble_2d alone
+
+    @property
+    def matrix(self) -> sp.spmatrix:
+        if self._matrix is None:
+            self._matrix = _stencil_to_csr(self._stencil)
+        return self._matrix
 
 
 @dataclass(frozen=True)
@@ -234,39 +235,27 @@ def assemble_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
     """Assemble the coupled system in one pass over the whole mesh.
 
     All elements in a mesh row share the same elemental blocks (uniform dz,
-    per-row dy), so the blocks are computed once per distinct row height
-    and the matrix entries of every element are scattered at once. The
-    entries reach the sparse sum in (row, block, i, j, element) order, so
-    duplicates round the same way on every run. The matrix does not depend
-    on the scheme; the right-hand side is rhs_2d's.
+    per-row dy), so the blocks are computed once per distinct row height,
+    and each (block, i, j) entry is added into the stencil along every
+    mesh row at once. The matrix does not depend on the scheme; the
+    right-hand side is rhs_2d's.
     """
     rhs = rhs_2d(mesh, material, regions, profile, scheme)
-    blk, factors, nodes, fixed = _mesh_rows(mesh, material, regions)
-    nz, m_count = mesh.nz, mesh.node_count
-    fixed_dofs = np.flatnonzero(fixed).astype(np.int32)
-
-    # matrix entries: each nonzero (row, block, i, j) value runs along the
-    # row's elements. A run lies on one node row, so its rows are either
-    # all fixed (a y edge; its second entry is never on the inlet column)
-    # or at most its first is (the inlet column)
-    vals = np.stack(_coupled_blocks(blk, factors), axis=1)   # (row, block, i, j)
-    ne = np.arange(nz - 1, dtype=np.int32)
-    r, k, i, j = np.nonzero(vals)
-    fields = np.array([spec[:2] for spec in BLOCK_TABLE], dtype=np.int32)
-    row0 = fields[k, 0] * m_count + nodes[r, i, 0]
-    col0 = fields[k, 1] * m_count + nodes[r, j, 0]
-    run = ~fixed[row0 + 1]
-    row0, col0 = row0[run], col0[run]
-    data = np.repeat(vals[r, k, i, j][run], nz - 1).reshape(len(row0), nz - 1)
-    data[fixed[row0], 0] = 0.0   # removed with the exact cancellations below
-    matrix = sp.csr_matrix(
-        (np.concatenate([data.ravel(), np.ones(len(fixed_dofs))]),
-         (np.concatenate([(row0[:, None] + ne).ravel(), fixed_dofs]),
-          np.concatenate([(col0[:, None] + ne).ravel(), fixed_dofs]))),
-        shape=(3 * m_count, 3 * m_count))
-    matrix.eliminate_zeros()
-    system = DiscreteSystem2D(matrix=matrix, rhs=rhs, mesh=mesh)
-    object.__setattr__(system, "assembled", True)
+    blk, factors, _, fixed = _mesh_rows(mesh, material, regions)
+    ny, nz = mesh.ny, mesh.nz
+    stencil = np.zeros((3, 3, 3, 3, ny, nz))
+    for (rf, cf, _), vals in zip(BLOCK_TABLE, _coupled_blocks(blk, factors)):
+        # node (m, n) is corner i = 2*iy + iz of element (m - iy, n - iz), and its
+        # corner j sits at (jy - iy, jz - iz); i downwards sums elements in order
+        for i, j in itertools.product((3, 2, 1, 0), range(4)):
+            (iy, iz), (jy, jz) = divmod(i, 2), divmod(j, 2)
+            stencil[rf, cf, 1 + jy - iy, 1 + jz - iz,
+                    iy:iy + ny - 1, iz:iz + nz - 1] += vals[:, i, j, None]
+    fixed = fixed.reshape(3, ny, nz)   # a Dirichlet row keeps only its unit diagonal
+    np.copyto(stencil, 0.0, where=fixed[:, None, None, None])
+    stencil[range(3), range(3), 1, 1] += fixed
+    system = DiscreteSystem2D(None, rhs, mesh)
+    system._stencil, system._mirrored = stencil, _mirrored_mesh(mesh, regions)
     return system
 
 
@@ -276,9 +265,9 @@ def rhs_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
     of the system that depends on the scheme. Summed per dof in (row,
     corner, element) order like the matrix entries.
 
-    When the load is even under MIRROR_PARITY in exact arithmetic (see
-    _even_input), the result is its even part (b + P b) / 2 with P the
-    signed reflection, so that P b == b holds in floats too."""
+    When the load is even under MIRROR_PARITY in exact arithmetic (a
+    mirrored mesh, and equal samples at (z, y) and (z, -y)), the result is
+    its even part (b + P b) / 2, so that P b == b holds in floats too."""
     blk, factors, nodes, fixed = _mesh_rows(mesh, material, regions)
     z, y = np.meshgrid(mesh.node_z(), mesh.node_y())
     bn = np.asarray(profile.sample(z, y), dtype=float)
@@ -294,7 +283,8 @@ def rhs_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
             load = (coef * w[..., None]) * corners.mean(axis=1)[:, None]
         np.add.at(rhs, field * mesh.node_count + nodes, load)
     rhs[fixed] = 0.0
-    if _even_input(mesh, regions, profile, z, y, bn):
+    if (_mirrored_mesh(mesh, regions)
+            and np.array_equal(np.asarray(profile.sample(z, -y), dtype=float), bn)):
         # keep the even part (P b + b) / 2; negation and halving are exact
         # and addition commutes, so it is even bit for bit and solve_2d
         # finds the odd sector's load exactly zero
@@ -306,54 +296,117 @@ def rhs_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
     return rhs
 
 
-def _even_input(mesh: Mesh2D, regions: RegionMap2D, profile, z, y, bn) -> bool:
-    """Whether the load of rhs_2d is even under MIRROR_PARITY in exact
-    arithmetic: ny odd, the row heights and conductivity flags mirror
-    about the centre node row, that row lies at y = 0 exactly, and the
-    profile's samples bn at the nodes (z, y) equal its samples at (z, -y)."""
+def _mirrored_mesh(mesh: Mesh2D, regions: RegionMap2D) -> bool:
+    """Whether assemble_2d's matrix commutes with the signed reflection P by
+    construction: ny odd, mirrored row heights and flags, centre row at y = 0."""
     heights, flags = mesh.row_heights, regions.row_multipliers
     return (mesh.ny % 2 == 1 and heights == heights[::-1] and flags == flags[::-1]
-            and mesh.node_y()[mesh.ny // 2] == 0.0
-            and np.array_equal(np.asarray(profile.sample(z, -y), dtype=float), bn))
+            and mesh.node_y()[mesh.ny // 2] == 0.0)
 
 
 def _node_interleaved(ny: int, nz: int) -> np.ndarray:
-    """Band position of every block-ordered unknown of an ny-by-nz grid:
+    """Band position of every unknown (field, m, n) of an ny-by-nz grid:
     the three fields of a node sit next to each other and the shorter grid
-    axis varies fastest, so the bandwidth is about 3*min(ny, nz) whatever
-    the longer axis."""
+    axis varies fastest, so the bandwidth is about 3*min(ny, nz)."""
     m, n = np.divmod(np.arange(ny * nz, dtype=np.int32), np.int32(nz))
     node = n * ny + m if ny <= nz else m * nz + n
-    return (3 * node + np.arange(3, dtype=np.int32)[:, None]).ravel()
+    return 3 * node.reshape(ny, nz) + np.arange(3, dtype=np.int32)[:, None, None]
 
 
-def _band_solve(a: sp.csr_matrix, perm: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Solve a @ x = rhs (one column per right-hand side) by a banded LU
-    (LAPACK dgbtrf/dgbtrs) with unknown i at band position perm[i].
+def _neighbours(v: np.ndarray, fill) -> np.ndarray:
+    """[c, dy, dz, m, n] -> v[c, m + dy - 1, n + dz - 1], ``fill`` off the grid."""
+    f, ny, nz = v.shape
+    pad = np.full((f, ny + 2, nz + 2), fill, dtype=v.dtype)
+    pad[:, 1:-1, 1:-1] = v
+    return np.stack([pad[:, dy:dy + ny, dz:dz + nz] for dy in range(3) for dz in range(3)],
+                    axis=1).reshape(f, 3, 3, ny, nz)
 
-    ``a`` must hold no duplicate entries: the band fill assigns. A pivot
-    |u_kk| of at most eps * ||a||_inf counts as singular, so the verdict
-    does not hang on whether the elimination order happens to produce an
-    exact zero. Returns x in a's order and the lower bandwidth kl.
-    """
-    rows = np.repeat(perm, np.diff(a.indptr))
-    cols = perm[a.indices]
-    kl = int(np.max(rows - cols, initial=0))
-    ku = int(np.max(cols - rows, initial=0))
-    # LAPACK band layout: A[i, j] sits at ab[kl + ku + i - j, j]; the top
-    # kl rows are workspace for the fill that row pivoting creates
-    ab = np.zeros((2 * kl + ku + 1, len(perm)), order="F")
-    ab[kl + ku + rows - cols, cols] = a.data
-    del rows, cols
+
+def _stencil_to_csr(stencil: np.ndarray) -> sp.csr_matrix:
+    ny, nz = stencil.shape[4:]
+    entries = stencil.reshape(3, 27, ny * nz).transpose(0, 2, 1)   # (field, node, column)
+    cols = _neighbours(np.arange(3 * ny * nz, dtype=np.int32).reshape(3, ny, nz), -1)
+    cols = np.broadcast_to(cols.reshape(27, -1).T, entries.shape)
+    nonzero = entries != 0
+    indptr = np.concatenate([[0], np.cumsum(nonzero.sum(axis=2).ravel())])
+    return sp.csr_matrix((entries[nonzero], cols[nonzero], indptr), shape=(3 * ny * nz,) * 2)
+
+
+def _matrix_to_stencil(matrix: sp.spmatrix, mesh: Mesh2D) -> np.ndarray:
+    a = sp.coo_matrix(matrix)
+    nonzero = a.data != 0
+    (rf, m, n), (cf, mc, nc) = (np.unravel_index(ix[nonzero], (3, mesh.ny, mesh.nz))
+                                for ix in (a.row, a.col))
+    dy, dz = mc - m + 1, nc - n + 1
+    if np.any((np.abs(dy - 1) > 1) | (np.abs(dz - 1) > 1)):
+        raise InvalidArgumentError("matrix has an entry outside the 9-point stencil of its mesh")
+    stencil = np.zeros((3, 3, 3, 3, mesh.ny, mesh.nz))
+    np.add.at(stencil, (rf, cf, dy, dz, m, n), a.data[nonzero])   # sums duplicates
+    return stencil
+
+
+def _sector(stencil: np.ndarray, s: int):
+    """Mirror sector s (+1 or -1), the vectors with P x = s x, on the lower
+    half grid: the band position of each unknown (-1 for the centre-row
+    dofs of field parity -s, which vanish) and the _band parts of its rows,
+    with the centre row's upper columns folded by s * MIRROR_PARITY."""
+    half, parity = (stencil.shape[4] + 1) // 2, np.asarray(MIRROR_PARITY)
+    band = _node_interleaved(half, stencil.shape[5])
+    inside = np.ones(band.shape, dtype=bool)
+    inside[parity != s, half - 1] = False
+    # close the gaps the vanishing dofs leave in the band numbering
+    gaps = np.searchsorted(np.sort(band[~inside]), band).astype(np.int32)
+    centre = stencil[..., half - 1:half, :].copy()
+    centre[:, :, 0] += (s * parity)[:, None, None, None] * centre[:, :, 2]
+    centre[:, :, 2] = 0.0
+    return (np.where(inside, band - gaps, np.int32(-1)),
+            [(stencil[..., :half - 1, :], 0), (centre, half - 1)])
+
+
+def _band(pos: np.ndarray, parts):
+    """(ab, kl, ku, ||A||inf) of the rows in parts, (stencil, first grid
+    row) pairs, with unknown (c, m, n) at band position pos[c, m, n] (-1:
+    none). A[i, j] sits at ab[kl + ku + i - j, j], below kl rows of
+    workspace for the fill that row pivoting creates."""
+    cols, found = _neighbours(pos, -1), []
+    for stencil, m0 in parts:
+        rows = slice(m0, m0 + stencil.shape[4])
+        i, j = (np.broadcast_to(a, stencil.shape) for a in (pos[:, None, None, None, rows],
+                                                             cols[..., rows, :]))
+        entry = (stencil != 0) & (i >= 0) & (j >= 0)
+        found.append((i[entry], j[entry], stencil[entry]))
+    del cols, i, j, entry   # the band holds the peak memory of the solve
+    i, j, v = (np.concatenate(a) for a in zip(*found))
+    del found
+    n = int(np.max(pos)) + 1
+    norm = float(np.max(np.bincount(i, weights=np.abs(v), minlength=n)))
+    i -= j
+    kl, ku = int(np.max(i, initial=0)), -int(np.min(i, initial=0))
+    height = 2 * kl + ku + 1
+    at = j.astype(np.intp) * height + i + (kl + ku)   # flat index of ab[kl + ku + i - j, j]
+    del i, j
+    ab = np.zeros(height * n)
+    ab[at] = v
+    return ab.reshape(n, height).T, kl, ku, norm
+
+
+def _band_solve(pos: np.ndarray, parts, rhs: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Solve the system of _band(pos, parts) for rhs (3, H, nz, columns) by a
+    banded LU. A pivot |u_kk| <= eps * ||A||inf counts as singular, whether
+    or not elimination produced an exact zero. Returns x (0 where pos is -1), kl."""
+    ab, kl, ku, norm = _band(pos, parts)
     lu, piv, info = lapack.dgbtrf(ab, kl, ku, overwrite_ab=1)
     pivots = np.abs(lu[kl + ku])   # the diagonal of U
-    floor = np.finfo(float).eps * float(np.max(np.abs(a).sum(axis=1)))
+    floor = np.finfo(float).eps * norm
     k = int(np.argmin(pivots))
     if info > 0 or pivots[k] <= floor:
         raise NumericalFailureError(f"2D band LU pivot {pivots[k]:.3e} in band column {k + 1} "
-                                    f"is at most eps*||A||inf = {floor:.3e} (singular system)")
-    xp, _ = lapack.dgbtrs(lu, kl, ku, rhs[np.argsort(perm)], piv)
-    return xp[perm], kl
+                                    f"is at most eps*||A||inf = {floor:.3e} "
+                                    "(singular or too ill-conditioned to factor)")
+    unknown, b, x = pos >= 0, np.zeros((len(pivots), rhs.shape[-1])), np.zeros_like(rhs)
+    b[pos[unknown]] = rhs[unknown]
+    x[unknown] = lapack.dgbtrs(lu, kl, ku, b, piv)[0][pos[unknown]]
+    return x, kl
 
 
 # Sign of (phi, A_y, A_z) under the reflection y -> -y: the coupled block
@@ -362,124 +415,71 @@ def _band_solve(a: sp.csr_matrix, perm: np.ndarray, rhs: np.ndarray) -> Tuple[np
 MIRROR_PARITY = (-1, 1, -1)
 
 
-def _mirror_sectors(a: sp.csr_matrix, mesh: Mesh2D):
-    """The signed reflection P of the node rows and the two mirror sectors
-    of ``a``, or None unless ny is odd and max|P a P - a| <= 1e-3 *
-    RESIDUAL_RTOL * max|a| (a tolerance that cannot use up the residual
-    budget).
-
-    Sector s (+1 or -1) holds the vectors with P x = s x. Its unknowns are
-    the dofs of the lower half of the grid plus those of the centre row
-    whose field parity equals s (the others vanish there). Each sector is
-    (s, keep, q, perm): the kept block-ordered dofs, the injection q
-    (x = q @ x_s) and the band positions under _node_interleaved of the
-    half-height grid.
-    """
-    ny, nz, m_count = mesh.ny, mesh.nz, mesh.node_count
-    if ny % 2 == 0:
-        return None
-    dof = np.arange(3 * m_count, dtype=np.int32)
-    field, node = np.divmod(dof, np.int32(m_count))
-    row = node // nz
-    mirror = dof + (ny - 1 - 2 * row) * nz
-    parity = np.asarray(MIRROR_PARITY, dtype=float)[field]
-    p = sp.csr_matrix((parity, (dof, mirror)), shape=a.shape)
-    scale = float(np.max(np.abs(a.data), initial=0.0))
-    if float(np.max(np.abs((p @ a @ p - a).data), initial=0.0)) > 1e-3 * RESIDUAL_RTOL * scale:
-        return None
-    half = (ny + 1) // 2
-    band = _node_interleaved(half, nz)
-    sectors = []
-    for s in (1, -1):
-        keep = np.flatnonzero((row < half - 1) | ((row == half - 1) & (parity == s)))
-        lower = row[keep] < half - 1
-        k = np.arange(len(keep))
-        q = sp.csr_matrix((np.concatenate([np.ones(len(keep)), s * parity[keep][lower]]),
-                           (np.concatenate([keep, mirror[keep][lower]]),
-                            np.concatenate([k, k[lower]]))),
-                          shape=(len(dof), len(keep)))
-        perm = np.empty(len(keep), dtype=np.int32)
-        perm[np.argsort(band[field[keep] * (half * nz) + node[keep]])] = k
-        sectors.append((s, keep, q, perm))
-    return p, sectors
-
-
 def solve_2d(system: DiscreteSystem2D, more_rhs: Optional[Sequence[np.ndarray]] = None
              ) -> Union[Solution2D, List[Solution2D]]:
     """Banded LU solve (LAPACK dgbtrf/dgbtrs) with a residual acceptance
-    check on the original matrix for every right-hand side.
+    check on the full matrix for every right-hand side.
 
-    The matrix and right-hand side keep their block order (phi, A_y, A_z).
-    When the matrix commutes with the signed mirror reflection about the
-    centre node row (see MIRROR_PARITY and _mirror_sectors), as every
-    sheet of the package does, the system splits exactly into an even and
-    an odd sector on half the grid height. Each sector system is the
-    lower-half rows (plus the centre rows of its parity) folded onto the
-    sector unknowns, a[keep] @ q; each right-hand side is split into its
-    sector parts (b + s P b) / 2. The sectors are band-factored one after
-    the other and their solutions added. Otherwise (an off-centre band,
-    even ny, a hand-built matrix) one band LU covers the whole grid.
-
-    In a system from assemble_2d, a sector whose part of every right-hand
-    side is exactly zero is not folded or factored, and its part of the
-    solution is exactly zero: the even input of every shipped sheet
-    (see rhs_2d) reaches the even sector alone. Such a sector is not
-    factored, so its singularity is not tested; every factored band keeps
-    its pivot floor, and every solution its residual check on the full
-    matrix. A system built by hand has every sector factored.
-
-    Either way the unknowns are renumbered node-interleaved with the
-    shorter grid axis fastest, the band widths come from the renumbered
-    entries, and band storage is (2*kl + ku + 1) doubles per unknown. For
-    the refined sheet at nz = 257 (ny = 41) the whole grid has kl = ku =
-    128, a 97 MB band; the sectors have kl 66 and 67 on about half the
-    unknowns each, about 25 MB apiece, held one at a time.
-
-    Returns the Solution2D of system.rhs; Solution2D.band_kl records the
-    kl of each band factored: (66,) for that sheet's even input, (66, 67)
-    for a load that reaches both sectors, (128,) for one whole-grid band. Given
-    ``more_rhs``, a sequence of further right-hand sides for the same
-    matrix (say, the other scheme's), the factorization is shared and the
-    result is a list of solutions, system.rhs first.
+    When the mesh description mirrors (_mirrored_mesh), as every sheet of
+    the package does, the system splits exactly into an even and an odd
+    sector on half the grid height (_sector), each right-hand side into its
+    sector parts (b + s P b) / 2, and each sector's band is filled straight
+    from the stencil. A sector that no right-hand side reaches is never
+    touched, so its singularity is not tested. Other systems get one band
+    LU over the whole grid. A hand-built matrix has every sector factored;
+    it splits if ny is odd and it commutes with P within 1e-3 *
+    RESIDUAL_RTOL * max|A|, and an entry outside the 9-point pattern of
+    the mesh is rejected. Solution2D.band_kl records the kl of each band
+    factored: (66,) for the refined sheet at nz = 257 (about 25 MB), (128,)
+    for its whole grid (97 MB). Given ``more_rhs``, further right-hand
+    sides for the same matrix, the factorization is shared and a list of
+    solutions is returned.
     """
-    a, mesh = system.matrix.tocsr(), system.mesh
-    if a.shape != (3 * mesh.node_count,) * 2:
-        raise InvalidArgumentError("matrix does not match the mesh")
+    mesh, stencil, mirrored = system.mesh, system._stencil, system._mirrored
+    ny, nz, n = mesh.ny, mesh.nz, 3 * mesh.node_count
+    assembled = stencil is not None
+    if not assembled:
+        if system.matrix.shape != (n, n):
+            raise InvalidArgumentError("matrix does not match the mesh")
+        stencil = _matrix_to_stencil(system.matrix, mesh)
+        sign = np.multiply.outer(MIRROR_PARITY, MIRROR_PARITY)[:, :, None, None, None, None]
+        mirrored = ny % 2 == 1 and (np.max(np.abs(sign * stencil[:, :, ::-1, :, ::-1] - stencil))
+                                    <= 1e-3 * RESIDUAL_RTOL * np.max(np.abs(stencil)))
     rhs_all = [system.rhs] + list(more_rhs or ())
-    if any(np.shape(b) != (a.shape[0],) for b in rhs_all):
+    if any(np.shape(b) != (n,) for b in rhs_all):
         raise InvalidArgumentError("right-hand side does not match the matrix")
-    if not a.has_canonical_format:
-        a = a.copy()
-        a.sum_duplicates()   # the band fill assigns, so duplicates must be summed
-    rhs = np.column_stack(rhs_all)
-    mirror = _mirror_sectors(a, mesh)
-    if mirror is None:
-        xs, kl = _band_solve(a, _node_interleaved(mesh.ny, mesh.nz), rhs)
-        band_kl = (kl,)
-    else:
-        p, sectors = mirror
-        p_rhs, xs, band_kl = p @ rhs, np.zeros_like(rhs), ()
-        for s, keep, q, perm in sectors:
-            part = ((rhs + s * p_rhs) / 2)[keep]
-            if system.assembled and not np.any(part):
+    rhs = np.stack(rhs_all, axis=-1).reshape(3, ny, nz, -1)
+    if mirrored:
+        half = (ny + 1) // 2
+        parity = np.asarray(MIRROR_PARITY, dtype=float)[:, None, None, None]
+        p_rhs, xs, band_kl = parity * rhs[:, ::-1], np.zeros_like(rhs), ()
+        for s in (1, -1):
+            part = ((rhs + s * p_rhs) / 2)[:, :half]
+            if assembled and not np.any(part):
                 continue   # no right-hand side reaches this sector: its x is 0
-            x_s, kl = _band_solve(a[keep] @ q, perm, part)
-            xs += q @ x_s
+            x_s, kl = _band_solve(*_sector(stencil, s), part)
+            xs[:, :half] += x_s
+            xs[:, half:] += s * parity * x_s[:, half - 2::-1]
             band_kl += (kl,)
-    norm_a = float(np.max(np.abs(a).sum(axis=1)))
+    else:
+        xs, kl = _band_solve(_node_interleaved(ny, nz), [(stencil, 0)], rhs)
+        band_kl = (kl,)
+    # a row adds its 27 terms in column order, like a CSR product of system.matrix
+    row_sums = lambda terms: terms.reshape(3, 27, ny, nz).sum(axis=1)
+    norm_a = float(np.max(row_sums(np.abs(stencil))))
     sols = []
     for c, b in enumerate(rhs_all):
-        x = xs[:, c]
+        x = xs[..., c]
         if not np.all(np.isfinite(x)):
             raise NumericalFailureError("2D solve produced non-finite values "
                                         "(singular or badly scaled system)")
-        resid = float(np.max(np.abs(a @ x - b)))
+        resid = float(np.max(np.abs(row_sums(stencil * _neighbours(x, 0.0)).ravel() - b)))
         budget = RESIDUAL_RTOL * (norm_a * float(np.max(np.abs(x))) + float(np.max(np.abs(b))))
         if resid > budget:
             raise NumericalFailureError(
                 f"2D residual {resid:.3e} exceeds budget {budget:.3e} "
                 f"(matrix inf-norm {norm_a:.3e})")
-        phi, a_y, a_z = x.reshape(3, mesh.ny, mesh.nz)
+        phi, a_y, a_z = x
         sols.append(Solution2D(phi=phi, a_y=a_y, a_z=a_z, b_x=reaction_field_2d(a_y, a_z, mesh),
                                mesh=mesh, residual=resid, band_kl=band_kl))
     return sols[0] if more_rhs is None else sols

@@ -4,17 +4,39 @@ only in a traced benchmark run."""
 import importlib.util
 from pathlib import Path
 
-from eddyfem import ztransfer
+import numpy as np
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+from eddyfem import ztransfer
+from eddyfem.core import Scheme
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_entry_point_exists_and_is_restored():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = load("spans")
     before = {name: getattr(ztransfer, name) for name in ("tf_1d", "tf_2d", "analyze")}
     undo = spans.instrument(spans.Tracer())
     assert ztransfer.tf_2d is not before["tf_2d"]
     undo()
     assert {name: getattr(ztransfer, name) for name in before} == before
+
+
+def test_correctness_gate_reads_the_lazy_matrix():
+    # the sheet2d_contrast check and the solve counts read system.matrix,
+    # which an assembled system builds from its stencil on first read
+    workloads, spans = load("workloads"), load("spans")
+    system, sol, mesh = workloads._sheet_solve(60.0, Scheme.ELEMENT_AVERAGED,
+                                               dict(workloads.SHEET["grid"]))
+    assert system._matrix is None   # not built by the assembly or the solve
+    assert workloads.residual_ratio_2d(system, workloads._flat(sol)) <= 1.0
+    tracer = spans.Tracer()
+    spans._after_solve_2d(tracer, system)
+    assert tracer.counts["fem2d.dofs"] == 3 * mesh.node_count
+    assert tracer.counts["fem2d.nnz"] == system.matrix.nnz == np.count_nonzero(system._stencil)

@@ -436,6 +436,30 @@ def test_run_2d_assembles_once_per_pe_and_prints_band_widths(tmp_path, monkeypat
         assert len(fields["band_kl"].split(",")) == 1
 
 
+def test_run_2d_builds_no_csr(tmp_path, monkeypatch, capsys):
+    # the stats lines read the dof count off the mesh, so the lazily built
+    # CSR of the assembled system is never needed
+    def no_csr(*args, **kwargs):
+        raise AssertionError("a CSR matrix was built")
+
+    monkeypatch.setattr(fem2d.sp, "csr_matrix", no_csr)
+    cfg = small_2d_cfg(scheme="both")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg.raw))
+    assert main(["run-2d", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    stats = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("scheme=")]
+    dofs = 3 * build_2d_case(cfg, 2.0)[0].node_count
+    assert len(stats) == 2 and all(f" dofs={dofs} " in ln for ln in stats)
+
+
+def test_shipped_sheet_exits_3_past_its_pe_ceiling(tmp_path, capsys):
+    # the pivot floor eps*||A||inf grows like Pe while the smallest pivot
+    # falls like 1/Pe; on the shipped circle sheet they cross near Pe = 8e7
+    raw = _with(json.loads((CONFIG_DIR / "sheet2d_circle.json").read_text()), "pe", [1e8])
+    code, err = _exit_code_and_err(tmp_path, capsys, raw, "run-2d")
+    assert code == 3 and "singular or too ill-conditioned to factor" in err
+
+
 def test_build_2d_case_grid_layout():
     cfg = small_2d_cfg()
     mesh, material, regions, profile = build_2d_case(cfg, 2.0)

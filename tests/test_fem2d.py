@@ -297,9 +297,26 @@ def test_mirror_parity_follows_from_the_elemental_blocks():
             assert np.all(flipped == MIRROR_PARITY[rf] * b), name
 
 
-@pytest.mark.parametrize("scheme", list(Scheme))
-def test_sheet_matrix_commutes_with_the_signed_mirror(scheme):
-    system = sheet_system(60.0, scheme)
+def uniform_band_case():
+    """A uniform mesh whose two middle element rows conduct."""
+    mesh = Mesh2D.uniform(nz=9, ny=9, dz=0.5, dy=0.5, z0=-2.0, y0=-2.0)
+    regions = RegionMap2D.conducting_band(mesh, 1.0)
+    assert regions.row_multipliers == (0.0,) * 3 + (1.0,) * 2 + (0.0,) * 3
+    return mesh, Material(sigma=3.0, mu=1.2, u_z=2.5), regions, SmoothCircle2D(0.8, 1.0)
+
+
+# meshes whose description mirrors about a centre node row at y = 0
+MIRRORED = {
+    "uniform": uniform_band_case,
+    "graded_air": lambda: graded_air_case(),
+    "all_conductor": lambda: uniform_conductor_case()[:4],
+    "shipped_band": lambda: sheet_parts(60.0),
+}
+
+
+@pytest.mark.parametrize("case", list(MIRRORED))
+def test_sheet_matrix_commutes_with_the_signed_mirror(case):
+    system = assemble_2d(*MIRRORED[case](), Scheme.GALERKIN)
     a, mesh = system.matrix, system.mesh
     m_count, nz = mesh.node_count, mesh.nz
     dof = np.arange(3 * m_count)
@@ -310,6 +327,20 @@ def test_sheet_matrix_commutes_with_the_signed_mirror(scheme):
     diff = p @ a @ p - a
     eps = np.finfo(float).eps
     assert np.max(np.abs(diff.data), initial=0.0) <= 4 * eps * np.max(np.abs(a.data))
+
+
+@pytest.mark.parametrize("case", list(MIRRORED))
+def test_mirrored_meshes_take_the_sector_path(case, monkeypatch):
+    # the split is read off the mesh description; a load with a part in
+    # both sectors factors both half-height bands
+    mesh, material, regions, profile = MIRRORED[case]()
+    assert fem2d._mirrored_mesh(mesh, regions)
+    system = assemble_2d(mesh, material, regions, profile, Scheme.GALERKIN)
+    load = np.random.default_rng(5).standard_normal(system.rhs.shape)
+    calls = counted_dgbtrf(monkeypatch)
+    _, sol = solve_2d(system, more_rhs=[load])
+    assert len(calls) == 2 and sol.band_kl == tuple(calls)
+    assert max(calls) < 3 * (mesh.ny + 1) // 2 + 5
 
 
 def counted_dgbtrf(monkeypatch):
@@ -358,7 +389,12 @@ def test_sector_solve_of_an_asymmetric_extra_rhs(monkeypatch):
     calls = counted_dgbtrf(monkeypatch)
     _, sol = solve_2d(system, more_rhs=[load])
     assert len(calls) == 2
-    x_ref = spla.spsolve(system.matrix.tocsc(), load)
+    # the phi of this load is large and ill-conditioned: a plain sparse
+    # solve lands about 1e-9 (relative) off the exact solution, so the
+    # reference takes one step of iterative refinement
+    a = system.matrix.tocsc()
+    x_ref = spla.spsolve(a, load)
+    x_ref += spla.spsolve(a, load - a @ x_ref)
     assert np.max(np.abs(flat(sol) - x_ref)) <= 1e-9 * np.max(np.abs(x_ref))
 
 
@@ -400,7 +436,7 @@ def test_a_hand_built_system_factors_every_sector(monkeypatch):
     calls = counted_dgbtrf(monkeypatch)
     sol = solve_2d(system)
     by_hand = solve_2d(DiscreteSystem2D(matrix=system.matrix, rhs=system.rhs, mesh=system.mesh))
-    assert system.assembled and len(calls) == 3 and by_hand.band_kl == tuple(calls[1:])
+    assert len(calls) == 3 and by_hand.band_kl == tuple(calls[1:])
     for name in ("phi", "a_y", "a_z", "b_x"):
         assert np.array_equal(getattr(sol, name), getattr(by_hand, name)), name
 
@@ -412,14 +448,15 @@ class OffAxis:
         return SmoothCircle2D(radius=1.3, amplitude=1.0).sample(z, np.asarray(y) - 0.2)
 
 
-@pytest.mark.parametrize("case", ["shifted_y0", "odd_profile", "off_centre_band",
-                                  "uneven_rows", "even_ny"])
-def test_inputs_that_are_not_even_keep_the_full_solve(case, monkeypatch):
-    # an input that is not even in y reaches both mirror sectors; the same
-    # palindromic mesh one row off centre (its phi pin moves off the
-    # centre row), a band off the centre line, rows that do not mirror
-    # about the y = 0 node row and an even ny with a node row at y = 0
-    # take one whole-grid band
+NOT_EVEN = ["shifted_y0", "odd_profile", "off_centre_band", "uneven_rows", "even_ny"]
+
+
+def not_even_case(case):
+    """(mesh, material, regions, profile) of a sheet whose input is not even
+    in y: the same palindromic mesh one row off centre (its phi pin moves
+    off the centre row), a profile off the axis, a band off the centre
+    line, rows that do not mirror about the y = 0 node row, and an even ny
+    with a node row at y = 0."""
     mesh, material, regions, profile = sheet_parts(60.0)
     if case == "shifted_y0":
         mesh = Mesh2D(nz=mesh.nz, dz=mesh.dz, row_heights=mesh.row_heights,
@@ -437,6 +474,14 @@ def test_inputs_that_are_not_even_keep_the_full_solve(case, monkeypatch):
         mesh = Mesh2D.uniform(nz=15, ny=12, dz=1.0, dy=1.0, y0=-6.0)
         assert mesh.node_y()[mesh.ny // 2] == 0.0
         regions = RegionMap2D.all_conductor(mesh)
+    return mesh, material, regions, profile
+
+
+@pytest.mark.parametrize("case", NOT_EVEN)
+def test_inputs_that_are_not_even_keep_the_full_solve(case, monkeypatch):
+    # an input that is not even in y reaches both mirror sectors; a mesh
+    # description that does not mirror takes one whole-grid band
+    mesh, material, regions, profile = not_even_case(case)
     system = assemble_2d(mesh, material, regions, profile, Scheme.GALERKIN)
     assert np.any(system.rhs != reflected(system.rhs, mesh))
     calls = counted_dgbtrf(monkeypatch)
@@ -450,16 +495,81 @@ def test_inputs_that_are_not_even_keep_the_full_solve(case, monkeypatch):
     assert np.max(np.abs(flat(sol) - x_ref)) <= 1e-9 * np.max(np.abs(x_ref))
 
 
+@pytest.mark.parametrize("case", NOT_EVEN)
+def test_structural_predicate_of_the_inputs_that_are_not_even(case):
+    # only the off-axis profile sits on a mirrored mesh description (its
+    # matrix splits, and its load reaches both sectors); every other case
+    # is the whole grid
+    mesh, _, regions, _ = not_even_case(case)
+    assert fem2d._mirrored_mesh(mesh, regions) == (case == "odd_profile")
+
+
+def csr_sector_fold(a, mesh, s):
+    """An independent fold of mirror sector s from the CSR matrix, as the
+    previous solver built it: the kept dofs (the lower half of the grid
+    plus the centre-row dofs of field parity s), the injection q with
+    x = q @ x_s, and the band position of every kept dof."""
+    ny, nz, m_count = mesh.ny, mesh.nz, mesh.node_count
+    dof = np.arange(3 * m_count)
+    field, node = np.divmod(dof, m_count)
+    row = node // nz
+    mirror = dof + (ny - 1 - 2 * row) * nz
+    parity = np.take(MIRROR_PARITY, field)
+    half = (ny + 1) // 2
+    keep = np.flatnonzero((row < half - 1) | ((row == half - 1) & (parity == s)))
+    lower = row[keep] < half - 1
+    k = np.arange(len(keep))
+    q = sp.csr_matrix((np.concatenate([np.ones(len(keep)), s * parity[keep][lower]]),
+                       (np.concatenate([keep, mirror[keep][lower]]),
+                        np.concatenate([k, k[lower]]))),
+                      shape=(len(dof), len(keep)))
+    band = fem2d._node_interleaved(half, nz).ravel()
+    perm = np.empty(len(keep), dtype=int)
+    perm[np.argsort(band[field[keep] * (half * nz) + node[keep]])] = k
+    return keep, q, perm
+
+
+def band_of(a, perm, kl, ku):
+    """LAPACK band storage (kl workspace rows on top) of a CSR matrix whose
+    unknown i sits at band position perm[i]."""
+    rows = np.repeat(perm, np.diff(a.indptr))
+    cols = perm[a.indices]
+    ab = np.zeros((2 * kl + ku + 1, len(perm)))
+    ab[kl + ku + rows - cols, cols] = a.data
+    return ab, int(np.max(rows - cols, initial=0)), int(np.max(cols - rows, initial=0))
+
+
+SECTOR_CASES = dict(MIRRORED, odd_profile=lambda: not_even_case("odd_profile"))
+
+
+@pytest.mark.parametrize("s", [1, -1])
+@pytest.mark.parametrize("case", list(SECTOR_CASES))
+def test_sector_band_matches_an_independent_fold(case, s):
+    # the band filled straight from the stencil against the fold a[keep] @ q
+    # of the CSR matrix, within 8 eps of the entry magnitudes |a[keep]| @ |q|
+    system = assemble_2d(*SECTOR_CASES[case](), Scheme.GALERKIN)
+    a, mesh = system.matrix, system.mesh
+    keep, q, perm = csr_sector_fold(a, mesh, s)
+    ab, kl, ku, norm = fem2d._band(*fem2d._sector(system._stencil, s))
+    ref, kl_ref, ku_ref = band_of(a[keep] @ q, perm, kl, ku)
+    mag, _, _ = band_of(abs(a[keep]) @ abs(q), perm, kl, ku)
+    assert (kl, ku) == (kl_ref, ku_ref)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(ab - ref) <= 8 * eps * mag) and np.any(ref != 0.0)
+    norm_ref = np.max(abs(a[keep]) @ abs(q) @ np.ones(len(keep)))
+    assert abs(norm - norm_ref) <= 8 * eps * norm_ref
+
+
 @pytest.mark.parametrize("field", [CIRCLE, RECT], ids=["circle", "rect"])
 @pytest.mark.parametrize("pe", [2.0, 60.0, 2000.0])
 def test_skipped_odd_sector_clears_the_pivot_floor(field, pe, monkeypatch):
     # the check that skipping the odd sector leaves out would pass: its
-    # folded matrix factors with every pivot above eps * ||A||inf (the
-    # matrix does not depend on the scheme)
+    # band, filled from the stencil, factors with every pivot above
+    # eps * ||A_odd||inf of the independent fold (the matrix does not
+    # depend on the scheme)
     system = assemble_2d(*sheet_parts(pe, field=field), Scheme.GALERKIN)
-    a = system.matrix
-    _, (_, (s, keep, q, perm)) = fem2d._mirror_sectors(a, system.mesh)
-    assert s == -1
+    a, mesh = system.matrix, system.mesh
+    keep, q, _ = csr_sector_fold(a, mesh, -1)
     a_odd = a[keep] @ q
     factored = []
     dgbtrf = fem2d.lapack.dgbtrf
@@ -470,12 +580,17 @@ def test_skipped_odd_sector_clears_the_pivot_floor(field, pe, monkeypatch):
         return lu, piv, info
 
     monkeypatch.setattr(fem2d.lapack, "dgbtrf", keeping)
-    load = np.random.default_rng(3).standard_normal((len(keep), 1))
-    x, _ = fem2d._band_solve(a_odd, perm, load)
+    half = (mesh.ny + 1) // 2
+    load = np.zeros((3 * mesh.node_count, 1))
+    load[keep] = np.random.default_rng(3).standard_normal((len(keep), 1))
+    x = np.zeros((3, mesh.ny, mesh.nz, 1))
+    x[:, :half], _ = fem2d._band_solve(*fem2d._sector(system._stencil, -1),
+                                        load.reshape(x.shape)[:, :half])
     (pivots, info), = factored
     floor = np.finfo(float).eps * float(np.max(np.abs(a_odd).sum(axis=1)))
     assert info == 0 and np.min(pivots) > floor
-    assert np.max(np.abs(a_odd @ x - load)) <= 1e-8 * np.max(np.abs(load))
+    x_odd = x.reshape(load.shape)[keep]
+    assert np.max(np.abs(a_odd @ x_odd - load[keep])) <= 1e-8 * np.max(np.abs(load))
 
 
 @pytest.mark.parametrize("pe", [1 + 1e-9, 2.0, 1e6])
@@ -717,13 +832,65 @@ def test_matrix_of_another_mesh_is_rejected():
 
 
 def test_rank_deficient_system_raises():
+    # the A_z row of the centre node repeats its phi row (both lie in the
+    # odd sector), with a consistent right-hand side
     mesh, material, regions, profile, scheme = uniform_conductor_case()
     system = assemble_2d(mesh, material, regions, profile, scheme)
     a = system.matrix.tolil()
     rhs = system.rhs.copy()
     center = (mesh.ny // 2) * mesh.nz + mesh.nz // 2
-    a[center + 1] = a[center]            # two identical phi rows
-    rhs[center + 1] = rhs[center]
+    az = 2 * mesh.node_count + center
+    a[az] = a[center]
+    rhs[az] = rhs[center]
     bad = DiscreteSystem2D(matrix=a.tocsr(), rhs=rhs, mesh=mesh)
-    with pytest.raises(NumericalFailureError):
+    with pytest.raises(NumericalFailureError, match="singular or too ill-conditioned"):
         solve_2d(bad)
+
+
+def test_hand_built_entry_outside_the_stencil_is_rejected():
+    # the phi row of the centre node copied to its right-hand neighbour
+    # reaches two node columns back
+    mesh, material, regions, profile, scheme = uniform_conductor_case()
+    system = assemble_2d(mesh, material, regions, profile, scheme)
+    a = system.matrix.tolil()
+    center = (mesh.ny // 2) * mesh.nz + mesh.nz // 2
+    a[center + 1] = a[center]
+    bad = DiscreteSystem2D(matrix=a.tocsr(), rhs=system.rhs, mesh=mesh)
+    with pytest.raises(InvalidArgumentError, match="9-point stencil"):
+        solve_2d(bad)
+
+
+def test_hand_built_stencil_is_the_assembled_one():
+    # scattering the lazily built CSR back gives the assembled stencil bit
+    # for bit, duplicates of a hand-built matrix are summed, and its
+    # explicit zeros are dropped
+    system = assemble_2d(*graded_air_case(), Scheme.GALERKIN)
+    assert np.array_equal(fem2d._matrix_to_stencil(system.matrix, system.mesh), system._stencil)
+    coo = system.matrix.tocoo()
+    half = coo.data / 2
+    split = sp.coo_matrix((np.concatenate([half, coo.data - half, [0.0]]),
+                           (np.concatenate([coo.row, coo.row, [0]]),
+                            np.concatenate([coo.col, coo.col, [coo.shape[1] - 1]]))),
+                          shape=coo.shape)
+    assert np.array_equal(fem2d._matrix_to_stencil(split, system.mesh), system._stencil)
+
+
+def test_in_place_edit_of_the_matrix_does_not_change_a_solve():
+    # the assembled stencil is the one source the solve reads
+    system = assemble_2d(*uniform_conductor_case())
+    before = solve_2d(system)
+    system.matrix.data[:] = 0.0
+    after = solve_2d(system)
+    assert np.array_equal(flat(before), flat(after)) and before.residual == after.residual
+
+
+def test_assembly_and_solve_build_no_csr(monkeypatch):
+    def no_csr(*args, **kwargs):
+        raise AssertionError("a CSR matrix was built")
+
+    monkeypatch.setattr(fem2d.sp, "csr_matrix", no_csr)
+    system = sheet_system(60.0, Scheme.ELEMENT_AVERAGED)
+    sol = solve_2d(system, more_rhs=[np.random.default_rng(1).standard_normal(system.rhs.shape)])
+    assert len(sol[1].band_kl) == 2
+    with pytest.raises(AssertionError, match="CSR"):
+        system.matrix
