@@ -314,9 +314,7 @@ MIRRORED = {
 }
 
 
-@pytest.mark.parametrize("case", list(MIRRORED))
-def test_sheet_matrix_commutes_with_the_signed_mirror(case):
-    system = assemble_2d(*MIRRORED[case](), Scheme.GALERKIN)
+def assert_commutes_with_the_signed_mirror(system):
     a, mesh = system.matrix, system.mesh
     m_count, nz = mesh.node_count, mesh.nz
     dof = np.arange(3 * m_count)
@@ -327,6 +325,16 @@ def test_sheet_matrix_commutes_with_the_signed_mirror(case):
     diff = p @ a @ p - a
     eps = np.finfo(float).eps
     assert np.max(np.abs(diff.data), initial=0.0) <= 4 * eps * np.max(np.abs(a.data))
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_sheet_matrix_commutes_with_the_signed_mirror(scheme):
+    assert_commutes_with_the_signed_mirror(sheet_system(60.0, scheme))
+
+
+@pytest.mark.parametrize("case", list(MIRRORED))
+def test_mirrored_mesh_matrix_commutes_with_the_signed_mirror(case):
+    assert_commutes_with_the_signed_mirror(assemble_2d(*MIRRORED[case](), Scheme.GALERKIN))
 
 
 @pytest.mark.parametrize("case", list(MIRRORED))
