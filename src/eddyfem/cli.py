@@ -56,67 +56,94 @@ class ConfigError(ValueError):
         self.path = path
 
 
-def _require(cfg: dict, path: str, typ, predicate=None, what: str = "", default=None):
-    """The value at the dotted ``path``, checked for its type and
-    ``predicate``; a missing key gives ``default`` if there is one."""
-    cur = cfg
-    for part in path.split("."):
-        if isinstance(cur, list) and part.isdigit():   # an index into a list
-            cur = cur[int(part)]
-            continue
-        if not isinstance(cur, dict) or part not in cur:
-            if default is not None and isinstance(cur, dict):
-                return default
-            raise ConfigError(path, "missing")
-        cur = cur[part]
-    if typ is float and type(cur) is int:   # too large for a float: read as infinite
-        cur = float(cur) if abs(cur) <= sys.float_info.max else math.inf
-    if not isinstance(cur, typ) or (isinstance(cur, bool) and typ is not bool):
-        raise ConfigError(path, f"expected {typ.__name__}, got {type(cur).__name__}")
-    if predicate is not None and not predicate(cur):
-        raise ConfigError(path, what or "invalid value")
-    return cur
-
-
-# (predicate, message) pairs for _require
 POSITIVE = (lambda v: 0 < v < math.inf, "must be finite and > 0")
 NONNEGATIVE = (lambda v: 0 <= v < math.inf, "must be finite and >= 0")
+ELEMENTS = (lambda v: 1 <= v <= MAX_SWEEP_ELEMENTS, f"must be from 1 to {MAX_SWEEP_ELEMENTS}")
+SCHEMES = {"galerkin": (Scheme.GALERKIN,), "averaged": (Scheme.ELEMENT_AVERAGED,),
+           "both": (Scheme.GALERKIN, Scheme.ELEMENT_AVERAGED)}
+
+# The config schema: a table of the fields that every subcommand reads and,
+# in COMMANDS, one per subcommand with the dimension it runs. A field is
+# (type, rule, default): a type [t] is a list of t, the default ... (Ellipsis)
+# marks a required field, and a rule is None, a (predicate, message) pair or a
+# choice {allowed value: the fields it adds beside it}. A section is a dict of
+# fields, read as {} when absent, or (dict, its fields, None) if optional.
+SHARED = {
+    "dimension": (int, {1: {}, 2: {}}, ...),
+    "scheme": (str, dict.fromkeys(SCHEMES, {}), "both"),
+    "pe": ([float], NONNEGATIVE, None),
+    "pe_sweep": (dict, {"lo": (float, POSITIVE, ...), "hi": (float, POSITIVE, ...),
+                        "points": (int, (lambda v: 2 <= v <= MAX_SWEEP_POINTS,
+                                         f"must be from 2 to {MAX_SWEEP_POINTS}"), ...),
+                        "include": ([float], NONNEGATIVE, [])}, None),
+    "svg": (bool, None, False),
+}
+RUN_1D = {
+    "dz": (float, POSITIVE, ...), "length": (float, POSITIVE, ...),
+    "pulse": {"a": (float, None, ...), "b": (float, None, ...),
+              "amplitude": (float, NONNEGATIVE, ...)},
+    "material": {"sigma": (float, POSITIVE, 1.0), "mu": (float, POSITIVE, 1.0)},
+}
+RUN_2D = {
+    "sheet": {"thickness": (float, POSITIVE, ...), "sigma": (float, POSITIVE, ...),
+              "mu_r": (float, POSITIVE, 1.0), "air_factor": (float, NONNEGATIVE, 5.0)},
+    "field": {"kind": (str, {"smooth_circle": {"radius": (float, POSITIVE, ...)},
+                             "rect_pulse": {"a": (float, POSITIVE, ...),
+                                            "b_extent": (float, POSITIVE, ...)}}, ...),
+              "amplitude": (float, NONNEGATIVE, ...)},
+    "grid": {"nz": (int, (lambda v: 5 <= v <= MAX_NZ, f"must be from 5 to {MAX_NZ}"), ...),
+             "conductor_rows": (int, (lambda v: 2 <= v <= 2 * MAX_ROWS_PER_SIDE and v % 2 == 0,
+                                      f"must be even, from 2 to {2 * MAX_ROWS_PER_SIDE}"), ...),
+             "air_ratio": (float, (lambda v: 1 <= v < math.inf, "must be finite and >= 1"), 1.3),
+             "axial_factor": (float, POSITIVE, 6.0)},
+}
+SWEEP_ERROR = {
+    "dz": (float, POSITIVE, ...), "amplitude": (float, POSITIVE, 1.0),
+    "upstream_elements": (int, ELEMENTS, 40), "plateau_elements": (int, ELEMENTS, 30),
+    "downstream_elements": (int, ELEMENTS, 40),
+}
+COMMANDS = {"run-1d": (1, RUN_1D), "run-2d": (2, RUN_2D), "sweep-error": (1, SWEEP_ERROR)}
 
 
-def _schemes_of(cfg: dict, override: Optional[str] = None) -> List[Scheme]:
-    table = {"galerkin": [Scheme.GALERKIN], "averaged": [Scheme.ELEMENT_AVERAGED],
-             "both": [Scheme.GALERKIN, Scheme.ELEMENT_AVERAGED]}
-    return table[override or _require(cfg, "scheme", str, lambda v: v in table,
-                                      "must be galerkin|averaged|both", "both")]
+def _check(path: str, value, typ, rule):
+    if isinstance(typ, list):
+        value = _check(path, value, list, None)
+        return [_check(f"{path}.{i}", v, typ[0], rule) for i, v in enumerate(value)]
+    if typ is float and type(value) is int:   # too large for a float: read as infinite
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
+    if not isinstance(value, typ) or (isinstance(value, bool) and typ is not bool):
+        raise ConfigError(path, f"expected {typ.__name__}, got {type(value).__name__}")
+    if isinstance(rule, dict):   # a choice
+        rule = (rule.__contains__, "must be " + "|".join(map(str, rule)))
+    if rule is not None and not rule[0](value):
+        raise ConfigError(path, rule[1])
+    return value
 
 
-def _pe_list(cfg: dict) -> List[float]:
-    if "pe" in cfg:
-        pes = _require(cfg, "pe", list, lambda v: len(v) > 0, "empty Pe list")
-        return [_require(cfg, f"pe.{i}", float, *NONNEGATIVE) for i in range(len(pes))]
-    if "pe_sweep" in cfg:
-        lo = _require(cfg, "pe_sweep.lo", float, *POSITIVE)
-        hi = _require(cfg, "pe_sweep.hi", float, lambda v: math.isfinite(v) and v > lo,
-                      "must be finite and exceed lo")
-        n = _require(cfg, "pe_sweep.points", int, lambda v: 2 <= v <= MAX_SWEEP_POINTS,
-                     f"must be from 2 to {MAX_SWEEP_POINTS}")
-        grid = list(np.geomspace(lo, hi, n))
-        include = _require(cfg, "pe_sweep.include", list, default=[])
-        grid += [_require(cfg, f"pe_sweep.include.{i}", float, *NONNEGATIVE)
-                 for i in range(len(include))]
-        return sorted(set(grid))
-    raise ConfigError("pe", "missing (provide 'pe' or 'pe_sweep')")
+def _walk(node: dict, table: dict, values: dict, prefix: str = "") -> dict:
+    """Check the config section ``node`` against ``table``; add each value to ``values``."""
+    for key, entry in table.items():
+        typ, rule, default = (dict, entry, {}) if isinstance(entry, dict) else entry
+        path = prefix + key
+        if key not in node and default is ...:
+            raise ConfigError(path, "missing")
+        value = values[path] = (_check(path, node[key], typ, None if typ is dict else rule)
+                                if key in node else default)
+        if typ is not dict and isinstance(rule, dict):   # a choice: its fields sit beside it
+            _walk(node, rule[value], values, prefix)
+        elif typ is dict and value is not None:
+            _walk(value, rule, values, path + ".")
+    return values
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario: the raw dict plus derived run parameters."""
+    """Validated scenario: the raw dict, its SHARED values and run parameters."""
 
     raw: dict
-    dimension: int
+    values: dict
     schemes: Tuple[Scheme, ...]
     pe_values: Tuple[float, ...]
-    svg: bool
 
     @classmethod
     def load(cls, path, scheme_override: Optional[str] = None) -> "ScenarioConfig":
@@ -128,11 +155,35 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, scheme_override: Optional[str] = None) -> "ScenarioConfig":
-        dim = _require(raw, "dimension", int, lambda v: v in (1, 2), "must be 1 or 2")
-        schemes = tuple(_schemes_of(raw, scheme_override))
-        pes = tuple(_pe_list(raw))
-        svg = _require(raw, "svg", bool, default=False)
-        return cls(raw=raw, dimension=dim, schemes=schemes, pe_values=pes, svg=svg)
+        v = _walk(_check("<file>", raw, dict, None), SHARED, {"": raw})
+        if (v["pe"] is None) == (v["pe_sweep"] is None):
+            raise ConfigError("pe_sweep" if v["pe_sweep"] else "pe", "give one of pe, pe_sweep")
+        if v["pe"] == []:
+            raise ConfigError("pe", "empty Pe list")
+        if v["pe_sweep"] is not None and not v["pe_sweep.hi"] > v["pe_sweep.lo"]:
+            raise ConfigError("pe_sweep.hi", "must exceed lo")
+        pes = v["pe"] or sorted(set(list(np.geomspace(
+            v["pe_sweep.lo"], v["pe_sweep.hi"], v["pe_sweep.points"])) + v["pe_sweep.include"]))
+        return cls(raw, v, SCHEMES[scheme_override or v["scheme"]], tuple(pes))
+
+    @property
+    def pe_key(self) -> str:   # 'pe' or 'pe_sweep', whichever gave pe_values
+        return "pe" if self.values["pe"] is not None else "pe_sweep"
+
+    def fields(self, command: str) -> dict:
+        """The subcommand's table values by dotted path. A scenario of another
+        dimension is an error, as is any key that no table names ('_' keys aside)."""
+        dim, table = COMMANDS[command]
+        if self.values["dimension"] != dim:
+            raise ConfigError("dimension", f"{command} needs a {dim}D scenario")
+        values = _walk(self.raw, table, dict(self.values))
+        unknown = [path for section, node in values.items() if isinstance(node, dict)
+                   for key in node if not key.startswith("_")
+                   for path in [f"{section}.{key}" if section else key]
+                   if not key.isidentifier() or path not in values]
+        if unknown:
+            raise ConfigError(unknown[0], f"unknown key (unknown: {', '.join(unknown)})")
+        return values
 
     def hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -157,8 +208,6 @@ def _fmt(v) -> str:
         return ""
     if isinstance(v, (float, np.floating)):
         return repr(float(v))  # shortest round-trip decimal form
-    if isinstance(v, np.integer):
-        return str(int(v))
     if isinstance(v, tuple):
         return ",".join(_fmt(x) for x in v)
     return str(v)
@@ -169,8 +218,7 @@ def write_csv(path: Path, config: ScenarioConfig, columns: List[str],
     lines = [f"# eddyfem {__version__}",
              f"# config {json.dumps(config.raw, sort_keys=True, separators=(',', ':'))}",
              ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -187,13 +235,6 @@ def svg_line_chart(path: Path, series: Dict[str, Tuple[np.ndarray, np.ndarray]],
         x1 = x0 + 1.0
     if y1 == y0:
         y1 = y0 + 1.0
-
-    def sx(x):
-        return pad + (x - x0) / (x1 - x0) * (width - 2 * pad)
-
-    def sy(y):
-        return height - pad - (y - y0) / (y1 - y0) * (height - 2 * pad)
-
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
              f'<rect width="{width}" height="{height}" fill="white"/>',
@@ -202,17 +243,17 @@ def svg_line_chart(path: Path, series: Dict[str, Tuple[np.ndarray, np.ndarray]],
              f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" '
              f'height="{height - 2 * pad}" fill="none" stroke="#333"/>']
     for k, (label, (x, y)) in enumerate(series.items()):
-        pts = " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}" for a, b in zip(x, y))
+        sx = pad + (np.asarray(x, dtype=float) - x0) / (x1 - x0) * (width - 2 * pad)
+        sy = height - pad - (np.asarray(y, dtype=float) - y0) / (y1 - y0) * (height - 2 * pad)
+        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(sx, sy))
         color = colors[k % len(colors)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{pad + 6}" y="{pad + 16 + 14 * k}" fill="{color}" '
                      f'font-family="sans-serif" font-size="11">{label}</text>')
-    for (v, anchor, x, y) in [(x0, "start", pad, height - pad + 16),
-                              (x1, "end", width - pad, height - pad + 16)]:
+    for (v, anchor, x, y) in [(x0, "start", pad, height - pad + 16),   # axis range labels
+                              (x1, "end", width - pad, height - pad + 16),
+                              (y0, "end", pad - 4, height - pad), (y1, "end", pad - 4, pad + 4)]:
         parts.append(f'<text x="{x}" y="{y}" text-anchor="{anchor}" '
-                     f'font-family="sans-serif" font-size="10">{v:.4g}</text>')
-    for (v, y) in [(y0, height - pad), (y1, pad + 4)]:
-        parts.append(f'<text x="{pad - 4}" y="{y}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="10">{v:.4g}</text>')
     parts.append("</svg>")
     path.write_text("\n".join(parts) + "\n")
@@ -224,7 +265,7 @@ def _write_outputs(record: RunRecord, cfg: ScenarioConfig, path: Path, columns: 
     chart is given, its SVG beside it; record both paths."""
     write_csv(path, cfg, columns, rows)
     record.outputs.append(str(path))
-    if cfg.svg and chart is not None:
+    if cfg.values["svg"] and chart is not None:
         svg_line_chart(path.with_suffix(".svg"), *chart)
         record.outputs.append(str(path.with_suffix(".svg")))
 
@@ -243,24 +284,17 @@ def _material(pe: float, dz: float, sigma: float, mu: float, sigma_path: str):
 
 
 def build_1d_case(cfg: ScenarioConfig, pe: float):
-    raw = cfg.raw
-    dz = _require(raw, "dz", float, *POSITIVE)
-    length = _require(raw, "length", float, lambda v: math.isfinite(v) and v > 2 * dz,
-                      "must be finite and longer than two elements")
-    n = length / dz   # > 2
-    if not (n < MAX_NODES_1D and math.isclose(n, round(n), rel_tol=1e-9)):
-        raise ConfigError("length", f"must be a whole number of dz elements, at most "
-                          f"{MAX_NODES_1D - 1}, got {n:g}")
-    a = _require(raw, "pulse.a", float)
-    b = _require(raw, "pulse.b", float)
-    amp = _require(raw, "pulse.amplitude", float, *NONNEGATIVE)
+    f = cfg.fields("run-1d")
+    dz, length, a, b = f["dz"], f["length"], f["pulse.a"], f["pulse.b"]
+    n = length / dz
+    if not (length > 2 * dz and n < MAX_NODES_1D and math.isclose(n, round(n), rel_tol=1e-9)):
+        raise ConfigError("length", f"must be a whole number of dz elements, more than 2 and "
+                          f"at most {MAX_NODES_1D - 1}, got {n:g}")
     if not (0 < a < b < length):
         raise ConfigError("pulse", f"need 0 < a < b < length, got [{a}, {b}] in {length}")
-    sigma = _require(raw, "material.sigma", float, *POSITIVE, 1.0)
-    mu = _require(raw, "material.mu", float, *POSITIVE, 1.0)
     mesh = Mesh1D.from_length(length, dz)
-    material = _material(pe, dz, sigma, mu, "material.sigma")
-    profile = RectPulse1D(a=a, b=b, amplitude=amp)
+    material = _material(pe, dz, f["material.sigma"], f["material.mu"], "material.sigma")
+    profile = RectPulse1D(a=a, b=b, amplitude=f["pulse.amplitude"])
     return mesh, material, profile
 
 
@@ -269,12 +303,9 @@ def graded_sheet_rows(thickness: float, conductor_rows: int, air_factor: float,
     """Row heights for the sheet scenario: uniform rows across the conductor,
     geometrically grown rows through the air padding, mirrored about y = 0.
     Returns (row_heights, index of the y = 0 node row)."""
-    if conductor_rows < 2 or conductor_rows % 2:
-        raise ConfigError("grid.conductor_rows", "must be even and >= 2")
-    h = thickness / conductor_rows
-    up = [h] * (conductor_rows // 2)
+    step = thickness / conductor_rows
+    up = [step] * (conductor_rows // 2)
     acc, target = thickness / 2, thickness / 2 + air_factor * thickness
-    step = h
     while acc < target * (1 - 1e-12):
         if len(up) >= MAX_ROWS_PER_SIDE:
             raise ConfigError("sheet.air_factor", f"the grading needs more than "
@@ -282,52 +313,36 @@ def graded_sheet_rows(thickness: float, conductor_rows: int, air_factor: float,
         step = min(step * air_ratio, target - acc)
         up.append(step)
         acc += step
-    heights = tuple(reversed(up)) + tuple(up)
-    return heights, len(up)
+    return tuple(reversed(up)) + tuple(up), len(up)
 
 
 def build_2d_case(cfg: ScenarioConfig, pe: float):
-    raw = cfg.raw
-    d = _require(raw, "sheet.thickness", float, *POSITIVE)
-    sigma = _require(raw, "sheet.sigma", float, *POSITIVE)
-    mu_r = _require(raw, "sheet.mu_r", float, *POSITIVE, 1.0)
-    air_factor = _require(raw, "sheet.air_factor", float, *NONNEGATIVE, 5.0)
-    kind = _require(raw, "field.kind", str,
-                    lambda v: v in ("smooth_circle", "rect_pulse"),
-                    "must be smooth_circle or rect_pulse")
-    amp = _require(raw, "field.amplitude", float, *NONNEGATIVE)
-    if kind == "smooth_circle":
-        radius = _require(raw, "field.radius", float, *POSITIVE)
-        profile = SmoothCircle2D(radius=radius, amplitude=amp)
-        axial_width = 2 * radius
+    f = cfg.fields("run-2d")
+    if f["field.kind"] == "smooth_circle":
+        profile = SmoothCircle2D(radius=f["field.radius"], amplitude=f["field.amplitude"])
+        axial_width = 2 * f["field.radius"]
     else:
-        a = _require(raw, "field.a", float, *POSITIVE)
-        b_ext = _require(raw, "field.b_extent", float, *POSITIVE)
-        profile = RectPulse2D(a=a, b_extent=b_ext, amplitude=amp)
-        axial_width = 2 * a
-    nz = _require(raw, "grid.nz", int, lambda v: 5 <= v <= MAX_NZ, f"must be from 5 to {MAX_NZ}")
-    rows = _require(raw, "grid.conductor_rows", int, lambda v: 2 <= v <= 2 * MAX_ROWS_PER_SIDE,
-                    f"must be from 2 to {2 * MAX_ROWS_PER_SIDE}")
-    ratio = _require(raw, "grid.air_ratio", float,
-                     lambda v: math.isfinite(v) and v >= 1, "must be finite and >= 1", 1.3)
-    axial_factor = _require(raw, "grid.axial_factor", float, *POSITIVE, 6.0)
-
-    lz = axial_factor * axial_width
+        profile = RectPulse2D(a=f["field.a"], b_extent=f["field.b_extent"],
+                              amplitude=f["field.amplitude"])
+        axial_width = 2 * f["field.a"]
+    nz, d = f["grid.nz"], f["sheet.thickness"]
+    lz = f["grid.axial_factor"] * axial_width
     dz = lz / (nz - 1)
     if not 0 < dz < math.inf:
         raise ConfigError("grid.axial_factor", f"the axial extent {lz:g} over {nz - 1} "
                           f"elements gives dz = {dz:g}, not finite and > 0")
-    heights, mid = graded_sheet_rows(d, rows, air_factor, ratio)
+    heights, mid = graded_sheet_rows(d, f["grid.conductor_rows"], f["sheet.air_factor"],
+                                     f["grid.air_ratio"])
     ny = len(heights) + 1
     if 3 * ny * nz > MAX_DOFS_2D:
         raise ConfigError("grid.nz", f"{ny} x {nz} nodes: {3 * ny * nz} dofs, over {MAX_DOFS_2D}")
     if len(cfg.pe_values) * 3 * ny * nz > MAX_RUN_DOFS_2D:
-        raise ConfigError("pe" if "pe" in raw else "pe_sweep", f"{len(cfg.pe_values)} Pe values "
+        raise ConfigError(cfg.pe_key, f"{len(cfg.pe_values)} Pe values "
                           f"of {3 * ny * nz} dofs each: over {MAX_RUN_DOFS_2D} dofs in one run")
     # place the y = 0 node exactly: y0 is minus the cumulative height below it
     y0 = -float(np.cumsum(heights)[mid - 1])
     mesh = Mesh2D(nz=nz, dz=dz, row_heights=heights, z0=-lz / 2, y0=y0)
-    material = _material(pe, dz, sigma, mu_r * MU0, "sheet.sigma")
+    material = _material(pe, dz, f["sheet.sigma"], f["sheet.mu_r"] * MU0, "sheet.sigma")
     regions = fem2d.RegionMap2D.conducting_band(mesh, d)
     return mesh, material, regions, profile
 
@@ -336,21 +351,14 @@ def build_2d_case(cfg: ScenarioConfig, pe: float):
 # subcommands
 
 
-def _need_dimension(cfg: ScenarioConfig, dim: int):
-    if cfg.dimension != dim:
-        raise ConfigError("dimension", f"this subcommand needs a {dim}D scenario")
-
-
 def run_1d(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
-    _need_dimension(cfg, 1)
     cases = [(pe, build_1d_case(cfg, pe)) for pe in cfg.pe_values]
     out_dir.mkdir(parents=True, exist_ok=True)
     record = RunRecord(config_hash=cfg.hash())
     for scheme in cfg.schemes:
         for pe, (mesh, material, profile) in cases:
             t0 = time.perf_counter()
-            system = fem1d.assemble_1d(mesh, material, profile, scheme)
-            sol = fem1d.solve_1d(system)
+            sol = fem1d.solve_1d(fem1d.assemble_1d(mesh, material, profile, scheme))
             wall = time.perf_counter() - t0
             z = mesh.nodes()
             rows = [(z[i], sol.a_y[i], sol.b_x[i] if i < len(sol.b_x) else None)
@@ -365,7 +373,6 @@ def run_1d(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
 
 
 def run_2d(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
-    _need_dimension(cfg, 2)
     cases = [(pe, build_2d_case(cfg, pe)) for pe in cfg.pe_values]
     record = RunRecord(config_hash=cfg.hash())
     # the left-hand side does not depend on the scheme: assemble and factor
@@ -449,20 +456,15 @@ def measured_peak_error(pe: float, dz: float, m_b: int, m_c: int, m_d: int,
 
 
 def sweep_error(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
-    _need_dimension(cfg, 1)
-    raw = cfg.raw
-    dz = _require(raw, "dz", float, *POSITIVE)
-    elements = (lambda v: 1 <= v <= MAX_SWEEP_ELEMENTS, f"must be from 1 to {MAX_SWEEP_ELEMENTS}")
-    m_b = _require(raw, "upstream_elements", int, *elements, 40)
-    m_c = _require(raw, "plateau_elements", int, *elements, 30)
-    m_d = _require(raw, "downstream_elements", int, *elements, 40)
-    amp = _require(raw, "amplitude", float, *POSITIVE, 1.0)
+    f = cfg.fields("sweep-error")
+    dz, amp = f["dz"], f["amplitude"]
+    m_b, m_c, m_d = f["upstream_elements"], f["plateau_elements"], f["downstream_elements"]
     top = max(cfg.pe_values)   # the sweep's largest mesh is the reference at the top Pe
     if top > 1.0:
         coarse = fem1d.rect_pulse_case(top, dz, m_b, m_c, m_d, amp)[0]
         nodes = reference_mesh(coarse, top).node_count
         if nodes > MAX_NODES_1D:
-            raise ConfigError("pe" if "pe" in raw else "pe_sweep", f"the reference mesh at "
+            raise ConfigError(cfg.pe_key, f"the reference mesh at "
                               f"Pe = {top:g} needs {nodes} nodes, over {MAX_NODES_1D}")
     record = RunRecord(config_hash=cfg.hash())
     rows = []
@@ -472,10 +474,8 @@ def sweep_error(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
             rows.append((pe, None, None, None, None, "out-of-validity"))
             continue
         measured = measured_peak_errors(pe, dz, m_b, m_c, m_d, tuple(Scheme), amp)
-        mg, ma = measured[Scheme.GALERKIN], measured[Scheme.ELEMENT_AVERAGED]
-        fg = oracle.peak_error(Scheme.GALERKIN, pe, amp)
-        fa = oracle.peak_error(Scheme.ELEMENT_AVERAGED, pe, amp)
-        rows.append((pe, mg, fg, ma, fa, "ok"))
+        rows.append((pe, *(v for s in Scheme for v in (measured[s], oracle.peak_error(s, pe, amp))),
+                     "ok"))   # measured, then formula error, for galerkin and then averaged
     valid = np.array([r[:4] for r in rows if r[5] == "ok"], dtype=float).reshape(-1, 4)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_outputs(record, cfg, out_dir / "sweep_error.csv",
@@ -516,8 +516,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="scenario config JSON")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--scheme", choices=["galerkin", "averaged", "both"],
-                       help="override the config's scheme selection")
+        p.add_argument("--scheme", choices=SCHEMES, help="override the config's scheme selection")
         p.set_defaults(fn=fn)
     sub.add_parser("verify")
 

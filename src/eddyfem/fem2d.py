@@ -200,8 +200,7 @@ def _coupled_blocks(blocks, factors):
 def _mesh_rows(mesh: Mesh2D, material: Material, regions: RegionMap2D):
     """What the matrix and the right-hand side share: the elemental blocks
     of every mesh row (computed once per distinct row height), the table
-    factors per row, the corner nodes of every element as (row, corner,
-    element) and the Dirichlet mask over the block-ordered dofs."""
+    factors per row and the Dirichlet mask over the block-ordered dofs."""
     if len(regions.row_multipliers) != mesh.ny - 1:
         raise InvalidArgumentError("region map does not match the mesh rows")
     ny, nz, dz = mesh.ny, mesh.nz, mesh.dz
@@ -214,10 +213,6 @@ def _mesh_rows(mesh: Mesh2D, material: Material, regions: RegionMap2D):
            for k in per_height[0]}
     flag = np.asarray(regions.row_multipliers)[:, None, None]
     factors = {"flag": flag, "u": material.u_z, "musig": material.mu * material.sigma * flag}
-    # int32 indices: a mesh of 2**31 / 3 nodes could never be factored
-    local = np.array([0, 1, nz, nz + 1], dtype=np.int32)   # element corner offsets
-    nodes = ((np.arange(ny - 1, dtype=np.int32)[:, None] * nz + local)[..., None]
-             + np.arange(nz - 1, dtype=np.int32))
 
     # Dirichlet rows: A_y = A_z = 0 on the inlet column and both y edges,
     # and the phi gauge pin at the inlet node nearest y = 0 (on the
@@ -227,7 +222,7 @@ def _mesh_rows(mesh: Mesh2D, material: Material, regions: RegionMap2D):
     fixed = np.zeros(3 * m_count, dtype=bool)
     fixed[m_count + edge] = fixed[2 * m_count + edge] = True
     fixed[int(np.argmin(np.abs(mesh.node_y()))) * nz] = True
-    return blk, factors, nodes, fixed
+    return blk, factors, fixed
 
 
 def assemble_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
@@ -240,8 +235,8 @@ def assemble_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
     mesh row at once. The matrix does not depend on the scheme; the
     right-hand side is rhs_2d's.
     """
-    rhs = rhs_2d(mesh, material, regions, profile, scheme)
-    blk, factors, _, fixed = _mesh_rows(mesh, material, regions)
+    blk, factors, fixed = rows = _mesh_rows(mesh, material, regions)
+    rhs = _rhs(mesh, regions, profile, scheme, *rows)
     ny, nz = mesh.ny, mesh.nz
     stencil = np.zeros((3, 3, 3, 3, ny, nz))
     for (rf, cf, _), vals in zip(BLOCK_TABLE, _coupled_blocks(blk, factors)):
@@ -262,38 +257,42 @@ def assemble_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
 def rhs_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
            profile, scheme: Scheme) -> np.ndarray:
     """The right-hand side of assemble_2d alone, bit for bit: the only part
-    of the system that depends on the scheme. Summed per dof in (row,
-    corner, element) order like the matrix entries.
+    of the system that depends on the scheme. Each dof sums its corner
+    loads in (row, corner, element) order: corners 2, 3, 0, 1.
 
     When the load is even under MIRROR_PARITY in exact arithmetic (a
     mirrored mesh, and equal samples at (z, y) and (z, -y)), the result is
     its even part (b + P b) / 2, so that P b == b holds in floats too."""
-    blk, factors, nodes, fixed = _mesh_rows(mesh, material, regions)
+    return _rhs(mesh, regions, profile, scheme, *_mesh_rows(mesh, material, regions))
+
+
+def _rhs(mesh: Mesh2D, regions: RegionMap2D, profile, scheme: Scheme,
+         blk, factors, fixed) -> np.ndarray:
+    """rhs_2d from the rows that _mesh_rows built."""
+    ny, nz = mesh.ny, mesh.nz
     z, y = np.meshgrid(mesh.node_z(), mesh.node_y())
     bn = np.asarray(profile.sample(z, y), dtype=float)
-    if bn.shape != (mesh.ny, mesh.nz):
+    if bn.shape != (ny, nz):
         raise InvalidArgumentError("profile samples do not match the mesh nodes")
     corners = np.stack([bn[:-1, :-1], bn[:-1, 1:], bn[1:, :-1], bn[1:, 1:]], axis=1)
-    rhs = np.zeros(3 * mesh.node_count)
+    rhs = np.zeros((3, ny, nz))
     for field, sign, names, loads in LOAD_TABLE:
         coef, w = _coef(sign, names, factors), blk[loads[scheme]]
         if w.ndim == 3:   # a 4x4 load per mesh row: weigh the corner samples
             load = coef * (w[:, :, None, :] @ corners[:, None])[:, :, 0]
         else:
             load = (coef * w[..., None]) * corners.mean(axis=1)[:, None]
-        np.add.at(rhs, field * mesh.node_count + nodes, load)
-    rhs[fixed] = 0.0
+        for i in (2, 3, 0, 1):   # corner i = 2*iy + iz of element (m - iy, n - iz)
+            iy, iz = divmod(i, 2)
+            rhs[field, iy:iy + ny - 1, iz:iz + nz - 1] += load[:, i]
+    rhs[fixed.reshape(3, ny, nz)] = 0.0
     if (_mirrored_mesh(mesh, regions)
             and np.array_equal(np.asarray(profile.sample(z, -y), dtype=float), bn)):
         # keep the even part (P b + b) / 2; negation and halving are exact
         # and addition commutes, so it is even bit for bit and solve_2d
         # finds the odd sector's load exactly zero
-        b = rhs.reshape(3, mesh.ny, mesh.nz)
-        even = b[:, ::-1] * np.asarray(MIRROR_PARITY, dtype=float)[:, None, None]
-        even += b
-        even *= 0.5
-        rhs = even.ravel()
-    return rhs
+        rhs = 0.5 * (rhs[:, ::-1] * np.asarray(MIRROR_PARITY, dtype=float)[:, None, None] + rhs)
+    return rhs.ravel()
 
 
 def _mirrored_mesh(mesh: Mesh2D, regions: RegionMap2D) -> bool:

@@ -75,6 +75,7 @@ BAD_2D_VALUES = [
     ("sheet.thickness", math.inf), ("field.radius", math.inf), ("field.amplitude", math.inf),
     ("grid.conductor_rows", 2 * cli.MAX_ROWS_PER_SIDE + 2), ("grid.nz", cli.MAX_NZ + 1),
     ("grid.axial_factor", 1e308),   # times the field width 2.6 overflows dz
+    ("grid.conductor_rows", 15),    # the rows mirror about y = 0 in pairs
 ]
 
 
@@ -290,6 +291,95 @@ def test_pe_sweep_expansion():
     assert np.allclose(cfg.pe_values, (2.0, 4.0, 5.0, 8.0), rtol=1e-12)
     assert 5.0 in cfg.pe_values
     assert list(cfg.pe_values) == sorted(cfg.pe_values)
+
+
+# ---------------------------------------------------------------------------
+# keys that no schema table names
+
+
+def test_misspelt_keys_exit_2_naming_every_unknown_key(tmp_path, capsys):
+    # each of these used to be dropped, so run-2d wrote all 8 CSVs of the
+    # default air_ratio 1.3 and exited 0
+    raw = json.loads((CONFIG_DIR / "sheet2d_circle.json").read_text())
+    raw["grid"]["air_ratoi"] = 0.9
+    raw["sheet"]["mu"] = 1000
+    raw["pee"] = [2.0]
+    code, err = _exit_code_and_err(tmp_path, capsys, raw, "run-2d")
+    assert code == 2 and "unknown key" in err
+    assert all(f"{path}" in err for path in ("grid.air_ratoi", "sheet.mu", "pee"))
+
+
+@pytest.mark.parametrize("config, command, path, value", [
+    ("fig_pulse1d_pe2.json", "run-1d", "material.sgima", 2.0),
+    ("fig_pulse1d_pe2.json", "run-1d", "upstream_elements", 40),   # a sweep-error field
+    ("sweep_peak_error.json", "sweep-error", "upstream_element", 40),
+    ("sweep_peak_error.json", "sweep-error", "pulse", {"a": 1.0}),   # a run-1d section
+    ("sheet2d_circle.json", "run-2d", "field.a", 1.3),    # a rect_pulse field on a circle
+    ("sheet2d_circle.json", "run-2d", "dz", 0.1),
+    ("sheet2d_rect.json", "run-2d", "field.radius", 1.3),
+    ("sheet2d_rect.json", "run-2d", "grid.air-ratio", 1.3)])
+def test_unknown_keys_of_each_subcommand_exit_2(tmp_path, capsys, config, command, path, value):
+    raw = _with(json.loads((CONFIG_DIR / config).read_text()), path, value)
+    raw["svg"] = False
+    code, err = _exit_code_and_err(tmp_path, capsys, raw, command)
+    assert code == 2 and f"'{path}': unknown key" in err
+
+
+def test_a_dotted_or_empty_key_is_unknown():
+    raw = json.loads((CONFIG_DIR / "sheet2d_circle.json").read_text())
+    for key in ("grid.air_ratio", ""):   # not the air_ratio of the grid section
+        cfg = ScenarioConfig.from_dict({**raw, key: 0.5})
+        with pytest.raises(ConfigError, match="unknown key") as err:
+            build_2d_case(cfg, 2.0)
+        assert err.value.path == key
+
+
+def test_underscore_keys_are_comments_at_any_depth():
+    raw = json.loads((CONFIG_DIR / "sheet2d_circle.json").read_text())
+    mesh = build_2d_case(ScenarioConfig.from_dict(raw), 2.0)[0]
+    for section in ("grid", "sheet", "field"):
+        raw[section]["_why"] = {"any": ["value"]}
+    assert build_2d_case(ScenarioConfig.from_dict(raw), 2.0)[0] == mesh
+
+
+def test_pe_excludes_pe_sweep(tmp_path, capsys):
+    # the pe_sweep beside a pe list used to be ignored
+    raw = json.loads((CONFIG_DIR / "fig_pulse1d_pe2.json").read_text())
+    raw["pe_sweep"] = {"lo": 2.0, "hi": 3.0, "points": 2}
+    code, err = _exit_code_and_err(tmp_path, capsys, raw)
+    assert code == 2 and "'pe_sweep'" in err
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig.from_dict({"dimension": 1})
+    assert err.value.path == "pe"
+
+
+@pytest.mark.parametrize("config, command, section, value", [
+    ("fig_pulse1d_pe2.json", "run-1d", "material", [1]),
+    ("fig_pulse1d_pe2.json", "run-1d", "pulse", 3.9),
+    ("sheet2d_circle.json", "run-2d", "grid", None),
+    ("sweep_peak_error.json", "sweep-error", "pe_sweep", [1.1, 1000.0])])
+def test_a_section_of_the_wrong_type_is_named(tmp_path, capsys, config, command, section, value):
+    # "material": [1] used to report material.sigma as missing
+    raw = json.loads((CONFIG_DIR / config).read_text())
+    raw[section] = value
+    code, err = _exit_code_and_err(tmp_path, capsys, raw, command)
+    assert code == 2 and f"'{section}': expected dict" in err
+    with pytest.raises(ConfigError, match="'<file>': expected dict, got list"):
+        ScenarioConfig.from_dict([raw])
+
+
+def test_from_dict_reads_only_the_shared_fields():
+    # the subcommand's table, and its unknown-key check, are read where the
+    # subcommand is known: by build_1d_case, build_2d_case and sweep_error
+    raw = json.loads((CONFIG_DIR / "sweep_peak_error.json").read_text())
+    cfg = ScenarioConfig.from_dict({**raw, "dz": "not read here", "pee": 1})
+    assert len(cfg.pe_values) == 26 and cfg.pe_key == "pe_sweep"
+    with pytest.raises(ConfigError) as err:
+        build_1d_case(cfg, 2.0)
+    assert err.value.path == "dz"
+    with pytest.raises(ConfigError) as err:
+        cfg.fields("run-2d")
+    assert err.value.path == "dimension"
 
 
 # ---------------------------------------------------------------------------

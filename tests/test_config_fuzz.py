@@ -1,13 +1,22 @@
-"""Property tests of the 1D and 2D config validation: any JSON-like config
-dict, run through ScenarioConfig.from_dict and build_1d_case or
-build_2d_case with no assembly, either builds a case or raises ConfigError /
-InvalidArgumentError."""
+"""Property tests of the config schema. Any JSON-like config dict, run
+through ScenarioConfig.from_dict and build_1d_case or build_2d_case with no
+assembly, either builds a case or raises ConfigError / InvalidArgumentError;
+and any config, misspelt or unknown keys included, run through cli.main for
+any subcommand ends with exit 0, 2 or 3, never with a traceback. The fields
+a corruption replaces are drawn from the schema tables in eddyfem.cli."""
+import json
 import math
+import string
+import tempfile
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from eddyfem import cli, fem1d, fem2d
 from eddyfem.cli import ConfigError, ScenarioConfig, build_1d_case, build_2d_case
-from eddyfem.core import InvalidArgumentError
+from eddyfem.core import InvalidArgumentError, NumericalFailureError
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
@@ -16,28 +25,73 @@ JUNK = st.one_of(
     st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
 
 
+def table_paths(*tables, prefix=""):
+    """Every dotted path that the schema tables name: the fields of every
+    section and of every choice, and the first entry of every list."""
+    paths = []
+    for table in tables:
+        for key, entry in table.items():
+            typ, rule, _ = (dict, entry, {}) if isinstance(entry, dict) else entry
+            paths.append(prefix + key)
+            if typ is dict:
+                paths += table_paths(rule, prefix=prefix + key + ".")
+            elif isinstance(rule, dict):
+                paths += table_paths(*rule.values(), prefix=prefix)
+            if isinstance(typ, list):
+                paths.append(prefix + key + ".0")
+    return paths
+
+
+PATHS_1D = table_paths(cli.SHARED, cli.RUN_1D)
+PATHS_2D = table_paths(cli.SHARED, cli.RUN_2D)
 SIZES = st.floats(1e-3, 50)
 PE = st.one_of(st.floats(0, 1e4), st.integers(0, 100))
-# fields a corruption may replace; a missing parent leaves the config as is
-PATHS = ["dimension", "scheme", "pe", "pe.0", "pe_sweep", "pe_sweep.lo", "pe_sweep.hi",
-         "pe_sweep.points", "pe_sweep.include", "pe_sweep.include.0", "dz", "length",
-         "pulse", "pulse.a", "pulse.b", "pulse.amplitude", "material", "material.sigma",
-         "material.mu"]
-PATHS_2D = ["dimension", "scheme", "pe", "pe.0", "sheet", "sheet.thickness", "sheet.sigma",
-            "sheet.mu_r", "sheet.air_factor", "field", "field.kind", "field.amplitude",
-            "field.radius", "field.a", "field.b_extent", "grid", "grid.nz",
-            "grid.conductor_rows", "grid.air_ratio", "grid.axial_factor"]
+
+
+def test_table_paths_cover_every_field():
+    # the fields the hand-kept path lists of the fuzzers used to miss
+    for path in ("svg", "pe_sweep.include.0", "field.b_extent", "grid.axial_factor"):
+        assert path in PATHS_2D
+    assert set(table_paths(cli.SWEEP_ERROR)) == {
+        "dz", "upstream_elements", "plateau_elements", "downstream_elements", "amplitude"}
+
+
+def _get(raw, path):
+    node = raw
+    for part in path.split(".") if path else ():
+        if isinstance(node, dict):
+            node = node.get(part)
+        elif isinstance(node, list) and part.isdigit() and int(part) < len(node):
+            node = node[int(part)]
+        else:
+            return None
+    return node
 
 
 def _put(raw, path, value):
-    *parents, leaf = path.split(".")
-    node = raw
-    for part in parents:
-        node = node.get(part) if isinstance(node, dict) else None
+    """Replace the field at ``path``; a missing parent leaves ``raw`` as is."""
+    parent, _, leaf = path.rpartition(".")
+    node = _get(raw, parent)
     if isinstance(node, dict):
         node[leaf] = value
     elif isinstance(node, list) and node and leaf.isdigit():
         node[int(leaf)] = value
+
+
+@st.composite
+def pe_fields(draw):
+    if draw(st.booleans()):
+        return {"pe": draw(st.lists(PE, min_size=1, max_size=3))}
+    lo = draw(st.floats(0.5, 100))
+    return {"pe_sweep": {"lo": lo, "hi": lo * draw(st.floats(1.1, 100)),
+                         "points": draw(st.integers(2, 30)),
+                         "include": draw(st.lists(PE, max_size=2))}}
+
+
+def _corrupt(draw, raw, paths):
+    for path in draw(st.lists(st.sampled_from(paths), max_size=2)):
+        _put(raw, path, draw(JUNK))
+    return raw
 
 
 @st.composite
@@ -50,17 +104,8 @@ def configs(draw):
            "dz": dz, "length": length,
            "pulse": {"a": length * draw(st.floats(0.01, 0.5)),
                      "b": length * draw(st.floats(0.5, 0.99)), "amplitude": draw(st.floats(-1, 5))},
-           "material": {"sigma": draw(SIZES), "mu": draw(SIZES)}}
-    if draw(st.booleans()):
-        raw["pe"] = draw(st.lists(PE, min_size=1, max_size=3))
-    else:
-        lo = draw(st.floats(0.5, 100))
-        raw["pe_sweep"] = {"lo": lo, "hi": lo * draw(st.floats(1.1, 100)),
-                           "points": draw(st.integers(2, 30)),
-                           "include": draw(st.lists(PE, max_size=2))}
-    for path in draw(st.lists(st.sampled_from(PATHS), max_size=2)):
-        _put(raw, path, draw(JUNK))
-    return raw
+           "material": {"sigma": draw(SIZES), "mu": draw(SIZES)}, **draw(pe_fields())}
+    return _corrupt(draw, raw, PATHS_1D)
 
 
 @st.composite
@@ -71,7 +116,7 @@ def configs_2d(draw):
     shape = ({"radius": draw(SIZES)} if kind == "smooth_circle"
              else {"a": draw(SIZES), "b_extent": draw(SIZES)})
     raw = {"dimension": 2, "scheme": draw(st.sampled_from(["galerkin", "averaged", "both"])),
-           "pe": draw(st.lists(PE, min_size=1, max_size=3)),
+           **draw(pe_fields()),
            "sheet": {"thickness": draw(SIZES), "sigma": draw(st.floats(1e-3, 1e8)),
                      "mu_r": draw(SIZES), "air_factor": draw(st.floats(0, 20))},
            "field": {"kind": kind, "amplitude": draw(st.floats(0, 5)), **shape},
@@ -80,9 +125,7 @@ def configs_2d(draw):
                                                      st.integers(0, 1100))),
                     "air_ratio": draw(st.one_of(st.floats(1.05, 3), st.floats(0.5, 3))),
                     "axial_factor": draw(SIZES)}}
-    for path in draw(st.lists(st.sampled_from(PATHS_2D), max_size=2)):
-        _put(raw, path, draw(JUNK))
-    return raw
+    return _corrupt(draw, raw, PATHS_2D)
 
 
 def _build_or_raise(raw, build):
@@ -104,3 +147,67 @@ def test_1d_configs_build_or_raise_config_errors(raw):
 @given(configs_2d())
 def test_2d_configs_build_or_raise_config_errors(raw):
     _build_or_raise(raw, build_2d_case)
+
+
+# ---------------------------------------------------------------------------
+# the whole CLI
+
+
+BASES = {"run-1d": "fig_pulse1d_pe2.json", "run-2d": "sheet2d_circle.json",
+         "sweep-error": "sweep_peak_error.json"}
+KEYS = st.text(string.ascii_lowercase + "_", min_size=1, max_size=8)
+
+
+def _misspellings(key):
+    """Keys one edit away from ``key``: a letter dropped, doubled or
+    swapped with its neighbour."""
+    return st.sampled_from(sorted(
+        {key[:i] + key[i + 1:] for i in range(len(key))}
+        | {key[:i] + key[i] + key[i:] for i in range(len(key))}
+        | {key[:i] + key[i + 1] + key[i] + key[i + 2:] for i in range(len(key) - 1)}))
+
+
+@st.composite
+def cli_cases(draw):
+    """(subcommand, config, whether a key no table names was added): a
+    shipped config for the subcommand, up to two of its fields replaced by
+    junk and up to two keys added, each a misspelling of a field of its
+    section, an arbitrary key or a '_' comment."""
+    command = draw(st.sampled_from(sorted(BASES)))
+    raw = json.loads((CONFIG_DIR / BASES[command]).read_text())
+    raw["svg"] = draw(st.booleans())
+    paths = table_paths(cli.SHARED, cli.COMMANDS[command][1])
+    _corrupt(draw, raw, paths)
+    unknown = False
+    for _ in range(draw(st.integers(0, 2))):
+        sections = [""] + [p for p in paths if isinstance(_get(raw, p), dict)]
+        section = draw(st.sampled_from(sections))
+        names = [p.rpartition(".")[2] for p in paths if p.rpartition(".")[0] == section]
+        misspelt = [st.sampled_from(names).flatmap(_misspellings)] if names else []
+        key = draw(st.one_of(*misspelt, KEYS, KEYS.map(lambda k: "_" + k)))
+        if key not in _get(raw, section):
+            _get(raw, section)[key] = draw(JUNK)
+            unknown |= key not in names and not key.startswith("_")
+    return command, raw, unknown
+
+
+def _stubbed_solve(*args, **kwargs):
+    raise NumericalFailureError("stubbed solve")
+
+
+@settings(max_examples=300, deadline=2000,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(cli_cases())
+def test_cli_ends_with_exit_0_2_or_3(monkeypatch, case):
+    # every solve is stubbed: a config that validates exits 3 when it
+    # reaches one, and a sweep with no Pe above 1 writes its CSV and exits 0
+    for module, name in ((fem1d, "assemble_1d"), (fem2d, "assemble_2d")):
+        monkeypatch.setattr(module, name, _stubbed_solve)
+    command, raw, unknown = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(raw))
+        code = cli.main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+        assert code in (0, 2, 3)
+        assert code != 2 or not (Path(tmp) / "out").exists()
+        assert code == 2 or not unknown

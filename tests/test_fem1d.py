@@ -5,8 +5,9 @@ import pytest
 
 from eddyfem.core import (InvalidArgumentError, Mesh1D, NumericalFailureError,
                           RectPulse1D, Scheme, material_for_peclet, peclet_of)
-from eddyfem.fem1d import (ELEMENT_WEIGHTS, DiscreteSystem1D, assemble_1d, exact_stencil,
-                           input_weights, reaction_field, rect_pulse_case, solve_1d)
+from eddyfem.fem1d import (ELEMENT_WEIGHTS, RESIDUAL_RTOL, DiscreteSystem1D, assemble_1d,
+                           exact_stencil, input_weights, reaction_field, rect_pulse_case,
+                           solve_1d)
 
 
 def small_case(pe=2.0, dz=0.25, scheme=Scheme.GALERKIN, n=41, pulse=(3.875, 6.125)):
@@ -115,14 +116,42 @@ def test_zero_rhs_gives_zero_solution():
     assert np.max(np.abs(sol.b_x)) == 0.0
 
 
+def _within_budget(system, sol) -> bool:
+    resid = np.max(np.abs(system.matmul(sol.a_y) - system.rhs))
+    budget = RESIDUAL_RTOL * (system.inf_norm() * np.max(np.abs(sol.a_y))
+                              + np.max(np.abs(system.rhs)))
+    return sol.residual == resid <= budget
+
+
 def test_solve_residual_within_budget():
     system, _ = small_case(pe=2000.0, dz=0.2, n=51, pulse=(3.9, 6.1))
+    assert _within_budget(system, solve_1d(system))
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_pulse_case_at_pe_1e300_solves_within_budget(scheme):
+    # the matrix entries and the load both grow like Pe; at 1e300 neither
+    # overflows, and the solve still meets its residual budget
+    mesh, material, profile = rect_pulse_case(1e300, 0.2, 40, 30, 40)
+    system = assemble_1d(mesh, material, profile, scheme)
     sol = solve_1d(system)
-    resid = np.max(np.abs(system.matmul(sol.a_y) - system.rhs))
-    budget = 1e-10 * (system.inf_norm() * np.max(np.abs(sol.a_y))
-                      + np.max(np.abs(system.rhs)))
-    assert resid <= budget
-    assert sol.residual == resid
+    assert np.all(np.isfinite(sol.b_x)) and _within_budget(system, sol)
+
+
+@pytest.mark.parametrize("pe", [1 + 1e-9, 2.0, 1e6])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_minimal_grid_solves(pe, scheme):
+    # edge regimes (Pe -> 1+, huge Pe) on the smallest grid, 3 nodes: the
+    # inlet, one interior node and the outlet. Each solve passes its
+    # residual budget and agrees with a dense direct solve
+    mesh = Mesh1D(0.5, 3)
+    profile = RectPulse1D(a=0.25, b=0.75, amplitude=1.0)   # the interior node alone
+    system = assemble_1d(mesh, material_for_peclet(pe, 0.5), profile, scheme)
+    sol = solve_1d(system)
+    dense = np.diag(system.diag) + np.diag(system.lower, -1) + np.diag(system.upper, 1)
+    x_ref = np.linalg.solve(dense, system.rhs)
+    assert np.max(np.abs(sol.a_y - x_ref)) <= 1e-9 * np.max(np.abs(x_ref))
+    assert _within_budget(system, sol)
 
 
 def test_singular_system_raises():
