@@ -353,22 +353,24 @@ def build_2d_case(cfg: ScenarioConfig, pe: float):
 
 def run_1d(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
     cases = [(pe, build_1d_case(cfg, pe)) for pe in cfg.pe_values]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    record = RunRecord(config_hash=cfg.hash())
+    solved = []
     for scheme in cfg.schemes:
         for pe, (mesh, material, profile) in cases:
             t0 = time.perf_counter()
             sol = fem1d.solve_1d(fem1d.assemble_1d(mesh, material, profile, scheme))
-            wall = time.perf_counter() - t0
-            z = mesh.nodes()
-            rows = [(z[i], sol.a_y[i], sol.b_x[i] if i < len(sol.b_x) else None)
-                    for i in range(mesh.node_count)]
-            _write_outputs(record, cfg, out_dir / f"run1d_{scheme.value}_pe{_fmt(float(pe))}.csv",
-                           ["z", "a_y", "b_x"], rows,
-                           ({f"b_x {scheme.value} Pe={pe:g}": (0.5 * (z[:-1] + z[1:]), sol.b_x)},
-                            "reaction flux density along z"))
-            record.stats.append({"scheme": scheme.value, "pe": pe, "n": mesh.node_count,
-                                 "residual": sol.residual, "wall_s": wall})
+            solved.append((scheme, pe, mesh, sol, time.perf_counter() - t0))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    record = RunRecord(config_hash=cfg.hash())
+    for scheme, pe, mesh, sol, wall in solved:
+        z = mesh.nodes()
+        rows = [(z[i], sol.a_y[i], sol.b_x[i] if i < len(sol.b_x) else None)
+                for i in range(mesh.node_count)]
+        _write_outputs(record, cfg, out_dir / f"run1d_{scheme.value}_pe{_fmt(float(pe))}.csv",
+                       ["z", "a_y", "b_x"], rows,
+                       ({f"b_x {scheme.value} Pe={pe:g}": (0.5 * (z[:-1] + z[1:]), sol.b_x)},
+                        "reaction flux density along z"))
+        record.stats.append({"scheme": scheme.value, "pe": pe, "n": mesh.node_count,
+                             "residual": sol.residual, "wall_s": wall})
     return record
 
 

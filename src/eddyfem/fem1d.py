@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .core import (InvalidArgumentError, Mesh1D, Material, NumericalFailureError,
                    RectPulse1D, Scheme, material_for_peclet, peclet_of)
@@ -128,23 +127,25 @@ def assemble_1d(mesh: Mesh1D, material: Material, profile, scheme: Scheme) -> Di
 
 
 def solve_1d(system: DiscreteSystem1D) -> Solution1D:
-    """Direct banded solve with a residual acceptance check."""
-    n = len(system.diag)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = system.upper
-    ab[1, :] = system.diag
-    ab[2, :-1] = system.lower
-    try:
-        a_y = scipy.linalg.solve_banded((1, 1), ab, system.rhs)
-    except ValueError as err:   # a singular matrix (LinAlgError) or non-finite entries
-        raise NumericalFailureError(f"banded solve failed: {err}")
+    """Direct tridiagonal solve (LAPACK dgtsv) with a residual acceptance check."""
+    from scipy.linalg import lapack
+
+    # checked first: dgtsv reports a NaN pivot as a singular matrix
+    if not all(np.isfinite(v).all() for v in (system.lower, system.diag, system.upper)):
+        raise NumericalFailureError("1D system matrix has non-finite entries")
+    if not np.isfinite(system.rhs).all():
+        raise NumericalFailureError("1D system right-hand side has non-finite entries")
+    *_, a_y, info = lapack.dgtsv(system.lower, system.diag, system.upper, system.rhs)
+    if info > 0:
+        raise NumericalFailureError(f"tridiagonal solve failed: pivot {info} is exactly zero "
+                                    "(singular matrix)")
     if not np.all(np.isfinite(a_y)):
         raise NumericalFailureError("solution contains non-finite entries "
                                     "(matrix is singular or near-singular)")
     resid = float(np.max(np.abs(system.matmul(a_y) - system.rhs)))
     budget = RESIDUAL_RTOL * (system.inf_norm() * float(np.max(np.abs(a_y)))
                               + float(np.max(np.abs(system.rhs))))
-    if resid > budget:
+    if not resid <= budget:
         raise NumericalFailureError(
             f"residual {resid:.3e} exceeds budget {budget:.3e}; "
             f"matrix inf-norm {system.inf_norm():.3e} suggests ill-conditioning")

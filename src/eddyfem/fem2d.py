@@ -47,14 +47,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import lapack
 
 from .core import (InvalidArgumentError, Material, Mesh2D, NumericalFailureError,
                    Scheme)
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 RESIDUAL_RTOL = 1e-8
 
@@ -322,6 +323,8 @@ def _neighbours(v: np.ndarray, fill) -> np.ndarray:
 
 
 def _stencil_to_csr(stencil: np.ndarray) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     ny, nz = stencil.shape[4:]
     entries = stencil.reshape(3, 27, ny * nz).transpose(0, 2, 1)   # (field, node, column)
     cols = _neighbours(np.arange(3 * ny * nz, dtype=np.int32).reshape(3, ny, nz), -1)
@@ -332,6 +335,8 @@ def _stencil_to_csr(stencil: np.ndarray) -> sp.csr_matrix:
 
 
 def _matrix_to_stencil(matrix: sp.spmatrix, mesh: Mesh2D) -> np.ndarray:
+    import scipy.sparse as sp
+
     a = sp.coo_matrix(matrix)
     nonzero = a.data != 0
     (rf, m, n), (cf, mc, nc) = (np.unravel_index(ix[nonzero], (3, mesh.ny, mesh.nz))
@@ -393,6 +398,8 @@ def _band_solve(pos: np.ndarray, parts, rhs: np.ndarray) -> Tuple[np.ndarray, in
     """Solve the system of _band(pos, parts) for rhs (3, H, nz, columns) by a
     banded LU. A pivot |u_kk| <= eps * ||A||inf counts as singular, whether
     or not elimination produced an exact zero. Returns x (0 where pos is -1), kl."""
+    from scipy.linalg import lapack
+
     ab, kl, ku, norm = _band(pos, parts)
     lu, piv, info = lapack.dgbtrf(ab, kl, ku, overwrite_ab=1)
     pivots = np.abs(lu[kl + ku])   # the diagonal of U

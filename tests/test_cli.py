@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ from eddyfem.cli import (ConfigError, ScenarioConfig, build_1d_case,
                          build_2d_case, graded_sheet_rows, main,
                          measured_peak_error, measured_peak_errors, run_1d,
                          run_2d, sweep_error, verify)
-from eddyfem.core import Scheme
+from eddyfem.core import NumericalFailureError, Scheme
 from eddyfem.oracle import peak_error
 from eddyfem.ztransfer import tf_2d
 from test_ztransfer import perturb_averaged_a_y_weight
@@ -532,7 +534,7 @@ def test_run_2d_builds_no_csr(tmp_path, monkeypatch, capsys):
     def no_csr(*args, **kwargs):
         raise AssertionError("a CSR matrix was built")
 
-    monkeypatch.setattr(fem2d.sp, "csr_matrix", no_csr)
+    monkeypatch.setattr("scipy.sparse.csr_matrix", no_csr)
     cfg = small_2d_cfg(scheme="both")
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg.raw))
@@ -542,12 +544,34 @@ def test_run_2d_builds_no_csr(tmp_path, monkeypatch, capsys):
     assert len(stats) == 2 and all(f" dofs={dofs} " in ln for ln in stats)
 
 
-def test_shipped_sheet_exits_3_past_its_pe_ceiling(tmp_path, capsys):
+@pytest.mark.parametrize("grid, pe", [({}, 1e8), ({"nz": 5, "conductor_rows": 2}, 1e300)],
+                         ids=["shipped", "minimal_grid"])
+def test_shipped_sheet_exits_3_past_its_pe_ceiling(tmp_path, capsys, grid, pe):
     # the pivot floor eps*||A||inf grows like Pe while the smallest pivot
-    # falls like 1/Pe; on the shipped circle sheet they cross near Pe = 8e7
-    raw = _with(json.loads((CONFIG_DIR / "sheet2d_circle.json").read_text()), "pe", [1e8])
+    # falls like 1/Pe; on the shipped circle sheet they cross near Pe = 8e7,
+    # and a minimal grid fails the same way at Pe 1e300
+    raw = _with(json.loads((CONFIG_DIR / "sheet2d_circle.json").read_text()), "pe", [pe])
+    raw["grid"].update(grid)
     code, err = _exit_code_and_err(tmp_path, capsys, raw, "run-2d")
     assert code == 3 and "singular or too ill-conditioned to factor" in err
+
+
+def test_1d_failure_leaves_no_output_directory(tmp_path, capsys, monkeypatch):
+    # every (scheme, Pe) is solved before the output directory is made, so
+    # a failure in the second solve leaves none (checked by _exit_code_and_err)
+    calls = []
+    solve_1d = fem1d.solve_1d
+
+    def failing_second(system):
+        calls.append(system)
+        if len(calls) == 2:
+            raise NumericalFailureError("forced failure")
+        return solve_1d(system)
+
+    monkeypatch.setattr(fem1d, "solve_1d", failing_second)
+    raw = json.loads((CONFIG_DIR / "fig_pulse1d_pe2.json").read_text())
+    code, err = _exit_code_and_err(tmp_path, capsys, raw)
+    assert code == 3 and "forced failure" in err and len(calls) == 2
 
 
 def test_build_2d_case_grid_layout():
@@ -667,6 +691,50 @@ def test_verify_reads_the_assembly_stencils(monkeypatch):
     buf = io.StringIO()
     assert verify(stream=buf) == 4
     assert "[FAIL] averaged cancels the Z_n = -1 pole" in buf.getvalue()
+
+
+COLD_START = """\
+import json, sys
+sys.path.insert(0, {src!r})
+from eddyfem.cli import main
+try:
+    code = main({argv!r})
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+"""
+
+
+def cold_start(argv):
+    """Exit code and loaded scipy modules of ``main(argv)`` in a fresh,
+    isolated interpreter."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = COLD_START.format(src=str(src), argv=argv)
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_verify_help_and_bad_configs_load_no_scipy(tmp_path):
+    # the exact certificates and the config checks need no scipy: only the
+    # functions that call LAPACK or build a CSR matrix import it
+    raw = json.loads((CONFIG_DIR / "fig_pulse1d_pe2.json").read_text())
+    raw["pee"] = 2.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    for argv, code in ((["verify"], 0), (["--help"], 0),
+                       (["run-1d", "--config", str(bad), "--out", str(tmp_path / "o")], 2)):
+        assert cold_start(argv) == [code, []]
+
+
+@pytest.mark.parametrize("command, config", [
+    ("run-1d", "fig_pulse1d_pe2.json"), ("run-2d", "sheet2d_circle.json"),
+    ("sweep-error", "sweep_peak_error.json")])
+def test_solves_load_no_scipy_sparse(tmp_path, command, config):
+    code, loaded = cold_start([command, "--config", str(CONFIG_DIR / config),
+                               "--out", str(tmp_path / "o")])
+    assert code == 0 and "scipy.linalg" in loaded
+    assert [m for m in loaded if m.startswith("scipy.sparse")] == []
 
 
 def test_main_exit_codes(tmp_path, capsys):

@@ -158,13 +158,32 @@ def test_singular_system_raises():
     system, mesh = small_case()
     bad = DiscreteSystem1D(lower=system.lower * 0, diag=system.diag * 0,
                            upper=system.upper * 0, rhs=system.rhs, mesh=mesh)
-    with pytest.raises(NumericalFailureError):
+    with pytest.raises(NumericalFailureError, match="singular matrix"):
         solve_1d(bad)
-    # scipy's check for non-finite entries raises a ValueError of its own
+    # non-finite entries are named before the solve, which would report a
+    # NaN pivot as a singular matrix
     nan = DiscreteSystem1D(lower=system.lower, diag=system.diag * np.nan,
                            upper=system.upper, rhs=system.rhs, mesh=mesh)
-    with pytest.raises(NumericalFailureError, match="must not contain infs or NaNs"):
+    with pytest.raises(NumericalFailureError, match="matrix has non-finite entries"):
         solve_1d(nan)
+    rhs = system.rhs.copy()
+    rhs[3] = np.inf
+    inf = DiscreteSystem1D(lower=system.lower, diag=system.diag, upper=system.upper,
+                           rhs=rhs, mesh=mesh)
+    with pytest.raises(NumericalFailureError, match="right-hand side has non-finite entries"):
+        solve_1d(inf)
+
+
+def test_nan_residual_fails_the_budget():
+    # an overflow in A x would give a NaN residual, which no budget accepts
+    class NanProduct(DiscreteSystem1D):
+        def matmul(self, x):
+            return np.full_like(x, np.nan)
+
+    system, mesh = small_case()
+    with pytest.raises(NumericalFailureError, match="residual nan exceeds budget"):
+        solve_1d(NanProduct(lower=system.lower, diag=system.diag, upper=system.upper,
+                            rhs=system.rhs, mesh=mesh))
 
 
 def test_matches_oracle_at_mid_peclet():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from eddyfem.core import (InvalidArgumentError, Material, Mesh2D,
                           NumericalFailureError, Scheme, SmoothCircle2D,
@@ -354,13 +355,13 @@ def test_mirrored_meshes_take_the_sector_path(case, monkeypatch):
 def counted_dgbtrf(monkeypatch):
     """Record the kl of every band LU factored from here on."""
     calls = []
-    dgbtrf = fem2d.lapack.dgbtrf
+    dgbtrf = lapack.dgbtrf
 
     def counting(ab, kl, ku, **kwargs):
         calls.append(kl)
         return dgbtrf(ab, kl, ku, **kwargs)
 
-    monkeypatch.setattr(fem2d.lapack, "dgbtrf", counting)
+    monkeypatch.setattr(lapack, "dgbtrf", counting)
     return calls
 
 
@@ -580,14 +581,14 @@ def test_skipped_odd_sector_clears_the_pivot_floor(field, pe, monkeypatch):
     keep, q, _ = csr_sector_fold(a, mesh, -1)
     a_odd = a[keep] @ q
     factored = []
-    dgbtrf = fem2d.lapack.dgbtrf
+    dgbtrf = lapack.dgbtrf
 
     def keeping(ab, kl, ku, **kwargs):
         lu, piv, info = dgbtrf(ab, kl, ku, **kwargs)
         factored.append((np.abs(lu[kl + ku]), info))
         return lu, piv, info
 
-    monkeypatch.setattr(fem2d.lapack, "dgbtrf", keeping)
+    monkeypatch.setattr(lapack, "dgbtrf", keeping)
     half = (mesh.ny + 1) // 2
     load = np.zeros((3 * mesh.node_count, 1))
     load[keep] = np.random.default_rng(3).standard_normal((len(keep), 1))
@@ -896,7 +897,7 @@ def test_assembly_and_solve_build_no_csr(monkeypatch):
     def no_csr(*args, **kwargs):
         raise AssertionError("a CSR matrix was built")
 
-    monkeypatch.setattr(fem2d.sp, "csr_matrix", no_csr)
+    monkeypatch.setattr(sp, "csr_matrix", no_csr)
     system = sheet_system(60.0, Scheme.ELEMENT_AVERAGED)
     sol = solve_2d(system, more_rhs=[np.random.default_rng(1).standard_normal(system.rhs.shape)])
     assert len(sol[1].band_kl) == 2
