@@ -37,12 +37,16 @@ MU0 = 4e-7 * math.pi
 # run-2d holds every solution of a run until it writes, about 33 bytes per dof
 # per Pe for both schemes, so its Pe count times the dofs is capped at 16
 # meshes of MAX_DOFS_2D (about 53 MB; 3 Pe at 4,059 dofs are shipped).
+# run-1d holds every solution too, 16 bytes per node per Pe and scheme, so its
+# Pe count times the nodes is capped at 2 meshes of MAX_NODES_1D (64 MB for
+# both schemes; one Pe at 41 or 51 nodes is shipped).
 MAX_SWEEP_POINTS = 10_000
 MAX_ROWS_PER_SIDE = 500
 MAX_NZ = 4097
 MAX_DOFS_2D = 100_000
 MAX_RUN_DOFS_2D = 16 * MAX_DOFS_2D
 MAX_NODES_1D = 1_000_000
+MAX_RUN_NODES_1D = 2 * MAX_NODES_1D
 MAX_SWEEP_ELEMENTS = 10_000
 # the sweep's Galerkin reference is refined until its per-element Pe is at most this
 REFERENCE_PE = 0.5
@@ -293,6 +297,9 @@ def build_1d_case(cfg: ScenarioConfig, pe: float):
     if not (0 < a < b < length):
         raise ConfigError("pulse", f"need 0 < a < b < length, got [{a}, {b}] in {length}")
     mesh = Mesh1D.from_length(length, dz)
+    if len(cfg.pe_values) * mesh.node_count > MAX_RUN_NODES_1D:
+        raise ConfigError(cfg.pe_key, f"{len(cfg.pe_values)} Pe values of {mesh.node_count} "
+                          f"nodes each: over {MAX_RUN_NODES_1D} nodes in one run")
     material = _material(pe, dz, f["material.sigma"], f["material.mu"], "material.sigma")
     profile = RectPulse1D(a=a, b=b, amplitude=f["pulse.amplitude"])
     return mesh, material, profile

@@ -200,7 +200,9 @@ def _no_assembly(*args):
     ("sweep_peak_error.json", "pe_sweep.include", [5000.0], "pe_sweep"),
     ("sweep_peak_error.json", "pe", [2.0, 5000.0], "pe"),
     # 400 Pe values of the shipped sheet's 4,059 dofs: 1,623,600 dofs held by one run
-    ("sheet2d_circle.json", "pe", [2.0 + k for k in range(400)], "pe")])
+    ("sheet2d_circle.json", "pe", [2.0 + k for k in range(400)], "pe"),
+    # 48,781 Pe values of the shipped pulse's 41 nodes: 2,000,021 nodes held by one run
+    ("fig_pulse1d_pe2.json", "pe", [2.0 + k for k in range(48_781)], "pe")])
 def test_mesh_size_caps_exit_2_before_any_assembly(tmp_path, capsys, monkeypatch, config, path,
                                                    value, field):
     monkeypatch.setattr(fem1d, "assemble_1d", _no_assembly)
@@ -235,6 +237,11 @@ def test_mesh_size_caps_admit_the_shipped_and_benchmarked_sizes():
     with pytest.raises(ConfigError, match="at most"):
         build_1d_case(ScenarioConfig.from_dict(dict(pulse, length=pulse["dz"] * cli.MAX_NODES_1D)),
                       2.0)
+    # 2 Pe values of the longest run: 2,000,000 nodes held by one run, at MAX_RUN_NODES_1D
+    assert build_1d_case(ScenarioConfig.from_dict(dict(longest, pe=[2.0, 3.0])), 2.0)[0] \
+        .node_count * 2 == cli.MAX_RUN_NODES_1D
+    with pytest.raises(ConfigError, match="nodes in one run"):
+        build_1d_case(ScenarioConfig.from_dict(dict(longest, pe=[2.0, 3.0, 4.0])), 2.0)
     # the shipped sweep's largest mesh, the reference at Pe = 1000
     coarse = fem1d.rect_pulse_case(1000.0, 0.2, 40, 30, 40)[0]
     assert cli.reference_mesh(coarse, 1000.0).node_count == 232_001 <= cli.MAX_NODES_1D
@@ -727,12 +734,19 @@ def test_verify_help_and_bad_configs_load_no_scipy(tmp_path):
         assert cold_start(argv) == [code, []]
 
 
-@pytest.mark.parametrize("command, config", [
+@pytest.mark.parametrize("command, raw", [
     ("run-1d", "fig_pulse1d_pe2.json"), ("run-2d", "sheet2d_circle.json"),
-    ("sweep-error", "sweep_peak_error.json")])
-def test_solves_load_no_scipy_sparse(tmp_path, command, config):
-    code, loaded = cold_start([command, "--config", str(CONFIG_DIR / config),
-                               "--out", str(tmp_path / "o")])
+    # one Pe on 11 coarse elements: the refined reference has 45 nodes
+    ("sweep-error", {"dimension": 1, "pe": [2.0], "dz": 0.2, "upstream_elements": 4,
+                     "plateau_elements": 3, "downstream_elements": 4, "svg": False})],
+    ids=["run-1d", "run-2d", "sweep-error"])
+def test_solves_load_no_scipy_sparse(tmp_path, command, raw):
+    if isinstance(raw, dict):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(raw))
+    else:
+        config = CONFIG_DIR / raw
+    code, loaded = cold_start([command, "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == 0 and "scipy.linalg" in loaded
     assert [m for m in loaded if m.startswith("scipy.sparse")] == []
 
