@@ -153,7 +153,7 @@ class ScenarioConfig:
     def load(cls, path, scheme_override: Optional[str] = None) -> "ScenarioConfig":
         try:
             raw = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as err:
+        except (OSError, ValueError, RecursionError) as err:   # ValueError: not UTF-8 or JSON
             raise ConfigError("<file>", f"cannot read config: {err}")
         return cls.from_dict(raw, scheme_override)
 
@@ -466,6 +466,8 @@ def measured_peak_error(pe: float, dz: float, m_b: int, m_c: int, m_d: int,
 
 def sweep_error(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
     f = cfg.fields("sweep-error")
+    if f["scheme"] != "both":
+        raise ConfigError("scheme", "must be both: sweep-error measures both schemes")
     dz, amp = f["dz"], f["amplitude"]
     m_b, m_c, m_d = f["upstream_elements"], f["plateau_elements"], f["downstream_elements"]
     top = max(cfg.pe_values)   # the sweep's largest mesh is the reference at the top Pe
@@ -525,16 +527,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="scenario config JSON")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--scheme", choices=SCHEMES, help="override the config's scheme selection")
-        p.set_defaults(fn=fn)
+        if fn is not sweep_error:   # the sweep measures both schemes
+            p.add_argument("--scheme", choices=SCHEMES,
+                           help="override the config's scheme selection")
+        p.set_defaults(fn=fn, scheme=None)
     sub.add_parser("verify")
 
     args = parser.parse_args(argv)
     if args.command == "verify":
         return verify()
+    out = Path(args.out)   # written after every solve, so checked before any is built
+    blocker = next(d for d in (out, *out.parents) if d.exists())
+    if not blocker.is_dir():
+        print(f"error: --out {out}: {blocker} is not a directory", file=sys.stderr)
+        return 2
     try:
         cfg = ScenarioConfig.load(args.config, args.scheme)
-        record = args.fn(cfg, Path(args.out))
+        record = args.fn(cfg, out)
     except (ConfigError, InvalidArgumentError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

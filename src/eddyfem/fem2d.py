@@ -122,17 +122,16 @@ class RegionMap2D:
 
 
 class DiscreteSystem2D:
-    """The 3M x 3M system, block-ordered (phi, A_y, A_z), BCs applied.
+    """The 3M x 3M system, block-ordered (phi, A_y, A_z), BCs applied, held
+    as its stencil S[row field, col field, dy, dz, m, n], the coefficient in
+    the row of (row field, m, n) of the unknown (col field, m + dy - 1,
+    n + dz - 1). ``mirrored`` says that S commutes with the signed
+    reflection about the centre node row (see solve_2d). solve_2d reads only
+    S, and ``matrix`` is a CSR built from it on first read."""
 
-    assemble_2d writes the matrix as its stencil S[row field, col field,
-    dy, dz, m, n], the coefficient in the row of (row field, m, n) of the
-    unknown (col field, m + dy - 1, n + dz - 1). solve_2d reads only S, and
-    ``matrix`` is a CSR built from it on first read. A hand-built matrix
-    is scattered into a stencil at each solve (see solve_2d)."""
-
-    def __init__(self, matrix: sp.spmatrix, rhs: np.ndarray, mesh: Mesh2D):
-        self._matrix, self.rhs, self.mesh = matrix, rhs, mesh
-        self._stencil = self._mirrored = None   # set by assemble_2d alone
+    def __init__(self, stencil: np.ndarray, rhs: np.ndarray, mesh: Mesh2D, mirrored: bool):
+        self._stencil, self.rhs, self.mesh, self.mirrored = stencil, rhs, mesh, mirrored
+        self._matrix = None
 
     @property
     def matrix(self) -> sp.spmatrix:
@@ -250,9 +249,7 @@ def assemble_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
     fixed = fixed.reshape(3, ny, nz)   # a Dirichlet row keeps only its unit diagonal
     np.copyto(stencil, 0.0, where=fixed[:, None, None, None])
     stencil[range(3), range(3), 1, 1] += fixed
-    system = DiscreteSystem2D(None, rhs, mesh)
-    system._stencil, system._mirrored = stencil, _mirrored_mesh(mesh, regions)
-    return system
+    return DiscreteSystem2D(stencil, rhs, mesh, _mirrored_mesh(mesh, regions))
 
 
 def rhs_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
@@ -334,21 +331,6 @@ def _stencil_to_csr(stencil: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((entries[nonzero], cols[nonzero], indptr), shape=(3 * ny * nz,) * 2)
 
 
-def _matrix_to_stencil(matrix: sp.spmatrix, mesh: Mesh2D) -> np.ndarray:
-    import scipy.sparse as sp
-
-    a = sp.coo_matrix(matrix)
-    nonzero = a.data != 0
-    (rf, m, n), (cf, mc, nc) = (np.unravel_index(ix[nonzero], (3, mesh.ny, mesh.nz))
-                                for ix in (a.row, a.col))
-    dy, dz = mc - m + 1, nc - n + 1
-    if np.any((np.abs(dy - 1) > 1) | (np.abs(dz - 1) > 1)):
-        raise InvalidArgumentError("matrix has an entry outside the 9-point stencil of its mesh")
-    stencil = np.zeros((3, 3, 3, 3, mesh.ny, mesh.nz))
-    np.add.at(stencil, (rf, cf, dy, dz, m, n), a.data[nonzero])   # sums duplicates
-    return stencil
-
-
 def _sector(stencil: np.ndarray, s: int):
     """Mirror sector s (+1 or -1), the vectors with P x = s x, on the lower
     half grid: the band position of each unknown (-1 for the centre-row
@@ -424,44 +406,34 @@ MIRROR_PARITY = (-1, 1, -1)
 def solve_2d(system: DiscreteSystem2D, more_rhs: Optional[Sequence[np.ndarray]] = None
              ) -> Union[Solution2D, List[Solution2D]]:
     """Banded LU solve (LAPACK dgbtrf/dgbtrs) with a residual acceptance
-    check on the full matrix for every right-hand side.
+    check on the full stencil for every right-hand side.
 
-    When the mesh description mirrors (_mirrored_mesh), as every sheet of
-    the package does, the system splits exactly into an even and an odd
-    sector on half the grid height (_sector), each right-hand side into its
-    sector parts (b + s P b) / 2, and each sector's band is filled straight
-    from the stencil. A sector that no right-hand side reaches is never
-    touched, so its singularity is not tested. Other systems get one band
-    LU over the whole grid. A hand-built matrix has every sector factored;
-    it splits if ny is odd and it commutes with P within 1e-3 *
-    RESIDUAL_RTOL * max|A|, and an entry outside the 9-point pattern of
-    the mesh is rejected. Solution2D.band_kl records the kl of each band
-    factored: (66,) for the refined sheet at nz = 257 (about 25 MB), (128,)
-    for its whole grid (97 MB). Given ``more_rhs``, further right-hand
-    sides for the same matrix, the factorization is shared and a list of
-    solutions is returned.
+    A mirrored system (assemble_2d reads it off the mesh description,
+    _mirrored_mesh), as every sheet of the package is, splits exactly into
+    an even and an odd sector on half the grid height (_sector), each
+    right-hand side into its sector parts (b + s P b) / 2, and each sector's
+    band is filled straight from the stencil. A sector that no right-hand
+    side reaches is never touched, so its singularity is not tested. Other
+    systems get one band LU over the whole grid. ``mirrored`` set on a
+    stencil that does not commute with P fails the residual check.
+    Solution2D.band_kl records the kl of each band factored: (66,) for the
+    refined sheet at nz = 257 (about 25 MB), (128,) for its whole grid (97
+    MB). Given ``more_rhs``, further right-hand sides for the same matrix,
+    the factorization is shared and a list of solutions is returned.
     """
-    mesh, stencil, mirrored = system.mesh, system._stencil, system._mirrored
+    mesh, stencil = system.mesh, system._stencil
     ny, nz, n = mesh.ny, mesh.nz, 3 * mesh.node_count
-    assembled = stencil is not None
-    if not assembled:
-        if system.matrix.shape != (n, n):
-            raise InvalidArgumentError("matrix does not match the mesh")
-        stencil = _matrix_to_stencil(system.matrix, mesh)
-        sign = np.multiply.outer(MIRROR_PARITY, MIRROR_PARITY)[:, :, None, None, None, None]
-        mirrored = ny % 2 == 1 and (np.max(np.abs(sign * stencil[:, :, ::-1, :, ::-1] - stencil))
-                                    <= 1e-3 * RESIDUAL_RTOL * np.max(np.abs(stencil)))
     rhs_all = [system.rhs] + list(more_rhs or ())
     if any(np.shape(b) != (n,) for b in rhs_all):
         raise InvalidArgumentError("right-hand side does not match the matrix")
     rhs = np.stack(rhs_all, axis=-1).reshape(3, ny, nz, -1)
-    if mirrored:
+    if system.mirrored:
         half = (ny + 1) // 2
         parity = np.asarray(MIRROR_PARITY, dtype=float)[:, None, None, None]
         p_rhs, xs, band_kl = parity * rhs[:, ::-1], np.zeros_like(rhs), ()
         for s in (1, -1):
             part = ((rhs + s * p_rhs) / 2)[:, :half]
-            if assembled and not np.any(part):
+            if not np.any(part):
                 continue   # no right-hand side reaches this sector: its x is 0
             x_s, kl = _band_solve(*_sector(stencil, s), part)
             xs[:, :half] += x_s

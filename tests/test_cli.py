@@ -764,3 +764,43 @@ def test_main_exit_codes(tmp_path, capsys):
                  "--scheme", "averaged"]) == 0
     out = capsys.readouterr().out
     assert "wrote" in out
+
+
+@pytest.mark.parametrize("content", [b'{"dimension": \xff}', b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not_utf8", "nested_100000_deep"])
+def test_unreadable_config_files_exit_2(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["run-1d", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "'<file>'" in capsys.readouterr().err and not (tmp_path / "o").exists()
+
+
+def _no_assembly(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a case was assembled")
+
+    monkeypatch.setattr(fem1d, "assemble_1d", refuse)
+
+
+@pytest.mark.parametrize("out", ["file", "file/x"])
+def test_out_under_a_file_exits_2_before_any_case_is_built(tmp_path, capsys, monkeypatch, out):
+    _no_assembly(monkeypatch)
+    (tmp_path / "file").write_text("kept")
+    assert main(["run-1d", "--config", str(CONFIG_DIR / "fig_pulse1d_pe2.json"),
+                 "--out", str(tmp_path / out)]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert (tmp_path / "file").read_text() == "kept"
+
+
+def test_sweep_error_has_no_scheme_knob(tmp_path, capsys, monkeypatch):
+    # the sweep measures both schemes: --scheme is not an option of it, and
+    # a config scheme other than both is named before any output is made
+    _no_assembly(monkeypatch)
+    config = CONFIG_DIR / "sweep_peak_error.json"
+    with pytest.raises(SystemExit) as exit_:
+        main(["sweep-error", "--config", str(config), "--scheme", "averaged"])
+    assert exit_.value.code == 2 and "--scheme" in capsys.readouterr().err
+    raw = json.loads(config.read_text())
+    for scheme in ("galerkin", "averaged"):
+        code, err = _exit_code_and_err(tmp_path, capsys, dict(raw, scheme=scheme), "sweep-error")
+        assert code == 2 and "'scheme'" in err

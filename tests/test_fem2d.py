@@ -437,17 +437,29 @@ def test_even_sheet_input_reaches_the_even_sector_alone(field, scheme, monkeypat
     assert_exact_mirror_parity(sol)
 
 
-def test_a_hand_built_system_factors_every_sector(monkeypatch):
-    # the skip is for assembled systems only: the same matrix and even load
-    # in a DiscreteSystem2D built by hand have both sectors factored, and
-    # the odd one contributes exact zeros
-    system = sheet_system(60.0, Scheme.GALERKIN)
+def test_sector_and_whole_grid_solves_agree(monkeypatch):
+    # the same mirrored stencil and even load solved by the even sector
+    # alone and by one band over the whole grid
+    system = assemble_2d(*uniform_conductor_case())
+    assert system.mirrored
     calls = counted_dgbtrf(monkeypatch)
-    sol = solve_2d(system)
-    by_hand = solve_2d(DiscreteSystem2D(matrix=system.matrix, rhs=system.rhs, mesh=system.mesh))
-    assert len(calls) == 3 and by_hand.band_kl == tuple(calls[1:])
-    for name in ("phi", "a_y", "a_z", "b_x"):
-        assert np.array_equal(getattr(sol, name), getattr(by_hand, name)), name
+    sectors = solve_2d(system)
+    whole = solve_2d(DiscreteSystem2D(system._stencil, system.rhs, system.mesh, False))
+    assert sectors.band_kl == (15,) and whole.band_kl == (26,) and calls == [15, 26]
+    assert np.max(np.abs(flat(sectors) - flat(whole))) <= 1e-12 * np.max(np.abs(flat(whole)))
+
+
+def test_a_wrong_mirrored_flag_fails_the_residual_check():
+    # a band off the centre line does not commute with the mirror: folding
+    # its stencil into sectors solves another system, which the residual
+    # on the full stencil catches
+    mesh, material, _, profile, scheme = uniform_conductor_case()
+    regions = RegionMap2D.conducting_band(mesh, 2.0, center=1.0)
+    system = assemble_2d(mesh, material, regions, profile, scheme)
+    assert not system.mirrored
+    solve_2d(system)
+    with pytest.raises(NumericalFailureError, match="2D residual .* exceeds budget"):
+        solve_2d(DiscreteSystem2D(system._stencil, system.rhs, mesh, True))
 
 
 class OffAxis:
@@ -742,7 +754,7 @@ def test_multi_rhs_solve_equals_separate_solves():
     sols = solve_2d(g, more_rhs=more)
     assert len(sols) == 3
     for sol, rhs in zip(sols, [g.rhs] + more):
-        ref = solve_2d(DiscreteSystem2D(matrix=g.matrix, rhs=rhs, mesh=g.mesh))
+        ref = solve_2d(DiscreteSystem2D(g._stencil, rhs, g.mesh, g.mirrored))
         for name in ("phi", "a_y", "a_z", "b_x"):
             assert np.array_equal(getattr(sol, name), getattr(ref, name)), name
         assert sol.residual == ref.residual
@@ -825,63 +837,24 @@ def test_region_map_mesh_mismatch_raises():
 
 def test_singular_system_raises():
     mesh = Mesh2D.uniform(nz=3, ny=3, dz=1.0, dy=1.0)
-    n = 3 * mesh.node_count
-    singular = sp.csr_matrix((n, n))
-    bad = DiscreteSystem2D(matrix=singular, rhs=np.ones(n), mesh=mesh)
+    stencil = np.zeros((3, 3, 3, 3, mesh.ny, mesh.nz))
+    bad = DiscreteSystem2D(stencil, np.ones(3 * mesh.node_count), mesh, False)
     with pytest.raises(NumericalFailureError):
         solve_2d(bad)
 
 
-def test_matrix_of_another_mesh_is_rejected():
-    mesh, material, regions, profile, scheme = uniform_conductor_case()
-    system = assemble_2d(mesh, material, regions, profile, scheme)
-    other = Mesh2D.uniform(nz=5, ny=7, dz=1.0, dy=1.0, y0=-3.0)
-    with pytest.raises(InvalidArgumentError):
-        solve_2d(DiscreteSystem2D(matrix=system.matrix, rhs=system.rhs, mesh=other))
-
-
 def test_rank_deficient_system_raises():
-    # the A_z row of the centre node repeats its phi row (both lie in the
-    # odd sector), with a consistent right-hand side
+    # the A_z row of the centre node repeats its phi row, with a consistent
+    # right-hand side; the whole grid is factored
     mesh, material, regions, profile, scheme = uniform_conductor_case()
     system = assemble_2d(mesh, material, regions, profile, scheme)
-    a = system.matrix.tolil()
-    rhs = system.rhs.copy()
-    center = (mesh.ny // 2) * mesh.nz + mesh.nz // 2
-    az = 2 * mesh.node_count + center
-    a[az] = a[center]
-    rhs[az] = rhs[center]
-    bad = DiscreteSystem2D(matrix=a.tocsr(), rhs=rhs, mesh=mesh)
+    stencil, rhs = system._stencil.copy(), system.rhs.reshape(3, mesh.ny, mesh.nz).copy()
+    m, n = mesh.ny // 2, mesh.nz // 2
+    stencil[2, ..., m, n] = stencil[0, ..., m, n]
+    rhs[2, m, n] = rhs[0, m, n]
+    bad = DiscreteSystem2D(stencil, rhs.ravel(), mesh, False)
     with pytest.raises(NumericalFailureError, match="singular or too ill-conditioned"):
         solve_2d(bad)
-
-
-def test_hand_built_entry_outside_the_stencil_is_rejected():
-    # the phi row of the centre node copied to its right-hand neighbour
-    # reaches two node columns back
-    mesh, material, regions, profile, scheme = uniform_conductor_case()
-    system = assemble_2d(mesh, material, regions, profile, scheme)
-    a = system.matrix.tolil()
-    center = (mesh.ny // 2) * mesh.nz + mesh.nz // 2
-    a[center + 1] = a[center]
-    bad = DiscreteSystem2D(matrix=a.tocsr(), rhs=system.rhs, mesh=mesh)
-    with pytest.raises(InvalidArgumentError, match="9-point stencil"):
-        solve_2d(bad)
-
-
-def test_hand_built_stencil_is_the_assembled_one():
-    # scattering the lazily built CSR back gives the assembled stencil bit
-    # for bit, duplicates of a hand-built matrix are summed, and its
-    # explicit zeros are dropped
-    system = assemble_2d(*graded_air_case(), Scheme.GALERKIN)
-    assert np.array_equal(fem2d._matrix_to_stencil(system.matrix, system.mesh), system._stencil)
-    coo = system.matrix.tocoo()
-    half = coo.data / 2
-    split = sp.coo_matrix((np.concatenate([half, coo.data - half, [0.0]]),
-                           (np.concatenate([coo.row, coo.row, [0]]),
-                            np.concatenate([coo.col, coo.col, [coo.shape[1] - 1]]))),
-                          shape=coo.shape)
-    assert np.array_equal(fem2d._matrix_to_stencil(split, system.mesh), system._stencil)
 
 
 def test_in_place_edit_of_the_matrix_does_not_change_a_solve():
