@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -358,13 +359,24 @@ def build_2d_case(cfg: ScenarioConfig, pe: float):
 # subcommands
 
 
+@contextmanager
+def _failing_case(label: str):
+    """Prefix the reason of a numerical failure raised inside with the
+    case ``label``, so an exit-3 message names the Pe (and scheme) that failed."""
+    try:
+        yield
+    except NumericalFailureError as err:
+        raise NumericalFailureError(f"{label}: {err}") from err
+
+
 def run_1d(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
     cases = [(pe, build_1d_case(cfg, pe)) for pe in cfg.pe_values]
     solved = []
     for scheme in cfg.schemes:
         for pe, (mesh, material, profile) in cases:
             t0 = time.perf_counter()
-            sol = fem1d.solve_1d(fem1d.assemble_1d(mesh, material, profile, scheme))
+            with _failing_case(f"{scheme.value}, Pe = {pe:g}"):
+                sol = fem1d.solve_1d(fem1d.assemble_1d(mesh, material, profile, scheme))
             solved.append((scheme, pe, mesh, sol, time.perf_counter() - t0))
     out_dir.mkdir(parents=True, exist_ok=True)
     record = RunRecord(config_hash=cfg.hash())
@@ -393,7 +405,8 @@ def run_2d(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
         system = fem2d.assemble_2d(mesh, material, regions, profile, cfg.schemes[0])
         more = [fem2d.rhs_2d(mesh, material, regions, profile, scheme)
                 for scheme in cfg.schemes[1:]]
-        sols = fem2d.solve_2d(system, more_rhs=more)
+        with _failing_case(f"Pe = {pe:g}"):   # one factorization serves every scheme
+            sols = fem2d.solve_2d(system, more_rhs=more)
         wall = time.perf_counter() - t0
         for scheme, sol in zip(cfg.schemes, sols):
             solved[scheme, pe] = (sol, 3 * mesh.node_count, wall)
@@ -442,7 +455,8 @@ def measured_peak_errors(pe: float, dz: float, m_b: int, m_c: int, m_d: int,
     """
     mesh, material, profile = fem1d.rect_pulse_case(pe, dz, m_b, m_c, m_d, amplitude)
     fine_mesh = reference_mesh(mesh, pe)
-    fine = fem1d.solve_1d(fem1d.assemble_1d(fine_mesh, material, profile, Scheme.GALERKIN))
+    with _failing_case(f"galerkin reference, Pe = {pe:g}"):
+        fine = fem1d.solve_1d(fem1d.assemble_1d(fine_mesh, material, profile, Scheme.GALERKIN))
 
     z_lo, z_hi = (m_b + 3) * dz, (m_b + 3 + m_c) * dz
     span = z_hi - z_lo
@@ -452,7 +466,8 @@ def measured_peak_errors(pe: float, dz: float, m_b: int, m_c: int, m_d: int,
 
     errors = {}
     for scheme in schemes:
-        sol = fem1d.solve_1d(fem1d.assemble_1d(mesh, material, profile, scheme))
+        with _failing_case(f"{scheme.value}, Pe = {pe:g}"):
+            sol = fem1d.solve_1d(fem1d.assemble_1d(mesh, material, profile, scheme))
         dev = sol.b_x[m_b + 3: m_b + 3 + m_c] - ref_level
         errors[scheme] = float(dev[np.argmax(np.abs(dev))])
     return errors

@@ -1,5 +1,5 @@
 """Shared domain types: materials, meshes, applied-field profiles and the
-per-element Peclet number.
+per-element Peclet number; and the LAPACK module the solvers call.
 
 The Peclet number is always recomputed from its constituents
 (``mu * sigma * |u_z| * dz / 2``) so the solver and the Z-domain analyzer
@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,35 @@ class InvalidArgumentError(ValueError):
 class NumericalFailureError(RuntimeError):
     """A linear solve produced an unusable result (singular system, NaNs,
     or a residual beyond the accepted budget)."""
+
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def lapack():
+    """scipy's compiled LAPACK module, loaded without the scipy.linalg package.
+
+    The solvers call only dgtsv, dgbtrf and dgbtrs, which scipy.linalg.lapack
+    re-exports from this f2py module. Importing scipy.linalg would also run
+    its array_api_compat clone of numpy, which loads numpy.testing and
+    numpy.f2py. The extension is loaded under its own name, so a later
+    ``import scipy.linalg`` reuses it, and both paths call the same objects.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        import importlib.machinery
+        import importlib.util
+
+        # find_spec of a top-level name locates scipy without importing it
+        linalg = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
+                              "linalg")
+        spec = importlib.machinery.FileFinder(
+            linalg, (importlib.machinery.ExtensionFileLoader,
+                     importlib.machinery.EXTENSION_SUFFIXES)).find_spec(_FLAPACK)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_FLAPACK] = module
+        spec.loader.exec_module(module)
+    return module
 
 
 class Scheme(enum.Enum):

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (InvalidArgumentError, Mesh1D, Material, NumericalFailureError,
-                   RectPulse1D, Scheme, material_for_peclet, peclet_of)
+                   RectPulse1D, Scheme, lapack, material_for_peclet, peclet_of)
 
 RESIDUAL_RTOL = 1e-10
 
@@ -128,14 +128,12 @@ def assemble_1d(mesh: Mesh1D, material: Material, profile, scheme: Scheme) -> Di
 
 def solve_1d(system: DiscreteSystem1D) -> Solution1D:
     """Direct tridiagonal solve (LAPACK dgtsv) with a residual acceptance check."""
-    from scipy.linalg import lapack
-
     # checked first: dgtsv reports a NaN pivot as a singular matrix
     if not all(np.isfinite(v).all() for v in (system.lower, system.diag, system.upper)):
         raise NumericalFailureError("1D system matrix has non-finite entries")
     if not np.isfinite(system.rhs).all():
         raise NumericalFailureError("1D system right-hand side has non-finite entries")
-    *_, a_y, info = lapack.dgtsv(system.lower, system.diag, system.upper, system.rhs)
+    *_, a_y, info = lapack().dgtsv(system.lower, system.diag, system.upper, system.rhs)
     if info > 0:
         raise NumericalFailureError(f"tridiagonal solve failed: pivot {info} is exactly zero "
                                     "(singular matrix)")

@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .core import (InvalidArgumentError, Material, Mesh2D, NumericalFailureError,
-                   Scheme)
+                   Scheme, lapack)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -380,10 +380,9 @@ def _band_solve(pos: np.ndarray, parts, rhs: np.ndarray) -> Tuple[np.ndarray, in
     """Solve the system of _band(pos, parts) for rhs (3, H, nz, columns) by a
     banded LU. A pivot |u_kk| <= eps * ||A||inf counts as singular, whether
     or not elimination produced an exact zero. Returns x (0 where pos is -1), kl."""
-    from scipy.linalg import lapack
-
+    flapack = lapack()
     ab, kl, ku, norm = _band(pos, parts)
-    lu, piv, info = lapack.dgbtrf(ab, kl, ku, overwrite_ab=1)
+    lu, piv, info = flapack.dgbtrf(ab, kl, ku, overwrite_ab=1)
     pivots = np.abs(lu[kl + ku])   # the diagonal of U
     floor = np.finfo(float).eps * norm
     k = int(np.argmin(pivots))
@@ -393,7 +392,7 @@ def _band_solve(pos: np.ndarray, parts, rhs: np.ndarray) -> Tuple[np.ndarray, in
                                     "(singular or too ill-conditioned to factor)")
     unknown, b, x = pos >= 0, np.zeros((len(pivots), rhs.shape[-1])), np.zeros_like(rhs)
     b[pos[unknown]] = rhs[unknown]
-    x[unknown] = lapack.dgbtrs(lu, kl, ku, b, piv)[0][pos[unknown]]
+    x[unknown] = flapack.dgbtrs(lu, kl, ku, b, piv)[0][pos[unknown]]
     return x, kl
 
 

@@ -578,7 +578,34 @@ def test_1d_failure_leaves_no_output_directory(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(fem1d, "solve_1d", failing_second)
     raw = json.loads((CONFIG_DIR / "fig_pulse1d_pe2.json").read_text())
     code, err = _exit_code_and_err(tmp_path, capsys, raw)
-    assert code == 3 and "forced failure" in err and len(calls) == 2
+    assert code == 3 and "averaged, Pe = 2: forced failure" in err and len(calls) == 2
+
+
+def test_2d_failure_names_its_pe(tmp_path, capsys):
+    # both schemes share one factorization, so the reason names the Pe alone
+    raw = _with(json.loads((CONFIG_DIR / "sheet2d_circle.json").read_text()), "pe", [2.0, 1e9])
+    code, err = _exit_code_and_err(tmp_path, capsys, raw, "run-2d")
+    assert code == 3 and "numerical failure: Pe = 1e+09: 2D band LU pivot" in err
+
+
+@pytest.mark.parametrize("failing_call, label", [(4, "galerkin reference, Pe = 5"),
+                                                 (6, "averaged, Pe = 5")])
+def test_sweep_failure_names_its_case(tmp_path, capsys, monkeypatch, failing_call, label):
+    # each Pe solves its refined Galerkin reference, then each scheme
+    calls = []
+    solve_1d = fem1d.solve_1d
+
+    def failing(system):
+        calls.append(system)
+        if len(calls) == failing_call:
+            raise NumericalFailureError("forced failure")
+        return solve_1d(system)
+
+    monkeypatch.setattr(fem1d, "solve_1d", failing)
+    raw = {"dimension": 1, "pe": [2.0, 5.0], "dz": 0.2, "upstream_elements": 4,
+           "plateau_elements": 3, "downstream_elements": 4}
+    code, err = _exit_code_and_err(tmp_path, capsys, raw, "sweep-error")
+    assert code == 3 and f"numerical failure: {label}: forced failure" in err
 
 
 def test_build_2d_case_grid_layout():
@@ -708,18 +735,19 @@ try:
     code = main({argv!r})
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-def cold_start(argv):
-    """Exit code and loaded scipy modules of ``main(argv)`` in a fresh,
-    isolated interpreter."""
+def cold_start(argv, prefixes=("scipy",)):
+    """Exit code and the loaded modules of ``main(argv)`` whose names start
+    with one of ``prefixes``, in a fresh, isolated interpreter."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = COLD_START.format(src=str(src), argv=argv)
     out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
                          check=True, timeout=120)
-    return json.loads(out.stdout.splitlines()[-1])
+    code, loaded = json.loads(out.stdout.splitlines()[-1])
+    return [code, [m for m in loaded if m.startswith(prefixes)]]
 
 
 def test_verify_help_and_bad_configs_load_no_scipy(tmp_path):
@@ -746,9 +774,11 @@ def test_solves_load_no_scipy_sparse(tmp_path, command, raw):
         config.write_text(json.dumps(raw))
     else:
         config = CONFIG_DIR / raw
-    code, loaded = cold_start([command, "--config", str(config), "--out", str(tmp_path / "o")])
-    assert code == 0 and "scipy.linalg" in loaded
-    assert [m for m in loaded if m.startswith("scipy.sparse")] == []
+    # a solve loads only scipy's compiled LAPACK module: not the scipy.linalg
+    # package, whose import clones numpy and so loads numpy.testing and numpy.f2py
+    code, loaded = cold_start([command, "--config", str(config), "--out", str(tmp_path / "o")],
+                              ("scipy", "numpy.testing", "numpy.f2py"))
+    assert code == 0 and loaded == ["scipy.linalg._flapack"]
 
 
 def test_main_exit_codes(tmp_path, capsys):

@@ -165,3 +165,28 @@ def test_bare_import_loads_no_submodule_numpy_or_scipy():
     out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+SAME_LAPACK = """\
+import sys
+sys.path.insert(0, {src!r})
+from eddyfem.core import lapack
+{load}
+copies = [m for m in list(sys.modules.values()) if getattr(m, "__file__", None) == mod.__file__]
+print(mod is scipy_lapack._flapack is sys.modules["scipy.linalg._flapack"], copies == [mod],
+      [getattr(mod, f) is getattr(scipy_lapack, f) for f in ("dgtsv", "dgbtrf", "dgbtrs")])
+"""
+
+
+@pytest.mark.parametrize("load", [
+    "mod = lapack()\nimport scipy.linalg.lapack as scipy_lapack",
+    "import scipy.linalg.lapack as scipy_lapack\nmod = lapack()"],
+    ids=["accessor_first", "scipy_linalg_first"])
+def test_lapack_accessor_and_scipy_linalg_share_one_module(load):
+    # the solvers call the very routines scipy.linalg.lapack exports, in
+    # either import order, so a solve keeps its bits whichever path loaded them
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = SAME_LAPACK.format(src=str(src), load=load)
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "True True [True, True, True]"

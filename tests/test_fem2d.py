@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
 
 from eddyfem.core import (InvalidArgumentError, Material, Mesh2D,
                           NumericalFailureError, Scheme, SmoothCircle2D,
-                          material_for_peclet)
+                          lapack, material_for_peclet)
 from eddyfem import fem2d
 from eddyfem.fem2d import (BLOCK_TABLE, MIRROR_PARITY, DiscreteSystem2D,
                            RegionMap2D, assemble_2d, axis_profile,
@@ -355,13 +354,13 @@ def test_mirrored_meshes_take_the_sector_path(case, monkeypatch):
 def counted_dgbtrf(monkeypatch):
     """Record the kl of every band LU factored from here on."""
     calls = []
-    dgbtrf = lapack.dgbtrf
+    dgbtrf = lapack().dgbtrf
 
     def counting(ab, kl, ku, **kwargs):
         calls.append(kl)
         return dgbtrf(ab, kl, ku, **kwargs)
 
-    monkeypatch.setattr(lapack, "dgbtrf", counting)
+    monkeypatch.setattr(lapack(), "dgbtrf", counting)
     return calls
 
 
@@ -593,14 +592,14 @@ def test_skipped_odd_sector_clears_the_pivot_floor(field, pe, monkeypatch):
     keep, q, _ = csr_sector_fold(a, mesh, -1)
     a_odd = a[keep] @ q
     factored = []
-    dgbtrf = lapack.dgbtrf
+    dgbtrf = lapack().dgbtrf
 
     def keeping(ab, kl, ku, **kwargs):
         lu, piv, info = dgbtrf(ab, kl, ku, **kwargs)
         factored.append((np.abs(lu[kl + ku]), info))
         return lu, piv, info
 
-    monkeypatch.setattr(lapack, "dgbtrf", keeping)
+    monkeypatch.setattr(lapack(), "dgbtrf", keeping)
     half = (mesh.ny + 1) // 2
     load = np.zeros((3 * mesh.node_count, 1))
     load[keep] = np.random.default_rng(3).standard_normal((len(keep), 1))
