@@ -16,6 +16,7 @@ floating-point coincidence.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,13 +24,13 @@ from typing import Dict, List, Optional, Tuple
 
 from . import fem1d, fem2d, oracle
 from .core import Scheme
-from .zpoly import (InexactDivisionError, Poly, RationalFunction,
-                    gcd_univariate, roots_univariate, separate)
+from .zpoly import Poly, RationalFunction, gcd_univariate, roots_univariate, separate
 
 ZN = "Z_n"   # flow direction
 ZM = "Z_m"   # transverse direction
 Z1 = "Z"     # the single variable of the 1D analysis
 _BIVAR = (ZN, ZM)
+_FIELDS = ("phi", "A_y", "A_z")   # fem2d field order
 
 
 class SingularNormalizationError(ValueError):
@@ -96,23 +97,35 @@ def tf_1d(scheme: Scheme, pe, dz) -> RationalFunction:
     """Exact 1D transfer function from input flux density to nodal potential,
     built from the interior row of the fem1d element table.
 
-    ``pe`` may be a number, or ``math.inf`` for the high-Pe limit, the
-    leading Pe coefficients of numerator and denominator. The denominator
-    is the unnormalized stencil polynomial, whose roots are 1 and the
-    growth ratio r = (-1-Pe)/(-1+Pe).
+    ``pe`` may be a number, or ``math.inf`` for the high-Pe limit: the ratio
+    of the Pe coefficients of the load and the row, both affine in Pe
+    (_pe_split checks it). The denominator is the unnormalized stencil
+    polynomial, whose roots are 1 and the growth ratio r = (-1-Pe)/(-1+Pe).
     """
     def at(p):
         lhs, load = fem1d.exact_stencil(p, scheme)
-        return Poly.univariate(Z1, load) * Fraction(dz), Poly.univariate(Z1, lhs)
+        return {"load": Poly.univariate(Z1, load) * Fraction(dz), "row": Poly.univariate(Z1, lhs)}
 
     if pe == math.inf:
-        nums, dens = zip(*(at(p) for p in _PE_SAMPLES))
-        return RationalFunction(_pe_leading(nums)[0], _pe_leading(dens)[0])
-    rf = RationalFunction(*at(Fraction(pe)))
+        _, slope = _pe_split(at)
+        return RationalFunction(slope["load"], slope["row"])
+    rf = RationalFunction(*at(Fraction(pe)).values())
     if pe == 1:
         raise SingularNormalizationError("Pe = 1 makes the denominator normalization "
                                          "singular (leading coefficient Pe - 1 vanishes)", rf)
     return rf
+
+
+def _pe_split(read) -> Tuple[Dict[str, Poly], Dict[str, Poly]]:
+    """A0 and A1, A = A0 + Pe*A1, of every named stencil A of read(pe), read
+    at Pe = 1 and 2 and checked against the read at Pe = 3. (At Pe = 0
+    mu*sigma vanishes, and the A_y-row load with it.)"""
+    one, two, three = (read(Fraction(pe)) for pe in (1, 2, 3))
+    slope = {name: two[name] - a for name, a in one.items()}
+    bent = [name for name, a in three.items() if a - two[name] != slope[name]]
+    if bent:
+        raise UnsupportedStructureError(f"the {', '.join(bent)} stencil is not affine in Pe")
+    return {name: a - slope[name] for name, a in one.items()}, slope
 
 
 # ---------------------------------------------------------------------------
@@ -263,49 +276,34 @@ def run_identity_checks() -> List[IdentityReport]:
 # 2D transfer function (high-Pe limit), derived from the assembled stencils
 
 
-# Every stencil entry and input weight is affine in Pe (each BLOCK_TABLE term
-# carries mu*sigma = 2 Pe / u at most once), so det A and its Cramer
-# numerator have Pe-degree <= 3: four exact samples determine them.
-_PE_SAMPLES = (2, 3, 5, 7)
+def _det_pe_leading(m0, m1) -> Tuple[Poly, int]:
+    """Leading nonzero Pe coefficient, and its Pe-degree, of det(m0 + Pe*m1)
+    for 3x3 matrices of Polys. The determinant is linear in each row, so its
+    Pe^k coefficient is the sum of the determinants that take k rows from m1
+    and the others from m0 (none of them a zero row of m1)."""
+    def det(m):
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
-
-def _pe_coefficients(samples) -> list:
-    """Ascending Pe coefficients of the polynomial of degree <= 3 in Pe that
-    takes the values ``samples`` (Fractions or Polys) at _PE_SAMPLES (exact
-    Lagrange interpolation)."""
-    bases = []   # ascending Pe coefficients of the Lagrange basis of each sample
-    for xi in _PE_SAMPLES:
-        basis = [Fraction(1)]
-        for xj in _PE_SAMPLES:
-            if xj != xi:
-                basis = [(a - xj * b) / (xi - xj) for a, b in zip([0] + basis, basis + [0])]
-        bases.append(basis)
-    return [sum(y * b[degree] for y, b in zip(samples, bases))
-            for degree in range(len(_PE_SAMPLES))]
-
-
-def _pe_leading(samples) -> Tuple[Poly, int]:
-    """Leading nonzero Pe coefficient, and its degree, of the polynomial
-    _pe_coefficients interpolates through the Poly ``samples``."""
-    for degree, coeff in reversed(list(enumerate(_pe_coefficients(samples)))):
+    live = [r for r in range(3) if not all(p.is_zero() for p in m1[r])]
+    for k in range(len(live), -1, -1):
+        coeff = sum((det([m1[r] if r in rows else m0[r] for r in range(3)])
+                     for rows in itertools.combinations(live, k)), Poly.zero(_BIVAR))
         if not coeff.is_zero():
-            return coeff, degree
+            return coeff, k
     raise UnsupportedStructureError("vanishes identically in Pe")
 
 
 def _multiplicity(p: Poly, location) -> int:
     """How many times (v - location) divides the nonzero polynomial p, v its
-    first variable (Z in 1D, Z_n in 2D), counted by repeated exact division."""
+    first variable (Z in 1D, Z_n in 2D): the number of its successive
+    v-derivatives, p itself first, that vanish at v = location."""
     if p.is_zero():
         raise UnsupportedStructureError("the zero polynomial has no finite multiplicity")
-    var = p.variables[0]
-    factor, k = Poly.univariate(var, [-Fraction(location), 1]), 0
-    try:
-        while True:
-            p = p.exact_div(factor, var)
-            k += 1
-    except InexactDivisionError:
-        return k
+    var, k = p.variables[0], 0
+    while sum(c * location ** e for e, c in enumerate(p.as_univariate_in(var))).is_zero():
+        p, k = p.derivative(var), k + 1
+    return k
 
 
 def _multiplicities(den: Poly, num: Poly) -> Dict[int, Tuple[int, int]]:
@@ -332,9 +330,7 @@ class TransferFunction2D:
     def has_zn_pole(self, location) -> bool:
         """Exact test: (Z_n - location) divides the leading denominator more
         often than the leading numerator."""
-        den, num = self.zn_multiplicities.get(location) or (
-            _multiplicity(self.denominator, location), _multiplicity(self.numerator, location))
-        return den > num
+        return _multiplicity(self.denominator, location) > _multiplicity(self.numerator, location)
 
 
 def tf_2d(scheme: Scheme) -> TransferFunction2D:
@@ -344,22 +340,23 @@ def tf_2d(scheme: Scheme) -> TransferFunction2D:
     A and the input weights come from fem2d.exact_patch_rows, which reads
     the BLOCK_TABLE and LOAD_TABLE of the production assembly (unit
     spacing, u = 1). The denominator is det A, the numerator det A with its
-    A_y column replaced by the input-weight stencils. Galerkin keeps the
-    oscillatory Z_n = -1 pole; the element-averaged input cancels it.
+    A_y column replaced by the input-weight stencils; each is read off the
+    split A = A0 + Pe*A1 by _det_pe_leading. Galerkin keeps the oscillatory
+    Z_n = -1 pole; the element-averaged input cancels it.
     """
-    dets, nums = [], []
-    for pe in _PE_SAMPLES:
+    def at(pe):
         lhs, weights = fem2d.exact_patch_rows(pe, 1, scheme)
-        a = [[Poly(_BIVAR, lhs.get((r, c), {})) for c in range(3)] for r in range(3)]
-        b = [Poly(_BIVAR, weights.get(r, {})) for r in range(3)]
-        # cofactors of the A_y column, shared by det A and the numerator
-        cof = [a[1][2] * a[2][0] - a[1][0] * a[2][2],
-               a[0][0] * a[2][2] - a[0][2] * a[2][0],
-               a[0][2] * a[1][0] - a[0][0] * a[1][2]]
-        dets.append(a[0][1] * cof[0] + a[1][1] * cof[1] + a[2][1] * cof[2])
-        nums.append(b[0] * cof[0] + b[1] * cof[1] + b[2] * cof[2])
-    den, den_degree = _pe_leading(dets)
-    num, num_degree = _pe_leading(nums)
+        return {f"{row}-row {col}": Poly(_BIVAR, weights.get(r, {}) if col == "input"
+                                         else lhs.get((r, c), {}))
+                for r, row in enumerate(_FIELDS) for c, col in enumerate(_FIELDS + ("input",))}
+
+    split = _pe_split(at)
+
+    def matrices(columns):
+        return ([[a[f"{row}-row {col}"] for col in columns] for row in _FIELDS] for a in split)
+
+    den, den_degree = _det_pe_leading(*matrices(_FIELDS))
+    num, num_degree = _det_pe_leading(*matrices(("phi", "input", "A_z")))
     return TransferFunction2D(scheme, num, den, num_degree, den_degree, _multiplicities(den, num))
 
 
@@ -399,22 +396,24 @@ def pole_certificates() -> List[IdentityReport]:
 
 def peak_error_certificate(scheme: Scheme) -> IdentityReport:
     """Certify the paper's bound on f = oracle.peak_error(scheme, Pe, B) over
-    Pe > 1 exactly, per unit B. g = (1+Pe)^3 f is interpolated as a cubic and
-    checked at a fifth sample; df/dPe has the sign of k = (1+Pe) g' - 3 g. p is
-    positive on Pe >= s when p(t + s) has nonnegative coefficients in t and
-    a positive constant term."""
+    Pe > 1 exactly, per unit B. g = (1+Pe)^3 f is the Lagrange cubic through
+    four exact values, checked at a fifth; df/dPe has the sign of k = (1+Pe)
+    g' - 3 g. p is positive on Pe >= s when p(t + s), composed exactly, has
+    nonnegative coefficients in t and a positive constant term."""
     def f(pe):
         return (1 + pe) ** 3 * oracle.peak_error(scheme, Fraction(pe), 1)
 
+    pe, nodes = Poly.univariate("Pe", [0, 1]), (2, 3, 5, 7)
+
     def positive_from(p, s):
-        c = _pe_coefficients([p.eval(Pe=t + s) for t in _PE_SAMPLES])
+        c = sum((v * (pe + s) ** e for (e,), v in p.coeffs.items()), Poly.zero(("Pe",))).dense_1d()
         return c[0] > 0 and min(c) >= 0
 
-    g = Poly.univariate("Pe", _pe_coefficients([f(pe) for pe in _PE_SAMPLES]))
-    one_plus = Poly.univariate("Pe", [1, 1])
-    k = g.derivative("Pe") * one_plus - g * 3
-    bound = one_plus ** 3 * Fraction(1, 3)
-    q, rem = k.divmod_in(Poly.univariate("Pe", [-2, 1]), "Pe")   # k = (Pe - 2) q + rem
+    g = sum((math.prod(((pe - xj) * Fraction(1, xi - xj) for xj in nodes if xj != xi), start=f(xi))
+             for xi in nodes), Poly.zero(("Pe",)))
+    k = g.derivative("Pe") * (pe + 1) - g * 3
+    bound = (pe + 1) ** 3 * Fraction(1, 3)
+    q, rem = k.divmod_in(pe - 2, "Pe")   # k = (Pe - 2) q + rem
     only_two = rem.is_zero() and positive_from(q, 1)
     checks = [(f"(1+Pe)^3 f/B is the cubic {g} (checked at Pe = 11)", g.eval(Pe=11) == f(11))]
     checks += ([("df/dPe vanishes on Pe > 1 only at Pe = 2", only_two),

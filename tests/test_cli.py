@@ -667,10 +667,51 @@ def test_shared_reference_gives_the_single_scheme_errors():
 # verify + entry point
 
 
+VERIFY_TEXT = """\
+[PASS] denominator factorization
+    lhs expansion: 20 terms; rhs expansion: 20 terms; the difference is the zero polynomial
+[PASS] consistent-mass numerator factorization
+    lhs expansion: 25 terms; rhs expansion: 25 terms; the difference is the zero polynomial
+    factored transverse cofactor expands to -(Z_m-1)^4: yes (equals the denominator cofactor)
+    derived transverse cofactor:
+        -1  Z_m^4
+         4  Z_m^3
+        -6  Z_m^2
+         4  Z_m^1
+        -1  1
+[PASS] N1 factorization
+    lhs expansion: 9 terms; rhs expansion: 9 terms; the difference is the zero polynomial
+[PASS] galerkin peak-error bound
+    (1+Pe)^3 f/B is the cubic 1/3*Pe^3 - 1/3*Pe^2 - Pe + 1 (checked at Pe = 11): yes
+    |f| < B/3 for every Pe > 1: yes
+    f -> B/3 as Pe -> oo: yes
+    f increases for Pe >= 2: yes
+[PASS] averaged peak-error bound
+    (1+Pe)^3 f/B is the cubic -Pe + 1 (checked at Pe = 11): yes
+    df/dPe vanishes on Pe > 1 only at Pe = 2: yes
+    f(2) = -1/27 B, the bound -B/27: yes
+[PASS] galerkin high-Pe limit keeps Z = -1
+    fem1d element table, high-Pe limit: galerkin: (1/3*Z^2 + 4/3*Z + 1/3) / (Z^2 - 1)
+    denominator (Z+1)^1 (Z-1)^1; numerator (Z+1)^0 (Z-1)^0
+[PASS] element-averaged high-Pe limit cancels Z = -1
+    fem1d element table, high-Pe limit: averaged: (1/2*Z^2 + Z + 1/2) / (Z^2 - 1)
+    denominator (Z+1)^1 (Z-1)^1; numerator (Z+1)^2 (Z-1)^0
+[PASS] galerkin keeps the Z_n = -1 pole
+    Cramer's rule on the assembled interior stencils, leading terms in Pe
+    galerkin: det A ~ Pe^2 (Z_n+1)^2 (Z_n-1)^2; A_y numerator ~ Pe^2 (Z_n+1)^1 (Z_n-1)^1
+[PASS] averaged cancels the Z_n = -1 pole
+    Cramer's rule on the assembled interior stencils, leading terms in Pe
+    averaged: det A ~ Pe^2 (Z_n+1)^2 (Z_n-1)^2; A_y numerator ~ Pe^1 (Z_n+1)^2 (Z_n-1)^2
+
+verification PASSED
+"""
+
+
 def test_verify_passes():
     buf = io.StringIO()
     assert verify(stream=buf) == 0
     text = buf.getvalue()
+    assert text == VERIFY_TEXT
     assert "derived transverse cofactor" in text
     assert "galerkin: (1/3*Z^2 + 4/3*Z + 1/3) / (Z^2 - 1)" in text
     assert "averaged: (1/2*Z^2 + Z + 1/2) / (Z^2 - 1)" in text

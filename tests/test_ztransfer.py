@@ -307,6 +307,37 @@ def test_tf2d_averaged_cancels_oscillatory_pole():
             == t.denominator * zm_plus * polys_2d()["S1"] * -3)
 
 
+def test_tf2d_rejects_a_stencil_not_affine_in_pe(monkeypatch):
+    # a Pe^2 term on the A_y-A_y centre entry would otherwise certify a
+    # det A ~ Pe^3 with wrong multiplicities; the split checks it at Pe = 3
+    real = fem2d.exact_patch_rows
+
+    def bent(pe, u, scheme):
+        lhs, w = real(pe, u, scheme)
+        centre = lhs[1, 1]
+        return {**lhs, (1, 1): {**centre, (1, 1): centre[1, 1] + Fraction(pe) ** 2}}, w
+
+    monkeypatch.setattr(fem2d, "exact_patch_rows", bent)
+    for scheme in Scheme:
+        with pytest.raises(UnsupportedStructureError,
+                           match="^the A_y-row A_y stencil is not affine in Pe$"):
+            tf_2d(scheme)
+
+
+def test_tf1d_limit_rejects_a_row_not_affine_in_pe(monkeypatch):
+    real = fem1d.exact_stencil
+
+    def bent(pe, scheme):
+        (left, centre, right), load = real(pe, scheme)
+        return (left, centre + Fraction(pe) ** 2, right), load
+
+    monkeypatch.setattr(fem1d, "exact_stencil", bent)
+    with pytest.raises(UnsupportedStructureError, match="^the row stencil is not affine in Pe$"):
+        tf_1d(Scheme.GALERKIN, math.inf, 1.0)
+    # a finite Pe reads the row as it is
+    assert tf_1d(Scheme.GALERKIN, 3, 1.0).denominator == Poly.univariate("Z", [-4, 11, 2])
+
+
 def test_tf2d_zero_numerator_raises_instead_of_looping():
     t = tf_2d(Scheme.GALERKIN)
     zero = dataclasses.replace(t, numerator=Poly.zero((ZN, ZM)))
@@ -341,7 +372,7 @@ def test_tf2d_matches_a_sympy_derivation(scheme):
     # an independent route: sympy determinants of the stencil matrix with a
     # symbolic Pe, each entry fitted through two patches and checked at a
     # third (the entries must be affine in Pe)
-    sympy = pytest.importorskip("sympy")
+    import sympy   # a test dependency: a missing sympy fails here instead of skipping
     pe, zn, zm = sympy.symbols("Pe Z_n Z_m")
     q = lambda f: sympy.Rational(f.numerator, f.denominator)
     samples = [(Fraction(p), fem2d.exact_patch_rows(p, 1, scheme))
