@@ -460,7 +460,8 @@ def measured_peak_errors(pe: float, dz: float, m_b: int, m_c: int, m_d: int,
 
     z_lo, z_hi = (m_b + 3) * dz, (m_b + 3 + m_c) * dz
     span = z_hi - z_lo
-    centers = 0.5 * (fine_mesh.nodes()[:-1] + fine_mesh.nodes()[1:])
+    z = fine_mesh.nodes()
+    centers = 0.5 * (z[:-1] + z[1:])
     window = (centers >= z_lo + span / 3) & (centers <= z_hi - span / 3)
     ref_level = float(np.mean(fine.b_x[window]))
 

@@ -31,7 +31,7 @@ _FLAPACK = "scipy.linalg._flapack"
 def lapack():
     """scipy's compiled LAPACK module, loaded without the scipy.linalg package.
 
-    The solvers call only dgtsv, dgbtrf and dgbtrs, which scipy.linalg.lapack
+    The solvers call only dtbtrs, dgbtrf and dgbtrs, which scipy.linalg.lapack
     re-exports from this f2py module. Importing scipy.linalg would also run
     its array_api_compat clone of numpy, which loads numpy.testing and
     numpy.f2py. The extension is loaded under its own name, so a later

@@ -126,35 +126,65 @@ def assemble_1d(mesh: Mesh1D, material: Material, profile, scheme: Scheme) -> Di
     return DiscreteSystem1D(lower=lower, diag=diag, upper=upper, rhs=rhs, mesh=mesh)
 
 
+def _element_differences(lower: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """d = diff(a_y) from rows 1..n-1, solved from the outlet toward the inlet.
+
+    Those rows sum to zero bit for bit (the diagonal is (1-Pe)+(1+Pe)), so in
+    d they read -lower[i-1]*d[i-1] + upper[i]*d[i] = rhs[i], the outlet row
+    without its upper term. Divided by the pivots -lower, that is a unit
+    upper-bidiagonal system whose back-substitution multiplies by
+    (-1+Pe)/(1+Pe), at most 1 in magnitude for Pe >= 0: no pivoting, and an
+    upstream tail that decays to zero instead of sticking at a subnormal
+    value. The band is freed on return, before the residual check.
+    """
+    # only the super-diagonal row is written: diag="U" reads no diagonal
+    ab = np.empty((2, len(lower)), order="F")
+    np.divide(upper[1:], lower[:-1], out=ab[0, 1:])
+    np.negative(ab[0, 1:], out=ab[0, 1:])
+    d = np.divide(rhs[1:], lower)
+    np.negative(d, out=d)
+    d, info = lapack().dtbtrs(ab, d, uplo="U", diag="U", overwrite_b=1)
+    if info != 0:
+        raise NumericalFailureError(f"element-flux solve failed: LAPACK dtbtrs info {info}")
+    return d
+
+
 def solve_1d(system: DiscreteSystem1D) -> Solution1D:
-    """Direct tridiagonal solve (LAPACK dgtsv) with a residual acceptance check."""
-    # checked first: dgtsv reports a NaN pivot as a singular matrix
-    if not all(np.isfinite(v).all() for v in (system.lower, system.diag, system.upper)):
+    """Element-flux solve of the assembled system with a residual acceptance
+    check.
+
+    The element differences d come from rows 1..n-1 alone
+    (_element_differences), a_y is their running sum from the value the
+    inlet row gives, and b_x = -d/dz without re-differencing a_y. The
+    residual is taken on the full rows, so a system whose rows 1..n-1 do not
+    sum to zero fails its budget rather than passing unnoticed.
+    """
+    lower, diag, upper, rhs = system.lower, system.diag, system.upper, system.rhs
+    if not all(np.isfinite(v).all() for v in (lower, diag, upper)):
         raise NumericalFailureError("1D system matrix has non-finite entries")
-    if not np.isfinite(system.rhs).all():
+    if not np.isfinite(rhs).all():
         raise NumericalFailureError("1D system right-hand side has non-finite entries")
-    *_, a_y, info = lapack().dgtsv(system.lower, system.diag, system.upper, system.rhs)
-    if info > 0:
-        raise NumericalFailureError(f"tridiagonal solve failed: pivot {info} is exactly zero "
-                                    "(singular matrix)")
-    if not np.all(np.isfinite(a_y)):
+    inlet = diag[0] + upper[0]
+    if inlet == 0 or not lower.all():
+        row = 0 if inlet == 0 else 1 + int(np.argmin(lower != 0))
+        raise NumericalFailureError(f"element-flux solve failed: the pivot of row {row} is "
+                                    "exactly zero (singular matrix)")
+    d = _element_differences(lower, upper, rhs)
+    a_y = np.empty(len(rhs))
+    a_y[0] = (rhs[0] - upper[0] * d[0]) / inlet
+    a_y[1:] = d
+    np.cumsum(a_y, out=a_y)
+    if not np.isfinite(a_y).all():
         raise NumericalFailureError("solution contains non-finite entries "
                                     "(matrix is singular or near-singular)")
-    resid = float(np.max(np.abs(system.matmul(a_y) - system.rhs)))
-    budget = RESIDUAL_RTOL * (system.inf_norm() * float(np.max(np.abs(a_y)))
-                              + float(np.max(np.abs(system.rhs))))
+    resid = float(np.max(np.abs(system.matmul(a_y) - rhs)))
+    norm = system.inf_norm()
+    budget = RESIDUAL_RTOL * (norm * float(np.max(np.abs(a_y))) + float(np.max(np.abs(rhs))))
     if not resid <= budget:
         raise NumericalFailureError(
             f"residual {resid:.3e} exceeds budget {budget:.3e}; "
-            f"matrix inf-norm {system.inf_norm():.3e} suggests ill-conditioning")
-    return Solution1D(a_y=a_y, b_x=reaction_field(a_y, system.mesh), residual=resid)
-
-
-def reaction_field(a_y: np.ndarray, mesh: Mesh1D) -> np.ndarray:
-    """Per-element reaction flux density -(a_y[e+1] - a_y[e]) / dz."""
-    if len(a_y) != mesh.node_count:
-        raise InvalidArgumentError("solution is not sized to the mesh")
-    return -np.diff(a_y) / mesh.dz
+            f"matrix inf-norm {norm:.3e} suggests ill-conditioning")
+    return Solution1D(a_y=a_y, b_x=np.divide(d, -system.mesh.dz, out=d), residual=resid)
 
 
 def rect_pulse_case(pe, dz: float, m_b: int, m_c: int, m_d: int,

@@ -174,7 +174,7 @@ from eddyfem.core import lapack
 {load}
 copies = [m for m in list(sys.modules.values()) if getattr(m, "__file__", None) == mod.__file__]
 print(mod is scipy_lapack._flapack is sys.modules["scipy.linalg._flapack"], copies == [mod],
-      [getattr(mod, f) is getattr(scipy_lapack, f) for f in ("dgtsv", "dgbtrf", "dgbtrs")])
+      [getattr(mod, f) is getattr(scipy_lapack, f) for f in ("dtbtrs", "dgbtrf", "dgbtrs")])
 """
 
 

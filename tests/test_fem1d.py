@@ -6,8 +6,7 @@ import pytest
 from eddyfem.core import (InvalidArgumentError, Mesh1D, NumericalFailureError,
                           RectPulse1D, Scheme, material_for_peclet, peclet_of)
 from eddyfem.fem1d import (ELEMENT_WEIGHTS, RESIDUAL_RTOL, DiscreteSystem1D, assemble_1d,
-                           exact_stencil, input_weights, reaction_field, rect_pulse_case,
-                           solve_1d)
+                           exact_stencil, input_weights, rect_pulse_case, solve_1d)
 
 
 def small_case(pe=2.0, dz=0.25, scheme=Scheme.GALERKIN, n=41, pulse=(3.875, 6.125)):
@@ -160,8 +159,8 @@ def test_singular_system_raises():
                            upper=system.upper * 0, rhs=system.rhs, mesh=mesh)
     with pytest.raises(NumericalFailureError, match="singular matrix"):
         solve_1d(bad)
-    # non-finite entries are named before the solve, which would report a
-    # NaN pivot as a singular matrix
+    # non-finite entries are named before the solve, which reads the
+    # interior diagonal only through the residual
     nan = DiscreteSystem1D(lower=system.lower, diag=system.diag * np.nan,
                            upper=system.upper, rhs=system.rhs, mesh=mesh)
     with pytest.raises(NumericalFailureError, match="matrix has non-finite entries"):
@@ -184,6 +183,64 @@ def test_nan_residual_fails_the_budget():
     with pytest.raises(NumericalFailureError, match="residual nan exceeds budget"):
         solve_1d(NanProduct(lower=system.lower, diag=system.diag, upper=system.upper,
                             rhs=system.rhs, mesh=mesh))
+
+
+def _exact_thomas(system):
+    """The system's exact solution, by a Thomas solve in Fraction arithmetic
+    on the float entries as they are stored."""
+    lower, diag, upper, rhs = ([Fraction(v) for v in a] for a in
+                               (system.lower, system.diag, system.upper, system.rhs))
+    n = len(diag)
+    c, g = [Fraction(0)] * n, [Fraction(0)] * n
+    c[0], g[0] = upper[0] / diag[0], rhs[0] / diag[0]
+    for i in range(1, n):
+        pivot = diag[i] - lower[i - 1] * c[i - 1]
+        c[i] = upper[i] / pivot if i < n - 1 else Fraction(0)
+        g[i] = (rhs[i] - lower[i - 1] * g[i - 1]) / pivot
+    x = g[:]
+    for i in range(n - 2, -1, -1):
+        x[i] -= c[i] * x[i + 1]
+    return x
+
+
+@pytest.mark.parametrize("pe", [2.0, 33.3, 2000.0])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_b_x_is_within_a_few_ulps_of_the_exact_solution(pe, scheme):
+    # b_x is the solved element difference itself, not a difference of two
+    # rounded nodal values, which loses up to 2e-14 of the column maximum
+    mesh, material, profile = rect_pulse_case(pe, 0.2, 40, 30, 40)
+    system = assemble_1d(mesh, material, profile, scheme)
+    x = _exact_thomas(system)
+    dz = Fraction(mesh.dz)
+    exact = [(x[i] - x[i + 1]) / dz for i in range(len(x) - 1)]
+    scale = max(abs(v) for v in exact)
+    b_x = solve_1d(system).b_x
+    error = max(abs(Fraction(float(got)) - want) for got, want in zip(b_x, exact))
+    assert float(error / scale) <= 2.5e-15
+
+
+def test_galerkin_reference_has_no_subnormal_tail():
+    # upstream of the pulse the refined reference decays by (1-Pe)/(1+Pe),
+    # about 1/3 per element at Pe 0.497; the solve must carry that decay on
+    # to zero, not stall on thousands of subnormal values, each of which
+    # costs the solve and every later pass over a_y a slow-path operation
+    from eddyfem.cli import reference_mesh
+    mesh, material, profile = rect_pulse_case(33.3, 0.2, 40, 30, 40)
+    fine = reference_mesh(mesh, 33.3)
+    a_y = solve_1d(assemble_1d(fine, material, profile, Scheme.GALERKIN)).a_y
+    assert fine.node_count == 7773
+    subnormal = (a_y != 0) & (np.abs(a_y) < np.finfo(float).tiny)
+    assert np.count_nonzero(subnormal) <= 64
+
+
+def test_a_row_that_does_not_sum_to_zero_fails_the_residual_budget():
+    # the solve assumes rows 1..n-1 sum to zero; the full-row residual is
+    # what checks that assumption
+    mesh, material, profile = rect_pulse_case(2.0, 0.2, 40, 30, 40)
+    system = assemble_1d(mesh, material, profile, Scheme.GALERKIN)
+    system.diag[60] += 1.0
+    with pytest.raises(NumericalFailureError, match=r"residual .* exceeds budget"):
+        solve_1d(system)
 
 
 def test_matches_oracle_at_mid_peclet():
@@ -242,16 +299,6 @@ def test_schemes_agree_below_stability_threshold():
     mask[m_b:m_b + 3] = False                        # rising transition band
     mask[m_b + 3 + m_c:m_b + 6 + m_c] = False        # falling transition band
     assert np.max(np.abs((b_g - b_a)[mask])) <= 0.02
-
-
-def test_reaction_field_of_linear_and_constant():
-    mesh = Mesh1D(0.5, 11)
-    slope = 0.75
-    linear = slope * mesh.nodes()
-    assert np.allclose(reaction_field(linear, mesh), -slope, rtol=1e-13)
-    assert np.allclose(reaction_field(np.full(11, 3.0), mesh), 0.0)
-    with pytest.raises(InvalidArgumentError):
-        reaction_field(np.zeros(5), mesh)
 
 
 def test_measured_error_examples():
