@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 config error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import bisect
 import hashlib
 import json
 import math
@@ -460,9 +461,15 @@ def measured_peak_errors(pe: float, dz: float, m_b: int, m_c: int, m_d: int,
 
     z_lo, z_hi = (m_b + 3) * dz, (m_b + 3 + m_c) * dz
     span = z_hi - z_lo
-    z = fine_mesh.nodes()
-    centers = 0.5 * (z[:-1] + z[1:])
-    window = (centers >= z_lo + span / 3) & (centers <= z_hi - span / 3)
+    # the element centers rise with k, so the window is an index range,
+    # found from the same float expression at a few k
+    h = fine_mesh.dz
+
+    def center(k):
+        return 0.5 * (k * h + (k + 1) * h)
+    elements = range(fine_mesh.element_count)
+    window = slice(bisect.bisect_left(elements, z_lo + span / 3, key=center),
+                   bisect.bisect_right(elements, z_hi - span / 3, key=center))
     ref_level = float(np.mean(fine.b_x[window]))
 
     errors = {}

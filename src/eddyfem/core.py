@@ -122,7 +122,10 @@ class Mesh1D:
         return cls(dz=dz, node_count=int(round(length / dz)) + 1)
 
     def nodes(self) -> np.ndarray:
-        return np.arange(self.node_count) * self.dz
+        # node indices stay exact in float64, so k*dz keeps its rounding
+        z = np.arange(self.node_count, dtype=float)
+        z *= self.dz
+        return z
 
     @property
     def element_count(self) -> int:

@@ -52,25 +52,57 @@ def input_weights(scheme: Scheme) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiscreteSystem1D:
-    """Tridiagonal system stored by diagonals (lower, diag, upper) + rhs."""
+    """The dz-scaled system on the uniform mesh, held as its float element
+    rows ((l00, l01), (l10, l11)) of _rows(Pe) plus the load rhs.
 
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
+    Row 0 is the Dirichlet unit row, each interior row the fold
+    (l10, l00 + l11, l01) and the outlet row (l10, l11). No coefficient array
+    is stored: lower, diag and upper build the diagonals on each read.
+    """
+
+    element: tuple
     rhs: np.ndarray
     mesh: Mesh1D
 
+    def _coefficients(self):
+        """(lower, interior diagonal, upper, outlet diagonal), each rounded as
+        a sum into zeroed diagonals, element by element."""
+        (l00, l01), (l10, l11) = self.element
+        return 0.0 + l10, 0.0 + l00 + l11, 0.0 + l01, 0.0 + l11
+
+    @property
+    def lower(self) -> np.ndarray:
+        return np.full(self.mesh.node_count - 1, self._coefficients()[0])
+
+    @property
+    def diag(self) -> np.ndarray:
+        _, mid, _, outlet = self._coefficients()
+        diag = np.full(self.mesh.node_count, mid)
+        diag[0], diag[-1] = 1.0, outlet
+        return diag
+
+    @property
+    def upper(self) -> np.ndarray:
+        upper = np.full(self.mesh.node_count - 1, self._coefficients()[2])
+        upper[0] = 0.0
+        return upper
+
     def matmul(self, x: np.ndarray) -> np.ndarray:
-        y = self.diag * x
-        y[1:] += self.lower * x[:-1]
-        y[:-1] += self.upper * x[1:]
+        """A x, each row summed diagonal term first, then lower, then upper."""
+        lower, mid, upper, outlet = self._coefficients()
+        y = np.multiply(x, mid)
+        y[0], y[-1] = x[0], outlet * x[-1]
+        term = np.multiply(x[:-1], lower)
+        y[1:] += term
+        np.multiply(x[1:], upper, out=term)
+        term[0] = 0.0 * x[1]   # the unit row's upper entry is 0
+        y[:-1] += term
         return y
 
     def inf_norm(self) -> float:
-        rowsum = np.abs(self.diag).copy()
-        rowsum[1:] += np.abs(self.lower)
-        rowsum[:-1] += np.abs(self.upper)
-        return float(rowsum.max())
+        lower, mid, upper, outlet = self._coefficients()
+        return float(np.max([1.0, abs(mid) + abs(lower) + abs(upper),
+                             abs(outlet) + abs(lower)]))
 
 
 @dataclass(frozen=True)
@@ -84,65 +116,54 @@ class Solution1D:
 
 
 def assemble_1d(mesh: Mesh1D, material: Material, profile, scheme: Scheme) -> DiscreteSystem1D:
-    """Assemble the dz-scaled tridiagonal system element by element.
+    """Assemble the dz-scaled system: the element rows and, element by
+    element, the load.
 
     The element-averaged scheme replaces the two nodal input values of each
     element by their mean before integrating the load, which is what folds
     the (Z+1) factor into the discrete input.
     """
     pe = peclet_of(material, mesh.dz)
-    z = mesh.nodes()
     try:
-        bn = np.asarray(profile.sample(z), dtype=float)
+        bn = np.asarray(profile.sample(mesh.nodes()), dtype=float)
     except (AttributeError, TypeError) as err:
         raise InvalidArgumentError(f"profile cannot be sampled on the mesh: {err}")
-    if bn.shape != z.shape:
+    if bn.shape != (mesh.node_count,):
         raise InvalidArgumentError("profile samples do not match the mesh nodes")
-
-    n = mesh.node_count
-    diag = np.zeros(n)
-    lower = np.zeros(n - 1)
-    upper = np.zeros(n - 1)
-    rhs = np.zeros(n)
-
-    (l00, l01), (l10, l11) = _rows(pe)
-    diag[:-1] += l00
-    upper[:] += l01
-    lower[:] += l10
-    diag[1:] += l11
 
     # the weights are unit fractions; dividing by their denominators keeps
     # the rounding of the written-out bn/3, bn/6 and bn/4 the CSVs were made with
     load = (LOAD_SCALE[0] + LOAD_SCALE[1] * pe) * mesh.dz
-    f_left, f_right = [load * (bn[:-1] / w0.denominator + bn[1:] / w1.denominator)
-                       for w0, w1 in ELEMENT_WEIGHTS[scheme]]
-    rhs[:-1] += f_left
-    rhs[1:] += f_right
+    rhs = np.zeros(mesh.node_count)
+    force = np.empty(mesh.element_count)
+    term = np.empty(mesh.element_count)
+    # each element adds its left row's load to rhs[:-1], its right row's to rhs[1:]
+    for rows, (w0, w1) in zip((rhs[:-1], rhs[1:]), ELEMENT_WEIGHTS[scheme]):
+        np.divide(bn[:-1], w0.denominator, out=force)
+        force += np.divide(bn[1:], w1.denominator, out=term)
+        force *= load
+        rows += force
 
     # inlet Dirichlet by row replacement; outlet row stays natural
-    diag[0] = 1.0
-    upper[0] = 0.0
     rhs[0] = 0.0
-    return DiscreteSystem1D(lower=lower, diag=diag, upper=upper, rhs=rhs, mesh=mesh)
+    return DiscreteSystem1D(element=tuple(map(tuple, _rows(pe))), rhs=rhs, mesh=mesh)
 
 
-def _element_differences(lower: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _element_differences(lower: float, upper: float, rhs: np.ndarray) -> np.ndarray:
     """d = diff(a_y) from rows 1..n-1, solved from the outlet toward the inlet.
 
-    Those rows sum to zero bit for bit (the diagonal is (1-Pe)+(1+Pe)), so in
-    d they read -lower[i-1]*d[i-1] + upper[i]*d[i] = rhs[i], the outlet row
-    without its upper term. Divided by the pivots -lower, that is a unit
-    upper-bidiagonal system whose back-substitution multiplies by
+    Those rows sum to zero bit for bit (the interior diagonal is
+    (1-Pe)+(1+Pe)), so in d they read -lower*d[i-1] + upper*d[i] = rhs[i],
+    the outlet row without its upper term. Divided by the pivot -lower, that
+    is a unit upper-bidiagonal system whose back-substitution multiplies by
     (-1+Pe)/(1+Pe), at most 1 in magnitude for Pe >= 0: no pivoting, and an
     upstream tail that decays to zero instead of sticking at a subnormal
     value. The band is freed on return, before the residual check.
     """
     # only the super-diagonal row is written: diag="U" reads no diagonal
-    ab = np.empty((2, len(lower)), order="F")
-    np.divide(upper[1:], lower[:-1], out=ab[0, 1:])
-    np.negative(ab[0, 1:], out=ab[0, 1:])
-    d = np.divide(rhs[1:], lower)
-    np.negative(d, out=d)
+    ab = np.empty((2, len(rhs) - 1), order="F")
+    ab[0, 1:] = -(upper / lower)
+    d = np.divide(rhs[1:], -lower)
     d, info = lapack().dtbtrs(ab, d, uplo="U", diag="U", overwrite_b=1)
     if info != 0:
         raise NumericalFailureError(f"element-flux solve failed: LAPACK dtbtrs info {info}")
@@ -155,29 +176,30 @@ def solve_1d(system: DiscreteSystem1D) -> Solution1D:
 
     The element differences d come from rows 1..n-1 alone
     (_element_differences), a_y is their running sum from the value the
-    inlet row gives, and b_x = -d/dz without re-differencing a_y. The
+    inlet's unit row gives, and b_x = -d/dz without re-differencing a_y. The
     residual is taken on the full rows, so a system whose rows 1..n-1 do not
     sum to zero fails its budget rather than passing unnoticed.
     """
-    lower, diag, upper, rhs = system.lower, system.diag, system.upper, system.rhs
-    if not all(np.isfinite(v).all() for v in (lower, diag, upper)):
+    lower, mid, upper, outlet = system._coefficients()
+    rhs = system.rhs
+    if not np.isfinite((lower, mid, upper, outlet)).all():
         raise NumericalFailureError("1D system matrix has non-finite entries")
     if not np.isfinite(rhs).all():
         raise NumericalFailureError("1D system right-hand side has non-finite entries")
-    inlet = diag[0] + upper[0]
-    if inlet == 0 or not lower.all():
-        row = 0 if inlet == 0 else 1 + int(np.argmin(lower != 0))
-        raise NumericalFailureError(f"element-flux solve failed: the pivot of row {row} is "
+    if lower == 0:
+        raise NumericalFailureError("element-flux solve failed: the pivot of row 1 is "
                                     "exactly zero (singular matrix)")
     d = _element_differences(lower, upper, rhs)
     a_y = np.empty(len(rhs))
-    a_y[0] = (rhs[0] - upper[0] * d[0]) / inlet
+    a_y[0] = rhs[0]
     a_y[1:] = d
     np.cumsum(a_y, out=a_y)
     if not np.isfinite(a_y).all():
         raise NumericalFailureError("solution contains non-finite entries "
                                     "(matrix is singular or near-singular)")
-    resid = float(np.max(np.abs(system.matmul(a_y) - rhs)))
+    r = system.matmul(a_y)
+    r -= rhs
+    resid = float(np.abs(r, out=r).max())
     norm = system.inf_norm()
     budget = RESIDUAL_RTOL * (norm * float(np.max(np.abs(a_y))) + float(np.max(np.abs(rhs))))
     if not resid <= budget:

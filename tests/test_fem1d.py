@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -75,6 +76,52 @@ def test_element_table_folds_to_the_interior_stencil():
         assert input_weights(scheme).tolist() == [c / sum(shape) for c in shape]
         # assemble_1d divides by the denominators of these unit fractions
         assert {w.numerator for row in ELEMENT_WEIGHTS[scheme] for w in row} == {1}
+
+
+def _array_matmul(system, x):
+    """A x and ||A||inf by the array formulas on the built diagonals."""
+    lower, diag, upper = system.lower, system.diag, system.upper
+    y = diag * x
+    y[1:] += lower * x[:-1]
+    y[:-1] += upper * x[1:]
+    rowsum = np.abs(diag)
+    rowsum[1:] += np.abs(lower)
+    rowsum[:-1] += np.abs(upper)
+    return y, float(rowsum.max())
+
+
+@pytest.mark.parametrize("pe", [1 + 1e-9, 2.0, 1e6])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_matmul_and_inf_norm_match_the_diagonal_formulas_bit_for_bit(pe, scheme):
+    # the system keeps four numbers; its product and norm must round as the
+    # three full diagonals did, row by row: diagonal, then lower, then upper
+    rng = np.random.default_rng(11)
+    minimal = Mesh1D(0.5, 3), material_for_peclet(pe, 0.5), RectPulse1D(0.25, 0.75, 1.0)
+    for mesh, material, profile in (minimal, rect_pulse_case(pe, 0.2, 40, 30, 40)):
+        system = assemble_1d(mesh, material, profile, scheme)
+        for _ in range(5):
+            x = rng.normal(size=mesh.node_count) * 10.0 ** rng.uniform(-6, 6)
+            want, norm = _array_matmul(system, x)
+            assert system.matmul(x).tobytes() == want.tobytes()
+            assert system.inf_norm() == norm
+
+
+def test_galerkin_reference_peaks_below_six_node_arrays():
+    # the refined Pe 1000 reference (232,001 nodes) dominates the memory of a
+    # sweep point; held as element rows, its assembly and solve keep at most
+    # six float arrays of its length alive at once
+    import tracemalloc
+    from eddyfem.cli import measured_peak_errors, reference_mesh
+    mesh = rect_pulse_case(1000.0, 0.2, 40, 30, 40)[0]
+    nodes = reference_mesh(mesh, 1000.0).node_count
+    assert nodes == 232_001
+    tracemalloc.start()
+    try:
+        measured_peak_errors(1000.0, 0.2, 40, 30, 40, tuple(Scheme))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * nodes, peak / (8 * nodes)
 
 
 def test_interior_row_sum_is_zero():
@@ -155,20 +202,18 @@ def test_minimal_grid_solves(pe, scheme):
 
 def test_singular_system_raises():
     system, mesh = small_case()
-    bad = DiscreteSystem1D(lower=system.lower * 0, diag=system.diag * 0,
-                           upper=system.upper * 0, rhs=system.rhs, mesh=mesh)
+    bad = replace(system, element=((0.0, 0.0), (0.0, 0.0)))
     with pytest.raises(NumericalFailureError, match="singular matrix"):
         solve_1d(bad)
     # non-finite entries are named before the solve, which reads the
     # interior diagonal only through the residual
-    nan = DiscreteSystem1D(lower=system.lower, diag=system.diag * np.nan,
-                           upper=system.upper, rhs=system.rhs, mesh=mesh)
+    (l00, l01), (l10, l11) = system.element
+    nan = replace(system, element=((np.nan, l01), (l10, l11)))
     with pytest.raises(NumericalFailureError, match="matrix has non-finite entries"):
         solve_1d(nan)
     rhs = system.rhs.copy()
     rhs[3] = np.inf
-    inf = DiscreteSystem1D(lower=system.lower, diag=system.diag, upper=system.upper,
-                           rhs=rhs, mesh=mesh)
+    inf = replace(system, rhs=rhs)
     with pytest.raises(NumericalFailureError, match="right-hand side has non-finite entries"):
         solve_1d(inf)
 
@@ -181,8 +226,7 @@ def test_nan_residual_fails_the_budget():
 
     system, mesh = small_case()
     with pytest.raises(NumericalFailureError, match="residual nan exceeds budget"):
-        solve_1d(NanProduct(lower=system.lower, diag=system.diag, upper=system.upper,
-                            rhs=system.rhs, mesh=mesh))
+        solve_1d(NanProduct(element=system.element, rhs=system.rhs, mesh=mesh))
 
 
 def _exact_thomas(system):
@@ -238,7 +282,9 @@ def test_a_row_that_does_not_sum_to_zero_fails_the_residual_budget():
     # what checks that assumption
     mesh, material, profile = rect_pulse_case(2.0, 0.2, 40, 30, 40)
     system = assemble_1d(mesh, material, profile, Scheme.GALERKIN)
-    system.diag[60] += 1.0
+    (l00, l01), (l10, l11) = system.element
+    system = replace(system, element=((l00 + 1.0, l01), (l10, l11)))
+    assert system.matmul(np.ones(mesh.node_count))[1:].any()
     with pytest.raises(NumericalFailureError, match=r"residual .* exceeds budget"):
         solve_1d(system)
 
