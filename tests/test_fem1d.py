@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from eddyfem import fem1d
 from eddyfem.core import (InvalidArgumentError, Mesh1D, NumericalFailureError,
                           RectPulse1D, Scheme, material_for_peclet, peclet_of)
 from eddyfem.fem1d import (ELEMENT_WEIGHTS, RESIDUAL_RTOL, DiscreteSystem1D, assemble_1d,
                            exact_stencil, input_weights, rect_pulse_case, solve_1d)
+
+import fem1d_reference
 
 
 def small_case(pe=2.0, dz=0.25, scheme=Scheme.GALERKIN, n=41, pulse=(3.875, 6.125)):
@@ -45,12 +49,15 @@ def _written_out_assembly(mesh, pe, bn, scheme):
     return lower, diag, upper, rhs
 
 
-class _Samples:
-    def __init__(self, values):
-        self.values = values
+class _Table:
+    """Nodal values looked up by node index, so a block of nodes samples the
+    values the whole mesh would."""
+
+    def __init__(self, values, dz):
+        self.values, self.dz = values, dz
 
     def sample(self, z):
-        return self.values
+        return self.values[np.rint(z / self.dz).astype(int)]
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
@@ -61,7 +68,7 @@ def test_table_assembly_is_bit_identical_to_the_written_out_formulas(scheme):
             mesh = Mesh1D(dz, 23)
             material = material_for_peclet(pe, dz, sigma=1.7)
             bn = rng.normal(size=23) * 10.0 ** rng.uniform(-6, 6)
-            got = assemble_1d(mesh, material, _Samples(bn), scheme)
+            got = assemble_1d(mesh, material, _Table(bn, dz), scheme)
             ref = _written_out_assembly(mesh, peclet_of(material, dz), bn, scheme)
             for name, want in zip(("lower", "diag", "upper", "rhs"), ref):
                 assert getattr(got, name).tobytes() == want.tobytes(), (name, pe, dz)
@@ -99,17 +106,21 @@ def test_matmul_and_inf_norm_match_the_diagonal_formulas_bit_for_bit(pe, scheme)
     minimal = Mesh1D(0.5, 3), material_for_peclet(pe, 0.5), RectPulse1D(0.25, 0.75, 1.0)
     for mesh, material, profile in (minimal, rect_pulse_case(pe, 0.2, 40, 30, 40)):
         system = assemble_1d(mesh, material, profile, scheme)
+        n = mesh.node_count
         for _ in range(5):
-            x = rng.normal(size=mesh.node_count) * 10.0 ** rng.uniform(-6, 6)
+            x = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 6)
             want, norm = _array_matmul(system, x)
             assert system.matmul(x).tobytes() == want.tobytes()
             assert system.inf_norm() == norm
+            # any row range, the unit and the outlet row alone included
+            for start, stop in ((0, 1), (0, 2), (1, n - 1), (n - 1, n), (n // 2, n)):
+                assert system.matmul_rows(x, start, stop).tobytes() == want[start:stop].tobytes()
 
 
-def test_galerkin_reference_peaks_below_six_node_arrays():
+def test_galerkin_reference_peaks_below_three_and_a_half_node_arrays():
     # the refined Pe 1000 reference (232,001 nodes) dominates the memory of a
-    # sweep point; held as element rows, its assembly and solve keep at most
-    # six float arrays of its length alive at once
+    # sweep point; its assembly and solve go through blocks of fem1d.BLOCK
+    # elements, so only rhs, a_y and b_x are as long as the mesh
     import tracemalloc
     from eddyfem.cli import measured_peak_errors, reference_mesh
     mesh = rect_pulse_case(1000.0, 0.2, 40, 30, 40)[0]
@@ -121,7 +132,7 @@ def test_galerkin_reference_peaks_below_six_node_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * 8 * nodes, peak / (8 * nodes)
+    assert peak <= 3.5 * 8 * nodes, peak / (8 * nodes)
 
 
 def test_interior_row_sum_is_zero():
@@ -218,12 +229,17 @@ def test_singular_system_raises():
         solve_1d(inf)
 
 
-def test_nan_residual_fails_the_budget():
-    # an overflow in A x would give a NaN residual, which no budget accepts
+def test_nan_residual_fails_the_budget(monkeypatch):
+    # an overflow in A x would give a NaN residual, which no budget accepts,
+    # also when the blocks of rows after the NaN's are finite
     class NanProduct(DiscreteSystem1D):
-        def matmul(self, x):
-            return np.full_like(x, np.nan)
+        def matmul_rows(self, x, start, stop):
+            y = super().matmul_rows(x, start, stop)
+            if start <= 20 < stop:
+                y[20 - start] = np.nan
+            return y
 
+    monkeypatch.setattr(fem1d, "BLOCK", 7)
     system, mesh = small_case()
     with pytest.raises(NumericalFailureError, match="residual nan exceeds budget"):
         solve_1d(NanProduct(element=system.element, rhs=system.rhs, mesh=mesh))
@@ -360,3 +376,103 @@ def test_profile_mismatch_raises():
     material = material_for_peclet(2.0, 0.25)
     with pytest.raises(InvalidArgumentError):
         assemble_1d(mesh, material, object(), Scheme.GALERKIN)
+
+
+def _table(seed, n, dz):
+    # wide magnitudes, exact zeros of both signs and equal neighbours: a
+    # zero load must keep the sign a zeroed array gave it
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 6, size=n)
+    values[rng.random(n) < 0.1] = 0.0
+    values[rng.random(n) < 0.1] = -0.0
+    values[rng.random(n) < 0.2] = -1.0
+    return _Table(values, dz)
+
+
+def _outcome(module, mesh, material, profile, scheme):
+    """The rhs, and a_y, b_x and the residual or the failure reason, as bytes."""
+    system = module.assemble_1d(mesh, material, profile, scheme)
+    try:
+        sol = module.solve_1d(system)
+    except NumericalFailureError as err:
+        return system.rhs.tobytes(), str(err)
+    return system.rhs.tobytes(), sol.a_y.tobytes(), sol.b_x.tobytes(), sol.residual.hex()
+
+
+def _assert_bit_identical(mesh, material, profile, scheme):
+    want = _outcome(fem1d_reference, mesh, material, profile, scheme)
+    assert _outcome(fem1d, mesh, material, profile, scheme) == want
+    return want
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("pe", [1 + 1e-9, 2.0, 33.3, 1000.0, 1e6])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_blocked_kernel_is_bit_identical_to_the_whole_array_reference(monkeypatch, block, pe,
+                                                                      scheme):
+    # the pulse case, its refined Galerkin reference (232,001 nodes at Pe
+    # 1000, up to 7,773 in blocks of 7), and node counts at and across the
+    # block boundaries
+    from eddyfem.cli import reference_mesh
+    if block:
+        monkeypatch.setattr(fem1d, "BLOCK", block)
+    size = fem1d.BLOCK
+    mesh, material, profile = rect_pulse_case(pe, 0.2, 40, 30, 40)
+    cases = [(mesh, profile)]
+    if pe <= (33.3 if block else 1000.0):
+        cases.append((reference_mesh(mesh, pe), profile))
+    for n in (size - 1, size, size + 1, size + 2, 2 * size + 1):
+        if n >= 3:
+            cases.append((Mesh1D(0.2, n), _table(n, n, 0.2)))
+    for mesh, profile in cases:
+        outcome = _assert_bit_identical(mesh, material, profile, scheme)
+        assert len(outcome) == 4, outcome[1]   # every case solves
+
+
+def _failing(system, mesh):
+    (l00, l01), (l10, l11) = system.element
+    n = mesh.node_count
+    rhs_inf, rhs_nan, huge = system.rhs.copy(), system.rhs.copy(), system.rhs.copy()
+    rhs_inf[3] = np.inf      # inlet block, which the solve reaches last
+    rhs_nan[0] = np.nan      # the unit row
+    huge[n // 2:] = 1e308    # finite, but a_y overflows past the middle block
+    return {
+        "right-hand side has non-finite entries": [replace(system, rhs=rhs_inf),
+                                                   replace(system, rhs=rhs_nan)],
+        "matrix has non-finite entries": [replace(system, element=((np.nan, l01), (l10, l11)))],
+        "singular matrix": [replace(system, element=((0.0, 0.0), (0.0, 0.0)))],
+        "solution contains non-finite entries": [replace(system, rhs=huge)],
+        # every interior row misses zero, so the largest residual is in a
+        # block the maximum has to carry across
+        r"residual .* exceeds budget": [replace(system, element=((l00 + 1.0, l01), (l10, l11)))],
+    }
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_each_failure_reason_is_kept_past_the_first_block(monkeypatch, scheme):
+    monkeypatch.setattr(fem1d, "BLOCK", 7)
+    mesh, material, profile = rect_pulse_case(2.0, 0.2, 40, 30, 40)
+    system = assemble_1d(mesh, material, profile, scheme)
+    for reason, systems in _failing(system, mesh).items():
+        for bad in systems:
+            with pytest.raises(NumericalFailureError, match=reason) as blocked, \
+                    np.errstate(over="ignore"):
+                solve_1d(bad)
+            with pytest.raises(NumericalFailureError) as whole, np.errstate(over="ignore"):
+                fem1d_reference.solve_1d(bad)
+            assert str(blocked.value) == str(whole.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pe=st.one_of(st.floats(0.0, 1e6), st.floats(1 - 1e-6, 1 + 1e-6),
+                    st.sampled_from([0.0, 1.0, 1e6])),
+       nodes=st.one_of(st.integers(3, 5 * fem1d.BLOCK),
+                       st.builds(lambda k, off: max(3, k * fem1d.BLOCK + off),
+                                 st.integers(1, 5), st.integers(-2, 2))),
+       dz=st.sampled_from([0.2, 0.25, 3.3]),
+       scheme=st.sampled_from(list(Scheme)), seed=st.integers(0, 2**32 - 1))
+def test_blocked_kernel_matches_the_reference_in_edge_regimes(pe, nodes, dz, scheme, seed):
+    # Pe from 0 through 1 to 1e6 on 3 to 5 blocks of nodes: the blocked
+    # kernel gives the whole-array rhs, a_y, b_x and residual, or its reason
+    mesh = Mesh1D(dz, nodes)
+    _assert_bit_identical(mesh, material_for_peclet(pe, dz), _table(seed, nodes, dz), scheme)
