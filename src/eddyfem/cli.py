@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 config error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import bisect
 import hashlib
 import json
 import math
@@ -35,7 +34,8 @@ MU0 = 4e-7 * math.pi
 # Caps on what a config can make the program allocate, as multiples of the
 # shipped or benchmarked sizes: 400x the 25 sweep points; 25x the 20 sheet rows
 # per side; 16x the refined sheet's nz = 257 and 3x its 31,611 dofs; 250x the
-# sweep's 40 elements per run; 4x the 232,001 nodes of its refined reference.
+# sweep's 40 elements per run; about 8,500x the sweep's 117-node mesh, where a
+# 1D assembly and solve peak at 7 float arrays of the nodes (56 MB).
 # run-2d holds every solution of a run until it writes, about 33 bytes per dof
 # per Pe for both schemes, so its Pe count times the dofs is capped at 16
 # meshes of MAX_DOFS_2D (about 53 MB; 3 Pe at 4,059 dofs are shipped).
@@ -50,8 +50,6 @@ MAX_RUN_DOFS_2D = 16 * MAX_DOFS_2D
 MAX_NODES_1D = 1_000_000
 MAX_RUN_NODES_1D = 2 * MAX_NODES_1D
 MAX_SWEEP_ELEMENTS = 10_000
-# the sweep's Galerkin reference is refined until its per-element Pe is at most this
-REFERENCE_PE = 0.5
 
 
 class ConfigError(ValueError):
@@ -436,47 +434,29 @@ def run_2d(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
     return record
 
 
-def reference_mesh(mesh: Mesh1D, pe: float) -> Mesh1D:
-    """The refined Galerkin reference of measured_peak_errors: each element
-    of ``mesh`` split until its Pe is at most REFERENCE_PE (no arrays built)."""
-    refine = max(1, math.ceil(pe / REFERENCE_PE))
-    return Mesh1D(mesh.dz / refine, mesh.element_count * refine + 1)
-
-
 def measured_peak_errors(pe: float, dz: float, m_b: int, m_c: int, m_d: int,
                          schemes: Sequence[Scheme], amplitude: float = 1.0) -> Dict[Scheme, float]:
-    """Spurious-oscillation amplitude of the pulse scenario for each scheme,
-    measured against one refined Galerkin reference.
+    """Spurious-oscillation amplitude of the pulse scenario for each scheme:
+    the largest signed deviation of the coarse per-element reaction b_x from
+    the plateau level -amplitude across the plateau elements, where the
+    imperfect pole-zero cancellation shows up.
 
-    The reference supplies the smooth plateau level (its deep-plateau
-    reaction value, averaged over the central third); the measured error is
-    the largest signed deviation of the coarse per-element reaction from
-    that level across the plateau elements, which is where the imperfect
-    pole-zero cancellation shows up.
+    That level is the deep-plateau flux of the continuous model. The rows of
+    fem1d.ELEMENT_LHS fold to (-1-Pe, 2, -1+Pe), that is
+    -(A[i+1] - 2 A[i] + A[i-1]) + Pe (A[i+1] - A[i-1]): dz^2 times the central
+    differences of -A'' + k A' with k = 2 Pe/dz. The load, dz (LOAD_SCALE[0]
+    + LOAD_SCALE[1] Pe) = 2 Pe dz times input weights that sum to 1, is dz^2
+    k B. So -A'' + k A' = k B with A(0) = 0 and A'(L) = 0, which gives A' = 0
+    downstream of the pulse [a, b] and b_x = -A' = -B (1 - e^{-k (b - z)}) on
+    it. The central third of the plateau ends (m_c/3 + 1.5) dz before b, so
+    there b_x is -B to within B e^{-2 Pe (m_c/3 + 1.5)}; sweep_error bounds it.
     """
     mesh, material, profile = fem1d.rect_pulse_case(pe, dz, m_b, m_c, m_d, amplitude)
-    fine_mesh = reference_mesh(mesh, pe)
-    with _failing_case(f"galerkin reference, Pe = {pe:g}"):
-        fine = fem1d.solve_1d(fem1d.assemble_1d(fine_mesh, material, profile, Scheme.GALERKIN))
-
-    z_lo, z_hi = (m_b + 3) * dz, (m_b + 3 + m_c) * dz
-    span = z_hi - z_lo
-    # the element centers rise with k, so the window is an index range,
-    # found from the same float expression at a few k
-    h = fine_mesh.dz
-
-    def center(k):
-        return 0.5 * (k * h + (k + 1) * h)
-    elements = range(fine_mesh.element_count)
-    window = slice(bisect.bisect_left(elements, z_lo + span / 3, key=center),
-                   bisect.bisect_right(elements, z_hi - span / 3, key=center))
-    ref_level = float(np.mean(fine.b_x[window]))
-
     errors = {}
     for scheme in schemes:
         with _failing_case(f"{scheme.value}, Pe = {pe:g}"):
             sol = fem1d.solve_1d(fem1d.assemble_1d(mesh, material, profile, scheme))
-        dev = sol.b_x[m_b + 3: m_b + 3 + m_c] - ref_level
+        dev = sol.b_x[m_b + 3: m_b + 3 + m_c] + amplitude
         errors[scheme] = float(dev[np.argmax(np.abs(dev))])
     return errors
 
@@ -493,13 +473,13 @@ def sweep_error(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
         raise ConfigError("scheme", "must be both: sweep-error measures both schemes")
     dz, amp = f["dz"], f["amplitude"]
     m_b, m_c, m_d = f["upstream_elements"], f["plateau_elements"], f["downstream_elements"]
-    top = max(cfg.pe_values)   # the sweep's largest mesh is the reference at the top Pe
-    if top > 1.0:
-        coarse = fem1d.rect_pulse_case(top, dz, m_b, m_c, m_d, amp)[0]
-        nodes = reference_mesh(coarse, top).node_count
-        if nodes > MAX_NODES_1D:
-            raise ConfigError(cfg.pe_key, f"the reference mesh at "
-                              f"Pe = {top:g} needs {nodes} nodes, over {MAX_NODES_1D}")
+    # the measured level -amplitude leaves out the continuous flux's layer
+    # term, at most amplitude * e^{-2 Pe (m_c/3 + 1.5)} (measured_peak_errors)
+    low = min((pe for pe in cfg.pe_values if pe > 1.0), default=math.inf)
+    layer = math.exp(-2 * low * (m_c / 3 + 1.5))
+    if layer > 1e-6:
+        raise ConfigError("plateau_elements", f"{m_c} elements leave the level -amplitude "
+                          f"off the model by {layer:.1e} of it at Pe = {low:g}, over 1e-6")
     record = RunRecord(config_hash=cfg.hash())
     rows = []
     t0 = time.perf_counter()

@@ -121,10 +121,9 @@ class Mesh1D:
     def from_length(cls, length: float, dz: float) -> "Mesh1D":
         return cls(dz=dz, node_count=int(round(length / dz)) + 1)
 
-    def nodes(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Coordinates of nodes start..stop-1 (all by default)."""
+    def nodes(self) -> np.ndarray:
         # node indices stay exact in float64, so k*dz keeps its rounding
-        z = np.arange(start, self.node_count if stop is None else stop, dtype=float)
+        z = np.arange(self.node_count, dtype=float)
         z *= self.dz
         return z
 

@@ -7,7 +7,6 @@ keeps the natural zero-gradient row produced by the assembly.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,11 +16,6 @@ from .core import (InvalidArgumentError, Mesh1D, Material, NumericalFailureError
                    RectPulse1D, Scheme, lapack, material_for_peclet, peclet_of)
 
 RESIDUAL_RTOL = 1e-10
-
-# The assembly, the solve and the residual pass over elements and rows this
-# many at a time (64 KiB per float block, well inside L2), so the only
-# full-length arrays are rhs, a_y and the element differences that become b_x.
-BLOCK = 8192
 
 # The exact dz-scaled element. Row i (0 = left, 1 = right node) has a + b*Pe
 # on node j, (a, b) = ELEMENT_LHS[i][j], and the load
@@ -94,25 +88,15 @@ class DiscreteSystem1D:
         return upper
 
     def matmul(self, x: np.ndarray) -> np.ndarray:
-        """A x: the row product over every row."""
-        return self.matmul_rows(x, 0, len(x))
-
-    def matmul_rows(self, x: np.ndarray, start: int, stop: int) -> np.ndarray:
-        """Rows start..stop-1 of A x for the whole vector x, each row summed
-        diagonal term first, then lower, then upper."""
+        """A x, each row summed diagonal term first, then lower, then upper."""
         lower, mid, upper, outlet = self._coefficients()
-        last = len(x) - 1
-        first, end = max(start, 1), min(stop, last)   # rows with a lower, an upper entry
-        y = np.multiply(x[start:stop], mid)
-        if start == 0:
-            y[0] = x[0]
-        if stop > last:
-            y[-1] = outlet * x[last]
-        y[first - start:] += np.multiply(x[first - 1:stop - 1], lower)
-        term = np.multiply(x[start + 1:end + 1], upper)
-        if start == 0:
-            term[0] = 0.0 * x[1]   # the unit row's upper entry is 0
-        y[:end - start] += term
+        y = np.multiply(x, mid)
+        y[0], y[-1] = x[0], outlet * x[-1]
+        term = np.multiply(x[:-1], lower)
+        y[1:] += term
+        np.multiply(x[1:], upper, out=term)
+        term[0] = 0.0 * x[1]   # the unit row's upper entry is 0
+        y[:-1] += term
         return y
 
     def inf_norm(self) -> float:
@@ -135,124 +119,78 @@ def assemble_1d(mesh: Mesh1D, material: Material, profile, scheme: Scheme) -> Di
     """Assemble the dz-scaled system: the element rows and, element by
     element, the load.
 
-    The profile is sampled pointwise, one block of nodes at a time: the
-    nodes of elements s..e-1 are mesh.nodes(s, e + 1). The element-averaged
+    The profile is sampled pointwise at the nodes. The element-averaged
     scheme replaces the two nodal input values of each element by their mean
     before integrating the load, which is what folds the (Z+1) factor into
     the discrete input.
     """
     pe = peclet_of(material, mesh.dz)
+    try:
+        bn = np.asarray(profile.sample(mesh.nodes()), dtype=float)
+    except (AttributeError, TypeError) as err:
+        raise InvalidArgumentError(f"profile cannot be sampled on the mesh: {err}")
+    if bn.shape != (mesh.node_count,):
+        raise InvalidArgumentError("profile samples do not match the mesh nodes")
     # the weights are unit fractions; dividing by their denominators keeps
     # the rounding of the written-out bn/3, bn/6 and bn/4 the CSVs were made with
     load = (LOAD_SCALE[0] + LOAD_SCALE[1] * pe) * mesh.dz
-    count = mesh.element_count
-    rhs = np.empty(mesh.node_count)
-    rhs[count] = 0.0
-    size = min(count, BLOCK)
-    left, right, term = np.empty(size), np.empty(size), np.empty(size)
-    # blocks run from the outlet: when a block adds its right-row loads, its
-    # last node e already holds 0 + the next block's left-row load, so each
-    # node sums 0, then its left, then its right load, as into a zeroed
-    # array; and each page of rhs is written before it is read, so it
-    # faults once
-    for s in reversed(range(0, count, BLOCK)):
-        e = min(s + BLOCK, count)
-        try:
-            bn = np.asarray(profile.sample(mesh.nodes(s, e + 1)), dtype=float)
-        except (AttributeError, TypeError) as err:
-            raise InvalidArgumentError(f"profile cannot be sampled on the mesh: {err}")
-        if bn.shape != (e + 1 - s,):
-            raise InvalidArgumentError("profile samples do not match the mesh nodes")
-        for force, (w0, w1) in zip((left[:e - s], right[:e - s]), ELEMENT_WEIGHTS[scheme]):
-            np.divide(bn[:-1], w0.denominator, out=force)
-            force += np.divide(bn[1:], w1.denominator, out=term[:e - s])
-            force *= load
-        np.add(left[:e - s], 0.0, out=rhs[s:e])
-        rhs[s + 1:e + 1] += right[:e - s]
+    rhs = np.zeros(mesh.node_count)
+    force = np.empty(mesh.element_count)
+    term = np.empty(mesh.element_count)
+    for rows, (w0, w1) in zip((rhs[:-1], rhs[1:]), ELEMENT_WEIGHTS[scheme]):
+        np.divide(bn[:-1], w0.denominator, out=force)
+        force += np.divide(bn[1:], w1.denominator, out=term)
+        force *= load
+        rows += force
 
     # inlet Dirichlet by row replacement; outlet row stays natural
     rhs[0] = 0.0
     return DiscreteSystem1D(element=tuple(map(tuple, _rows(pe))), rhs=rhs, mesh=mesh)
 
 
-def _element_differences(lower: float, upper: float,
-                          rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """d = diff(a_y) from rows 1..n-1, solved from the outlet toward the inlet
-    one block of elements at a time, and max |rhs|.
-
-    Those rows sum to zero bit for bit (the interior diagonal is
-    (1-Pe)+(1+Pe)), so in d they read -lower*d[i-1] + upper*d[i] = rhs[i],
-    the outlet row without its upper term. Divided by the pivot -lower, that
-    is a unit upper-bidiagonal system whose back-substitution multiplies by
-    (-1+Pe)/(1+Pe), at most 1 in magnitude for Pe >= 0: no pivoting, and an
-    upstream tail that decays to zero instead of sticking at a subnormal
-    value. Each block's dtbtrs call re-includes the difference solved last,
-    which its unit row keeps, so LAPACK makes the update across the block
-    boundary and the blocks round as one whole-length solve. Each block's
-    rows of rhs are checked finite before they are read, so a bad entry near
-    the inlet is found last.
-    """
-    count = len(rhs) - 1
-    d = np.empty(count)
-    # only the super-diagonal row is written: diag="U" reads no diagonal
-    ab = np.empty((2, min(count, BLOCK) + 1), order="F")
-    ab[0, 1:] = -(upper / lower)
-    rhs_max = 0.0
-    for s in reversed(range(0, count, BLOCK)):
-        e = min(s + BLOCK, count)
-        # rows s+1..e, and row s: the inlet's unit row in the first block
-        rhs_max = float(np.abs(rhs[s:e + 1]).max(initial=rhs_max))
-        if not rhs_max < math.inf:
-            raise NumericalFailureError("1D system right-hand side has non-finite entries")
-        np.divide(rhs[s + 1:e + 1], -lower, out=d[s:e])
-        block = d[s:min(e + 1, count)]
-        _, info = lapack().dtbtrs(ab[:, :len(block)], block, uplo="U", diag="U",
-                                  overwrite_b=1)
-        if info != 0:
-            raise NumericalFailureError(f"element-flux solve failed: LAPACK dtbtrs info {info}")
-    return d, rhs_max
-
-
 def solve_1d(system: DiscreteSystem1D) -> Solution1D:
     """Element-flux solve of the assembled system with a residual acceptance
-    check, one block of rows at a time.
+    check.
 
-    The element differences d come from rows 1..n-1 alone
-    (_element_differences), a_y is their running sum from the value the
-    inlet's unit row gives, and b_x = -d/dz without re-differencing a_y. The
-    residual is taken on the full rows (DiscreteSystem1D.matmul_rows), so a
-    system whose rows 1..n-1 do not sum to zero fails its budget rather than
-    passing unnoticed. Besides the returned a_y and b_x, only block-sized
-    temporaries are allocated.
+    Rows 1..n-1 sum to zero bit for bit (the interior diagonal is
+    (1-Pe)+(1+Pe)), so in d = diff(a_y) they read
+    -lower*d[i-1] + upper*d[i] = rhs[i], the outlet row without its upper
+    term. Divided by the pivot -lower, that is a unit upper-bidiagonal system,
+    solved from the outlet (LAPACK dtbtrs) in steps of (-1+Pe)/(1+Pe), at most
+    1 in magnitude for Pe >= 0: no pivoting, and an upstream tail that decays
+    to zero instead of sticking at a subnormal value. a_y is the running sum
+    of d from the inlet's unit row, and b_x = -d/dz. The residual is taken on
+    the full rows, so a system whose rows 1..n-1 do not sum to zero fails its
+    budget rather than passing unnoticed.
     """
     lower, mid, upper, outlet = system._coefficients()
     rhs = system.rhs
     if not np.isfinite((lower, mid, upper, outlet)).all():
         raise NumericalFailureError("1D system matrix has non-finite entries")
+    if not np.isfinite(rhs).all():
+        raise NumericalFailureError("1D system right-hand side has non-finite entries")
     if lower == 0:
         raise NumericalFailureError("element-flux solve failed: the pivot of row 1 is "
                                     "exactly zero (singular matrix)")
-    d, rhs_max = _element_differences(lower, upper, rhs)
-    n = len(rhs)
-    a_y = np.empty(n)
+    # only the super-diagonal row is written: diag="U" reads no diagonal
+    ab = np.empty((2, len(rhs) - 1), order="F")
+    ab[0, 1:] = -(upper / lower)
+    d = np.divide(rhs[1:], -lower)
+    d, info = lapack().dtbtrs(ab, d, uplo="U", diag="U", overwrite_b=1)
+    if info != 0:
+        raise NumericalFailureError(f"element-flux solve failed: LAPACK dtbtrs info {info}")
+    a_y = np.empty(len(rhs))
     a_y[0] = rhs[0]
-    a_max = abs(float(rhs[0]))
-    for s in range(1, n, BLOCK):
-        block = a_y[s:s + BLOCK]
-        block[:] = d[s - 1:s - 1 + BLOCK]
-        block[0] += a_y[s - 1]   # the running sum carried into the block
-        np.cumsum(block, out=block)
-        a_max = float(np.abs(block).max(initial=a_max))
-        if not a_max < math.inf:
-            raise NumericalFailureError("solution contains non-finite entries "
-                                        "(matrix is singular or near-singular)")
-    resid = 0.0
-    for s in range(0, n, BLOCK):
-        r = system.matmul_rows(a_y, s, min(s + BLOCK, n))
-        r -= rhs[s:s + BLOCK]
-        resid = float(np.abs(r, out=r).max(initial=resid))   # a NaN stays NaN
+    a_y[1:] = d
+    np.cumsum(a_y, out=a_y)
+    if not np.isfinite(a_y).all():
+        raise NumericalFailureError("solution contains non-finite entries "
+                                    "(matrix is singular or near-singular)")
+    r = system.matmul(a_y)
+    r -= rhs
+    resid = float(np.abs(r, out=r).max())   # a NaN stays NaN
     norm = system.inf_norm()
-    budget = RESIDUAL_RTOL * (norm * a_max + rhs_max)
+    budget = RESIDUAL_RTOL * (norm * float(np.max(np.abs(a_y))) + float(np.max(np.abs(rhs))))
     if not resid <= budget:
         raise NumericalFailureError(
             f"residual {resid:.3e} exceeds budget {budget:.3e}; "

@@ -16,6 +16,7 @@ from eddyfem.cli import (ConfigError, ScenarioConfig, build_1d_case,
 from eddyfem.core import NumericalFailureError, Scheme
 from eddyfem.oracle import peak_error
 from eddyfem.ztransfer import tf_2d
+from test_fem1d import refined_mesh
 from test_ztransfer import perturb_averaged_a_y_weight
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -195,10 +196,6 @@ def _no_assembly(*args):
      "upstream_elements"),
     ("sweep_peak_error.json", "plateau_elements", cli.MAX_SWEEP_ELEMENTS + 1, "plateau_elements"),
     ("sweep_peak_error.json", "downstream_elements", 10 ** 12, "downstream_elements"),
-    # the refined reference has 116 * ceil(Pe / 0.5) + 1 nodes: 232,000,001 at Pe = 1e6
-    ("sweep_peak_error.json", "pe_sweep.hi", 1e6, "pe_sweep"),
-    ("sweep_peak_error.json", "pe_sweep.include", [5000.0], "pe_sweep"),
-    ("sweep_peak_error.json", "pe", [2.0, 5000.0], "pe"),
     # 400 Pe values of the shipped sheet's 4,059 dofs: 1,623,600 dofs held by one run
     ("sheet2d_circle.json", "pe", [2.0 + k for k in range(400)], "pe"),
     # 48,781 Pe values of the shipped pulse's 41 nodes: 2,000,021 nodes held by one run
@@ -242,9 +239,9 @@ def test_mesh_size_caps_admit_the_shipped_and_benchmarked_sizes():
         .node_count * 2 == cli.MAX_RUN_NODES_1D
     with pytest.raises(ConfigError, match="nodes in one run"):
         build_1d_case(ScenarioConfig.from_dict(dict(longest, pe=[2.0, 3.0, 4.0])), 2.0)
-    # the shipped sweep's largest mesh, the reference at Pe = 1000
+    # the tests' Galerkin reference of the shipped sweep at Pe = 1000
     coarse = fem1d.rect_pulse_case(1000.0, 0.2, 40, 30, 40)[0]
-    assert cli.reference_mesh(coarse, 1000.0).node_count == 232_001 <= cli.MAX_NODES_1D
+    assert refined_mesh(coarse, 1000.0).node_count == 232_001 <= cli.MAX_NODES_1D
 
 
 def test_overflowing_velocity_exits_2(tmp_path, capsys, monkeypatch):
@@ -588,10 +585,10 @@ def test_2d_failure_names_its_pe(tmp_path, capsys):
     assert code == 3 and "numerical failure: Pe = 1e+09: 2D band LU pivot" in err
 
 
-@pytest.mark.parametrize("failing_call, label", [(4, "galerkin reference, Pe = 5"),
-                                                 (6, "averaged, Pe = 5")])
+@pytest.mark.parametrize("failing_call, label", [(3, "galerkin, Pe = 5"),
+                                                 (4, "averaged, Pe = 5")])
 def test_sweep_failure_names_its_case(tmp_path, capsys, monkeypatch, failing_call, label):
-    # each Pe solves its refined Galerkin reference, then each scheme
+    # each Pe solves each scheme on its pulse mesh
     calls = []
     solve_1d = fem1d.solve_1d
 
@@ -603,7 +600,7 @@ def test_sweep_failure_names_its_case(tmp_path, capsys, monkeypatch, failing_cal
 
     monkeypatch.setattr(fem1d, "solve_1d", failing)
     raw = {"dimension": 1, "pe": [2.0, 5.0], "dz": 0.2, "upstream_elements": 4,
-           "plateau_elements": 3, "downstream_elements": 4}
+           "plateau_elements": 6, "downstream_elements": 4}
     code, err = _exit_code_and_err(tmp_path, capsys, raw, "sweep-error")
     assert code == 3 and f"numerical failure: {label}: forced failure" in err
 
@@ -655,6 +652,44 @@ def test_measured_error_tracks_closed_form():
     for pe in (2.0, 50.0):
         got = measured_peak_error(pe, 0.2, 40, 30, 40, Scheme.ELEMENT_AVERAGED)
         assert got == pytest.approx(peak_error(Scheme.ELEMENT_AVERAGED, pe, 1.0), abs=1e-9)
+    # the level is -amplitude, so the error scales with it
+    got = measured_peak_error(2.0, 0.2, 40, 30, 40, Scheme.ELEMENT_AVERAGED, 3.0)
+    assert got == pytest.approx(peak_error(Scheme.ELEMENT_AVERAGED, 2.0, 3.0), abs=3e-9)
+
+
+def test_sweep_solves_only_its_pulse_meshes(tmp_path, monkeypatch):
+    # the measured level is the model's -amplitude: no refined mesh is built
+    nodes = []
+    assemble_1d = fem1d.assemble_1d
+
+    def recording(mesh, *args):
+        nodes.append(mesh.node_count)
+        return assemble_1d(mesh, *args)
+
+    monkeypatch.setattr(fem1d, "assemble_1d", recording)
+    assert main(["sweep-error", "--config", str(CONFIG_DIR / "sweep_peak_error.json"),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert len(nodes) == 2 * 26 and max(nodes) == 117
+
+
+@pytest.mark.parametrize("plateau, pe, ok", [(1, [2.0], False), (3, [2.0], False),
+                                             (5, [2.0], False), (6, [2.0], True),
+                                             (3, [3.0, 2.0], False),
+                                             (3, [0.5, 3.0], True), (1, [0.5, 1.0], True)])
+def test_sweep_needs_a_plateau_whose_level_is_minus_amplitude(tmp_path, capsys, monkeypatch,
+                                                              plateau, pe, ok):
+    # the level -amplitude leaves out amplitude * e^{-2 Pe (m_c/3 + 1.5)}: over
+    # 1e-6 of it at the smallest Pe > 1 (3.2e-6 for 5 elements at Pe 2, 8.3e-7
+    # for 6), the config exits 2 before any solve; Pe <= 1 bounds nothing
+    if not ok:
+        _no_assembly(monkeypatch)
+    raw = {"dimension": 1, "pe": pe, "dz": 0.2, "upstream_elements": 4,
+           "plateau_elements": plateau, "downstream_elements": 4, "amplitude": 3.0}
+    code, err = _exit_code_and_err(tmp_path, capsys, raw, "sweep-error")
+    if ok:
+        assert code == 0
+    else:
+        assert code == 2 and "'plateau_elements'" in err and not (tmp_path / "o").exists()
 
 
 def test_shared_reference_gives_the_single_scheme_errors():
@@ -805,9 +840,9 @@ def test_verify_help_and_bad_configs_load_no_scipy(tmp_path):
 
 @pytest.mark.parametrize("command, raw", [
     ("run-1d", "fig_pulse1d_pe2.json"), ("run-2d", "sheet2d_circle.json"),
-    # one Pe on 11 coarse elements: the refined reference has 45 nodes
+    # one Pe on a 21-node pulse mesh
     ("sweep-error", {"dimension": 1, "pe": [2.0], "dz": 0.2, "upstream_elements": 4,
-                     "plateau_elements": 3, "downstream_elements": 4, "svg": False})],
+                     "plateau_elements": 6, "downstream_elements": 4, "svg": False})],
     ids=["run-1d", "run-2d", "sweep-error"])
 def test_solves_load_no_scipy_sparse(tmp_path, command, raw):
     if isinstance(raw, dict):
