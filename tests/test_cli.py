@@ -657,8 +657,14 @@ def test_measured_error_tracks_closed_form():
     assert got == pytest.approx(peak_error(Scheme.ELEMENT_AVERAGED, 2.0, 3.0), abs=3e-9)
 
 
-def test_sweep_solves_only_its_pulse_meshes(tmp_path, monkeypatch):
-    # the measured level is the model's -amplitude: no refined mesh is built
+@pytest.mark.parametrize("path, value, points", [
+    (None, None, 26),
+    # Pe values whose refined Galerkin reference would have 116 * ceil(2 Pe) + 1
+    # nodes: 232,000,001 at Pe = 1e6, 1,160,001 at Pe = 5000
+    ("pe_sweep.hi", 1e6, 27), ("pe_sweep.include", [5000.0], 26), ("pe", [2.0, 5000.0], 2)])
+def test_sweep_solves_only_its_pulse_meshes(tmp_path, monkeypatch, path, value, points):
+    # the measured level is the model's -amplitude: no refined mesh is built,
+    # so no Pe makes a sweep point solve more than the 117-node pulse mesh
     nodes = []
     assemble_1d = fem1d.assemble_1d
 
@@ -667,9 +673,15 @@ def test_sweep_solves_only_its_pulse_meshes(tmp_path, monkeypatch):
         return assemble_1d(mesh, *args)
 
     monkeypatch.setattr(fem1d, "assemble_1d", recording)
-    assert main(["sweep-error", "--config", str(CONFIG_DIR / "sweep_peak_error.json"),
-                 "--out", str(tmp_path / "o")]) == 0
-    assert len(nodes) == 2 * 26 and max(nodes) == 117
+    raw = json.loads((CONFIG_DIR / "sweep_peak_error.json").read_text())
+    if path is not None:
+        raw = _with(raw, path, value)
+    if path == "pe":
+        raw.pop("pe_sweep")
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(raw))
+    assert main(["sweep-error", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    assert len(nodes) == 2 * points and max(nodes) == 117
 
 
 @pytest.mark.parametrize("plateau, pe, ok", [(1, [2.0], False), (3, [2.0], False),

@@ -404,6 +404,37 @@ def test_refined_reference_plateau_level_is_minus_amplitude(pe):
     assert abs(np.mean(b_x[window]) + amplitude) <= 1e-12
 
 
+@pytest.mark.parametrize("pe", [1 + 1e-9, 2.0, 33.3, 1000.0, 1e6])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_kernel_solves_the_pulse_its_refined_reference_and_the_smallest_meshes(pe, scheme):
+    # the pulse case, its refined Galerkin reference (232,001 nodes at Pe
+    # 1000) and 3 to 5 nodes of wide loads: the rhs is the written-out
+    # formulas' bit for bit, the residual is that of the three full diagonals,
+    # and a_y is the pivoted banded LU's solution of the same rows
+    from scipy.linalg import solve_banded
+    mesh, material, profile = rect_pulse_case(pe, 0.2, 40, 30, 40)
+    cases = [(mesh, profile)]
+    if pe <= 1000.0:
+        cases.append((refined_mesh(mesh, pe), profile))
+    cases += [(Mesh1D(0.2, n), _table(n, n, 0.2)) for n in (3, 4, 5)]
+    for mesh, profile in cases:
+        system = assemble_1d(mesh, material, profile, scheme)
+        bn = np.asarray(profile.sample(mesh.nodes()), dtype=float)
+        lower, diag, upper, rhs = _written_out_assembly(mesh, peclet_of(material, mesh.dz), bn,
+                                                        scheme)
+        assert system.rhs.tobytes() == rhs.tobytes()
+        sol = solve_1d(system)
+        product, norm = _array_matmul(system, sol.a_y)
+        assert sol.residual == np.max(np.abs(product - rhs))
+        assert sol.residual <= RESIDUAL_RTOL * (norm * np.max(np.abs(sol.a_y))
+                                                + np.max(np.abs(rhs)))
+        bands = np.zeros((3, mesh.node_count))
+        bands[0, 1:], bands[1], bands[2, :-1] = upper, diag, lower
+        want = solve_banded((1, 1), bands, rhs)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(sol.a_y - want)) <= 1e-12 * scale, mesh.node_count
+
+
 def test_profile_mismatch_raises():
     mesh = Mesh1D(0.25, 11)
     material = material_for_peclet(2.0, 0.25)
