@@ -21,8 +21,10 @@ two tables say how they combine: BLOCK_TABLE into the coupled matrix
 blocks, LOAD_TABLE into the loads of the right-hand side. The float
 production assembly reads both, and exact_patch_rows folds the same element
 rows into the exact Fraction-valued interior stencils that the certificates
-read. assemble_2d writes the coupled matrix once, in one pass over the
-mesh, as the 9-point stencil that the solve and the CSR matrix read.
+read. The grid is uniform along the motion, so the matrix is shift-
+invariant along z: assemble_2d writes it once, as the 9-point stencils of
+its three distinct node columns (inlet, interior and outlet), and the
+solve reads only those.
 
 The block order (phi, A_y, A_z) of DiscreteSystem2D and Solution2D is the
 public contract. solve_2d factors the system as a banded LU (LAPACK
@@ -123,15 +125,26 @@ class RegionMap2D:
 
 class DiscreteSystem2D:
     """The 3M x 3M system, block-ordered (phi, A_y, A_z), BCs applied, held
-    as its stencil S[row field, col field, dy, dz, m, n], the coefficient in
-    the row of (row field, m, n) of the unknown (col field, m + dy - 1,
-    n + dz - 1). ``mirrored`` says that S commutes with the signed
+    as its distinct z-columns. The grid is uniform along the motion, so the
+    rows of node column n are those of stencil column k = column_of[n]:
+    columns[row field, col field, dy, dz, m, k] is the coefficient in the
+    row of (row field, m, n) of the unknown (col field, m + dy - 1,
+    n + dz - 1). An assembled sheet has three columns: inlet, interior and
+    outlet. ``mirrored`` says that the matrix commutes with the signed
     reflection about the centre node row (see solve_2d). solve_2d reads only
-    S, and ``matrix`` is a CSR built from it on first read."""
+    the columns; ``_stencil`` materialises the per-node stencil on each
+    read, and ``matrix`` is a CSR built from it on first read."""
 
-    def __init__(self, stencil: np.ndarray, rhs: np.ndarray, mesh: Mesh2D, mirrored: bool):
-        self._stencil, self.rhs, self.mesh, self.mirrored = stencil, rhs, mesh, mirrored
+    def __init__(self, columns: np.ndarray, column_of, rhs: np.ndarray, mesh: Mesh2D,
+                 mirrored: bool):
+        self.columns, self.column_of = columns, np.asarray(column_of)
+        self.rhs, self.mesh, self.mirrored = rhs, mesh, mirrored
         self._matrix = None
+
+    @property
+    def _stencil(self) -> np.ndarray:
+        """S[row field, col field, dy, dz, m, n], a fresh array."""
+        return self.columns[..., self.column_of]
 
     @property
     def matrix(self) -> sp.spmatrix:
@@ -227,29 +240,34 @@ def _mesh_rows(mesh: Mesh2D, material: Material, regions: RegionMap2D):
 
 def assemble_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
                 profile, scheme: Scheme) -> DiscreteSystem2D:
-    """Assemble the coupled system in one pass over the whole mesh.
+    """Assemble the coupled system in one pass over its distinct z-columns.
 
     All elements in a mesh row share the same elemental blocks (uniform dz,
     per-row dy), so the blocks are computed once per distinct row height,
-    and each (block, i, j) entry is added into the stencil along every
-    mesh row at once. The matrix does not depend on the scheme; the
-    right-hand side is rhs_2d's.
+    and each (block, i, j) entry is added along every mesh row at once.
+    Every interior node column then receives the same sums in the same
+    order, so the adds run on a window of three columns (inlet, interior,
+    outlet) that holds the whole matrix. The matrix does not depend on the
+    scheme; the right-hand side is rhs_2d's.
     """
     blk, factors, fixed = rows = _mesh_rows(mesh, material, regions)
     rhs = _rhs(mesh, regions, profile, scheme, *rows)
     ny, nz = mesh.ny, mesh.nz
-    stencil = np.zeros((3, 3, 3, 3, ny, nz))
+    column_of = np.minimum(np.arange(nz), 1)
+    column_of[-1] = 2
+    columns = np.zeros((3, 3, 3, 3, ny, 3))
     for (rf, cf, _), vals in zip(BLOCK_TABLE, _coupled_blocks(blk, factors)):
         # node (m, n) is corner i = 2*iy + iz of element (m - iy, n - iz), and its
         # corner j sits at (jy - iy, jz - iz); i downwards sums elements in order
         for i, j in itertools.product((3, 2, 1, 0), range(4)):
             (iy, iz), (jy, jz) = divmod(i, 2), divmod(j, 2)
-            stencil[rf, cf, 1 + jy - iy, 1 + jz - iz,
-                    iy:iy + ny - 1, iz:iz + nz - 1] += vals[:, i, j, None]
-    fixed = fixed.reshape(3, ny, nz)   # a Dirichlet row keeps only its unit diagonal
-    np.copyto(stencil, 0.0, where=fixed[:, None, None, None])
-    stencil[range(3), range(3), 1, 1] += fixed
-    return DiscreteSystem2D(stencil, rhs, mesh, _mirrored_mesh(mesh, regions))
+            columns[rf, cf, 1 + jy - iy, 1 + jz - iz,
+                    iy:iy + ny - 1, iz:iz + 2] += vals[:, i, j, None]
+    # a Dirichlet row keeps only its unit diagonal
+    fixed = fixed.reshape(3, ny, nz)[..., [0, 1, nz - 1]]
+    np.copyto(columns, 0.0, where=fixed[:, None, None, None])
+    columns[range(3), range(3), 1, 1] += fixed
+    return DiscreteSystem2D(columns, column_of, rhs, mesh, _mirrored_mesh(mesh, regions))
 
 
 def rhs_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
@@ -331,57 +349,86 @@ def _stencil_to_csr(stencil: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((entries[nonzero], cols[nonzero], indptr), shape=(3 * ny * nz,) * 2)
 
 
-def _sector(stencil: np.ndarray, s: int):
+def _sector(columns: np.ndarray, column_of: np.ndarray, s: int):
     """Mirror sector s (+1 or -1), the vectors with P x = s x, on the lower
     half grid: the band position of each unknown (-1 for the centre-row
-    dofs of field parity -s, which vanish) and the _band parts of its rows,
-    with the centre row's upper columns folded by s * MIRROR_PARITY."""
-    half, parity = (stencil.shape[4] + 1) // 2, np.asarray(MIRROR_PARITY)
-    band = _node_interleaved(half, stencil.shape[5])
+    dofs of field parity -s, which vanish) and the _band arguments of its
+    rows, the lower half of the columns with the centre row's upper
+    entries folded by s * MIRROR_PARITY."""
+    half, parity = (columns.shape[4] + 1) // 2, np.asarray(MIRROR_PARITY)
+    band = _node_interleaved(half, len(column_of))
     inside = np.ones(band.shape, dtype=bool)
     inside[parity != s, half - 1] = False
     # close the gaps the vanishing dofs leave in the band numbering
     gaps = np.searchsorted(np.sort(band[~inside]), band).astype(np.int32)
-    centre = stencil[..., half - 1:half, :].copy()
+    folded = columns[..., :half, :].copy()
+    centre = folded[..., half - 1:half, :]
     centre[:, :, 0] += (s * parity)[:, None, None, None] * centre[:, :, 2]
     centre[:, :, 2] = 0.0
-    return (np.where(inside, band - gaps, np.int32(-1)),
-            [(stencil[..., :half - 1, :], 0), (centre, half - 1)])
+    return np.where(inside, band - gaps, np.int32(-1)), folded, column_of
 
 
-def _band(pos: np.ndarray, parts):
-    """(ab, kl, ku, ||A||inf) of the rows in parts, (stencil, first grid
-    row) pairs, with unknown (c, m, n) at band position pos[c, m, n] (-1:
-    none). A[i, j] sits at ab[kl + ku + i - j, j], below kl rows of
-    workspace for the fill that row pivoting creates."""
-    cols, found = _neighbours(pos, -1), []
-    for stencil, m0 in parts:
-        rows = slice(m0, m0 + stencil.shape[4])
-        i, j = (np.broadcast_to(a, stencil.shape) for a in (pos[:, None, None, None, rows],
-                                                             cols[..., rows, :]))
-        entry = (stencil != 0) & (i >= 0) & (j >= 0)
-        found.append((i[entry], j[entry], stencil[entry]))
-    del cols, i, j, entry   # the band holds the peak memory of the solve
-    i, j, v = (np.concatenate(a) for a in zip(*found))
-    del found
-    n = int(np.max(pos)) + 1
-    norm = float(np.max(np.bincount(i, weights=np.abs(v), minlength=n)))
-    i -= j
-    kl, ku = int(np.max(i, initial=0)), -int(np.min(i, initial=0))
-    height = 2 * kl + ku + 1
-    at = j.astype(np.intp) * height + i + (kl + ku)   # flat index of ab[kl + ku + i - j, j]
-    del i, j
-    ab = np.zeros(height * n)
-    ab[at] = v
+def _band(pos: np.ndarray, columns: np.ndarray, column_of: np.ndarray):
+    """(ab, kl, ku, ||A||inf) of the rows of ``columns`` (node column n
+    reads column column_of[n]), with unknown (c, m, n) at band position
+    pos[c, m, n] (-1: none). A[i, j] sits at ab[kl + ku + i - j, j], below
+    kl rows of workspace for the fill that row pivoting creates.
+
+    The band is a run of slabs along its slow axis (_node_interleaved):
+    node columns when z is slow, node rows when y is. The band columns of
+    slab t hold entries of the rows of slabs t - 1, t and t + 1 alone, so
+    with z slow their block is set by the stencil columns those three
+    slabs read. Each distinct block is scattered once and copied to the
+    slabs that repeat it; node rows differ, so with y slow every block is
+    scattered. A slab's rows repeat with its block, so ||A||inf is the
+    largest row sum over the distinct slabs."""
+    h, nz = pos.shape[1:]
+    z_slow = h <= nz
+    stops = np.max(pos, axis=(0, 1) if z_slow else (0, 2)) + 1
+    starts = np.concatenate([[0], stops[:-1]])
+    ident = np.pad(column_of if z_slow else np.arange(h), 1, constant_values=-1)
+    first = {}
+    keys = zip(ident[:-2], ident[1:-1], ident[2:])
+    rep = [first.setdefault(key, t) for t, key in enumerate(keys)]   # first slab of each key
+    pad = np.pad(pos, ((0, 0), (1, 1), (1, 1)), constant_values=-1)
+    shift = np.arange(3)
+    found, row_sums = [], []
+    for t in first.values():
+        w = np.arange(max(t - 1, 0), min(t + 2, len(stops)))
+        ms, ns = (np.arange(h), w) if z_slow else (w, np.arange(nz))
+        ms, ns = ms[:, None], ns[None, :]
+        v = columns[..., ms, column_of[ns]]
+        i = pos[:, ms, ns][:, None, None, None]
+        j = pad[:, ms + shift[:, None, None, None], ns + shift[:, None, None]]
+        i, j = np.broadcast_to(i, v.shape), np.broadcast_to(j, v.shape)
+        entry = (v != 0) & (i >= 0) & (j >= 0)
+        rows = entry & (starts[t] <= i) & (i < stops[t])
+        row_sums.append(np.max(np.bincount(i[rows] - starts[t], weights=np.abs(v[rows]),
+                                           minlength=stops[t] - starts[t])))
+        cols = entry & (starts[t] <= j) & (j < stops[t])
+        found.append((i[cols], j[cols], v[cols]))
+    norm = float(np.max(row_sums))
+    kl = max(int(np.max(a - b, initial=0)) for a, b, _ in found)
+    ku = max(int(np.max(b - a, initial=0)) for a, b, _ in found)
+    height, n = 2 * kl + ku + 1, int(stops[-1])
+    ab = np.empty(height * n)   # every slab is written once: zeroed and scattered, or copied
+    for t, (i, j, v) in zip(first.values(), found):
+        ab[starts[t] * height:stops[t] * height] = 0.0
+        ab[j.astype(np.intp) * height + (i - j) + (kl + ku)] = v   # ab[kl + ku + i - j, j]
+    for t, r in enumerate(rep):
+        if r != t:
+            ab[starts[t] * height:stops[t] * height] = ab[starts[r] * height:stops[r] * height]
     return ab.reshape(n, height).T, kl, ku, norm
 
 
-def _band_solve(pos: np.ndarray, parts, rhs: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Solve the system of _band(pos, parts) for rhs (3, H, nz, columns) by a
-    banded LU. A pivot |u_kk| <= eps * ||A||inf counts as singular, whether
-    or not elimination produced an exact zero. Returns x (0 where pos is -1), kl."""
+def _band_solve(pos: np.ndarray, columns: np.ndarray, column_of: np.ndarray,
+                rhs: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Solve the system of _band(pos, columns, column_of) for rhs (3, H, nz,
+    right-hand sides) by a banded LU. A pivot |u_kk| <= eps * ||A||inf
+    counts as singular, whether or not elimination produced an exact zero.
+    Returns x (0 where pos is -1), kl."""
     flapack = lapack()
-    ab, kl, ku, norm = _band(pos, parts)
+    ab, kl, ku, norm = _band(pos, columns, column_of)
     lu, piv, info = flapack.dgbtrf(ab, kl, ku, overwrite_ab=1)
     pivots = np.abs(lu[kl + ku])   # the diagonal of U
     floor = np.finfo(float).eps * norm
@@ -405,22 +452,26 @@ MIRROR_PARITY = (-1, 1, -1)
 def solve_2d(system: DiscreteSystem2D, more_rhs: Optional[Sequence[np.ndarray]] = None
              ) -> Union[Solution2D, List[Solution2D]]:
     """Banded LU solve (LAPACK dgbtrf/dgbtrs) with a residual acceptance
-    check on the full stencil for every right-hand side.
+    check on the full matrix for every right-hand side.
 
-    A mirrored system (assemble_2d reads it off the mesh description,
-    _mirrored_mesh), as every sheet of the package is, splits exactly into
-    an even and an odd sector on half the grid height (_sector), each
-    right-hand side into its sector parts (b + s P b) / 2, and each sector's
-    band is filled straight from the stencil. A sector that no right-hand
-    side reaches is never touched, so its singularity is not tested. Other
-    systems get one band LU over the whole grid. ``mirrored`` set on a
-    stencil that does not commute with P fails the residual check.
+    The solve reads only the system's distinct z-columns. A mirrored
+    system (assemble_2d reads it off the mesh description, _mirrored_mesh),
+    as every sheet of the package is, splits exactly into an even and an
+    odd sector on half the grid height, each folded from the columns
+    (_sector), and each right-hand side into its sector parts
+    (b + s P b) / 2. A sector that no right-hand side reaches is never
+    touched, so its singularity is not tested. Other systems get one band
+    LU over the whole grid. Each band is filled from the columns, one
+    scatter per distinct block of band columns (_band). The residual and
+    ||A||inf run over the runs of node columns that read one column
+    (_matvec). ``mirrored`` set on a matrix that does not commute with P
+    fails the residual check.
     Solution2D.band_kl records the kl of each band factored: (66,) for the
     refined sheet at nz = 257 (about 25 MB), (128,) for its whole grid (97
     MB). Given ``more_rhs``, further right-hand sides for the same matrix,
     the factorization is shared and a list of solutions is returned.
     """
-    mesh, stencil = system.mesh, system._stencil
+    mesh, columns, column_of = system.mesh, system.columns, system.column_of
     ny, nz, n = mesh.ny, mesh.nz, 3 * mesh.node_count
     rhs_all = [system.rhs] + list(more_rhs or ())
     if any(np.shape(b) != (n,) for b in rhs_all):
@@ -434,23 +485,22 @@ def solve_2d(system: DiscreteSystem2D, more_rhs: Optional[Sequence[np.ndarray]] 
             part = ((rhs + s * p_rhs) / 2)[:, :half]
             if not np.any(part):
                 continue   # no right-hand side reaches this sector: its x is 0
-            x_s, kl = _band_solve(*_sector(stencil, s), part)
+            x_s, kl = _band_solve(*_sector(columns, column_of, s), part)
             xs[:, :half] += x_s
             xs[:, half:] += s * parity * x_s[:, half - 2::-1]
             band_kl += (kl,)
     else:
-        xs, kl = _band_solve(_node_interleaved(ny, nz), [(stencil, 0)], rhs)
+        xs, kl = _band_solve(_node_interleaved(ny, nz), columns, column_of, rhs)
         band_kl = (kl,)
     # a row adds its 27 terms in column order, like a CSR product of system.matrix
-    row_sums = lambda terms: terms.reshape(3, 27, ny, nz).sum(axis=1)
-    norm_a = float(np.max(row_sums(np.abs(stencil))))
+    norm_a = float(np.max(np.abs(columns).reshape(3, 27, ny, -1).sum(axis=1)))
     sols = []
     for c, b in enumerate(rhs_all):
         x = xs[..., c]
         if not np.all(np.isfinite(x)):
             raise NumericalFailureError("2D solve produced non-finite values "
                                         "(singular or badly scaled system)")
-        resid = float(np.max(np.abs(row_sums(stencil * _neighbours(x, 0.0)).ravel() - b)))
+        resid = float(np.max(np.abs(_matvec(columns, column_of, x).ravel() - b)))
         budget = RESIDUAL_RTOL * (norm_a * float(np.max(np.abs(x))) + float(np.max(np.abs(b))))
         if resid > budget:
             raise NumericalFailureError(
@@ -460,6 +510,25 @@ def solve_2d(system: DiscreteSystem2D, more_rhs: Optional[Sequence[np.ndarray]] 
         sols.append(Solution2D(phi=phi, a_y=a_y, a_z=a_z, b_x=reaction_field_2d(a_y, a_z, mesh),
                                mesh=mesh, residual=resid, band_kl=band_kl))
     return sols[0] if more_rhs is None else sols
+
+
+def _matvec(columns: np.ndarray, column_of: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x on the (3, ny, nz) grid, over each run of node columns that read
+    the same stencil column; every row adds its 27 terms in column order."""
+    ny, nz = x.shape[1:]
+    pad = np.zeros((3, ny + 2, nz + 2))
+    pad[:, 1:-1, 1:-1] = x
+    ax = np.empty_like(x)
+    runs = np.flatnonzero(np.diff(column_of, prepend=-1, append=-1))
+    for a, b in zip(runs[:-1], runs[1:]):
+        col, acc = columns[..., column_of[a], None], ax[..., a:b]
+        for q, (cf, dy, dz) in enumerate(itertools.product(range(3), repeat=3)):
+            term = col[:, cf, dy, dz] * pad[cf, dy:dy + ny, a + dz:b + dz]
+            if q:
+                acc += term
+            else:
+                acc[...] = term
+    return ax
 
 
 def reaction_field_2d(a_y: np.ndarray, a_z: np.ndarray, mesh: Mesh2D) -> np.ndarray:

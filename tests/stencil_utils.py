@@ -1,9 +1,15 @@
 """Shared helpers: the golden pin of the eight named interior-stencil
 polynomials of the coupled 2D system, and the expected interior-row
-stencils built from it, for exact comparison against the assembled rows.
-Unit spacing and mu = 1 throughout (so mu*sigma = 2*Pe/u)."""
+stencils built from it, for exact comparison against the assembled rows
+(unit spacing and mu = 1, so mu*sigma = 2*Pe/u); and the per-node stencil
+with its band scatter and product over the whole grid, the oracles of the
+z-column form that fem2d holds."""
+import itertools
 from fractions import Fraction
 
+import numpy as np
+
+from eddyfem import fem2d
 from eddyfem.core import Scheme
 from eddyfem.zpoly import Poly
 from eddyfem.ztransfer import ZM, ZN
@@ -74,3 +80,75 @@ def expected_rhs_stencils(pe: Fraction, u: Fraction, scheme: Scheme):
     if scheme is Scheme.GALERKIN:
         return {1: poly_stencil(p["M1"], pe / 18), 0: poly_stencil(p["Q1"], u / 12)}
     return {1: poly_stencil(p["N1"], pe / 8), 0: poly_stencil(p["R1"], u / 8)}
+
+
+# ---------------------------------------------------------------------------
+# the whole-grid stencil, node by node
+
+
+def whole_grid_stencil(mesh, material, regions):
+    """S[row field, col field, dy, dz, m, n] by slab adds over every node
+    column of the grid."""
+    blk, factors, fixed = fem2d._mesh_rows(mesh, material, regions)
+    ny, nz = mesh.ny, mesh.nz
+    stencil = np.zeros((3, 3, 3, 3, ny, nz))
+    for (rf, cf, _), vals in zip(fem2d.BLOCK_TABLE, fem2d._coupled_blocks(blk, factors)):
+        for i, j in itertools.product((3, 2, 1, 0), range(4)):
+            (iy, iz), (jy, jz) = divmod(i, 2), divmod(j, 2)
+            stencil[rf, cf, 1 + jy - iy, 1 + jz - iz,
+                    iy:iy + ny - 1, iz:iz + nz - 1] += vals[:, i, j, None]
+    fixed = fixed.reshape(3, ny, nz)
+    np.copyto(stencil, 0.0, where=fixed[:, None, None, None])
+    stencil[range(3), range(3), 1, 1] += fixed
+    return stencil
+
+
+def neighbours(v, fill):
+    """[c, dy, dz, m, n] -> v[c, m + dy - 1, n + dz - 1], ``fill`` off the grid."""
+    f, ny, nz = v.shape
+    pad = np.full((f, ny + 2, nz + 2), fill, dtype=v.dtype)
+    pad[:, 1:-1, 1:-1] = v
+    return np.stack([pad[:, dy:dy + ny, dz:dz + nz] for dy in range(3) for dz in range(3)],
+                    axis=1).reshape(f, 3, 3, ny, nz)
+
+
+def stencil_sector(stencil, s):
+    """Mirror sector s of a per-node stencil: the band position of each
+    unknown and the (stencil, first grid row) parts of its rows."""
+    half, parity = (stencil.shape[4] + 1) // 2, np.asarray(fem2d.MIRROR_PARITY)
+    band = fem2d._node_interleaved(half, stencil.shape[5])
+    inside = np.ones(band.shape, dtype=bool)
+    inside[parity != s, half - 1] = False
+    gaps = np.searchsorted(np.sort(band[~inside]), band).astype(np.int32)
+    centre = stencil[..., half - 1:half, :].copy()
+    centre[:, :, 0] += (s * parity)[:, None, None, None] * centre[:, :, 2]
+    centre[:, :, 2] = 0.0
+    return (np.where(inside, band - gaps, np.int32(-1)),
+            [(stencil[..., :half - 1, :], 0), (centre, half - 1)])
+
+
+def stencil_band(pos, parts):
+    """(ab, kl, ku, ||A||inf) of the rows in parts, one scatter over every
+    node of the grid."""
+    cols, found = neighbours(pos, -1), []
+    for stencil, m0 in parts:
+        rows = slice(m0, m0 + stencil.shape[4])
+        i, j = (np.broadcast_to(a, stencil.shape) for a in (pos[:, None, None, None, rows],
+                                                             cols[..., rows, :]))
+        entry = (stencil != 0) & (i >= 0) & (j >= 0)
+        found.append((i[entry], j[entry], stencil[entry]))
+    i, j, v = (np.concatenate(a) for a in zip(*found))
+    n = int(np.max(pos)) + 1
+    norm = float(np.max(np.bincount(i, weights=np.abs(v), minlength=n)))
+    i -= j
+    kl, ku = int(np.max(i, initial=0)), -int(np.min(i, initial=0))
+    height = 2 * kl + ku + 1
+    ab = np.zeros(height * n)
+    ab[j.astype(np.intp) * height + i + (kl + ku)] = v
+    return ab.reshape(n, height).T, kl, ku, norm
+
+
+def stencil_matvec(stencil, x):
+    """A x on the (3, ny, nz) grid; a row adds its 27 terms in column order."""
+    ny, nz = x.shape[1:]
+    return (stencil * neighbours(x, 0.0)).reshape(3, 27, ny, nz).sum(axis=1)

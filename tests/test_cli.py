@@ -694,7 +694,7 @@ def test_sweep_needs_a_plateau_whose_level_is_minus_amplitude(tmp_path, capsys, 
     # 1e-6 of it at the smallest Pe > 1 (3.2e-6 for 5 elements at Pe 2, 8.3e-7
     # for 6), the config exits 2 before any solve; Pe <= 1 bounds nothing
     if not ok:
-        _no_assembly(monkeypatch)
+        _forbid_assembly(monkeypatch)
     raw = {"dimension": 1, "pe": pe, "dz": 0.2, "upstream_elements": 4,
            "plateau_elements": plateau, "downstream_elements": 4, "amplitude": 3.0}
     code, err = _exit_code_and_err(tmp_path, capsys, raw, "sweep-error")
@@ -893,7 +893,7 @@ def test_unreadable_config_files_exit_2(tmp_path, capsys, content):
     assert "'<file>'" in capsys.readouterr().err and not (tmp_path / "o").exists()
 
 
-def _no_assembly(monkeypatch):
+def _forbid_assembly(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a case was assembled")
 
@@ -902,7 +902,7 @@ def _no_assembly(monkeypatch):
 
 @pytest.mark.parametrize("out", ["file", "file/x"])
 def test_out_under_a_file_exits_2_before_any_case_is_built(tmp_path, capsys, monkeypatch, out):
-    _no_assembly(monkeypatch)
+    _forbid_assembly(monkeypatch)
     (tmp_path / "file").write_text("kept")
     assert main(["run-1d", "--config", str(CONFIG_DIR / "fig_pulse1d_pe2.json"),
                  "--out", str(tmp_path / out)]) == 2
@@ -913,7 +913,7 @@ def test_out_under_a_file_exits_2_before_any_case_is_built(tmp_path, capsys, mon
 def test_sweep_error_has_no_scheme_knob(tmp_path, capsys, monkeypatch):
     # the sweep measures both schemes: --scheme is not an option of it, and
     # a config scheme other than both is named before any output is made
-    _no_assembly(monkeypatch)
+    _forbid_assembly(monkeypatch)
     config = CONFIG_DIR / "sweep_peak_error.json"
     with pytest.raises(SystemExit) as exit_:
         main(["sweep-error", "--config", str(config), "--scheme", "averaged"])

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,8 @@ from eddyfem.fem2d import (BLOCK_TABLE, MIRROR_PARITY, DiscreteSystem2D,
                            oscillation_metric, rhs_2d, solve_2d)
 from eddyfem.cli import verify
 from eddyfem.ztransfer import tf_2d
-from stencil_utils import expected_lhs_stencils, expected_rhs_stencils
+from stencil_utils import (expected_lhs_stencils, expected_rhs_stencils, stencil_band,
+                           stencil_matvec, stencil_sector, whole_grid_stencil)
 
 PE = Fraction(7, 2)
 U = Fraction(3)
@@ -443,7 +445,8 @@ def test_sector_and_whole_grid_solves_agree(monkeypatch):
     assert system.mirrored
     calls = counted_dgbtrf(monkeypatch)
     sectors = solve_2d(system)
-    whole = solve_2d(DiscreteSystem2D(system._stencil, system.rhs, system.mesh, False))
+    whole = solve_2d(DiscreteSystem2D(system.columns, system.column_of, system.rhs,
+                                      system.mesh, False))
     assert sectors.band_kl == (15,) and whole.band_kl == (26,) and calls == [15, 26]
     assert np.max(np.abs(flat(sectors) - flat(whole))) <= 1e-12 * np.max(np.abs(flat(whole)))
 
@@ -458,7 +461,7 @@ def test_a_wrong_mirrored_flag_fails_the_residual_check():
     assert not system.mirrored
     solve_2d(system)
     with pytest.raises(NumericalFailureError, match="2D residual .* exceeds budget"):
-        solve_2d(DiscreteSystem2D(system._stencil, system.rhs, mesh, True))
+        solve_2d(DiscreteSystem2D(system.columns, system.column_of, system.rhs, mesh, True))
 
 
 class OffAxis:
@@ -570,7 +573,7 @@ def test_sector_band_matches_an_independent_fold(case, s):
     system = assemble_2d(*SECTOR_CASES[case](), Scheme.GALERKIN)
     a, mesh = system.matrix, system.mesh
     keep, q, perm = csr_sector_fold(a, mesh, s)
-    ab, kl, ku, norm = fem2d._band(*fem2d._sector(system._stencil, s))
+    ab, kl, ku, norm = fem2d._band(*fem2d._sector(system.columns, system.column_of, s))
     ref, kl_ref, ku_ref = band_of(a[keep] @ q, perm, kl, ku)
     mag, _, _ = band_of(abs(a[keep]) @ abs(q), perm, kl, ku)
     assert (kl, ku) == (kl_ref, ku_ref)
@@ -604,7 +607,7 @@ def test_skipped_odd_sector_clears_the_pivot_floor(field, pe, monkeypatch):
     load = np.zeros((3 * mesh.node_count, 1))
     load[keep] = np.random.default_rng(3).standard_normal((len(keep), 1))
     x = np.zeros((3, mesh.ny, mesh.nz, 1))
-    x[:, :half], _ = fem2d._band_solve(*fem2d._sector(system._stencil, -1),
+    x[:, :half], _ = fem2d._band_solve(*fem2d._sector(system.columns, system.column_of, -1),
                                         load.reshape(x.shape)[:, :half])
     (pivots, info), = factored
     floor = np.finfo(float).eps * float(np.max(np.abs(a_odd).sum(axis=1)))
@@ -753,7 +756,7 @@ def test_multi_rhs_solve_equals_separate_solves():
     sols = solve_2d(g, more_rhs=more)
     assert len(sols) == 3
     for sol, rhs in zip(sols, [g.rhs] + more):
-        ref = solve_2d(DiscreteSystem2D(g._stencil, rhs, g.mesh, g.mirrored))
+        ref = solve_2d(DiscreteSystem2D(g.columns, g.column_of, rhs, g.mesh, g.mirrored))
         for name in ("phi", "a_y", "a_z", "b_x"):
             assert np.array_equal(getattr(sol, name), getattr(ref, name)), name
         assert sol.residual == ref.residual
@@ -837,7 +840,7 @@ def test_region_map_mesh_mismatch_raises():
 def test_singular_system_raises():
     mesh = Mesh2D.uniform(nz=3, ny=3, dz=1.0, dy=1.0)
     stencil = np.zeros((3, 3, 3, 3, mesh.ny, mesh.nz))
-    bad = DiscreteSystem2D(stencil, np.ones(3 * mesh.node_count), mesh, False)
+    bad = DiscreteSystem2D(stencil, np.arange(mesh.nz), np.ones(3 * mesh.node_count), mesh, False)
     with pytest.raises(NumericalFailureError):
         solve_2d(bad)
 
@@ -847,13 +850,115 @@ def test_rank_deficient_system_raises():
     # right-hand side; the whole grid is factored
     mesh, material, regions, profile, scheme = uniform_conductor_case()
     system = assemble_2d(mesh, material, regions, profile, scheme)
-    stencil, rhs = system._stencil.copy(), system.rhs.reshape(3, mesh.ny, mesh.nz).copy()
+    stencil, rhs = system._stencil, system.rhs.reshape(3, mesh.ny, mesh.nz).copy()
     m, n = mesh.ny // 2, mesh.nz // 2
     stencil[2, ..., m, n] = stencil[0, ..., m, n]
     rhs[2, m, n] = rhs[0, m, n]
-    bad = DiscreteSystem2D(stencil, rhs.ravel(), mesh, False)
+    bad = DiscreteSystem2D(stencil, np.arange(mesh.nz), rhs.ravel(), mesh, False)
     with pytest.raises(NumericalFailureError, match="singular or too ill-conditioned"):
         solve_2d(bad)
+
+
+# ---------------------------------------------------------------------------
+# the z-column form against the whole-grid stencil
+
+
+COLUMN_CASES = {
+    **{f"{name}_{nz}": (lambda nz=nz, field=field: sheet_parts(60.0, nz=nz, field=field))
+       for name, field in (("circle", CIRCLE), ("rect", RECT)) for nz in (33, 257)},
+    "graded_air": graded_air_case,
+    **{f"nz_{nz}": (lambda nz=nz: uniform_conductor_case(nz=nz)[:4]) for nz in (3, 4, 5, 6)},
+}
+
+
+@pytest.mark.parametrize("case", list(COLUMN_CASES))
+def test_columns_are_the_whole_grid_stencil_bit_for_bit(case):
+    # the grid is uniform along z, so the inlet, interior and outlet
+    # columns hold every node column's sums in the whole grid's order
+    parts = COLUMN_CASES[case]()
+    system = assemble_2d(*parts, Scheme.GALERKIN)
+    nz = system.mesh.nz
+    assert system.columns.shape[-1] == 3
+    assert system.column_of.tolist() == [0] + [1] * (nz - 2) + [2]
+    assert system._stencil.tobytes() == whole_grid_stencil(*parts[:3]).tobytes()
+
+
+def recorded_bands(monkeypatch):
+    """Record (ab, kl, ku, norm) of every band filled from here on, before
+    it is factored in place."""
+    bands, band = [], fem2d._band
+
+    def recording(*args):
+        ab, kl, ku, norm = band(*args)
+        bands.append((ab.copy(), kl, ku, norm))
+        return ab, kl, ku, norm
+
+    monkeypatch.setattr(fem2d, "_band", recording)
+    return bands
+
+
+# (mesh parts, solved by mirror sectors); the slow band axis is z for the
+# shipped sector (half 21 <= nz 33), its refined grid and the even-ny grid
+# (ny 12 <= nz 15), y for the coarse whole grid (ny 41 > nz 33) and the
+# nz = 5 grid (half 21 > nz 5)
+BAND_CASES = {
+    "sheet_sectors": (lambda: sheet_parts(60.0), True),
+    "sheet_whole": (lambda: sheet_parts(60.0), False),
+    "minimal_sectors": (lambda: sheet_parts(60.0, nz=5), True),
+    "minimal_whole": (lambda: sheet_parts(60.0, nz=5), False),
+    "refined_sectors": (lambda: sheet_parts(60.0, nz=257), True),
+    "even_ny_whole": (lambda: uniform_conductor_case(nz=15, ny=12)[:4], False),
+}
+
+
+@pytest.mark.parametrize("case", list(BAND_CASES))
+def test_factored_band_is_the_whole_grid_scatter_bit_for_bit(case, monkeypatch):
+    # both sectors (a random load reaches the odd one) or the whole grid:
+    # each band factored is the node-by-node scatter of the materialised
+    # stencil, and each residual is its product, bit for bit
+    make, sectors = BAND_CASES[case]
+    parts = make()
+    system = assemble_2d(*parts, Scheme.GALERKIN)
+    mesh = system.mesh
+    system = DiscreteSystem2D(system.columns, system.column_of, system.rhs, mesh, sectors)
+    load = np.random.default_rng(11).standard_normal(system.rhs.shape)
+    bands = recorded_bands(monkeypatch)
+    sols = solve_2d(system, more_rhs=[load])
+    stencil = whole_grid_stencil(*parts[:3])
+    if sectors:
+        refs = [stencil_band(*stencil_sector(stencil, s)) for s in (1, -1)]
+    else:
+        refs = [stencil_band(fem2d._node_interleaved(mesh.ny, mesh.nz), [(stencil, 0)])]
+    assert len(bands) == len(refs)
+    for (ab, kl, ku, norm), (ab_r, kl_r, ku_r, norm_r) in zip(bands, refs):
+        assert (kl, ku, norm) == (kl_r, ku_r, norm_r)
+        assert ab.shape == ab_r.shape and ab.tobytes() == ab_r.tobytes()
+    for sol, b in zip(sols, (system.rhs, load)):
+        ax = stencil_matvec(stencil, np.stack([sol.phi, sol.a_y, sol.a_z]))
+        assert sol.residual == np.max(np.abs(ax.ravel() - b))
+
+
+def test_hand_built_columns_fill_every_block():
+    # a stencil that is not invariant along z, one column per node column:
+    # the edited node of test_rank_deficient_system_raises, whose band and
+    # product are the whole-grid scatter's; and a solve of the same grid
+    # with that node's rows scaled instead
+    mesh, material, regions, profile, scheme = uniform_conductor_case()
+    system = assemble_2d(mesh, material, regions, profile, scheme)
+    m, n, every = mesh.ny // 2, mesh.nz // 2, np.arange(mesh.nz)
+    stencil = system._stencil
+    stencil[2, ..., m, n] = stencil[0, ..., m, n]
+    pos = fem2d._node_interleaved(mesh.ny, mesh.nz)
+    ab, kl, ku, norm = fem2d._band(pos, stencil, every)
+    ab_r, kl_r, ku_r, norm_r = stencil_band(pos, [(stencil, 0)])
+    assert (kl, ku, norm) == (kl_r, ku_r, norm_r) and ab.tobytes() == ab_r.tobytes()
+    x = np.random.default_rng(2).standard_normal((3, mesh.ny, mesh.nz))
+    assert fem2d._matvec(stencil, every, x).tobytes() == stencil_matvec(stencil, x).tobytes()
+    stencil = system._stencil
+    stencil[..., m, n] *= 1.5
+    sol = solve_2d(DiscreteSystem2D(stencil, every, system.rhs, mesh, False))
+    ax = stencil_matvec(stencil, np.stack([sol.phi, sol.a_y, sol.a_z]))
+    assert sol.residual == np.max(np.abs(ax.ravel() - system.rhs))
 
 
 def test_in_place_edit_of_the_matrix_does_not_change_a_solve():
@@ -875,3 +980,39 @@ def test_assembly_and_solve_build_no_csr(monkeypatch):
     assert len(sol[1].band_kl) == 2
     with pytest.raises(AssertionError, match="CSR"):
         system.matrix
+
+
+def test_assembly_and_solve_never_materialise_the_stencil(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the per-node stencil was materialised")
+
+    monkeypatch.setattr(DiscreteSystem2D, "_stencil", property(refuse))
+    system = sheet_system(60.0, Scheme.ELEMENT_AVERAGED)
+    load = np.random.default_rng(1).standard_normal(system.rhs.shape)
+    assert len(solve_2d(system, more_rhs=[load])[1].band_kl) == 2
+    solve_2d(DiscreteSystem2D(system.columns, system.column_of, system.rhs, system.mesh, False))
+    with pytest.raises(AssertionError, match="materialised"):
+        system.matrix
+
+
+def test_refined_sheet_peaks_within_a_fifth_above_its_band(monkeypatch):
+    # the band of the even sector is the one large array of assembly and
+    # solve; the per-node stencil and whole-grid scatter indices used to
+    # lift the peak to 1.46 times its size
+    parts = sheet_parts(60.0, nz=257)
+    solve_2d(assemble_2d(*parts, Scheme.GALERKIN))   # loads LAPACK
+    sizes, dgbtrf = [], lapack().dgbtrf
+
+    def sizing(ab, kl, ku, **kwargs):
+        sizes.append(ab.nbytes)
+        return dgbtrf(ab, kl, ku, **kwargs)
+
+    monkeypatch.setattr(lapack(), "dgbtrf", sizing)
+    tracemalloc.start()
+    try:
+        solve_2d(assemble_2d(*parts, Scheme.GALERKIN))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sizes) == 1 and sizes[0] > 20e6
+    assert peak <= 1.2 * sizes[0]

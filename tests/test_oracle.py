@@ -193,3 +193,41 @@ def test_anchored_evaluation_survives_long_domains():
     y = sol.nodal_values()
     assert np.all(np.isfinite(y))
     assert growth_ratio(2.0) == -3.0
+
+
+def loop_nodal_values(sol):
+    """The closed form node by node, one sub-domain evaluator call each."""
+    p, m = sol.params, oracle.TRANSITION_SPAN
+    y = np.empty(sol.node_count)
+    for g in range(sol.node_count):
+        if g <= p.m_b:
+            y[g] = sol.y_b(g)
+        elif g <= p.m_b + m:
+            y[g] = sol.y_f(g - p.m_b)
+        elif g <= p.m_b + m + p.m_c:
+            y[g] = sol.y_c(g - p.m_b - m)
+        elif g <= p.m_b + 2 * m + p.m_c:
+            y[g] = sol.y_g(g - p.m_b - m - p.m_c)
+        else:
+            y[g] = sol.y_d(g - p.m_b - 2 * m - p.m_c)
+    return y
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_vector_nodal_values_match_the_node_loop(scheme):
+    # numpy's power of |r| and Python's r ** n can differ in the last bit;
+    # over the sweep's layout the gap stays below 0.04 eps of the largest
+    # value, so one eps bounds it; the inlet value is exactly 0 and the
+    # transitions and the downstream run keep their bits
+    pes = list(np.geomspace(1.1, 1000.0, 60)) + [1 + 1e-9, 2.0, 1e6]
+    layouts = [(0.2, 40, 30, 40), (0.1, 600, 200, 600), (0.2, 1, 1, 1)]
+    layouts += [(dz, m_b, m_c, m_d) for _, _, dz, m_b, m_c, m_d in FIG8_CASES]
+    eps = np.finfo(float).eps
+    for pe in pes:
+        for dz, m_b, m_c, m_d in layouts:
+            sol = analytic_solve(pe, dz, 1.0, m_b, m_c, m_d, scheme)
+            got, want = sol.nodal_values(), loop_nodal_values(sol)
+            assert got[0] == want[0] == 0.0
+            assert np.max(np.abs(got - want)) <= eps * np.max(np.abs(want)), (pe, m_b)
+            exact = np.r_[m_b + 1:m_b + 4, m_b + m_c + 4:len(got)]
+            assert got[exact].tobytes() == want[exact].tobytes(), (pe, m_b)
