@@ -44,20 +44,15 @@ def exact_stencil(pe, scheme: Scheme):
     return _fold(_rows(pe)), tuple(scale * w for w in _fold(ELEMENT_WEIGHTS[scheme]))
 
 
-def input_weights(scheme: Scheme) -> np.ndarray:
-    """Three-node weights applied to the nodal input flux density: (1, 4, 1)/6
-    (Galerkin) or (1, 2, 1)/4 (element-averaged)."""
-    return np.array([float(w) for w in _fold(ELEMENT_WEIGHTS[scheme])])
-
-
 @dataclass(frozen=True)
 class DiscreteSystem1D:
     """The dz-scaled system on the uniform mesh, held as its float element
     rows ((l00, l01), (l10, l11)) of _rows(Pe) plus the load rhs.
 
     Row 0 is the Dirichlet unit row, each interior row the fold
-    (l10, l00 + l11, l01) and the outlet row (l10, l11). No coefficient array
-    is stored: lower, diag and upper build the diagonals on each read.
+    _fold(element) = (l10, l11 + l00, l01), the one that exact_stencil reads,
+    and the outlet row (l10, l11). No coefficient array is stored: lower,
+    diag and upper build the diagonals on each read.
     """
 
     element: tuple
@@ -65,10 +60,9 @@ class DiscreteSystem1D:
     mesh: Mesh1D
 
     def _coefficients(self):
-        """(lower, interior diagonal, upper, outlet diagonal), each rounded as
-        a sum into zeroed diagonals, element by element."""
-        (l00, l01), (l10, l11) = self.element
-        return 0.0 + l10, 0.0 + l00 + l11, 0.0 + l01, 0.0 + l11
+        """(lower, interior diagonal, upper, outlet diagonal): the interior
+        row's _fold of the element rows, then the outlet's own diagonal."""
+        return (*_fold(self.element), self.element[1][1])
 
     @property
     def lower(self) -> np.ndarray:

@@ -19,12 +19,12 @@ node on the y = 0 row to fix its additive constant.
 The elemental blocks are computed in the arithmetic of their inputs, and
 two tables say how they combine: BLOCK_TABLE into the coupled matrix
 blocks, LOAD_TABLE into the loads of the right-hand side. The float
-production assembly reads both, and exact_patch_rows folds the same element
-rows into the exact Fraction-valued interior stencils that the certificates
-read. The grid is uniform along the motion, so the matrix is shift-
-invariant along z: assemble_2d writes it once, as the 9-point stencils of
-its three distinct node columns (inlet, interior and outlet), and the
-solve reads only those.
+production assembly reads both, and exact_patch_rows runs assemble_2d's
+own fold (_fold) on one element in Fractions, to give the exact interior
+stencils that the certificates read. The grid is uniform along the motion,
+so the matrix is shift-invariant along z: assemble_2d writes it once, as
+the 9-point stencils of its three distinct node columns (inlet, interior
+and outlet), and the solve reads only those.
 
 The block order (phi, A_y, A_z) of DiscreteSystem2D and Solution2D is the
 public contract. solve_2d factors the system as a banded LU (LAPACK
@@ -256,18 +256,28 @@ def assemble_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
     column_of = np.minimum(np.arange(nz), 1)
     column_of[-1] = 2
     columns = np.zeros((3, 3, 3, 3, ny, 3))
-    for (rf, cf, _), vals in zip(BLOCK_TABLE, _coupled_blocks(blk, factors)):
-        # node (m, n) is corner i = 2*iy + iz of element (m - iy, n - iz), and its
-        # corner j sits at (jy - iy, jz - iz); i downwards sums elements in order
-        for i, j in itertools.product((3, 2, 1, 0), range(4)):
-            (iy, iz), (jy, jz) = divmod(i, 2), divmod(j, 2)
-            columns[rf, cf, 1 + jy - iy, 1 + jz - iz,
-                    iy:iy + ny - 1, iz:iz + 2] += vals[:, i, j, None]
+    rf, cf, _ = zip(*BLOCK_TABLE)
+    columns[rf, cf] = _fold(np.stack(_coupled_blocks(blk, factors)), 2)
     # a Dirichlet row keeps only its unit diagonal
     fixed = fixed.reshape(3, ny, nz)[..., [0, 1, nz - 1]]
     np.copyto(columns, 0.0, where=fixed[:, None, None, None])
     columns[range(3), range(3), 1, 1] += fixed
     return DiscreteSystem2D(columns, column_of, rhs, mesh, _mirrored_mesh(mesh, regions))
+
+
+def _fold(rows: np.ndarray, width: int) -> np.ndarray:
+    """S[b, dy, dz, m, n], the coefficient in the row of node (m, n) of node
+    (m + dy - 1, n + dz - 1), folded in the arithmetic of the element rows
+    rows[b, r, i, j] (table entry b, mesh row r, corners i, j) on a strip of
+    ``width`` elements along z. assemble_2d and exact_patch_rows both read it."""
+    count, height = rows.shape[:2]
+    out = np.zeros((count, 3, 3, height + 1, width + 1), dtype=rows.dtype)
+    # node (m, n) is corner i = 2*iy + iz of element (m - iy, n - iz), whose corner
+    # j = 2*jy + jz is offset by (jy, jz) - (iy, iz); i downwards sums elements in order
+    for i, j in itertools.product((3, 2, 1, 0), range(4)):
+        (iy, iz), (jy, jz) = divmod(i, 2), divmod(j, 2)
+        out[:, 1 + jy - iy, 1 + jz - iz, iy:iy + height, iz:iz + width] += rows[:, :, i, j, None]
+    return out
 
 
 def rhs_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
@@ -576,8 +586,10 @@ def oscillation_metric(trace, amplitude: float) -> float:
 
 def exact_patch_rows(pe, u, scheme: Scheme):
     """The interior-node row stencils of a uniform all-conductor mesh with
-    unit spacing, in exact rational arithmetic, folded from the BLOCK_TABLE
-    and LOAD_TABLE rows of the four elements around the node.
+    unit spacing, in exact rational arithmetic: assemble_2d's own fold
+    (_fold) of the BLOCK_TABLE and LOAD_TABLE rows of one element, summed
+    over its four corner nodes, which take the node's place in the four
+    elements around it.
 
     Returns (lhs, rhs_weights): lhs maps (row_field, col_field) to
     {(i+1, j+1): coeff} stencil dictionaries keyed like the Z_n/Z_m
@@ -589,20 +601,12 @@ def exact_patch_rows(pe, u, scheme: Scheme):
     pe, u, one = Fraction(pe), Fraction(u), Fraction(1)
     factors = {"flag": one, "u": u, "musig": 2 * pe / u}
     blk = elemental_blocks(one, one)
-    lhs = dict(zip((spec[:2] for spec in BLOCK_TABLE), _coupled_blocks(blk, factors)))
     # a load that weighs the corner mean weighs each corner by a quarter
     corner_weights = lambda w: w if w.ndim == 2 else np.multiply.outer(w, np.full(4, one / 4))
-    rhs_w = {field: _coef(sign, names, factors) * corner_weights(blk[loads[scheme]])
-             for field, sign, names, loads in LOAD_TABLE}
-
-    def fold(rows):
-        # the node is corner i = 2*iy + iz of one element around it, whose
-        # corner j = 2*jy + jz sits at stencil offset (1 + jz - iz, 1 + jy - iy)
-        stencil = {}
-        for (i, j), w in np.ndenumerate(rows):
-            (iy, iz), (jy, jz) = divmod(i, 2), divmod(j, 2)
-            off = (1 + jz - iz, 1 + jy - iy)
-            stencil[off] = stencil.get(off, 0) + w
-        return {o: w for o, w in stencil.items() if w != 0}
-
-    return ({k: fold(b) for k, b in lhs.items()}, {k: fold(b) for k, b in rhs_w.items()})
+    rows = _coupled_blocks(blk, factors) + [
+        _coef(sign, names, factors) * corner_weights(blk[loads[scheme]])
+        for _, sign, names, loads in LOAD_TABLE]
+    stencils = [{(dz, dy): w for (dy, dz), w in np.ndenumerate(stencil) if w != 0}
+                for stencil in _fold(np.stack(rows)[:, None], 1).sum(axis=(3, 4))]
+    return (dict(zip((spec[:2] for spec in BLOCK_TABLE), stencils)),
+            dict(zip((spec[0] for spec in LOAD_TABLE), stencils[len(BLOCK_TABLE):])))

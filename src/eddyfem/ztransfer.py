@@ -7,7 +7,7 @@ identities, and the exact certificate of the paper's 1D peak-error bound.
 Every stencil and input weight here is read from the tables the float
 assembly reads: tf_1d from the fem1d element table, tf_2d and polys_2d
 from fem2d.exact_patch_rows, which folds fem2d.BLOCK_TABLE and
-fem2d.LOAD_TABLE exactly.
+fem2d.LOAD_TABLE exactly with the assembly's own fold, fem2d._fold.
 
 Everything here is exact-rational (see zpoly); numeric root-finding happens
 only after exact GCD reduction, so a reported cancellation can never be a
@@ -337,8 +337,8 @@ def tf_2d(scheme: Scheme) -> TransferFunction2D:
     """Derive the high-Pe transfer function by Cramer's rule on the exact
     3x3 interior-stencil matrix A of the coupled (phi, A_y, A_z) rows.
 
-    A and the input weights come from fem2d.exact_patch_rows, which reads
-    the BLOCK_TABLE and LOAD_TABLE of the production assembly (unit
+    A and the input weights come from fem2d.exact_patch_rows, which runs
+    the production assembly's fold of its BLOCK_TABLE and LOAD_TABLE (unit
     spacing, u = 1). The denominator is det A, the numerator det A with its
     A_y column replaced by the input-weight stencils; each is read off the
     split A = A0 + Pe*A1 by _det_pe_leading. Galerkin keeps the oscillatory

@@ -1,9 +1,10 @@
 """Shared helpers: the golden pin of the eight named interior-stencil
 polynomials of the coupled 2D system, and the expected interior-row
 stencils built from it, for exact comparison against the assembled rows
-(unit spacing and mu = 1, so mu*sigma = 2*Pe/u); and the per-node stencil
-with its band scatter and product over the whole grid, the oracles of the
-z-column form that fem2d holds."""
+(unit spacing and mu = 1, so mu*sigma = 2*Pe/u); an element-by-element
+dict fold of the exact interior rows, the oracle of fem2d.exact_patch_rows;
+and the per-node stencil with its band scatter and product over the whole
+grid, the oracles of the z-column form that fem2d holds."""
 import itertools
 from fractions import Fraction
 
@@ -80,6 +81,29 @@ def expected_rhs_stencils(pe: Fraction, u: Fraction, scheme: Scheme):
     if scheme is Scheme.GALERKIN:
         return {1: poly_stencil(p["M1"], pe / 18), 0: poly_stencil(p["Q1"], u / 12)}
     return {1: poly_stencil(p["N1"], pe / 8), 0: poly_stencil(p["R1"], u / 8)}
+
+
+def dict_fold_patch_rows(pe, u, scheme):
+    """exact_patch_rows folded entry by entry into dicts: the node is corner
+    i = 2*iy + iz of one element around it, whose corner j = 2*jy + jz sits
+    at stencil offset (1 + jz - iz, 1 + jy - iy)."""
+    pe, u, one = Fraction(pe), Fraction(u), Fraction(1)
+    factors = {"flag": one, "u": u, "musig": 2 * pe / u}
+    blk = fem2d.elemental_blocks(one, one)
+    lhs = dict(zip((spec[:2] for spec in fem2d.BLOCK_TABLE), fem2d._coupled_blocks(blk, factors)))
+    corner_weights = lambda w: w if w.ndim == 2 else np.multiply.outer(w, np.full(4, one / 4))
+    rhs_w = {field: fem2d._coef(sign, names, factors) * corner_weights(blk[loads[scheme]])
+             for field, sign, names, loads in fem2d.LOAD_TABLE}
+
+    def fold(rows):
+        stencil = {}
+        for (i, j), w in np.ndenumerate(rows):
+            (iy, iz), (jy, jz) = divmod(i, 2), divmod(j, 2)
+            off = (1 + jz - iz, 1 + jy - iy)
+            stencil[off] = stencil.get(off, 0) + w
+        return {o: w for o, w in stencil.items() if w != 0}
+
+    return ({k: fold(b) for k, b in lhs.items()}, {k: fold(b) for k, b in rhs_w.items()})
 
 
 # ---------------------------------------------------------------------------

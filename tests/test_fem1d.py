@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from eddyfem.core import (InvalidArgumentError, Mesh1D, NumericalFailureError,
                           RectPulse1D, Scheme, material_for_peclet, peclet_of)
+from eddyfem import fem1d
 from eddyfem.fem1d import (ELEMENT_WEIGHTS, RESIDUAL_RTOL, DiscreteSystem1D, assemble_1d,
-                           exact_stencil, input_weights, rect_pulse_case, solve_1d)
+                           exact_stencil, rect_pulse_case, solve_1d)
 
 
 def small_case(pe=2.0, dz=0.25, scheme=Scheme.GALERKIN, n=41, pulse=(3.875, 6.125)):
@@ -78,9 +79,23 @@ def test_element_table_folds_to_the_interior_stencil():
         lhs, load = exact_stencil(pe, scheme)
         assert lhs == (-1 - pe, 2, -1 + pe)
         assert load == tuple(2 * pe * Fraction(c, sum(shape)) for c in shape)
-        assert input_weights(scheme).tolist() == [c / sum(shape) for c in shape]
+        weights = fem1d._fold(ELEMENT_WEIGHTS[scheme])
+        assert [float(w) for w in weights] == [c / sum(shape) for c in shape]
         # assemble_1d divides by the denominators of these unit fractions
         assert {w.numerator for row in ELEMENT_WEIGHTS[scheme] for w in row} == {1}
+
+
+def test_exact_stencil_and_matmul_read_one_fold(monkeypatch):
+    # mirror the fold: the exact interior row and the float product both follow
+    fold = fem1d._fold
+    monkeypatch.setattr(fem1d, "_fold", lambda rows: fold(rows)[::-1])
+    pe = Fraction(7, 3)
+    assert exact_stencil(pe, Scheme.GALERKIN)[0] == (-1 + pe, 2, -1 - pe)
+    system, _ = small_case(pe=7 / 3)
+    (l00, l01), (l10, l11) = system.element
+    x = np.arange(system.mesh.node_count, dtype=float) ** 2
+    want = (l11 + l00) * x[1:-1] + l01 * x[:-2] + l10 * x[2:]
+    assert system.matmul(x)[1:-1].tobytes() == want.tobytes()
 
 
 def test_stencil_is_the_central_difference_form_of_the_continuous_model():

@@ -1,4 +1,5 @@
 import io
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -17,8 +18,8 @@ from eddyfem.fem2d import (BLOCK_TABLE, MIRROR_PARITY, DiscreteSystem2D,
                            oscillation_metric, rhs_2d, solve_2d)
 from eddyfem.cli import verify
 from eddyfem.ztransfer import tf_2d
-from stencil_utils import (expected_lhs_stencils, expected_rhs_stencils, stencil_band,
-                           stencil_matvec, stencil_sector, whole_grid_stencil)
+from stencil_utils import (dict_fold_patch_rows, expected_lhs_stencils, expected_rhs_stencils,
+                           stencil_band, stencil_matvec, stencil_sector, whole_grid_stencil)
 
 PE = Fraction(7, 2)
 U = Fraction(3)
@@ -143,6 +144,39 @@ def test_load_table_is_the_one_source_of_the_input_weights(monkeypatch):
     buf = io.StringIO()
     assert verify(stream=buf) == 4
     assert "[FAIL] averaged cancels the Z_n = -1 pole" in buf.getvalue()
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_exact_patch_rows_are_the_dict_fold_exactly(scheme):
+    for pe, u in itertools.product((0, 1, 2, 3, Fraction(7, 2), 10**6), (1, Fraction(3, 2))):
+        assert exact_patch_rows(pe, u, scheme) == dict_fold_patch_rows(pe, u, scheme), (pe, u)
+
+
+def drop_corner_0(rows):
+    rows = rows.copy()
+    rows[..., 0, :] = 0
+    return rows
+
+
+# broken folds of the element rows rows[..., i, j]: corner i = 2*iy + iz
+# left out, the corners mirrored along z, and the corner pair (i, j) swapped
+FOLD_MUTATIONS = {
+    "drop_corner_0": drop_corner_0,
+    "mirror_z": lambda rows: rows[..., [1, 0, 3, 2], :][..., [1, 0, 3, 2]],
+    "swap_corner_pair": lambda rows: rows.swapaxes(-1, -2),
+}
+
+
+@pytest.mark.parametrize("mutation", list(FOLD_MUTATIONS))
+def test_verify_certifies_the_production_fold(mutation, monkeypatch):
+    # one patch of fem2d._fold moves the float interior column and the
+    # exact certificates together, so verify fails
+    parts = uniform_conductor_case()
+    interior = assemble_2d(*parts).columns[..., 1]
+    fold, mutate = fem2d._fold, FOLD_MUTATIONS[mutation]
+    monkeypatch.setattr(fem2d, "_fold", lambda rows, width: fold(mutate(rows), width))
+    assert not np.array_equal(assemble_2d(*parts).columns[..., 1], interior)
+    assert verify(stream=io.StringIO()) == 4
 
 
 def test_constant_input_same_rhs_for_both_schemes():
