@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 config error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -28,14 +27,14 @@ from . import __version__
 from .core import (InvalidArgumentError, Mesh1D, Mesh2D,
                    NumericalFailureError, RectPulse1D, RectPulse2D, Scheme,
                    SmoothCircle2D, material_for_peclet)
-from . import fem1d, fem2d, oracle, ztransfer
+from . import fem1d, fem2d, oracle
 
 MU0 = 4e-7 * math.pi
 # Caps on what a config can make the program allocate, as multiples of the
 # shipped or benchmarked sizes: 400x the 25 sweep points; 25x the 20 sheet rows
 # per side; 16x the refined sheet's nz = 257 and 3x its 31,611 dofs; 250x the
 # sweep's 40 elements per run; about 8,500x the sweep's 117-node mesh, where a
-# 1D assembly and solve peak at 7 float arrays of the nodes (56 MB).
+# 1D assembly and solve peak at 48 MB, 6 float arrays of the nodes.
 # run-2d holds every solution of a run until it writes, about 33 bytes per dof
 # per Pe for both schemes, so its Pe count times the dofs is capped at 16
 # meshes of MAX_DOFS_2D (about 53 MB; 3 Pe at 4,059 dofs are shipped).
@@ -189,16 +188,12 @@ class ScenarioConfig:
             raise ConfigError(unknown[0], f"unknown key (unknown: {', '.join(unknown)})")
         return values
 
-    def hash(self) -> str:
-        canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
 
 @dataclass
 class RunRecord:
-    """What a run produced: config identity, solver statistics, artifacts."""
+    """What a run produced: solver statistics and artifacts. The config
+    itself is echoed in each CSV's header."""
 
-    config_hash: str
     stats: List[dict] = field(default_factory=list)
     outputs: List[str] = field(default_factory=list)
 
@@ -378,7 +373,7 @@ def run_1d(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
                 sol = fem1d.solve_1d(fem1d.assemble_1d(mesh, material, profile, scheme))
             solved.append((scheme, pe, mesh, sol, time.perf_counter() - t0))
     out_dir.mkdir(parents=True, exist_ok=True)
-    record = RunRecord(config_hash=cfg.hash())
+    record = RunRecord()
     for scheme, pe, mesh, sol, wall in solved:
         z = mesh.nodes()
         rows = [(z[i], sol.a_y[i], sol.b_x[i] if i < len(sol.b_x) else None)
@@ -394,7 +389,7 @@ def run_1d(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
 
 def run_2d(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
     cases = [(pe, build_2d_case(cfg, pe)) for pe in cfg.pe_values]
-    record = RunRecord(config_hash=cfg.hash())
+    record = RunRecord()
     # the left-hand side does not depend on the scheme: assemble and factor
     # it once per (mesh, Pe) and solve every scheme's right-hand side with
     # it; wall_s is the time of that joint assembly and solve
@@ -480,7 +475,7 @@ def sweep_error(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
     if layer > 1e-6:
         raise ConfigError("plateau_elements", f"{m_c} elements leave the level -amplitude "
                           f"off the model by {layer:.1e} of it at Pe = {low:g}, over 1e-6")
-    record = RunRecord(config_hash=cfg.hash())
+    record = RunRecord()
     rows = []
     t0 = time.perf_counter()
     for pe in cfg.pe_values:
@@ -505,6 +500,7 @@ def sweep_error(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
 def verify(stream=None) -> int:
     """Run every exact identity check and certificate; print the proof
     reports; return 0 if all hold, 4 otherwise."""
+    from . import ztransfer   # with zpoly, loaded by this command only
     out = stream or sys.stdout
     reports = (ztransfer.run_identity_checks()
                + [ztransfer.peak_error_certificate(s) for s in Scheme]

@@ -1,5 +1,5 @@
 """Shared domain types: materials, meshes, applied-field profiles and the
-per-element Peclet number; and the LAPACK module the solvers call.
+per-element Peclet number; and the LAPACK module the 2D solver calls.
 
 The Peclet number is always recomputed from its constituents
 (``mu * sigma * |u_z| * dz / 2``) so the solver and the Z-domain analyzer
@@ -31,11 +31,12 @@ _FLAPACK = "scipy.linalg._flapack"
 def lapack():
     """scipy's compiled LAPACK module, loaded without the scipy.linalg package.
 
-    The solvers call only dtbtrs, dgbtrf and dgbtrs, which scipy.linalg.lapack
-    re-exports from this f2py module. Importing scipy.linalg would also run
-    its array_api_compat clone of numpy, which loads numpy.testing and
-    numpy.f2py. The extension is loaded under its own name, so a later
-    ``import scipy.linalg`` reuses it, and both paths call the same objects.
+    Only the 2D solver calls it, for dgbtrf and dgbtrs, which
+    scipy.linalg.lapack re-exports from this f2py module. Importing
+    scipy.linalg would also run its array_api_compat clone of numpy, which
+    loads numpy.testing and numpy.f2py. The extension is loaded under its
+    own name, so a later ``import scipy.linalg`` reuses it, and both paths
+    call the same objects.
     """
     module = sys.modules.get(_FLAPACK)
     if module is None:

@@ -3,17 +3,20 @@
 Rows are kept in the dz-scaled form; the element table below is the one
 place where the stencil and the input weights are written down. The inlet
 node is Dirichlet (potential pinned to zero, row replacement); the outlet
-keeps the natural zero-gradient row produced by the assembly.
+keeps the natural zero-gradient row produced by the assembly. The solve
+is a recurrence over plain Python floats from the outlet: it loads no
+scipy, and its bits do not depend on the BLAS or LAPACK build.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .core import (InvalidArgumentError, Mesh1D, Material, NumericalFailureError,
-                   RectPulse1D, Scheme, lapack, material_for_peclet, peclet_of)
+                   RectPulse1D, Scheme, material_for_peclet, peclet_of)
 
 RESIDUAL_RTOL = 1e-10
 
@@ -94,9 +97,10 @@ class DiscreteSystem1D:
         return y
 
     def inf_norm(self) -> float:
-        lower, mid, upper, outlet = self._coefficients()
-        return float(np.max([1.0, abs(mid) + abs(lower) + abs(upper),
-                             abs(outlet) + abs(lower)]))
+        lower, mid, upper, outlet = map(abs, self._coefficients())
+        row, last = mid + lower + upper, outlet + lower
+        # Python's max can drop a NaN; the sum of the two row sums keeps it
+        return math.nan if math.isnan(row + last) else max(1.0, row, last)
 
 
 @dataclass(frozen=True)
@@ -150,32 +154,35 @@ def solve_1d(system: DiscreteSystem1D) -> Solution1D:
     (1-Pe)+(1+Pe)), so in d = diff(a_y) they read
     -lower*d[i-1] + upper*d[i] = rhs[i], the outlet row without its upper
     term. Divided by the pivot -lower, that is a unit upper-bidiagonal system,
-    solved from the outlet (LAPACK dtbtrs) in steps of (-1+Pe)/(1+Pe), at most
-    1 in magnitude for Pe >= 0: no pivoting, and an upstream tail that decays
-    to zero instead of sticking at a subnormal value. a_y is the running sum
-    of d from the inlet's unit row, and b_x = -d/dz. The residual is taken on
-    the full rows, so a system whose rows 1..n-1 do not sum to zero fails its
-    budget rather than passing unnoticed.
+    solved from the outlet as the recurrence d[i] = c[i] - step*d[i+1] in
+    Python floats, with c the rows' rhs over -lower and step =
+    (-1+Pe)/(1+Pe), at most 1 in magnitude for Pe >= 0: no pivoting, and an
+    upstream tail that decays to zero instead of sticking at a subnormal
+    value. a_y is the running sum of d from the inlet's unit row, and
+    b_x = -d/dz. The residual is taken on the full rows, so a system whose
+    rows 1..n-1 do not sum to zero fails its budget rather than passing
+    unnoticed.
     """
     lower, mid, upper, outlet = system._coefficients()
     rhs = system.rhs
-    if not np.isfinite((lower, mid, upper, outlet)).all():
+    if not all(map(math.isfinite, (lower, mid, upper, outlet))):
         raise NumericalFailureError("1D system matrix has non-finite entries")
     if not np.isfinite(rhs).all():
         raise NumericalFailureError("1D system right-hand side has non-finite entries")
     if lower == 0:
         raise NumericalFailureError("element-flux solve failed: the pivot of row 1 is "
                                     "exactly zero (singular matrix)")
-    # only the super-diagonal row is written: diag="U" reads no diagonal
-    ab = np.empty((2, len(rhs) - 1), order="F")
-    ab[0, 1:] = -(upper / lower)
-    d = np.divide(rhs[1:], -lower)
-    d, info = lapack().dtbtrs(ab, d, uplo="U", diag="U", overwrite_b=1)
-    if info != 0:
-        raise NumericalFailureError(f"element-flux solve failed: LAPACK dtbtrs info {info}")
+    step = -(upper / lower)
+    d = np.divide(rhs[:0:-1], -lower).tolist()   # rows n-1 down to 1
+    x = d[0]
+    for i in range(1, len(d)):
+        x = d[i] - x * step
+        d[i] = x
     a_y = np.empty(len(rhs))
     a_y[0] = rhs[0]
-    a_y[1:] = d
+    a_y[:0:-1] = d
+    del d   # 32 bytes a node, dropped before the residual's arrays
+    b_x = np.divide(a_y[1:], -system.mesh.dz)
     np.cumsum(a_y, out=a_y)
     if not np.isfinite(a_y).all():
         raise NumericalFailureError("solution contains non-finite entries "
@@ -184,12 +191,12 @@ def solve_1d(system: DiscreteSystem1D) -> Solution1D:
     r -= rhs
     resid = float(np.abs(r, out=r).max())   # a NaN stays NaN
     norm = system.inf_norm()
-    budget = RESIDUAL_RTOL * (norm * float(np.max(np.abs(a_y))) + float(np.max(np.abs(rhs))))
+    budget = RESIDUAL_RTOL * (norm * float(np.abs(a_y).max()) + float(np.abs(rhs).max()))
     if not resid <= budget:
         raise NumericalFailureError(
             f"residual {resid:.3e} exceeds budget {budget:.3e}; "
             f"matrix inf-norm {norm:.3e} suggests ill-conditioning")
-    return Solution1D(a_y=a_y, b_x=np.divide(d, -system.mesh.dz, out=d), residual=resid)
+    return Solution1D(a_y=a_y, b_x=b_x, residual=resid)
 
 
 def rect_pulse_case(pe, dz: float, m_b: int, m_c: int, m_d: int,

@@ -2,6 +2,8 @@
 (bench/spans.py). Renaming or deleting one of them must fail here, not
 only in a traced benchmark run."""
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ from eddyfem import ztransfer
 from eddyfem.core import Scheme
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = BENCH.parent / "src"
 
 
 def load(name):
@@ -26,6 +29,27 @@ def test_every_traced_entry_point_exists_and_is_restored():
     assert ztransfer.tf_2d is not before["tf_2d"]
     undo()
     assert {name: getattr(ztransfer, name) for name in before} == before
+
+
+INSTRUMENT_AFTER_CLI = """\
+import sys
+sys.path[:0] = [{src!r}, {bench!r}]
+import eddyfem.cli
+import spans
+lazy = "eddyfem.ztransfer" not in sys.modules
+undo = spans.instrument(spans.Tracer())
+undo()
+print(lazy)
+"""
+
+
+def test_instrument_resolves_the_modules_that_cli_imports_lazily():
+    # a traced child imports eddyfem.cli alone, which leaves ztransfer to
+    # verify; the package loads it when the tracer reads eddyfem.ztransfer
+    code = INSTRUMENT_AFTER_CLI.format(src=str(SRC), bench=str(BENCH))
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "True"
 
 
 def test_correctness_gate_reads_the_lazy_matrix():

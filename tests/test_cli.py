@@ -395,7 +395,6 @@ def test_from_dict_reads_only_the_shared_fields():
 def test_run_1d_outputs_and_determinism(tmp_path):
     cfg = load_cfg("fig_pulse1d_pe2.json", svg=True)
     rec = run_1d(cfg, tmp_path / "a")
-    assert rec.config_hash == cfg.hash()
     csvs = sorted(p for p in rec.outputs if p.endswith(".csv"))
     assert len(csvs) == 2  # both schemes, one Pe
     text = Path(csvs[0]).read_text()
@@ -827,7 +826,7 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-def cold_start(argv, prefixes=("scipy",)):
+def cold_start(argv, prefixes):
     """Exit code and the loaded modules of ``main(argv)`` whose names start
     with one of ``prefixes``, in a fresh, isolated interpreter."""
     src = Path(__file__).resolve().parents[1] / "src"
@@ -840,33 +839,39 @@ def cold_start(argv, prefixes=("scipy",)):
 
 def test_verify_help_and_bad_configs_load_no_scipy(tmp_path):
     # the exact certificates and the config checks need no scipy: only the
-    # functions that call LAPACK or build a CSR matrix import it
+    # functions that call LAPACK or build a CSR matrix import it; nor does
+    # any command load hashlib's OpenSSL digests
     raw = json.loads((CONFIG_DIR / "fig_pulse1d_pe2.json").read_text())
     raw["pee"] = 2.0
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
     for argv, code in ((["verify"], 0), (["--help"], 0),
                        (["run-1d", "--config", str(bad), "--out", str(tmp_path / "o")], 2)):
-        assert cold_start(argv) == [code, []]
+        assert cold_start(argv, ("scipy", "_hashlib")) == [code, []]
 
 
-@pytest.mark.parametrize("command, raw", [
-    ("run-1d", "fig_pulse1d_pe2.json"), ("run-2d", "sheet2d_circle.json"),
+@pytest.mark.parametrize("command, raw, scipy_modules", [
+    ("run-1d", "fig_pulse1d_pe2.json", []),
     # one Pe on a 21-node pulse mesh
     ("sweep-error", {"dimension": 1, "pe": [2.0], "dz": 0.2, "upstream_elements": 4,
-                     "plateau_elements": 6, "downstream_elements": 4, "svg": False})],
-    ids=["run-1d", "run-2d", "sweep-error"])
-def test_solves_load_no_scipy_sparse(tmp_path, command, raw):
+                     "plateau_elements": 6, "downstream_elements": 4, "svg": False}, []),
+    ("run-2d", "sheet2d_circle.json", ["scipy.linalg._flapack"])],
+    ids=["run-1d", "sweep-error", "run-2d"])
+def test_each_command_loads_only_what_it_runs(tmp_path, command, raw, scipy_modules):
     if isinstance(raw, dict):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(raw))
     else:
         config = CONFIG_DIR / raw
-    # a solve loads only scipy's compiled LAPACK module: not the scipy.linalg
-    # package, whose import clones numpy and so loads numpy.testing and numpy.f2py
+    # a 1D solve is a plain float recurrence and loads no scipy; a 2D solve
+    # loads only scipy's compiled LAPACK module, not the scipy.linalg package,
+    # whose import clones numpy and so loads numpy.testing and numpy.f2py.
+    # No solve loads hashlib's OpenSSL digests or the exact Z-domain modules
+    # that only verify reads.
     code, loaded = cold_start([command, "--config", str(config), "--out", str(tmp_path / "o")],
-                              ("scipy", "numpy.testing", "numpy.f2py"))
-    assert code == 0 and loaded == ["scipy.linalg._flapack"]
+                              ("scipy", "numpy.testing", "numpy.f2py", "_hashlib",
+                               "eddyfem.ztransfer", "eddyfem.zpoly"))
+    assert code == 0 and loaded == scipy_modules
 
 
 def test_main_exit_codes(tmp_path, capsys):

@@ -174,7 +174,7 @@ from eddyfem.core import lapack
 {load}
 copies = [m for m in list(sys.modules.values()) if getattr(m, "__file__", None) == mod.__file__]
 print(mod is scipy_lapack._flapack is sys.modules["scipy.linalg._flapack"], copies == [mod],
-      [getattr(mod, f) is getattr(scipy_lapack, f) for f in ("dtbtrs", "dgbtrf", "dgbtrs")])
+      [getattr(mod, f) is getattr(scipy_lapack, f) for f in ("dgbtrf", "dgbtrs")])
 """
 
 
@@ -189,4 +189,4 @@ def test_lapack_accessor_and_scipy_linalg_share_one_module(load):
     code = SAME_LAPACK.format(src=str(src), load=load)
     out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
                          check=True, timeout=60)
-    assert out.stdout.strip() == "True True [True, True, True]"
+    assert out.stdout.strip() == "True True [True, True]"

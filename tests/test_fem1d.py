@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from eddyfem.core import (InvalidArgumentError, Mesh1D, NumericalFailureError,
                           RectPulse1D, Scheme, material_for_peclet, peclet_of)
-from eddyfem import fem1d
+from eddyfem import core, fem1d
 from eddyfem.fem1d import (ELEMENT_WEIGHTS, RESIDUAL_RTOL, DiscreteSystem1D, assemble_1d,
                            exact_stencil, rect_pulse_case, solve_1d)
 
@@ -143,6 +143,17 @@ def test_matmul_and_inf_norm_match_the_diagonal_formulas_bit_for_bit(pe, scheme)
             want, norm = _array_matmul(system, x)
             assert system.matmul(x).tobytes() == want.tobytes()
             assert system.inf_norm() == norm
+
+
+def test_inf_norm_of_a_nan_entry_is_nan():
+    # the maximum over the built diagonals keeps a NaN; so must the norm of
+    # the four numbers, wherever the NaN sits
+    system, _ = small_case()
+    rows = np.array(system.element)
+    for k in range(4):
+        bad = rows.copy()
+        bad.flat[k] = np.nan
+        assert math.isnan(replace(system, element=tuple(map(tuple, bad.tolist()))).inf_norm())
 
 
 def refined_mesh(mesh, pe):
@@ -295,20 +306,30 @@ def _exact_thomas(system):
     return x
 
 
-@pytest.mark.parametrize("pe", [2.0, 33.3, 2000.0])
+@pytest.mark.parametrize("pe", [1 + 1e-9, 1.1, 2.0, 33.3, 1000.0, 2000.0, 1e6])
 @pytest.mark.parametrize("scheme", list(Scheme))
-def test_b_x_is_within_a_few_ulps_of_the_exact_solution(pe, scheme):
-    # b_x is the solved element difference itself, not a difference of two
-    # rounded nodal values, which loses up to 2e-14 of the column maximum
-    mesh, material, profile = rect_pulse_case(pe, 0.2, 40, 30, 40)
-    system = assemble_1d(mesh, material, profile, scheme)
-    x = _exact_thomas(system)
-    dz = Fraction(mesh.dz)
-    exact = [(x[i] - x[i + 1]) / dz for i in range(len(x) - 1)]
-    scale = max(abs(v) for v in exact)
-    b_x = solve_1d(system).b_x
-    error = max(abs(Fraction(float(got)) - want) for got, want in zip(b_x, exact))
-    assert float(error / scale) <= 2.5e-15
+def test_b_x_is_within_a_few_ulps_of_the_exact_solution(monkeypatch, pe, scheme):
+    # the element-flux recurrence runs in plain floats, with no LAPACK. On the
+    # pulse mesh and on 3 to 5 nodes of wide loads, a_y and b_x are within
+    # 1e-14 of their column maximum of the exact solve of the same float rows.
+    # On the pulse mesh b_x is within a few ulps: it is the solved element
+    # difference itself, not a difference of two rounded nodal values, which
+    # loses up to 2e-14 of the column maximum
+    def refuse():
+        raise AssertionError("the 1D solve loaded LAPACK")
+
+    monkeypatch.setattr(core, "lapack", refuse)
+    cases = [rect_pulse_case(pe, 0.2, 40, 30, 40)]
+    cases += [(Mesh1D(0.2, n), material_for_peclet(pe, 0.2), _table(n, n, 0.2)) for n in (3, 4, 5)]
+    for k, (mesh, material, profile) in enumerate(cases):
+        system = assemble_1d(mesh, material, profile, scheme)
+        sol = solve_1d(system)
+        x = _exact_thomas(system)
+        dz = Fraction(mesh.dz)
+        b_x = [(x[i] - x[i + 1]) / dz for i in range(len(x) - 1)]
+        for got, exact, rtol in ((sol.a_y, x, 1e-14), (sol.b_x, b_x, 1e-14 if k else 2.5e-15)):
+            error = max(abs(Fraction(float(v)) - w) for v, w in zip(got, exact))
+            assert error <= Fraction(rtol) * max(map(abs, exact)), mesh.node_count
 
 
 def test_galerkin_reference_has_no_subnormal_tail():

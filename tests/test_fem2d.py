@@ -126,6 +126,39 @@ def test_float_rhs_matches_exact_input_weights(scheme):
     assert_rhs_reads_the_exact_input_weights(scheme)
 
 
+class NodeTable:
+    """Given values at the nodes of a mesh with unit spacing, looked up by
+    node index; a sample at the mirrored y reads the mirrored node."""
+
+    def __init__(self, values, mesh):
+        self.values, self.mesh = values, mesh
+
+    def sample(self, z, y=0.0):
+        m = np.rint(np.asarray(y) - self.mesh.y0).astype(int)
+        n = np.rint(np.asarray(z) - self.mesh.z0).astype(int)
+        return self.values[m, n]
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_rhs_applies_the_exact_load_stencils_at_every_interior_node(scheme):
+    # random samples on a uniform all-conductor sheet: at every interior node
+    # the float right-hand side is the certified load stencil applied to the
+    # samples, so each corner of _rhs's corner-load loop is read
+    mesh, material, regions, _, _ = uniform_conductor_case(nz=9, ny=7)
+    values = np.random.default_rng(25).normal(size=(mesh.ny, mesh.nz))
+    rhs = rhs_2d(mesh, material, regions, NodeTable(values, mesh), scheme)
+    rhs = rhs.reshape(3, mesh.ny, mesh.nz)[:, 1:-1, 1:-1]
+    _, rhs_w = exact_patch_rows(PE, U, scheme)
+    ny, nz = mesh.ny, mesh.nz
+    for field in range(3):
+        stencil = rhs_w.get(field, {})   # the A_z row carries no load
+        want = np.zeros((ny - 2, nz - 2))
+        for (dz, dy), w in stencil.items():
+            want += float(w) * values[dy:dy + ny - 2, dz:dz + nz - 2]
+        bound = 1e-13 * sum(abs(float(w)) for w in stencil.values()) * np.abs(values).max()
+        assert np.abs(rhs[field] - want).max() <= bound, field
+
+
 def test_load_table_is_the_one_source_of_the_input_weights(monkeypatch):
     # give the averaged A_y row the consistent-mass load: the float rhs and
     # the exact stencils both follow, and the certificate then finds the
