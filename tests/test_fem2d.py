@@ -145,11 +145,11 @@ def test_rhs_applies_the_exact_load_stencils_at_every_interior_node(scheme):
     # the float right-hand side is the certified load stencil applied to the
     # samples, so each corner of _rhs's corner-load loop is read
     mesh, material, regions, _, _ = uniform_conductor_case(nz=9, ny=7)
-    values = np.random.default_rng(25).normal(size=(mesh.ny, mesh.nz))
-    rhs = rhs_2d(mesh, material, regions, NodeTable(values, mesh), scheme)
-    rhs = rhs.reshape(3, mesh.ny, mesh.nz)[:, 1:-1, 1:-1]
-    _, rhs_w = exact_patch_rows(PE, U, scheme)
     ny, nz = mesh.ny, mesh.nz
+    values = np.random.default_rng(25).normal(size=(ny, nz))
+    rhs = rhs_2d(mesh, material, regions, NodeTable(values, mesh), scheme)
+    rhs = rhs.reshape(3, ny, nz)[:, 1:-1, 1:-1]
+    _, rhs_w = exact_patch_rows(PE, U, scheme)
     for field in range(3):
         stencil = rhs_w.get(field, {})   # the A_z row carries no load
         want = np.zeros((ny - 2, nz - 2))
