@@ -436,12 +436,12 @@ def measured_peak_errors(pe: float, dz: float, m_b: int, m_c: int, m_d: int,
     the plateau level -amplitude across the plateau elements, where the
     imperfect pole-zero cancellation shows up.
 
-    That level is the deep-plateau flux of the continuous model. The rows of
-    fem1d.ELEMENT_LHS fold to (-1-Pe, 2, -1+Pe), that is
+    That level is the deep-plateau flux of the continuous model. The 1D
+    element rows, stiffness plus 2 Pe times convection of
+    core.REFERENCE_INTEGRALS, fold to (-1-Pe, 2, -1+Pe), that is
     -(A[i+1] - 2 A[i] + A[i-1]) + Pe (A[i+1] - A[i-1]): dz^2 times the central
-    differences of -A'' + k A' with k = 2 Pe/dz. The load, dz (LOAD_SCALE[0]
-    + LOAD_SCALE[1] Pe) = 2 Pe dz times input weights that sum to 1, is dz^2
-    k B. So -A'' + k A' = k B with A(0) = 0 and A'(L) = 0, which gives A' = 0
+    differences of -A'' + k A' with k = 2 Pe/dz. The load, 2 Pe dz times input
+    weights that sum to 1, is dz^2 k B. So -A'' + k A' = k B with A(0) = 0 and A'(L) = 0, which gives A' = 0
     downstream of the pulse [a, b] and b_x = -A' = -B (1 - e^{-k (b - z)}) on
     it. The central third of the plateau ends (m_c/3 + 1.5) dz before b, so
     there b_x is -B to within B e^{-2 Pe (m_c/3 + 1.5)}; sweep_error bounds it.

@@ -1,5 +1,6 @@
-"""Shared domain types: materials, meshes, applied-field profiles and the
-per-element Peclet number; and the LAPACK module the 2D solver calls.
+"""Shared domain types: materials, meshes, applied-field profiles, the
+per-element Peclet number and the reference integrals of the one element
+of both dimensions; and the LAPACK module the 2D solver calls.
 
 The Peclet number is always recomputed from its constituents
 (``mu * sigma * |u_z| * dz / 2``) so the solver and the Z-domain analyzer
@@ -12,6 +13,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -53,6 +55,18 @@ def lapack():
         sys.modules[_FLAPACK] = module
         spec.loader.exec_module(module)
     return module
+
+
+# Exact integrals over [0, 1] of the linear pair N = (1 - t, t): [i][j] is
+# int N_i N_j ("mass"), int N_i' N_j' ("stiffness") or int N_i N_j'
+# ("convection"), and "integral"[i] is int N_i. fem1d's element rows and
+# loads and every block of fem2d.elemental_blocks are read off them.
+REFERENCE_INTEGRALS = {
+    "mass": ((Fraction(1, 3), Fraction(1, 6)), (Fraction(1, 6), Fraction(1, 3))),
+    "stiffness": ((Fraction(1), Fraction(-1)), (Fraction(-1), Fraction(1))),
+    "convection": ((Fraction(-1, 2), Fraction(1, 2)),) * 2,
+    "integral": (Fraction(1, 2),) * 2,
+}
 
 
 class Scheme(enum.Enum):

@@ -1,38 +1,45 @@
 """Assembly and solution of the 1D discrete system.
 
-Rows are kept in the dz-scaled form; the element table below is the one
-place where the stencil and the input weights are written down. The inlet
-node is Dirichlet (potential pinned to zero, row replacement); the outlet
-keeps the natural zero-gradient row produced by the assembly. The solve
-is a recurrence over plain Python floats from the outlet: it loads no
-scipy, and its bits do not depend on the BLAS or LAPACK build.
+Rows are kept in the dz-scaled form, read with the input weights off
+core.REFERENCE_INTEGRALS, whose tensor products are fem2d's elemental
+blocks. The inlet node is Dirichlet (potential pinned to zero, row
+replacement); the outlet keeps the natural zero-gradient row produced by
+the assembly. The solve is a recurrence over plain Python floats from the
+outlet: it loads no scipy, and its bits do not depend on the BLAS or LAPACK
+build.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .core import (InvalidArgumentError, Mesh1D, Material, NumericalFailureError,
-                   RectPulse1D, Scheme, material_for_peclet, peclet_of)
+from .core import (REFERENCE_INTEGRALS, InvalidArgumentError, Mesh1D, Material,
+                   NumericalFailureError, RectPulse1D, Scheme, material_for_peclet, peclet_of)
 
 RESIDUAL_RTOL = 1e-10
 
-# The exact dz-scaled element. Row i (0 = left, 1 = right node) has a + b*Pe
-# on node j, (a, b) = ELEMENT_LHS[i][j], and the load
-# dz * LOAD_SCALE * sum_j ELEMENT_WEIGHTS[scheme][i][j] * B_j.
-ELEMENT_LHS = (((1, -1), (-1, 1)), ((-1, -1), (1, 1)))
-LOAD_SCALE = (0, 2)
-ELEMENT_WEIGHTS = {
-    Scheme.GALERKIN: ((Fraction(1, 3), Fraction(1, 6)), (Fraction(1, 6), Fraction(1, 3))),
-    Scheme.ELEMENT_AVERAGED: ((Fraction(1, 4), Fraction(1, 4)),) * 2,
-}
+
+def element_weights(scheme: Scheme):
+    """Row i of the element load weighs B_j by int N_i N_j (Galerkin), or by
+    int N_i times int N_j, the weight of B_j in the element mean (averaged)."""
+    mass, integral = REFERENCE_INTEGRALS["mass"], REFERENCE_INTEGRALS["integral"]
+    return mass if scheme is Scheme.GALERKIN else [[i * j for j in integral] for i in integral]
+
+
+# Row i (0 = left, 1 = right node) of the dz-scaled element has a + b*Pe on
+# node j, the stiffness plus Pe times twice the convection, and the load
+# 2 Pe dz * sum_j element_weights(scheme)[i][j] * B_j. The float path reads
+# (a, b) once, as integers (b*pe is exact where (2*pe)*c would overflow),
+# and the weights, unit fractions, as their denominators.
+_ROW_COEFFS = [[(int(s), int(2 * c)) for s, c in zip(*rows)]
+               for rows in zip(REFERENCE_INTEGRALS["stiffness"], REFERENCE_INTEGRALS["convection"])]
+_DIVISORS = {s: [[w.denominator for w in row] for row in element_weights(s)] for s in Scheme}
 
 
 def _rows(pe):
-    return [[a + b * pe for a, b in row] for row in ELEMENT_LHS]
+    return [[a + b * pe for a, b in row] for row in _ROW_COEFFS]
 
 
 def _fold(rows):
@@ -43,8 +50,7 @@ def _fold(rows):
 def exact_stencil(pe, scheme: Scheme):
     """The interior row, (-1-Pe, 2, -1+Pe), and its load per dz, 2*Pe times
     the input weights, in the arithmetic of pe."""
-    scale = LOAD_SCALE[0] + LOAD_SCALE[1] * pe
-    return _fold(_rows(pe)), tuple(scale * w for w in _fold(ELEMENT_WEIGHTS[scheme]))
+    return _fold(_rows(pe)), tuple(2 * pe * w for w in _fold(element_weights(scheme)))
 
 
 @dataclass(frozen=True)
@@ -129,15 +135,15 @@ def assemble_1d(mesh: Mesh1D, material: Material, profile, scheme: Scheme) -> Di
         raise InvalidArgumentError(f"profile cannot be sampled on the mesh: {err}")
     if bn.shape != (mesh.node_count,):
         raise InvalidArgumentError("profile samples do not match the mesh nodes")
-    # the weights are unit fractions; dividing by their denominators keeps
-    # the rounding of the written-out bn/3, bn/6 and bn/4 the CSVs were made with
-    load = (LOAD_SCALE[0] + LOAD_SCALE[1] * pe) * mesh.dz
+    # dividing by the weights' denominators keeps the rounding of the
+    # written-out bn/3, bn/6 and bn/4 the CSVs were made with
+    load = 2 * pe * mesh.dz
     rhs = np.zeros(mesh.node_count)
     force = np.empty(mesh.element_count)
     term = np.empty(mesh.element_count)
-    for rows, (w0, w1) in zip((rhs[:-1], rhs[1:]), ELEMENT_WEIGHTS[scheme]):
-        np.divide(bn[:-1], w0.denominator, out=force)
-        force += np.divide(bn[1:], w1.denominator, out=term)
+    for rows, (d0, d1) in zip((rhs[:-1], rhs[1:]), _DIVISORS[scheme]):
+        np.divide(bn[:-1], d0, out=force)
+        force += np.divide(bn[1:], d1, out=term)
         force *= load
         rows += force
 

@@ -16,24 +16,22 @@ Boundary conditions: A_y = A_z = 0 on the inlet column and on both y edges;
 the outflow column keeps its natural rows; phi is pinned to zero at one
 node on the y = 0 row to fix its additive constant.
 
-The elemental blocks are computed in the arithmetic of their inputs, and
-two tables say how they combine: BLOCK_TABLE into the coupled matrix
-blocks, LOAD_TABLE into the loads of the right-hand side. The float
-production assembly reads both, and exact_patch_rows runs assemble_2d's
-own fold (_fold) on one element in Fractions, to give the exact interior
-stencils that the certificates read. The grid is uniform along the motion,
+The elemental blocks are tensor products of core.REFERENCE_INTEGRALS, the
+element fem1d reads too, in the arithmetic of their inputs, and two tables
+say how they combine: BLOCK_TABLE into the coupled matrix blocks,
+LOAD_TABLE into the loads of the right-hand side. The float production
+assembly reads both, and exact_patch_rows runs assemble_2d's own fold
+(_fold) on one element in Fractions, to give the exact interior stencils
+that the certificates read. The grid is uniform along the motion,
 so the matrix is shift-invariant along z: assemble_2d writes it once, as
 the 9-point stencils of its three distinct node columns (inlet, interior
 and outlet), and the solve reads only those.
 
 The block order (phi, A_y, A_z) of DiscreteSystem2D and Solution2D is the
 public contract. solve_2d factors the system as a banded LU (LAPACK
-dgbtrf/dgbtrs) under an internal node-interleaved numbering with the
-shorter grid axis fastest, so the band width is set by min(ny, nz) and not
-by the refined length of the longer axis. One factorization can serve
-several right-hand sides, such as both schemes' inputs on one mesh; the
-matrix does not depend on the scheme, and rhs_2d assembles a right-hand
-side alone.
+dgbtrf/dgbtrs) of bandwidth about 3*min(ny, nz) (_node_interleaved). The
+matrix does not depend on the scheme, so one factorization can serve both
+schemes' right-hand sides, which rhs_2d assembles alone.
 
 Every sheet the package builds is mirror-symmetric about its y = 0 node
 row. The elemental blocks cy, gyz, gy0 and int_ny carry one y derivative
@@ -49,12 +47,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import (InvalidArgumentError, Material, Mesh2D, NumericalFailureError,
-                   Scheme, lapack)
+from .core import (REFERENCE_INTEGRALS, InvalidArgumentError, Material, Mesh2D,
+                   NumericalFailureError, Scheme, lapack)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -64,21 +63,22 @@ RESIDUAL_RTOL = 1e-8
 
 def elemental_blocks(dz, dy) -> Dict[str, np.ndarray]:
     """4x4 elemental matrices for a dz-by-dy rectangle in tensor node order
-    (local index 2*iy + iz).
+    (local index 2*iy + iz), and the 4-vectors int_n and int_ny: tensor
+    products of the 1D reference integrals, core.REFERENCE_INTEGRALS.
 
     Works elementwise in the arithmetic of dz/dy: pass Fractions to get
     exact (object-array) blocks, floats to get float blocks.
     """
     one = dz / dz  # multiplicative unit of the input arithmetic
-    # 1D reference integrals over [0,1] for the linear basis pair (1-t, t)
-    h = one / 2
-    m = np.array([[one / 3, one / 6], [one / 6, one / 3]])   # mass
-    s = np.array([[one, -one], [-one, one]])                 # stiffness
-    c = np.array([[-h, h], [-h, h]])                         # N_i dN_j/dt
+    dtype = object if isinstance(one, Fraction) else float
+    m, s, c, n = (one * np.array(REFERENCE_INTEGRALS[name], dtype=dtype)
+                  for name in ("mass", "stiffness", "convection", "integral"))
 
     def tens(Y, Zb, scale):
-        # entry [2*iy + iz, 2*jy + jz] = scale * Y[iy, jy] * Zb[iz, jz]
-        return np.multiply.outer(scale * Y, Zb).transpose(0, 2, 1, 3).reshape(4, 4)
+        # entry [2*iy + iz, 2*jy + jz] = scale * Y[iy, jy] * Zb[iz, jz],
+        # of vectors [2*iy + iz] = scale * Y[iy] * Zb[iz]
+        t = np.multiply.outer(scale * Y, Zb)
+        return t.reshape(4) if t.ndim == 2 else t.transpose(0, 2, 1, 3).reshape(4, 4)
 
     return {
         "lap": tens(m, s, dy / dz) + tens(s, m, dz / dy),
@@ -88,8 +88,8 @@ def elemental_blocks(dz, dy) -> Dict[str, np.ndarray]:
         "gyy": tens(s, m, dz / dy),      # int dN_i/dy dN_j/dy
         "gy0": tens(c.T, m, dz),         # int dN_i/dy N_j
         "mass": tens(m, m, dz * dy),
-        "int_n": np.array([dz * dy / 4] * 4),                    # int N_i
-        "int_ny": np.array([-dz / 2, -dz / 2, dz / 2, dz / 2]),  # int dN_i/dy
+        "int_n": tens(n, n, dz * dy),    # int N_i
+        "int_ny": tens(c.sum(axis=0), n, dz),   # int dN_i/dy = sum_j int N_j dN_i/dy
     }
 
 
@@ -217,10 +217,7 @@ def _mesh_rows(mesh: Mesh2D, material: Material, regions: RegionMap2D):
     if len(regions.row_multipliers) != mesh.ny - 1:
         raise InvalidArgumentError("region map does not match the mesh rows")
     ny, nz, dz = mesh.ny, mesh.nz, mesh.dz
-    heights = np.asarray(mesh.row_heights, dtype=float)
-    if not (np.all(heights > 0) and dz > 0):
-        raise InvalidArgumentError("degenerate element (non-positive extent)")
-    dys, row_kind = np.unique(heights, return_inverse=True)
+    dys, row_kind = np.unique(mesh.row_heights, return_inverse=True)
     per_height = [elemental_blocks(dz, dy) for dy in dys]
     blk = {k: np.array([b[k] for b in per_height], dtype=float)[row_kind]
            for k in per_height[0]}
@@ -596,13 +593,11 @@ def exact_patch_rows(pe, u, scheme: Scheme):
     monomial exponents; rhs_weights maps row_field to the input-weight
     stencil of that row. mu = 1 and h = 1, so mu*sigma = 2*Pe/u.
     """
-    from fractions import Fraction
-
     pe, u, one = Fraction(pe), Fraction(u), Fraction(1)
     factors = {"flag": one, "u": u, "musig": 2 * pe / u}
     blk = elemental_blocks(one, one)
-    # a load that weighs the corner mean weighs each corner by a quarter
-    corner_weights = lambda w: w if w.ndim == 2 else np.multiply.outer(w, np.full(4, one / 4))
+    # a load on the element mean of the input weighs corner j by int N_j
+    corner_weights = lambda w: w if w.ndim == 2 else np.multiply.outer(w, blk["int_n"])
     rows = _coupled_blocks(blk, factors) + [
         _coef(sign, names, factors) * corner_weights(blk[loads[scheme]])
         for _, sign, names, loads in LOAD_TABLE]

@@ -5,8 +5,9 @@ detection, the named 2D stencil polynomials with their factorization
 identities, and the exact certificate of the paper's 1D peak-error bound.
 
 Every stencil and input weight here is read from the tables the float
-assembly reads: tf_1d from the fem1d element table, tf_2d and polys_2d
-from fem2d.exact_patch_rows, which folds fem2d.BLOCK_TABLE and
+assembly reads, and both dimensions from one element,
+core.REFERENCE_INTEGRALS: tf_1d from fem1d.exact_stencil, tf_2d and
+polys_2d from fem2d.exact_patch_rows, which folds fem2d.BLOCK_TABLE and
 fem2d.LOAD_TABLE exactly with the assembly's own fold, fem2d._fold.
 
 Everything here is exact-rational (see zpoly); numeric root-finding happens
@@ -95,7 +96,7 @@ def transverse_numerator_poly_galerkin() -> Poly:
 
 def tf_1d(scheme: Scheme, pe, dz) -> RationalFunction:
     """Exact 1D transfer function from input flux density to nodal potential,
-    built from the interior row of the fem1d element table.
+    built from the interior row and load of fem1d.exact_stencil.
 
     ``pe`` may be a number, or ``math.inf`` for the high-Pe limit: the ratio
     of the Pe coefficients of the load and the row, both affine in Pe
@@ -170,22 +171,12 @@ def _classify(poles: List[Root]) -> Stability:
 
 
 def _analyze_univariate(num: Poly, den: Poly, varname: str) -> Tuple[List[Root], List[Root], List[Root]]:
+    roots = lambda p: [Root(varname, *root) for root in roots_univariate(p)]
+    g = None if num.is_zero() else gcd_univariate(num, den)
+    if g is None or g.degree() == 0:
+        return roots(den), roots(num), []
     var = num.variables[0]
-    cancelled: List[Root] = []
-    if num.is_zero():
-        num_red, den_red = num, den
-    else:
-        g = gcd_univariate(num, den)
-        if g.degree() > 0:
-            cancelled = [Root(varname, loc, mult, exact)
-                         for loc, mult, exact in roots_univariate(g)]
-            num_red = num.exact_div(g, var)
-            den_red = den.exact_div(g, var)
-        else:
-            num_red, den_red = num, den
-    zeros = [Root(varname, loc, mult, exact) for loc, mult, exact in roots_univariate(num_red)]
-    poles = [Root(varname, loc, mult, exact) for loc, mult, exact in roots_univariate(den_red)]
-    return poles, zeros, cancelled
+    return roots(den.exact_div(g, var)), roots(num.exact_div(g, var)), roots(g)
 
 
 def analyze(rf: RationalFunction) -> PoleZeroReport:
@@ -202,18 +193,11 @@ def analyze(rf: RationalFunction) -> PoleZeroReport:
         dsep = separate(den)
         if dsep is None:
             raise UnsupportedStructureError("denominator is not separable")
-        if num.is_zero():
-            nsep = (Poly.zero((ZN,)), Poly.zero((ZM,)))
-        else:
-            nsep = separate(num)
-            if nsep is None:
-                raise UnsupportedStructureError("numerator is not separable")
-        poles, zeros, cancelled = [], [], []
-        for n_part, d_part, name in ((nsep[0], dsep[0], ZN), (nsep[1], dsep[1], ZM)):
-            p, z, c = _analyze_univariate(n_part, d_part, name)
-            poles += p
-            zeros += z
-            cancelled += c
+        nsep = (Poly.zero((ZN,)), Poly.zero((ZM,))) if num.is_zero() else separate(num)
+        if nsep is None:
+            raise UnsupportedStructureError("numerator is not separable")
+        parts = [_analyze_univariate(*args) for args in zip(nsep, dsep, (ZN, ZM))]
+        poles, zeros, cancelled = ([r for part in parts for r in part[k]] for k in range(3))
     return PoleZeroReport(tuple(poles), tuple(zeros), _classify(poles), tuple(cancelled))
 
 
@@ -412,7 +396,7 @@ def peak_error_certificate(scheme: Scheme) -> IdentityReport:
     g = sum((math.prod(((pe - xj) * Fraction(1, xi - xj) for xj in nodes if xj != xi), start=f(xi))
              for xi in nodes), Poly.zero(("Pe",)))
     k = g.derivative("Pe") * (pe + 1) - g * 3
-    bound = (pe + 1) ** 3 * Fraction(1, 3)
+    cube = (pe + 1) ** 3
     q, rem = k.divmod_in(pe - 2, "Pe")   # k = (Pe - 2) q + rem
     only_two = rem.is_zero() and positive_from(q, 1)
     checks = [(f"(1+Pe)^3 f/B is the cubic {g} (checked at Pe = 11)", g.eval(Pe=11) == f(11))]
@@ -420,8 +404,8 @@ def peak_error_certificate(scheme: Scheme) -> IdentityReport:
                 (f"f(2) = {g.eval(Pe=2) / 27} B, the bound -B/27", g.eval(Pe=2) == -1)]
                if scheme is Scheme.ELEMENT_AVERAGED else
                [("|f| < B/3 for every Pe > 1",
-                 positive_from(bound - g, 1) and positive_from(bound + g, 1)),
-                ("f -> B/3 as Pe -> oo", g.coeffs.get((3,)) == Fraction(1, 3)),
+                 positive_from(cube - g * 3, 1) and positive_from(cube + g * 3, 1)),
+                ("f -> B/3 as Pe -> oo", g.coeffs.get((3,), 0) * 3 == 1),
                 ("f increases for Pe >= 2", positive_from(k, 2))])
     return IdentityReport(f"{scheme.value} peak-error bound", all(ok for _, ok in checks),
                           [f"{text}: {'yes' if ok else 'NO'}" for text, ok in checks])

@@ -1,5 +1,6 @@
-"""Shared helpers: the golden pin of the eight named interior-stencil
-polynomials of the coupled 2D system, and the expected interior-row
+"""Shared helpers: the hand-written elemental blocks, the bit-level
+reference of fem2d.elemental_blocks; the golden pin of the eight named
+interior-stencil polynomials of the coupled 2D system, and the expected interior-row
 stencils built from it, for exact comparison against the assembled rows
 (unit spacing and mu = 1, so mu*sigma = 2*Pe/u); an element-by-element
 dict fold of the exact interior rows, the oracle of fem2d.exact_patch_rows;
@@ -14,6 +15,32 @@ from eddyfem import fem2d
 from eddyfem.core import Scheme
 from eddyfem.zpoly import Poly
 from eddyfem.ztransfer import ZM, ZN
+
+
+def written_out_blocks(dz, dy):
+    """The elemental blocks with the 1D reference integrals written out by
+    hand, in the arithmetic of dz/dy; fem2d.elemental_blocks builds them
+    from core.REFERENCE_INTEGRALS and must match these bit for bit."""
+    one = dz / dz
+    h = one / 2
+    m = np.array([[one / 3, one / 6], [one / 6, one / 3]])   # mass
+    s = np.array([[one, -one], [-one, one]])                 # stiffness
+    c = np.array([[-h, h], [-h, h]])                         # N_i dN_j/dt
+
+    def tens(Y, Zb, scale):
+        return np.multiply.outer(scale * Y, Zb).transpose(0, 2, 1, 3).reshape(4, 4)
+
+    return {
+        "lap": tens(m, s, dy / dz) + tens(s, m, dz / dy),
+        "cz": tens(m, c, dy),
+        "cy": tens(c, m, dz),
+        "gyz": tens(c.T, c, one),
+        "gyy": tens(s, m, dz / dy),
+        "gy0": tens(c.T, m, dz),
+        "mass": tens(m, m, dz * dy),
+        "int_n": np.array([dz * dy / 4] * 4),
+        "int_ny": np.array([-dz / 2, -dz / 2, dz / 2, dz / 2]),
+    }
 
 
 def _p(d):

@@ -1,8 +1,10 @@
+import hashlib
 import io
 import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from eddyfem.cli import (ConfigError, ScenarioConfig, build_1d_case,
                          build_2d_case, graded_sheet_rows, main,
                          measured_peak_error, measured_peak_errors, run_1d,
                          run_2d, sweep_error, verify)
-from eddyfem.core import NumericalFailureError, Scheme
+from eddyfem.core import REFERENCE_INTEGRALS, NumericalFailureError, Scheme
 from eddyfem.oracle import peak_error
 from eddyfem.ztransfer import tf_2d
 from test_fem1d import refined_mesh
@@ -412,6 +414,34 @@ def test_run_1d_outputs_and_determinism(tmp_path):
         assert Path(p).read_bytes() == Path(q).read_bytes()
 
 
+# sha256 of every file of the two shipped run-1d configs. The 1D solve is
+# a recurrence over Python floats, so these bytes do not depend on the BLAS
+# or LAPACK build. The 2D files are left unpinned: their bytes come from
+# the LAPACK band LU of the build. So is sweep_error.*: np.geomspace may
+# dispatch its log and exp to per-CPU code.
+RUN_1D_SHA256 = {
+    "fig_pulse1d_pe2.json": {
+        "run1d_averaged_pe2.0.csv": "737a84f182cc15d50529f432140c649c6222e185723893b2e52f0a6d47aa5ee3",
+        "run1d_averaged_pe2.0.svg": "5dd5bd085350ded9c65068ee782ae149b6113fc7d4c433fdb67931cd90005945",
+        "run1d_galerkin_pe2.0.csv": "be21b0dcac5d98c1836e4a8ed06c2ac9b4af6d20c2c7872e42f8404cac287895",
+        "run1d_galerkin_pe2.0.svg": "fd156b3f5ff7c13cf4a92ab1db9d2b25674c99ac56c81d6b85bb4f31b64befae",
+    },
+    "fig_pulse1d_pe2000.json": {
+        "run1d_averaged_pe2000.0.csv": "8f395f801f948337438f65eafe4cae52aa013bf434326dedf1a3e006ce8ec365",
+        "run1d_averaged_pe2000.0.svg": "8999ceffda3dabcc09d1dc19ffa590d88f9bed064ae34c0ee288f1f5bec5bf3e",
+        "run1d_galerkin_pe2000.0.csv": "17d3d1f139356245abd956aabd3b9ddc8da849ce2ee7a8be9aab59cb78603288",
+        "run1d_galerkin_pe2000.0.svg": "cdefda24355aa53fc6cbfe65c4e7155aded147170186aa8a9959972a6d2c7b3a",
+    },
+}
+
+
+@pytest.mark.parametrize("config", sorted(RUN_1D_SHA256))
+def test_shipped_run_1d_outputs_keep_their_bytes(tmp_path, config):
+    assert main(["run-1d", "--config", str(CONFIG_DIR / config), "--out", str(tmp_path)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == RUN_1D_SHA256[config]
+
+
 def test_run_1d_csv_round_trips_floats(tmp_path):
     cfg = load_cfg("fig_pulse1d_pe2.json", svg=False, scheme="averaged")
     rec = run_1d(cfg, tmp_path)
@@ -791,12 +821,27 @@ def test_verify_negative_control_names_n1(monkeypatch):
 
 
 def test_verify_reads_the_1d_element_table(monkeypatch):
-    weights = fem1d.ELEMENT_WEIGHTS[Scheme.ELEMENT_AVERAGED]
-    monkeypatch.setitem(fem1d.ELEMENT_WEIGHTS, Scheme.ELEMENT_AVERAGED,
-                        (weights[0], (weights[1][0], weights[1][1] * 2)))
+    # the 1D averaged weights are int N_i int N_j of the shared table; an
+    # unequal int N = (1/2, 1) breaks the 1D high-Pe cancellation
+    monkeypatch.setitem(REFERENCE_INTEGRALS, "integral", (Fraction(1, 2), Fraction(1)))
     buf = io.StringIO()
     assert verify(stream=buf) == 4
     assert "[FAIL] element-averaged high-Pe limit cancels Z = -1" in buf.getvalue()
+
+
+def test_one_mass_entry_reaches_both_certificates(monkeypatch):
+    # the 1D Galerkin load and the 2D A_y load read the same mass: lumping
+    # it moves both, and both the 1D and the 2D certificate fail
+    pe, u = Fraction(7, 3), Fraction(3, 2)
+    load_1d = fem1d.exact_stencil(pe, Scheme.GALERKIN)[1]
+    load_2d = fem2d.exact_patch_rows(pe, u, Scheme.GALERKIN)[1][1]
+    monkeypatch.setitem(REFERENCE_INTEGRALS, "mass", ((Fraction(1, 4), Fraction(1, 4)),) * 2)
+    assert fem1d.exact_stencil(pe, Scheme.GALERKIN)[1] != load_1d
+    assert fem2d.exact_patch_rows(pe, u, Scheme.GALERKIN)[1][1] != load_2d
+    buf = io.StringIO()
+    assert verify(stream=buf) == 4
+    assert "[FAIL] galerkin high-Pe limit keeps Z = -1" in buf.getvalue()
+    assert "[FAIL] galerkin keeps the Z_n = -1 pole" in buf.getvalue()
 
 
 def test_verify_reads_the_assembly_stencils(monkeypatch):

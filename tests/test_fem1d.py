@@ -1,16 +1,17 @@
 import math
 import re
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eddyfem.core import (InvalidArgumentError, Mesh1D, NumericalFailureError,
                           RectPulse1D, Scheme, material_for_peclet, peclet_of)
 from eddyfem import core, fem1d
-from eddyfem.fem1d import (ELEMENT_WEIGHTS, RESIDUAL_RTOL, DiscreteSystem1D, assemble_1d,
+from eddyfem.fem1d import (RESIDUAL_RTOL, DiscreteSystem1D, assemble_1d, element_weights,
                            exact_stencil, rect_pulse_case, solve_1d)
 
 
@@ -79,10 +80,12 @@ def test_element_table_folds_to_the_interior_stencil():
         lhs, load = exact_stencil(pe, scheme)
         assert lhs == (-1 - pe, 2, -1 + pe)
         assert load == tuple(2 * pe * Fraction(c, sum(shape)) for c in shape)
-        weights = fem1d._fold(ELEMENT_WEIGHTS[scheme])
+        weights = fem1d._fold(element_weights(scheme))
         assert [float(w) for w in weights] == [c / sum(shape) for c in shape]
         # assemble_1d divides by the denominators of these unit fractions
-        assert {w.numerator for row in ELEMENT_WEIGHTS[scheme] for w in row} == {1}
+        assert {w.numerator for row in element_weights(scheme) for w in row} == {1}
+        assert fem1d._DIVISORS[scheme] == [[w.denominator for w in row]
+                                           for row in element_weights(scheme)]
 
 
 def test_exact_stencil_and_matmul_read_one_fold(monkeypatch):
@@ -522,23 +525,62 @@ def test_each_failure_reason_is_named(scheme):
             assert re.fullmatch(reason, str(err.value)), str(err.value)
 
 
+# The weights of the written-out formulas: 2 Pe dz (B_0/3 + B_1/6) and its
+# mirror (Galerkin), Pe dz (B_0 + B_1)/2 on both nodes (averaged)
+WRITTEN_OUT_WEIGHTS = {
+    Scheme.GALERKIN: ((Fraction(1, 3), Fraction(1, 6)), (Fraction(1, 6), Fraction(1, 3))),
+    Scheme.ELEMENT_AVERAGED: ((Fraction(1, 4), Fraction(1, 4)),) * 2,
+}
+
+
+def _assert_within_subnormal_rounding(rhs, pe, dz, bn, scheme):
+    """rhs against the exact value of the written-out load formula, the sum
+    over the elements e of node i of L * F_e, with L = 2 Pe dz and F_e =
+    sum_j w_ij B_j. Where Pe*dz is subnormal, the Galerkin formula rounds
+    (2*Pe)*dz and the averaged one Pe*dz, at different points, so no one
+    assembly order matches both bit for bit. With eta the least subnormal
+    and eps = 2^-53, each rounding is x(1 + d) + e, |d| <= eps, |e| <= eta/2.
+    The assembly rounds L once (off by eta/2 + eps L), F_e in three
+    operations (off by about 3 eps A_e, A_e = sum_j |w_ij B_j|), the product
+    L*F_e once (eta/2 + eps L A_e) and the sum of node i's two terms once
+    more (eps L A_e each), so node i is off by less than
+    sum_e (eta + 8 eps L) (A_e + 1)."""
+    eta, eps = Fraction(2) ** -1074, Fraction(2) ** -53
+    big_l = 2 * Fraction(pe) * Fraction(dz)
+    b = [Fraction(v) for v in bn]
+    exact, bound = [Fraction(0)] * len(b), [Fraction(0)] * len(b)
+    for e in range(len(b) - 1):
+        for i, row in zip((e, e + 1), WRITTEN_OUT_WEIGHTS[scheme]):
+            exact[i] += big_l * (row[0] * b[e] + row[1] * b[e + 1])
+            bound[i] += (eta + 8 * eps * big_l) * (row[0] * abs(b[e]) + row[1] * abs(b[e + 1]) + 1)
+    assert rhs[0] == 0.0   # the Dirichlet row
+    for i in range(1, len(b)):
+        assert abs(Fraction(rhs[i]) - exact[i]) <= bound[i], i
+
+
 @settings(max_examples=60, deadline=None)
 @given(pe=st.one_of(st.floats(0.0, 1e6), st.floats(1 - 1e-6, 1 + 1e-6),
                     st.sampled_from([0.0, 1.0, 1e6])),
        nodes=st.integers(3, 5000),
        dz=st.sampled_from([0.2, 0.25, 3.3]),
        scheme=st.sampled_from(list(Scheme)), seed=st.integers(0, 2**32 - 1))
+@example(pe=5e-324, nodes=3, dz=3.3, scheme=Scheme.ELEMENT_AVERAGED, seed=0)
 def test_kernel_solves_within_budget_in_edge_regimes(pe, nodes, dz, scheme, seed):
     # Pe from 0 through 1 to 1e6 on 3 to 5,000 nodes of loads over twelve
-    # decades: the rhs is the written-out formulas' bit for bit, and with an
-    # inlet value in row 0 the solution takes it and meets the residual
-    # budget on the three full diagonals
+    # decades: the rhs is the written-out formulas' bit for bit (within the
+    # rounding bound below where Pe*dz is subnormal), and with an inlet
+    # value in row 0 the solution takes it and meets the residual budget on
+    # the three full diagonals
     mesh = Mesh1D(dz, nodes)
     material = material_for_peclet(pe, dz)
     table = _table(seed, nodes, dz)
     system = assemble_1d(mesh, material, table, scheme)
-    want = _written_out_assembly(mesh, peclet_of(material, dz), table.values, scheme)[3]
-    assert system.rhs.tobytes() == want.tobytes()
+    pe = peclet_of(material, dz)
+    want = _written_out_assembly(mesh, pe, table.values, scheme)[3]
+    if 0 < Fraction(pe) * Fraction(dz) < Fraction(sys.float_info.min):
+        _assert_within_subnormal_rounding(system.rhs, pe, dz, table.values, scheme)
+    else:
+        assert system.rhs.tobytes() == want.tobytes()
     want[0] = table.values[1]
     system = replace(system, rhs=want)
     sol = solve_1d(system)

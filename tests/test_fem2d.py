@@ -11,15 +11,16 @@ import scipy.sparse.linalg as spla
 from eddyfem.core import (InvalidArgumentError, Material, Mesh2D,
                           NumericalFailureError, Scheme, SmoothCircle2D,
                           lapack, material_for_peclet)
-from eddyfem import fem2d
+from eddyfem import fem1d, fem2d
 from eddyfem.fem2d import (BLOCK_TABLE, MIRROR_PARITY, DiscreteSystem2D,
                            RegionMap2D, assemble_2d, axis_profile,
                            elemental_blocks, exact_patch_rows,
                            oscillation_metric, rhs_2d, solve_2d)
-from eddyfem.cli import verify
+from eddyfem.cli import graded_sheet_rows, verify
 from eddyfem.ztransfer import tf_2d
 from stencil_utils import (dict_fold_patch_rows, expected_lhs_stencils, expected_rhs_stencils,
-                           stencil_band, stencil_matvec, stencil_sector, whole_grid_stencil)
+                           stencil_band, stencil_matvec, stencil_sector, whole_grid_stencil,
+                           written_out_blocks)
 
 PE = Fraction(7, 2)
 U = Fraction(3)
@@ -183,6 +184,42 @@ def test_load_table_is_the_one_source_of_the_input_weights(monkeypatch):
 def test_exact_patch_rows_are_the_dict_fold_exactly(scheme):
     for pe, u in itertools.product((0, 1, 2, 3, Fraction(7, 2), 10**6), (1, Fraction(3, 2))):
         assert exact_patch_rows(pe, u, scheme) == dict_fold_patch_rows(pe, u, scheme), (pe, u)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_y_uniform_mode_of_the_patch_is_the_1d_element(scheme):
+    # summed over the y offsets (Z_m = 1), the A_y row and its load are the
+    # 1D interior row and load, and the A_y row's phi and A_z couplings
+    # vanish at every z offset
+    def at_zm_one(stencil):
+        return tuple(sum(stencil.get((dz, dy), 0) for dy in range(3)) for dz in range(3))
+
+    for pe in (Fraction(0), Fraction(1, 2), Fraction(2), Fraction(7, 3), Fraction(1000)):
+        lhs, rhs_w = exact_patch_rows(pe, Fraction(3, 2), scheme)
+        row, load = fem1d.exact_stencil(pe, scheme)
+        assert at_zm_one(lhs[1, 1]) == row, pe
+        assert at_zm_one(rhs_w[1]) == load, pe
+        assert at_zm_one(lhs[1, 0]) == at_zm_one(lhs[1, 2]) == (0, 0, 0), pe
+
+
+def test_elemental_blocks_are_the_written_out_blocks_bit_for_bit():
+    # the tensor products of the reference integrals round as the
+    # hand-written blocks did in floats, and equal them exactly, types
+    # included, in Fractions
+    heights = np.unique(graded_sheet_rows(1.3, 16, 5.0, 1.3)[0])   # the shipped grading
+    sizes = (1.0, 0.17, 0.25, 1 / 3, 3.3, 1e-3, 7e5, *heights)
+    for dz, dy in itertools.product(sizes, sizes):
+        got, want = elemental_blocks(dz, dy), written_out_blocks(dz, dy)
+        assert got.keys() == want.keys()
+        for name, w in want.items():
+            assert got[name].dtype == w.dtype == np.float64, name
+            assert got[name].tobytes() == w.tobytes(), (dz, dy, name)
+    sizes = (Fraction(1), Fraction(2, 3), Fraction(5, 7), Fraction(1, 10))
+    for dz, dy in itertools.product(sizes, sizes):
+        got, want = elemental_blocks(dz, dy), written_out_blocks(dz, dy)
+        for name, w in want.items():
+            assert got[name].shape == w.shape, name
+            assert [(type(v), v) for v in got[name].flat] == [(type(v), v) for v in w.flat], name
 
 
 def drop_corner_0(rows):

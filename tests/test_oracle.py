@@ -5,7 +5,7 @@ import pytest
 
 from eddyfem import oracle
 from eddyfem.core import Scheme
-from eddyfem.fem1d import (ELEMENT_WEIGHTS, _fold, assemble_1d, exact_stencil,
+from eddyfem.fem1d import (_fold, assemble_1d, element_weights, exact_stencil,
                            rect_pulse_case, solve_1d)
 from eddyfem.oracle import (OutOfValidityError, _particulars, analytic_solve,
                             growth_ratio, peak_error, peak_error_from_solution)
@@ -24,7 +24,7 @@ def weighted_input(sol, scheme):
     lo, hi = sol.pulse_node_range()
     bn = np.zeros(n)
     bn[lo:hi + 1] = sol.params.amplitude
-    w = [float(c) for c in _fold(ELEMENT_WEIGHTS[scheme])]
+    w = [float(c) for c in _fold(element_weights(scheme))]
     bt = np.zeros(n)
     bt[1:-1] = w[0] * bn[:-2] + w[1] * bn[1:-1] + w[2] * bn[2:]
     return bt

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from eddyfem.core import Scheme
+from eddyfem.core import REFERENCE_INTEGRALS, Scheme
 from eddyfem import fem1d, fem2d, ztransfer
 from eddyfem.zpoly import Poly, RationalFunction
 from eddyfem.ztransfer import (Stability, SingularNormalizationError,
@@ -96,9 +96,10 @@ def test_tf1d_reads_the_fem1d_element_table(monkeypatch):
         rf = tf_1d(scheme, pe, dz)
         assert rf.numerator == Poly.univariate("Z", shape) * (2 * pe * dz / sum(shape))
         assert rf.denominator == Poly.univariate("Z", [-1 - pe, 2, -1 + pe])
-    # an averaged table with Galerkin weights loses the Z = -1 cancellation
-    monkeypatch.setitem(fem1d.ELEMENT_WEIGHTS, Scheme.ELEMENT_AVERAGED,
-                        fem1d.ELEMENT_WEIGHTS[Scheme.GALERKIN])
+    # an element mean that weighs the two nodes unequally, int N = (1/3, 2/3)
+    # in the shared table, folds the averaged weights to (2, 5, 2)/9 and
+    # loses the Z = -1 cancellation
+    monkeypatch.setitem(REFERENCE_INTEGRALS, "integral", (Fraction(1, 3), Fraction(2, 3)))
     rep = analyze(tf_1d(Scheme.ELEMENT_AVERAGED, math.inf, 1.0))
     assert rep.classification is Stability.OSCILLATORY_MARGINAL
     assert not rep.cancelled_pairs
