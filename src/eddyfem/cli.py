@@ -163,6 +163,9 @@ class ScenarioConfig:
             raise ConfigError("pe_sweep" if v["pe_sweep"] else "pe", "give one of pe, pe_sweep")
         if v["pe"] == []:
             raise ConfigError("pe", "empty Pe list")
+        for i, pe in enumerate(v["pe"] or ()):   # a repeat would solve and write a case twice
+            if pe in v["pe"][:i]:
+                raise ConfigError(f"pe.{i}", "repeats an earlier entry")
         if v["pe_sweep"] is not None and not v["pe_sweep.hi"] > v["pe_sweep.lo"]:
             raise ConfigError("pe_sweep.hi", "must exceed lo")
         pes = v["pe"] or sorted(set(list(np.geomspace(

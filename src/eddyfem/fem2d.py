@@ -16,16 +16,17 @@ Boundary conditions: A_y = A_z = 0 on the inlet column and on both y edges;
 the outflow column keeps its natural rows; phi is pinned to zero at one
 node on the y = 0 row to fix its additive constant.
 
-The elemental blocks are tensor products of core.REFERENCE_INTEGRALS, the
-element fem1d reads too, in the arithmetic of their inputs, and two tables
-say how they combine: BLOCK_TABLE into the coupled matrix blocks,
-LOAD_TABLE into the loads of the right-hand side. The float production
-assembly reads both, and exact_patch_rows runs assemble_2d's own fold
-(_fold) on one element in Fractions, to give the exact interior stencils
-that the certificates read. The grid is uniform along the motion,
-so the matrix is shift-invariant along z: assemble_2d writes it once, as
-the 9-point stencils of its three distinct node columns (inlet, interior
-and outlet), and the solve reads only those.
+The elemental blocks are 4x4 tensor products of core.REFERENCE_INTEGRALS,
+the element fem1d reads too, in the arithmetic of their inputs, and two
+tables say how they combine: BLOCK_TABLE into the coupled matrix blocks,
+LOAD_TABLE into each scheme's 4x4 loads. One fold (_fold) places both: the
+float assembly folds them on its mesh, and the right-hand side is the
+folded load applied to the node samples of the input; exact_patch_rows
+runs the same fold on one element in Fractions, to give the exact interior
+stencils that the certificates read. The grid is uniform along the
+motion, so the matrix is shift-invariant along z: assemble_2d writes it
+once, as the 9-point stencils of its three distinct node columns (inlet,
+interior and outlet), and the solve reads only those.
 
 The block order (phi, A_y, A_z) of DiscreteSystem2D and Solution2D is the
 public contract. solve_2d factors the system as a banded LU (LAPACK
@@ -34,7 +35,7 @@ matrix does not depend on the scheme, so one factorization can serve both
 schemes' right-hand sides, which rhs_2d assembles alone.
 
 Every sheet the package builds is mirror-symmetric about its y = 0 node
-row. The elemental blocks cy, gyz, gy0 and int_ny carry one y derivative
+row. The elemental blocks cy, gyz, gy0 and avg_gy0 carry one y derivative
 and are odd in y, the rest are even, so the matrix of a mirrored mesh
 commutes with the signed reflection (phi, A_y, A_z)(y) -> (-phi, +A_y,
 -A_z)(-y) (MIRROR_PARITY). solve_2d then solves the even and the odd
@@ -63,8 +64,8 @@ RESIDUAL_RTOL = 1e-8
 
 def elemental_blocks(dz, dy) -> Dict[str, np.ndarray]:
     """4x4 elemental matrices for a dz-by-dy rectangle in tensor node order
-    (local index 2*iy + iz), and the 4-vectors int_n and int_ny: tensor
-    products of the 1D reference integrals, core.REFERENCE_INTEGRALS.
+    (local index 2*iy + iz): tensor products of the 1D reference integrals,
+    core.REFERENCE_INTEGRALS.
 
     Works elementwise in the arithmetic of dz/dy: pass Fractions to get
     exact (object-array) blocks, floats to get float blocks.
@@ -73,12 +74,11 @@ def elemental_blocks(dz, dy) -> Dict[str, np.ndarray]:
     dtype = object if isinstance(one, Fraction) else float
     m, s, c, n = (one * np.array(REFERENCE_INTEGRALS[name], dtype=dtype)
                   for name in ("mass", "stiffness", "convection", "integral"))
+    w, wy = np.multiply.outer(n, n), np.multiply.outer(c.sum(axis=0), n)
 
     def tens(Y, Zb, scale):
-        # entry [2*iy + iz, 2*jy + jz] = scale * Y[iy, jy] * Zb[iz, jz],
-        # of vectors [2*iy + iz] = scale * Y[iy] * Zb[iz]
-        t = np.multiply.outer(scale * Y, Zb)
-        return t.reshape(4) if t.ndim == 2 else t.transpose(0, 2, 1, 3).reshape(4, 4)
+        # entry [2*iy + iz, 2*jy + jz] = scale * Y[iy, jy] * Zb[iz, jz]
+        return np.multiply.outer(scale * Y, Zb).transpose(0, 2, 1, 3).reshape(4, 4)
 
     return {
         "lap": tens(m, s, dy / dz) + tens(s, m, dz / dy),
@@ -88,8 +88,8 @@ def elemental_blocks(dz, dy) -> Dict[str, np.ndarray]:
         "gyy": tens(s, m, dz / dy),      # int dN_i/dy dN_j/dy
         "gy0": tens(c.T, m, dz),         # int dN_i/dy N_j
         "mass": tens(m, m, dz * dy),
-        "int_n": tens(n, n, dz * dy),    # int N_i
-        "int_ny": tens(c.sum(axis=0), n, dz),   # int dN_i/dy = sum_j int N_j dN_i/dy
+        "avg_mass": tens(w, w, dz * dy),   # int N_i int N_j: N_j's weight in the element mean
+        "avg_gy0": tens(wy, w, dz),        # int dN_i/dy int N_j
     }
 
 
@@ -189,12 +189,12 @@ BLOCK_TABLE = (
 
 # The loaded rows of the element, one entry per row field: the load is
 # sign * (product of the named factors, as in BLOCK_TABLE) * the scheme's
-# elemental load. A 4x4 load weighs the element's corner samples of the
-# input, a 4-vector load weighs their mean (the element-averaged input that
-# plants the (Z_n+1) factor). rhs_2d and exact_patch_rows both read this table.
+# 4x4 elemental load on the element's corner samples of the input (the
+# averaged loads weigh their mean, which plants the (Z_n+1) factor).
+# assemble_2d, rhs_2d and exact_patch_rows fold it like BLOCK_TABLE (_fold).
 LOAD_TABLE = (
-    (1, 1, ("musig", "u"), {Scheme.GALERKIN: "mass", Scheme.ELEMENT_AVERAGED: "int_n"}),
-    (0, -1, ("flag", "u"), {Scheme.GALERKIN: "gy0", Scheme.ELEMENT_AVERAGED: "int_ny"}),
+    (1, 1, ("musig", "u"), {Scheme.GALERKIN: "mass", Scheme.ELEMENT_AVERAGED: "avg_mass"}),
+    (0, -1, ("flag", "u"), {Scheme.GALERKIN: "gy0", Scheme.ELEMENT_AVERAGED: "avg_gy0"}),
 )
 
 
@@ -202,18 +202,20 @@ def _coef(sign, names, factors):
     return math.prod((factors[f] for f in names), start=sign)
 
 
-def _coupled_blocks(blocks, factors):
-    """The BLOCK_TABLE blocks, in table order, from elemental blocks and
-    factor values given as scalars or arrays that broadcast together."""
+def _element_rows(blocks, factors, scheme: Scheme):
+    """The BLOCK_TABLE blocks, then the LOAD_TABLE loads of ``scheme``, in
+    table order, from elemental blocks and factor values given as scalars
+    or arrays that broadcast together."""
     def term(sign, names, block):
         return _coef(sign, names, factors) * blocks[block]
-    return [sum((term(*t) for t in terms[1:]), term(*terms[0])) for _, _, terms in BLOCK_TABLE]
+    return ([sum((term(*t) for t in terms[1:]), term(*terms[0])) for _, _, terms in BLOCK_TABLE]
+            + [term(sign, names, loads[scheme]) for _, sign, names, loads in LOAD_TABLE])
 
 
-def _mesh_rows(mesh: Mesh2D, material: Material, regions: RegionMap2D):
-    """What the matrix and the right-hand side share: the elemental blocks
-    of every mesh row (computed once per distinct row height), the table
-    factors per row and the Dirichlet mask over the block-ordered dofs."""
+def _mesh_rows(mesh: Mesh2D, material: Material, regions: RegionMap2D, scheme: Scheme):
+    """What the matrix and the right-hand side share: the stacked
+    _element_rows of every mesh row (the elemental blocks computed once per
+    distinct row height) and the Dirichlet mask over the block-ordered dofs."""
     if len(regions.row_multipliers) != mesh.ny - 1:
         raise InvalidArgumentError("region map does not match the mesh rows")
     ny, nz, dz = mesh.ny, mesh.nz, mesh.dz
@@ -232,7 +234,7 @@ def _mesh_rows(mesh: Mesh2D, material: Material, regions: RegionMap2D):
     fixed = np.zeros(3 * m_count, dtype=bool)
     fixed[m_count + edge] = fixed[2 * m_count + edge] = True
     fixed[int(np.argmin(np.abs(mesh.node_y()))) * nz] = True
-    return blk, factors, fixed
+    return np.stack(_element_rows(blk, factors, scheme)), fixed
 
 
 def assemble_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
@@ -244,29 +246,35 @@ def assemble_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
     and each (block, i, j) entry is added along every mesh row at once.
     Every interior node column then receives the same sums in the same
     order, so the adds run on a window of three columns (inlet, interior,
-    outlet) that holds the whole matrix. The matrix does not depend on the
-    scheme; the right-hand side is rhs_2d's.
+    outlet) that holds the whole matrix, and the loads are folded with it.
+    The matrix does not depend on the scheme; the right-hand side is
+    rhs_2d's.
     """
-    blk, factors, fixed = rows = _mesh_rows(mesh, material, regions)
-    rhs = _rhs(mesh, regions, profile, scheme, *rows)
+    rows, fixed = _mesh_rows(mesh, material, regions, scheme)
+    folded = _fold(rows, 2)
+    rhs = _rhs(mesh, regions, profile, folded[len(BLOCK_TABLE):], fixed)
     ny, nz = mesh.ny, mesh.nz
-    column_of = np.minimum(np.arange(nz), 1)
-    column_of[-1] = 2
     columns = np.zeros((3, 3, 3, 3, ny, 3))
     rf, cf, _ = zip(*BLOCK_TABLE)
-    columns[rf, cf] = _fold(np.stack(_coupled_blocks(blk, factors)), 2)
+    columns[rf, cf] = folded[:len(BLOCK_TABLE)]
     # a Dirichlet row keeps only its unit diagonal
     fixed = fixed.reshape(3, ny, nz)[..., [0, 1, nz - 1]]
     np.copyto(columns, 0.0, where=fixed[:, None, None, None])
     columns[range(3), range(3), 1, 1] += fixed
-    return DiscreteSystem2D(columns, column_of, rhs, mesh, _mirrored_mesh(mesh, regions))
+    return DiscreteSystem2D(columns, _column_of(nz), rhs, mesh, _mirrored_mesh(mesh, regions))
+
+
+def _column_of(nz: int) -> np.ndarray:
+    """The stencil column each node column reads: inlet 0, interior 1, outlet 2."""
+    return np.array([0] + [1] * (nz - 2) + [2])
 
 
 def _fold(rows: np.ndarray, width: int) -> np.ndarray:
     """S[b, dy, dz, m, n], the coefficient in the row of node (m, n) of node
     (m + dy - 1, n + dz - 1), folded in the arithmetic of the element rows
     rows[b, r, i, j] (table entry b, mesh row r, corners i, j) on a strip of
-    ``width`` elements along z. assemble_2d and exact_patch_rows both read it."""
+    ``width`` elements along z. assemble_2d, rhs_2d and exact_patch_rows
+    all read it."""
     count, height = rows.shape[:2]
     out = np.zeros((count, 3, 3, height + 1, width + 1), dtype=rows.dtype)
     # node (m, n) is corner i = 2*iy + iz of element (m - iy, n - iz), whose corner
@@ -280,34 +288,26 @@ def _fold(rows: np.ndarray, width: int) -> np.ndarray:
 def rhs_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
            profile, scheme: Scheme) -> np.ndarray:
     """The right-hand side of assemble_2d alone, bit for bit: the only part
-    of the system that depends on the scheme. Each dof sums its corner
-    loads in (row, corner, element) order: corners 2, 3, 0, 1.
+    of the system that depends on the scheme. The LOAD_TABLE rows are
+    folded into load stencils like the matrix and applied to the node
+    samples of the input like it (_matvec).
 
     When the load is even under MIRROR_PARITY in exact arithmetic (a
     mirrored mesh, and equal samples at (z, y) and (z, -y)), the result is
     its even part (b + P b) / 2, so that P b == b holds in floats too."""
-    return _rhs(mesh, regions, profile, scheme, *_mesh_rows(mesh, material, regions))
+    rows, fixed = _mesh_rows(mesh, material, regions, scheme)
+    return _rhs(mesh, regions, profile, _fold(rows[len(BLOCK_TABLE):], 2), fixed)
 
 
-def _rhs(mesh: Mesh2D, regions: RegionMap2D, profile, scheme: Scheme,
-         blk, factors, fixed) -> np.ndarray:
-    """rhs_2d from the rows that _mesh_rows built."""
+def _rhs(mesh: Mesh2D, regions: RegionMap2D, profile, loads: np.ndarray, fixed) -> np.ndarray:
+    """rhs_2d from the folded LOAD_TABLE rows and _mesh_rows' Dirichlet mask."""
     ny, nz = mesh.ny, mesh.nz
     z, y = np.meshgrid(mesh.node_z(), mesh.node_y())
     bn = np.asarray(profile.sample(z, y), dtype=float)
     if bn.shape != (ny, nz):
         raise InvalidArgumentError("profile samples do not match the mesh nodes")
-    corners = np.stack([bn[:-1, :-1], bn[:-1, 1:], bn[1:, :-1], bn[1:, 1:]], axis=1)
     rhs = np.zeros((3, ny, nz))
-    for field, sign, names, loads in LOAD_TABLE:
-        coef, w = _coef(sign, names, factors), blk[loads[scheme]]
-        if w.ndim == 3:   # a 4x4 load per mesh row: weigh the corner samples
-            load = coef * (w[:, :, None, :] @ corners[:, None])[:, :, 0]
-        else:
-            load = (coef * w[..., None]) * corners.mean(axis=1)[:, None]
-        for i in (2, 3, 0, 1):   # corner i = 2*iy + iz of element (m - iy, n - iz)
-            iy, iz = divmod(i, 2)
-            rhs[field, iy:iy + ny - 1, iz:iz + nz - 1] += load[:, i]
+    rhs[[spec[0] for spec in LOAD_TABLE]] = _matvec(loads[:, None], _column_of(nz), bn[None])
     rhs[fixed.reshape(3, ny, nz)] = 0.0
     if (_mirrored_mesh(mesh, regions)
             and np.array_equal(np.asarray(profile.sample(z, -y), dtype=float), bn)):
@@ -520,16 +520,17 @@ def solve_2d(system: DiscreteSystem2D, more_rhs: Optional[Sequence[np.ndarray]] 
 
 
 def _matvec(columns: np.ndarray, column_of: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A x on the (3, ny, nz) grid, over each run of node columns that read
-    the same stencil column; every row adds its 27 terms in column order."""
-    ny, nz = x.shape[1:]
-    pad = np.zeros((3, ny + 2, nz + 2))
+    """A x on the grid, x of shape (fields, ny, nz), over each run of node
+    columns that read the same stencil column; every row adds its terms in
+    column order."""
+    f, ny, nz = x.shape
+    pad = np.zeros((f, ny + 2, nz + 2))
     pad[:, 1:-1, 1:-1] = x
-    ax = np.empty_like(x)
+    ax = np.empty((len(columns), ny, nz))
     runs = np.flatnonzero(np.diff(column_of, prepend=-1, append=-1))
     for a, b in zip(runs[:-1], runs[1:]):
         col, acc = columns[..., column_of[a], None], ax[..., a:b]
-        for q, (cf, dy, dz) in enumerate(itertools.product(range(3), repeat=3)):
+        for q, (cf, dy, dz) in enumerate(itertools.product(range(f), range(3), range(3))):
             term = col[:, cf, dy, dz] * pad[cf, dy:dy + ny, a + dz:b + dz]
             if q:
                 acc += term
@@ -595,12 +596,7 @@ def exact_patch_rows(pe, u, scheme: Scheme):
     """
     pe, u, one = Fraction(pe), Fraction(u), Fraction(1)
     factors = {"flag": one, "u": u, "musig": 2 * pe / u}
-    blk = elemental_blocks(one, one)
-    # a load on the element mean of the input weighs corner j by int N_j
-    corner_weights = lambda w: w if w.ndim == 2 else np.multiply.outer(w, blk["int_n"])
-    rows = _coupled_blocks(blk, factors) + [
-        _coef(sign, names, factors) * corner_weights(blk[loads[scheme]])
-        for _, sign, names, loads in LOAD_TABLE]
+    rows = _element_rows(elemental_blocks(one, one), factors, scheme)
     stencils = [{(dz, dy): w for (dy, dz), w in np.ndenumerate(stencil) if w != 0}
                 for stencil in _fold(np.stack(rows)[:, None], 1).sum(axis=(3, 4))]
     return (dict(zip((spec[:2] for spec in BLOCK_TABLE), stencils)),

@@ -358,7 +358,7 @@ def pole_certificates() -> List[IdentityReport]:
             rf = tf_1d(scheme, math.inf, 1)
             var, m = Z1, _multiplicities(rf.denominator, rf.numerator)
             name = f"{'galerkin' if keeps else 'element-averaged'} high-Pe limit {verb} Z = -1"
-            source = f"fem1d element table, high-Pe limit: {scheme.value}: {rf}"
+            source = f"core.REFERENCE_INTEGRALS element, high-Pe limit: {scheme.value}: {rf}"
             den_label, num_label = "denominator", "numerator"
         else:
             t = tf_2d(scheme)

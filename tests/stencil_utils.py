@@ -38,8 +38,8 @@ def written_out_blocks(dz, dy):
         "gyy": tens(s, m, dz / dy),
         "gy0": tens(c.T, m, dz),
         "mass": tens(m, m, dz * dy),
-        "int_n": np.array([dz * dy / 4] * 4),
-        "int_ny": np.array([-dz / 2, -dz / 2, dz / 2, dz / 2]),
+        "avg_mass": np.full((4, 4), dz * dy / 16),
+        "avg_gy0": np.repeat([[-dz / 8], [-dz / 8], [dz / 8], [dz / 8]], 4, axis=1),
     }
 
 
@@ -116,11 +116,10 @@ def dict_fold_patch_rows(pe, u, scheme):
     at stencil offset (1 + jz - iz, 1 + jy - iy)."""
     pe, u, one = Fraction(pe), Fraction(u), Fraction(1)
     factors = {"flag": one, "u": u, "musig": 2 * pe / u}
-    blk = fem2d.elemental_blocks(one, one)
-    lhs = dict(zip((spec[:2] for spec in fem2d.BLOCK_TABLE), fem2d._coupled_blocks(blk, factors)))
-    corner_weights = lambda w: w if w.ndim == 2 else np.multiply.outer(w, np.full(4, one / 4))
-    rhs_w = {field: fem2d._coef(sign, names, factors) * corner_weights(blk[loads[scheme]])
-             for field, sign, names, loads in fem2d.LOAD_TABLE}
+    rows = fem2d._element_rows(fem2d.elemental_blocks(one, one), factors, scheme)
+    count = len(fem2d.BLOCK_TABLE)
+    lhs = dict(zip((spec[:2] for spec in fem2d.BLOCK_TABLE), rows[:count]))
+    rhs_w = dict(zip((spec[0] for spec in fem2d.LOAD_TABLE), rows[count:]))
 
     def fold(rows):
         stencil = {}
@@ -140,10 +139,10 @@ def dict_fold_patch_rows(pe, u, scheme):
 def whole_grid_stencil(mesh, material, regions):
     """S[row field, col field, dy, dz, m, n] by slab adds over every node
     column of the grid."""
-    blk, factors, fixed = fem2d._mesh_rows(mesh, material, regions)
+    rows, fixed = fem2d._mesh_rows(mesh, material, regions, Scheme.GALERKIN)
     ny, nz = mesh.ny, mesh.nz
     stencil = np.zeros((3, 3, 3, 3, ny, nz))
-    for (rf, cf, _), vals in zip(fem2d.BLOCK_TABLE, fem2d._coupled_blocks(blk, factors)):
+    for (rf, cf, _), vals in zip(fem2d.BLOCK_TABLE, rows):   # the loads are left out
         for i, j in itertools.product((3, 2, 1, 0), range(4)):
             (iy, iz), (jy, jz) = divmod(i, 2), divmod(j, 2)
             stencil[rf, cf, 1 + jy - iy, 1 + jz - iz,

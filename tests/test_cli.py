@@ -152,15 +152,20 @@ def _exit_code_and_err(tmp_path, capsys, raw, command="run-1d"):
     ("pe_sweep", {"lo": 2.0, "hi": 3.0, "points": 2, "include": 5.0}, "pe_sweep.include"),
     ("pe_sweep", {"lo": 2.0, "hi": 3.0, "points": 10 ** 9}, "pe_sweep.points"),
     ("pe", [2.0, -1.0], "pe.1"),
-    ("pe_sweep", {"lo": 2.0, "hi": 3.0, "points": 2, "include": [-1.0]}, "pe_sweep.include.0")])
-def test_pe_entries_go_through_the_validator(tmp_path, capsys, key, value, path):
+    ("pe_sweep", {"lo": 2.0, "hi": 3.0, "points": 2, "include": [-1.0]}, "pe_sweep.include.0"),
+    ("pe", [2.0, 2.0], "pe.1"), ("pe", [3.0, 2.0, 3.0], "pe.2")])
+@pytest.mark.parametrize("command, config", [("run-1d", "fig_pulse1d_pe2.json"),
+                                             ("run-2d", "sheet2d_circle.json")])
+def test_pe_entries_go_through_the_validator(tmp_path, capsys, key, value, path, command, config):
     # the entries used to be read with a bare float(): "x" ended in a
     # traceback with exit 1. A negative Pe used to pass, so run-1d wrote the
-    # Pe = 2 CSV and SVG before it failed on Pe = -1
-    raw = json.loads((CONFIG_DIR / "fig_pulse1d_pe2.json").read_text())
+    # Pe = 2 CSV and SVG before it failed on Pe = -1. A repeated Pe made
+    # run-2d end in a KeyError traceback after it wrote the first case's CSV,
+    # and run-1d solve and write each repeated case twice
+    raw = json.loads((CONFIG_DIR / config).read_text())
     raw.pop("pe")
     raw[key] = value
-    code, err = _exit_code_and_err(tmp_path, capsys, raw)
+    code, err = _exit_code_and_err(tmp_path, capsys, raw, command)
     assert code == 2 and f"'{path}'" in err
 
 
@@ -767,10 +772,10 @@ VERIFY_TEXT = """\
     df/dPe vanishes on Pe > 1 only at Pe = 2: yes
     f(2) = -1/27 B, the bound -B/27: yes
 [PASS] galerkin high-Pe limit keeps Z = -1
-    fem1d element table, high-Pe limit: galerkin: (1/3*Z^2 + 4/3*Z + 1/3) / (Z^2 - 1)
+    core.REFERENCE_INTEGRALS element, high-Pe limit: galerkin: (1/3*Z^2 + 4/3*Z + 1/3) / (Z^2 - 1)
     denominator (Z+1)^1 (Z-1)^1; numerator (Z+1)^0 (Z-1)^0
 [PASS] element-averaged high-Pe limit cancels Z = -1
-    fem1d element table, high-Pe limit: averaged: (1/2*Z^2 + Z + 1/2) / (Z^2 - 1)
+    core.REFERENCE_INTEGRALS element, high-Pe limit: averaged: (1/2*Z^2 + Z + 1/2) / (Z^2 - 1)
     denominator (Z+1)^1 (Z-1)^1; numerator (Z+1)^2 (Z-1)^0
 [PASS] galerkin keeps the Z_n = -1 pole
     Cramer's rule on the assembled interior stencils, leading terms in Pe

@@ -144,7 +144,7 @@ class NodeTable:
 def test_rhs_applies_the_exact_load_stencils_at_every_interior_node(scheme):
     # random samples on a uniform all-conductor sheet: at every interior node
     # the float right-hand side is the certified load stencil applied to the
-    # samples, so each corner of _rhs's corner-load loop is read
+    # samples, so every weight of the folded load is read
     mesh, material, regions, _, _ = uniform_conductor_case(nz=9, ny=7)
     ny, nz = mesh.ny, mesh.nz
     values = np.random.default_rng(25).normal(size=(ny, nz))
@@ -240,13 +240,20 @@ FOLD_MUTATIONS = {
 @pytest.mark.parametrize("mutation", list(FOLD_MUTATIONS))
 def test_verify_certifies_the_production_fold(mutation, monkeypatch):
     # one patch of fem2d._fold moves the float interior column and the
-    # exact certificates together, so verify fails
-    parts = uniform_conductor_case()
-    interior = assemble_2d(*parts).columns[..., 1]
+    # exact certificates together, so verify fails; the float right-hand
+    # side moves exactly when the exact load stencils do (the loads are even
+    # in z, so mirroring z leaves them)
+    parts = uniform_conductor_case()[:4]
+    interior = assemble_2d(*parts, Scheme.GALERKIN).columns[..., 1]
+    before = {s: (rhs_2d(*parts, s), exact_patch_rows(PE, U, s)[1]) for s in Scheme}
     fold, mutate = fem2d._fold, FOLD_MUTATIONS[mutation]
     monkeypatch.setattr(fem2d, "_fold", lambda rows, width: fold(mutate(rows), width))
-    assert not np.array_equal(assemble_2d(*parts).columns[..., 1], interior)
+    assert not np.array_equal(assemble_2d(*parts, Scheme.GALERKIN).columns[..., 1], interior)
     assert verify(stream=io.StringIO()) == 4
+    for s, (rhs, loads) in before.items():
+        moved = exact_patch_rows(PE, U, s)[1] != loads
+        assert moved == (mutation != "mirror_z"), s
+        assert (not np.array_equal(rhs_2d(*parts, s), rhs)) == moved, s
 
 
 def test_constant_input_same_rhs_for_both_schemes():
@@ -261,10 +268,28 @@ def test_constant_input_same_rhs_for_both_schemes():
 
 
 def test_averaged_element_input_of_constant_is_that_constant():
+    # the element mean of equal corner samples is the sample: row i of the
+    # averaged load of a constant is that constant times int N_i
     blk = elemental_blocks(1.0, 1.0)
     bq = np.full(4, 0.8)
-    assert bq.mean() == pytest.approx(0.8)
-    assert sum(blk["int_n"]) == pytest.approx(1.0)
+    assert blk["avg_mass"] @ bq == pytest.approx(0.8 * blk["avg_mass"].sum(axis=1))
+    assert blk["avg_mass"].sum() == pytest.approx(1.0)
+
+
+def test_averaged_load_is_the_1d_averaged_weight_squared():
+    # one averaged weight for both dimensions: the 2D block is dz*dy times
+    # the tensor product of the 1D weights int N_i int N_j, and its rows, and
+    # those of its y-derivative partner, sum to int N_i and int dN_i/dy, the
+    # row sums of the Galerkin mass and gy0 blocks
+    w = fem1d.element_weights(Scheme.ELEMENT_AVERAGED)
+    corners = [divmod(i, 2) for i in range(4)]   # (iy, iz) of corner 2*iy + iz
+    for dz, dy in itertools.product((Fraction(1), Fraction(2, 3), Fraction(5, 7)), repeat=2):
+        blk = elemental_blocks(dz, dy)
+        assert blk["avg_mass"].tolist() == [[dz * dy * w[iy][jy] * w[iz][jz] for jy, jz in corners]
+                                            for iy, iz in corners]
+        int_n, int_ny = [dz * dy / 4] * 4, [-dz / 2, -dz / 2, dz / 2, dz / 2]
+        assert blk["avg_mass"].sum(axis=1).tolist() == int_n == blk["mass"].sum(axis=1).tolist()
+        assert blk["avg_gy0"].sum(axis=1).tolist() == int_ny == blk["gy0"].sum(axis=1).tolist()
 
 
 def test_zero_input_gives_zero_solution():
@@ -396,11 +421,10 @@ def test_mirror_parity_follows_from_the_elemental_blocks():
         for _, _, name in terms:
             b = blk[name]
             assert np.all(b[np.ix_(flip, flip)] == MIRROR_PARITY[rf] * MIRROR_PARITY[cf] * b), name
-    for rf, names in ((0, ("gy0", "int_ny")), (1, ("mass", "int_n"))):
+    for rf, names in ((0, ("gy0", "avg_gy0")), (1, ("mass", "avg_mass"))):
         for name in names:
             b = blk[name]
-            flipped = b[np.ix_(flip, flip)] if b.ndim == 2 else b[flip]
-            assert np.all(flipped == MIRROR_PARITY[rf] * b), name
+            assert np.all(b[np.ix_(flip, flip)] == MIRROR_PARITY[rf] * b), name
 
 
 def uniform_band_case():
@@ -795,6 +819,8 @@ def loop_reference(mesh, material, regions, profile, scheme):
             (2, 0): musig * blk["cz"],
             (2, 2): blk["lap"],
         }
+        mass, gy0 = (blk[k] for k in (("mass", "gy0") if scheme is Scheme.GALERKIN
+                                      else ("avg_mass", "avg_gy0")))
         for ne in range(nz - 1):
             nodes = [me * nz + ne, me * nz + ne + 1, (me + 1) * nz + ne, (me + 1) * nz + ne + 1]
             for (rf, cf), b in spec.items():
@@ -804,12 +830,8 @@ def loop_reference(mesh, material, regions, profile, scheme):
                         a_abs[rf * m_count + nodes[i], cf * m_count + nodes[j]] += abs(b[i, j])
             for i in range(4):
                 for j in range(4):
-                    if scheme is Scheme.GALERKIN:
-                        ay = musig * u * blk["mass"][i, j] * bn[nodes[j]]
-                        ph = -flag * u * blk["gy0"][i, j] * bn[nodes[j]]
-                    else:
-                        ay = musig * u * blk["int_n"][i] * bn[nodes[j]] / 4
-                        ph = -flag * u * blk["int_ny"][i] * bn[nodes[j]] / 4
+                    ay = musig * u * mass[i, j] * bn[nodes[j]]
+                    ph = -flag * u * gy0[i, j] * bn[nodes[j]]
                     for dof, w in ((m_count + nodes[i], ay), (nodes[i], ph)):
                         rhs[dof] += w
                         rhs_abs[dof] += abs(w)
