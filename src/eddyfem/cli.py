@@ -220,6 +220,8 @@ def write_csv(path: Path, config: ScenarioConfig, columns: List[str],
     lines = [f"# eddyfem {__version__}",
              f"# config {json.dumps(config.raw, sort_keys=True, separators=(',', ':'))}",
              ",".join(columns)]
+    if isinstance(rows, np.ndarray):   # _fmt formats Python floats faster than numpy scalars
+        rows = rows.tolist()
     lines += [",".join(_fmt(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
@@ -507,7 +509,7 @@ def verify(stream=None) -> int:
     out = stream or sys.stdout
     reports = (ztransfer.run_identity_checks()
                + [ztransfer.peak_error_certificate(s) for s in Scheme]
-               + ztransfer.pole_certificates())
+               + [ztransfer._float_element_report()] + ztransfer.pole_certificates())
     for rep in reports:
         print(rep.render(), file=out)
     ok = all(rep.ok for rep in reports)

@@ -128,12 +128,12 @@ class DiscreteSystem2D:
     as its distinct z-columns. The grid is uniform along the motion, so the
     rows of node column n are those of stencil column k = column_of[n]:
     columns[row field, col field, dy, dz, m, k] is the coefficient in the
-    row of (row field, m, n) of the unknown (col field, m + dy - 1,
-    n + dz - 1). An assembled sheet has three columns: inlet, interior and
-    outlet. ``mirrored`` says that the matrix commutes with the signed
-    reflection about the centre node row (see solve_2d). solve_2d reads only
-    the columns; ``_stencil`` materialises the per-node stencil on each
-    read, and ``matrix`` is a CSR built from it on first read."""
+    row of (row field, m, n) of col field at the node's neighbour [dy, dz],
+    which _neighbours alone locates. An assembled sheet has three columns:
+    inlet, interior and outlet. ``mirrored`` says that the matrix commutes
+    with the signed reflection about the centre node row (see solve_2d).
+    solve_2d reads only the columns; ``_stencil``, the per-node stencil,
+    is built on each read, and the CSR ``matrix`` from it on first read."""
 
     def __init__(self, columns: np.ndarray, column_of, rhs: np.ndarray, mesh: Mesh2D,
                  mirrored: bool):
@@ -215,7 +215,7 @@ def _element_rows(blocks, factors, scheme: Scheme):
 def _mesh_rows(mesh: Mesh2D, material: Material, regions: RegionMap2D, scheme: Scheme):
     """What the matrix and the right-hand side share: the stacked
     _element_rows of every mesh row (the elemental blocks computed once per
-    distinct row height) and the Dirichlet mask over the block-ordered dofs."""
+    distinct row height) and the Dirichlet mask, fixed[field, m, n]."""
     if len(regions.row_multipliers) != mesh.ny - 1:
         raise InvalidArgumentError("region map does not match the mesh rows")
     ny, nz, dz = mesh.ny, mesh.nz, mesh.dz
@@ -229,11 +229,9 @@ def _mesh_rows(mesh: Mesh2D, material: Material, regions: RegionMap2D, scheme: S
     # Dirichlet rows: A_y = A_z = 0 on the inlet column and both y edges,
     # and the phi gauge pin at the inlet node nearest y = 0 (on the
     # symmetry line of symmetric meshes); each keeps only its unit diagonal
-    m_count = mesh.node_count
-    edge = np.concatenate([np.arange(ny) * nz, np.arange(nz), (ny - 1) * nz + np.arange(nz)])
-    fixed = np.zeros(3 * m_count, dtype=bool)
-    fixed[m_count + edge] = fixed[2 * m_count + edge] = True
-    fixed[int(np.argmin(np.abs(mesh.node_y()))) * nz] = True
+    fixed = np.zeros((3, ny, nz), dtype=bool)
+    fixed[1:, :, 0] = fixed[1:, [0, -1]] = True
+    fixed[0, int(np.argmin(np.abs(mesh.node_y()))), 0] = True
     return np.stack(_element_rows(blk, factors, scheme)), fixed
 
 
@@ -258,7 +256,7 @@ def assemble_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
     rf, cf, _ = zip(*BLOCK_TABLE)
     columns[rf, cf] = folded[:len(BLOCK_TABLE)]
     # a Dirichlet row keeps only its unit diagonal
-    fixed = fixed.reshape(3, ny, nz)[..., [0, 1, nz - 1]]
+    fixed = fixed[..., [0, 1, nz - 1]]
     np.copyto(columns, 0.0, where=fixed[:, None, None, None])
     columns[range(3), range(3), 1, 1] += fixed
     return DiscreteSystem2D(columns, _column_of(nz), rhs, mesh, _mirrored_mesh(mesh, regions))
@@ -308,7 +306,7 @@ def _rhs(mesh: Mesh2D, regions: RegionMap2D, profile, loads: np.ndarray, fixed) 
         raise InvalidArgumentError("profile samples do not match the mesh nodes")
     rhs = np.zeros((3, ny, nz))
     rhs[[spec[0] for spec in LOAD_TABLE]] = _matvec(loads[:, None], _column_of(nz), bn[None])
-    rhs[fixed.reshape(3, ny, nz)] = 0.0
+    rhs[fixed] = 0.0
     if (_mirrored_mesh(mesh, regions)
             and np.array_equal(np.asarray(profile.sample(z, -y), dtype=float), bn)):
         # keep the even part (P b + b) / 2; negation and halving are exact
@@ -378,8 +376,9 @@ def _sector(columns: np.ndarray, column_of: np.ndarray, s: int):
 def _band(pos: np.ndarray, columns: np.ndarray, column_of: np.ndarray):
     """(ab, kl, ku, ||A||inf) of the rows of ``columns`` (node column n
     reads column column_of[n]), with unknown (c, m, n) at band position
-    pos[c, m, n] (-1: none). A[i, j] sits at ab[kl + ku + i - j, j], below
-    kl rows of workspace for the fill that row pivoting creates.
+    pos[c, m, n] (-1: none) and its neighbours' positions read off
+    _neighbours. A[i, j] sits at ab[kl + ku + i - j, j], below kl rows of
+    workspace for the fill that row pivoting creates.
 
     The band is a run of slabs along its slow axis (_node_interleaved):
     node columns when z is slow, node rows when y is. The band columns of
@@ -397,16 +396,13 @@ def _band(pos: np.ndarray, columns: np.ndarray, column_of: np.ndarray):
     first = {}
     keys = zip(ident[:-2], ident[1:-1], ident[2:])
     rep = [first.setdefault(key, t) for t, key in enumerate(keys)]   # first slab of each key
-    pad = np.pad(pos, ((0, 0), (1, 1), (1, 1)), constant_values=-1)
-    shift = np.arange(3)
-    found, row_sums = [], []
+    near, found, row_sums = _neighbours(pos, -1), [], []
     for t in first.values():
         w = np.arange(max(t - 1, 0), min(t + 2, len(stops)))
-        ms, ns = (np.arange(h), w) if z_slow else (w, np.arange(nz))
-        ms, ns = ms[:, None], ns[None, :]
+        ms, ns = np.ix_(*((np.arange(h), w) if z_slow else (w, np.arange(nz))))
         v = columns[..., ms, column_of[ns]]
         i = pos[:, ms, ns][:, None, None, None]
-        j = pad[:, ms + shift[:, None, None, None], ns + shift[:, None, None]]
+        j = near[..., ms, ns]
         i, j = np.broadcast_to(i, v.shape), np.broadcast_to(j, v.shape)
         entry = (v != 0) & (i >= 0) & (j >= 0)
         rows = entry & (starts[t] <= i) & (i < stops[t])
@@ -520,22 +516,17 @@ def solve_2d(system: DiscreteSystem2D, more_rhs: Optional[Sequence[np.ndarray]] 
 
 
 def _matvec(columns: np.ndarray, column_of: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A x on the grid, x of shape (fields, ny, nz), over each run of node
-    columns that read the same stencil column; every row adds its terms in
-    column order."""
+    """A x on the grid, x of shape (fields, ny, nz): each run of node columns
+    that read one stencil column multiplies the neighbours _neighbours
+    gathers, and a row sums its 9 * fields terms in column order from -0.0,
+    so its bits are those of a loop that starts at its first term."""
     f, ny, nz = x.shape
-    pad = np.zeros((f, ny + 2, nz + 2))
-    pad[:, 1:-1, 1:-1] = x
+    near = _neighbours(x, 0.0).reshape(9 * f, ny, nz)
     ax = np.empty((len(columns), ny, nz))
     runs = np.flatnonzero(np.diff(column_of, prepend=-1, append=-1))
     for a, b in zip(runs[:-1], runs[1:]):
-        col, acc = columns[..., column_of[a], None], ax[..., a:b]
-        for q, (cf, dy, dz) in enumerate(itertools.product(range(f), range(3), range(3))):
-            term = col[:, cf, dy, dz] * pad[cf, dy:dy + ny, a + dz:b + dz]
-            if q:
-                acc += term
-            else:
-                acc[...] = term
+        col = columns[..., column_of[a], None].reshape(len(columns), 9 * f, ny, 1)
+        ax[..., a:b] = np.sum(col * near[..., a:b], axis=1, initial=-0.0)
     return ax
 
 

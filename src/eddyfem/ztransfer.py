@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import fem1d, fem2d, oracle
-from .core import Scheme
+from .core import REFERENCE_INTEGRALS, Scheme
 from .zpoly import Poly, RationalFunction, gcd_univariate, roots_univariate, separate
 
 ZN = "Z_n"   # flow direction
@@ -342,6 +342,19 @@ def tf_2d(scheme: Scheme) -> TransferFunction2D:
     den, den_degree = _det_pe_leading(*matrices(_FIELDS))
     num, num_degree = _det_pe_leading(*matrices(("phi", "input", "A_z")))
     return TransferFunction2D(scheme, num, den, num_degree, den_degree, _multiplicities(den, num))
+
+
+def _float_element_report() -> IdentityReport:
+    """fem1d's float path reads its element once, at import: its row
+    coefficients (a, b) of a + b*Pe must be the stiffness and 2*convection
+    of the element exact_stencil reads now, and each 1/divisor the weight of
+    element_weights(scheme), so that every weight is a unit fraction."""
+    stiffness, convection = REFERENCE_INTEGRALS["stiffness"], REFERENCE_INTEGRALS["convection"]
+    rows = [[(s, 2 * c) for s, c in zip(*pair)] for pair in zip(stiffness, convection)]
+    weights = all([[Fraction(1, d) for d in row] for row in fem1d._DIVISORS[s]]
+                  == [list(row) for row in fem1d.element_weights(s)] for s in Scheme)
+    return IdentityReport("fem1d float element: _ROW_COEFFS = (stiffness, 2*convection), "
+                          "_DIVISORS = 1/element_weights", fem1d._ROW_COEFFS == rows and weights)
 
 
 def pole_certificates() -> List[IdentityReport]:

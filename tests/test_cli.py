@@ -771,6 +771,7 @@ VERIFY_TEXT = """\
     (1+Pe)^3 f/B is the cubic -Pe + 1 (checked at Pe = 11): yes
     df/dPe vanishes on Pe > 1 only at Pe = 2: yes
     f(2) = -1/27 B, the bound -B/27: yes
+[PASS] fem1d float element: _ROW_COEFFS = (stiffness, 2*convection), _DIVISORS = 1/element_weights
 [PASS] galerkin high-Pe limit keeps Z = -1
     core.REFERENCE_INTEGRALS element, high-Pe limit: galerkin: (1/3*Z^2 + 4/3*Z + 1/3) / (Z^2 - 1)
     denominator (Z+1)^1 (Z-1)^1; numerator (Z+1)^0 (Z-1)^0
@@ -823,6 +824,19 @@ def test_verify_negative_control_names_n1(monkeypatch):
     assert verify(stream=buf) == 4
     text = buf.getvalue()
     assert "[FAIL] N1 factorization" in text
+
+
+def test_verify_checks_the_1d_element_that_assemble_1d_caches(monkeypatch):
+    # assemble_1d reads its load divisors once, at import: with the
+    # Galerkin ones on the averaged scheme, the float path loads another
+    # element than the certificates read, and only this line can tell
+    galerkin = fem1d._DIVISORS[Scheme.GALERKIN]
+    monkeypatch.setitem(fem1d._DIVISORS, Scheme.ELEMENT_AVERAGED, galerkin)
+    buf = io.StringIO()
+    assert verify(stream=buf) == 4
+    assert [line for line in buf.getvalue().splitlines() if line.startswith("[FAIL]")] == [
+        "[FAIL] fem1d float element: _ROW_COEFFS = (stiffness, 2*convection), "
+        "_DIVISORS = 1/element_weights"]
 
 
 def test_verify_reads_the_1d_element_table(monkeypatch):

@@ -19,8 +19,8 @@ from eddyfem.fem2d import (BLOCK_TABLE, MIRROR_PARITY, DiscreteSystem2D,
 from eddyfem.cli import graded_sheet_rows, verify
 from eddyfem.ztransfer import tf_2d
 from stencil_utils import (dict_fold_patch_rows, expected_lhs_stencils, expected_rhs_stencils,
-                           stencil_band, stencil_matvec, stencil_sector, whole_grid_stencil,
-                           written_out_blocks)
+                           neighbours, stencil_band, stencil_matvec, stencil_sector,
+                           whole_grid_stencil, written_out_blocks)
 
 PE = Fraction(7, 2)
 U = Fraction(3)
@@ -874,6 +874,23 @@ def test_assembled_matrix_is_canonical_with_unit_dirichlet_rows(case):
     assert np.all(system.rhs[fixed] == 0.0)
 
 
+@pytest.mark.parametrize("case", ["minimal_circle", "shifted_y0"])
+def test_dirichlet_mask_is_the_inlet_column_the_y_edges_and_one_phi_pin(case):
+    # whole_grid_stencil reads this mask too, so the band and product tests
+    # cannot see an edge dropped from it: check it against the mesh alone
+    parts = sheet_parts(60.0, nz=5) if case == "minimal_circle" else not_even_case(case)
+    mesh = parts[0]
+    fixed = fem2d._mesh_rows(*parts[:3], Scheme.GALERKIN)[1]
+    y, z = mesh.node_y(), mesh.node_z()
+    walls = {(m, n) for m in range(mesh.ny) for n in range(mesh.nz)
+             if z[n] == z.min() or y[m] in (y.min(), y.max())}
+    pin = (0, min(range(mesh.ny), key=lambda m: abs(y[m])), 0)
+    want = {(f, m, n) for f in (1, 2) for m, n in walls} | {pin}
+    assert len(want) == 2 * (mesh.ny + 2 * mesh.nz - 2) + 1
+    assert fixed.shape == (3, mesh.ny, mesh.nz) and fixed.dtype == bool
+    assert {tuple(int(i) for i in dof) for dof in np.argwhere(fixed)} == want
+
+
 def test_multi_rhs_solve_equals_separate_solves():
     g = sheet_system(60.0, Scheme.GALERKIN)
     e = sheet_system(60.0, Scheme.ELEMENT_AVERAGED)
@@ -1085,6 +1102,24 @@ def test_hand_built_columns_fill_every_block():
     sol = solve_2d(DiscreteSystem2D(stencil, every, system.rhs, mesh, False))
     ax = stencil_matvec(stencil, np.stack([sol.phi, sol.a_y, sol.a_z]))
     assert sol.residual == np.max(np.abs(ax.ravel() - system.rhs))
+
+
+def test_matvec_sums_each_row_from_its_first_term():
+    # the product keeps the bits of a loop that starts at a row's first
+    # term, signed zeros too: a row of -0.0 terms sums to -0.0, where a
+    # reduction that starts at +0.0 would return +0.0
+    system = assemble_2d(*uniform_conductor_case())
+    mesh, rng = system.mesh, np.random.default_rng(5)
+    x = -np.abs(rng.standard_normal((3, mesh.ny, mesh.nz)))
+    x[:, 1:5, 1:5] = -0.0   # every term of the rows at (2..3, 2..3) is -0.0 below
+    for columns in (system.columns, np.abs(system.columns)):
+        terms = columns[..., system.column_of] * neighbours(x, 0.0)
+        terms = terms.reshape(3, 27, mesh.ny, mesh.nz)
+        want = terms[:, 0]
+        for q in range(1, 27):
+            want = want + terms[:, q]
+        assert fem2d._matvec(columns, system.column_of, x).tobytes() == want.tobytes()
+    assert np.any(np.signbit(want[want == 0.0]))
 
 
 def test_in_place_edit_of_the_matrix_does_not_change_a_solve():
