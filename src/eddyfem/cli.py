@@ -18,6 +18,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -85,7 +86,6 @@ RUN_1D = {
     "dz": (float, POSITIVE, ...), "length": (float, POSITIVE, ...),
     "pulse": {"a": (float, None, ...), "b": (float, None, ...),
               "amplitude": (float, NONNEGATIVE, ...)},
-    "material": {"sigma": (float, POSITIVE, 1.0), "mu": (float, POSITIVE, 1.0)},
 }
 RUN_2D = {
     "sheet": {"thickness": (float, POSITIVE, ...), "sigma": (float, POSITIVE, ...),
@@ -149,28 +149,30 @@ class ScenarioConfig:
     pe_values: Tuple[float, ...]
 
     @classmethod
-    def load(cls, path, scheme_override: Optional[str] = None) -> "ScenarioConfig":
+    def load(cls, path) -> "ScenarioConfig":
         try:
             raw = json.loads(Path(path).read_text())
         except (OSError, ValueError, RecursionError) as err:   # ValueError: not UTF-8 or JSON
             raise ConfigError("<file>", f"cannot read config: {err}")
-        return cls.from_dict(raw, scheme_override)
+        return cls.from_dict(raw)
 
     @classmethod
-    def from_dict(cls, raw: dict, scheme_override: Optional[str] = None) -> "ScenarioConfig":
+    def from_dict(cls, raw: dict) -> "ScenarioConfig":
         v = _walk(_check("<file>", raw, dict, None), SHARED, {"": raw})
         if (v["pe"] is None) == (v["pe_sweep"] is None):
             raise ConfigError("pe_sweep" if v["pe_sweep"] else "pe", "give one of pe, pe_sweep")
         if v["pe"] == []:
             raise ConfigError("pe", "empty Pe list")
+        seen = set()
         for i, pe in enumerate(v["pe"] or ()):   # a repeat would solve and write a case twice
-            if pe in v["pe"][:i]:
+            if pe in seen:
                 raise ConfigError(f"pe.{i}", "repeats an earlier entry")
+            seen.add(pe)
         if v["pe_sweep"] is not None and not v["pe_sweep.hi"] > v["pe_sweep.lo"]:
             raise ConfigError("pe_sweep.hi", "must exceed lo")
-        pes = v["pe"] or sorted(set(list(np.geomspace(
-            v["pe_sweep.lo"], v["pe_sweep.hi"], v["pe_sweep.points"])) + v["pe_sweep.include"]))
-        return cls(raw, v, SCHEMES[scheme_override or v["scheme"]], tuple(pes))
+        pes = v["pe"] or sorted(set(np.geomspace(
+            v["pe_sweep.lo"], v["pe_sweep.hi"], v["pe_sweep.points"]).tolist() + v["pe_sweep.include"]))
+        return cls(raw, v, SCHEMES[v["scheme"]], tuple(pes))
 
     @property
     def pe_key(self) -> str:   # 'pe' or 'pe_sweep', whichever gave pe_values
@@ -208,21 +210,23 @@ class RunRecord:
 def _fmt(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))  # shortest round-trip decimal form
+    if isinstance(v, float):
+        return repr(v)  # shortest round-trip decimal form
     if isinstance(v, tuple):
         return ",".join(_fmt(x) for x in v)
     return str(v)
 
 
-def write_csv(path: Path, config: ScenarioConfig, columns: List[str],
-              rows: Sequence[Sequence]) -> None:
+def write_csv(path: Path, config: ScenarioConfig, columns: Dict[str, Sequence]) -> None:
+    """Write the CSV ``path`` from {name: cells}, under the '#' header lines
+    that echo ``config``. A float array's cells are written with repr, any
+    other cell with _fmt; the rows past the end of a shorter column are empty."""
+    cells = [map(repr, col.tolist()) if isinstance(col, np.ndarray) else map(_fmt, col)
+             for col in columns.values()]
     lines = [f"# eddyfem {__version__}",
              f"# config {json.dumps(config.raw, sort_keys=True, separators=(',', ':'))}",
              ",".join(columns)]
-    if isinstance(rows, np.ndarray):   # _fmt formats Python floats faster than numpy scalars
-        rows = rows.tolist()
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    lines += map(",".join, zip_longest(*cells, fillvalue=""))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -263,11 +267,11 @@ def svg_line_chart(path: Path, series: Dict[str, Tuple[np.ndarray, np.ndarray]],
     path.write_text("\n".join(parts) + "\n")
 
 
-def _write_outputs(record: RunRecord, cfg: ScenarioConfig, path: Path, columns: List[str],
-                   rows: Sequence[Sequence], chart: Optional[Tuple[dict, str]] = None) -> None:
+def _write_outputs(record: RunRecord, cfg: ScenarioConfig, path: Path,
+                   columns: Dict[str, Sequence], chart: Optional[Tuple[dict, str]] = None) -> None:
     """Write the CSV ``path`` and, when cfg.svg is set and a (series, title)
     chart is given, its SVG beside it; record both paths."""
-    write_csv(path, cfg, columns, rows)
+    write_csv(path, cfg, columns)
     record.outputs.append(str(path))
     if cfg.values["svg"] and chart is not None:
         svg_line_chart(path.with_suffix(".svg"), *chart)
@@ -278,13 +282,13 @@ def _write_outputs(record: RunRecord, cfg: ScenarioConfig, path: Path, columns: 
 # case builders
 
 
-def _material(pe: float, dz: float, sigma: float, mu: float, sigma_path: str):
+def _material(path: str, pe: float, dz: float, sigma: float = 1.0, mu: float = 1.0):
     """material_for_peclet, whose rejection (an overflowing mu*sigma*dz or
-    velocity) is reported against the config field of sigma."""
+    velocity) is reported against the config field ``path``."""
     try:
         return material_for_peclet(pe, dz, sigma=sigma, mu=mu)
     except InvalidArgumentError as err:
-        raise ConfigError(sigma_path, str(err))
+        raise ConfigError(path, str(err))
 
 
 def build_1d_case(cfg: ScenarioConfig, pe: float):
@@ -300,7 +304,7 @@ def build_1d_case(cfg: ScenarioConfig, pe: float):
     if len(cfg.pe_values) * mesh.node_count > MAX_RUN_NODES_1D:
         raise ConfigError(cfg.pe_key, f"{len(cfg.pe_values)} Pe values of {mesh.node_count} "
                           f"nodes each: over {MAX_RUN_NODES_1D} nodes in one run")
-    material = _material(pe, dz, f["material.sigma"], f["material.mu"], "material.sigma")
+    material = _material(cfg.pe_key, pe, dz)   # the 1D scheme reads Pe alone
     profile = RectPulse1D(a=a, b=b, amplitude=f["pulse.amplitude"])
     return mesh, material, profile
 
@@ -349,7 +353,7 @@ def build_2d_case(cfg: ScenarioConfig, pe: float):
     # place the y = 0 node exactly: y0 is minus the cumulative height below it
     y0 = -float(np.cumsum(heights)[mid - 1])
     mesh = Mesh2D(nz=nz, dz=dz, row_heights=heights, z0=-lz / 2, y0=y0)
-    material = _material(pe, dz, f["sheet.sigma"], f["sheet.mu_r"] * MU0, "sheet.sigma")
+    material = _material("sheet.sigma", pe, dz, f["sheet.sigma"], f["sheet.mu_r"] * MU0)
     regions = fem2d.RegionMap2D.conducting_band(mesh, d)
     return mesh, material, regions, profile
 
@@ -380,11 +384,9 @@ def run_1d(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
     out_dir.mkdir(parents=True, exist_ok=True)
     record = RunRecord()
     for scheme, pe, mesh, sol, wall in solved:
-        z = mesh.nodes()
-        rows = [(z[i], sol.a_y[i], sol.b_x[i] if i < len(sol.b_x) else None)
-                for i in range(mesh.node_count)]
-        _write_outputs(record, cfg, out_dir / f"run1d_{scheme.value}_pe{_fmt(float(pe))}.csv",
-                       ["z", "a_y", "b_x"], rows,
+        z = mesh.nodes()   # b_x is per element: the last node's cell is empty
+        _write_outputs(record, cfg, out_dir / f"run1d_{scheme.value}_pe{_fmt(pe)}.csv",
+                       {"z": z, "a_y": sol.a_y, "b_x": sol.b_x},
                        ({f"b_x {scheme.value} Pe={pe:g}": (0.5 * (z[:-1] + z[1:]), sol.b_x)},
                         "reaction flux density along z"))
         record.stats.append({"scheme": scheme.value, "pe": pe, "n": mesh.node_count,
@@ -420,15 +422,16 @@ def run_2d(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
             yc, zc = (0.5 * (v[:-1] + v[1:]) for v in (sol.mesh.node_y(), sol.mesh.node_z()))
             f = np.stack([sol.a_y, sol.a_z, sol.phi])
             centroid = 0.25 * (f[:, :-1, :-1] + f[:, :-1, 1:] + f[:, 1:, :-1] + f[:, 1:, 1:])
-            rows = np.column_stack([*(v.ravel() for v in np.meshgrid(yc, zc, indexing="ij")),
-                                    sol.b_x.ravel(), *centroid.reshape(3, -1)])
-            _write_outputs(record, cfg, out_dir / f"field2d_{scheme.value}_pe{_fmt(float(pe))}.csv",
-                           ["y", "z", "b_x", "a_y", "a_z", "phi"], rows)
+            y, z = (v.ravel() for v in np.meshgrid(yc, zc, indexing="ij"))
+            a_y, a_z, phi = centroid.reshape(3, -1)
+            _write_outputs(record, cfg, out_dir / f"field2d_{scheme.value}_pe{_fmt(pe)}.csv",
+                           {"y": y, "z": z, "b_x": sol.b_x.ravel(), "a_y": a_y, "a_z": a_z,
+                            "phi": phi})
             record.stats.append({"scheme": scheme.value, "pe": pe, "dofs": dofs, "band_kl":
                                  sol.band_kl, "residual": sol.residual, "wall_s": wall})
         _write_outputs(record, cfg, out_dir / f"centerline_{scheme.value}.csv",
-                       ["z"] + [f"b_x_pe{_fmt(float(pe))}" for pe in cfg.pe_values],
-                       np.column_stack([trace[:, 0]] + traces),
+                       {"z": trace[:, 0], **{f"b_x_pe{_fmt(pe)}": t
+                                             for pe, t in zip(cfg.pe_values, traces)}},
                        ({f"Pe={pe:g}": (trace[:, 0], t) for pe, t in zip(cfg.pe_values, traces)},
                         f"centerline b_x, {scheme.value} input"))
     return record
@@ -481,24 +484,23 @@ def sweep_error(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
         raise ConfigError("plateau_elements", f"{m_c} elements leave the level -amplitude "
                           f"off the model by {layer:.1e} of it at Pe = {low:g}, over 1e-6")
     record = RunRecord()
-    rows = []
     t0 = time.perf_counter()
-    for pe in cfg.pe_values:
-        if pe <= 1.0:
-            rows.append((pe, None, None, None, None, "out-of-validity"))
-            continue
-        measured = measured_peak_errors(pe, dz, m_b, m_c, m_d, tuple(Scheme), amp)
-        rows.append((pe, *(v for s in Scheme for v in (measured[s], oracle.peak_error(s, pe, amp))),
-                     "ok"))   # measured, then formula error, for galerkin and then averaged
-    valid = np.array([r[:4] for r in rows if r[5] == "ok"], dtype=float).reshape(-1, 4)
+    measured = {pe: measured_peak_errors(pe, dz, m_b, m_c, m_d, tuple(Scheme), amp)
+                for pe in cfg.pe_values if pe > 1.0}   # Pe <= 1: out of validity, empty cells
+    columns = {"pe": cfg.pe_values}
+    for s in Scheme:   # measured, then formula error, for galerkin and then averaged
+        columns[f"measured_error_{s.value}"] = [measured[pe][s] if pe in measured else None
+                                                for pe in cfg.pe_values]
+        columns[f"formula_error_{s.value}"] = [oracle.peak_error(s, pe, amp) if pe in measured
+                                               else None for pe in cfg.pe_values]
+    columns["status"] = ["ok" if pe in measured else "out-of-validity" for pe in cfg.pe_values]
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_outputs(record, cfg, out_dir / "sweep_error.csv",
-                   ["pe", "measured_error_galerkin", "formula_error_galerkin",
-                    "measured_error_averaged", "formula_error_averaged", "status"], rows,
-                   ({"measured galerkin": (valid[:, 0], np.abs(valid[:, 1])),
-                     "measured averaged": (valid[:, 0], np.abs(valid[:, 3]))},
-                    "peak spurious error vs Pe") if len(valid) else None)   # no Pe > 1: no chart
-    record.stats.append({"points": len(rows), "wall_s": time.perf_counter() - t0})
+    _write_outputs(record, cfg, out_dir / "sweep_error.csv", columns,
+                   ({f"measured {s.value}": (np.array(list(measured)),
+                                             np.abs([m[s] for m in measured.values()]))
+                     for s in Scheme}, "peak spurious error vs Pe")
+                   if measured else None)   # no Pe > 1: no chart
+    record.stats.append({"points": len(cfg.pe_values), "wall_s": time.perf_counter() - t0})
     return record
 
 
@@ -531,10 +533,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="scenario config JSON")
         p.add_argument("--out", default="out", help="output directory")
-        if fn is not sweep_error:   # the sweep measures both schemes
-            p.add_argument("--scheme", choices=SCHEMES,
-                           help="override the config's scheme selection")
-        p.set_defaults(fn=fn, scheme=None)
+        p.set_defaults(fn=fn)
     sub.add_parser("verify")
 
     args = parser.parse_args(argv)
@@ -546,7 +545,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: --out {out}: {blocker} is not a directory", file=sys.stderr)
         return 2
     try:
-        cfg = ScenarioConfig.load(args.config, args.scheme)
+        cfg = ScenarioConfig.load(args.config)
         record = args.fn(cfg, out)
     except (ConfigError, InvalidArgumentError) as err:
         print(f"error: {err}", file=sys.stderr)

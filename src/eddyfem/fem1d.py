@@ -205,8 +205,7 @@ def solve_1d(system: DiscreteSystem1D) -> Solution1D:
     return Solution1D(a_y=a_y, b_x=b_x, residual=resid)
 
 
-def rect_pulse_case(pe, dz: float, m_b: int, m_c: int, m_d: int,
-                    amplitude: float = 1.0, sigma: float = 1.0, mu: float = 1.0):
+def rect_pulse_case(pe, dz: float, m_b: int, m_c: int, m_d: int, amplitude: float = 1.0):
     """Canonical validation scenario: mesh, material and pulse aligned with
     the closed-form sub-domain layout (upstream run m_b, plateau m_c,
     downstream run m_d, three-element transitions between).
@@ -217,7 +216,7 @@ def rect_pulse_case(pe, dz: float, m_b: int, m_c: int, m_d: int,
     """
     n = m_b + m_c + m_d + 7
     mesh = Mesh1D(dz, n)
-    material = material_for_peclet(float(pe), dz, sigma=sigma, mu=mu)
+    material = material_for_peclet(float(pe), dz)
     lo, hi = m_b + 2, m_b + m_c + 4
     profile = RectPulse1D(a=(lo - 0.5) * dz, b=(hi + 0.5) * dz, amplitude=amplitude)
     return mesh, material, profile

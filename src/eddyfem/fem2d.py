@@ -505,7 +505,7 @@ def solve_2d(system: DiscreteSystem2D, more_rhs: Optional[Sequence[np.ndarray]] 
                                         "(singular or badly scaled system)")
         resid = float(np.max(np.abs(_matvec(columns, column_of, x).ravel() - b)))
         budget = RESIDUAL_RTOL * (norm_a * float(np.max(np.abs(x))) + float(np.max(np.abs(b))))
-        if resid > budget:
+        if not resid <= budget:   # a NaN residual fails too
             raise NumericalFailureError(
                 f"2D residual {resid:.3e} exceeds budget {budget:.3e} "
                 f"(matrix inf-norm {norm_a:.3e})")

@@ -114,10 +114,8 @@ def test_optional_2d_fields_default_to_the_shipped_values():
 
 
 @pytest.mark.parametrize("path, value", [
-    ("material.sigma", 0.0), ("material.sigma", math.inf), ("material.mu", math.nan),
-    ("material.mu", -1.0), ("material.sigma", "1"), ("length", math.inf), ("dz", math.inf),
-    ("pulse.amplitude", math.inf), ("dz", 10 ** 400), ("scheme", ["both"]), ("svg", "no"),
-    ("svg", 1)])
+    ("length", math.inf), ("dz", math.inf), ("pulse.amplitude", math.inf), ("dz", 10 ** 400),
+    ("scheme", ["both"]), ("svg", "no"), ("svg", 1)])
 def test_bad_1d_values_are_config_errors(path, value):
     raw = _with(json.loads((CONFIG_DIR / "fig_pulse1d_pe2.json").read_text()), path, value)
     with pytest.raises(ConfigError) as err:
@@ -153,7 +151,10 @@ def _exit_code_and_err(tmp_path, capsys, raw, command="run-1d"):
     ("pe_sweep", {"lo": 2.0, "hi": 3.0, "points": 10 ** 9}, "pe_sweep.points"),
     ("pe", [2.0, -1.0], "pe.1"),
     ("pe_sweep", {"lo": 2.0, "hi": 3.0, "points": 2, "include": [-1.0]}, "pe_sweep.include.0"),
-    ("pe", [2.0, 2.0], "pe.1"), ("pe", [3.0, 2.0, 3.0], "pe.2")])
+    ("pe", [2.0, 2.0], "pe.1"), ("pe", [3.0, 2.0, 3.0], "pe.2"),
+    # the only repeat is the last of 20,000 entries: a set of the values
+    # seen finds it in linear time, where a scan of the earlier ones was quadratic
+    ("pe", [2.0 + k for k in range(19_999)] + [2.0], "pe.19999")])
 @pytest.mark.parametrize("command, config", [("run-1d", "fig_pulse1d_pe2.json"),
                                              ("run-2d", "sheet2d_circle.json")])
 def test_pe_entries_go_through_the_validator(tmp_path, capsys, key, value, path, command, config):
@@ -253,17 +254,14 @@ def test_mesh_size_caps_admit_the_shipped_and_benchmarked_sizes():
 
 def test_overflowing_velocity_exits_2(tmp_path, capsys, monkeypatch):
     # 2 * Pe / (mu * sigma * dz) overflows to an infinite velocity, which
-    # used to reach the solver and end in a traceback
+    # used to reach the solver and end in a traceback. Every case is built
+    # before any is solved or written: a Pe whose velocity overflows fails
+    # the run before the good Pe = 2 is assembled. run-1d has no material,
+    # so the error names the Pe list
     monkeypatch.setattr(fem1d, "assemble_1d", _no_assembly)
-    raw = _with(json.loads((CONFIG_DIR / "fig_pulse1d_pe2.json").read_text()),
-                "material.sigma", 1e-308)
-    code, err = _exit_code_and_err(tmp_path, capsys, raw)
-    assert code == 2 and "u_z must be finite" in err
-    # every case is built before any is solved or written: a Pe whose
-    # velocity overflows fails the run before the good Pe = 2 is assembled
     raw = _with(json.loads((CONFIG_DIR / "fig_pulse1d_pe2.json").read_text()), "pe", [2.0, 1e308])
     code, err = _exit_code_and_err(tmp_path, capsys, raw)
-    assert code == 2 and "u_z must be finite" in err
+    assert code == 2 and "'pe'" in err and "u_z must be finite" in err
     # run-2d too: it used to assemble and solve Pe = 2 before it built Pe = 1e308
     monkeypatch.setattr(fem2d, "assemble_2d", _no_assembly)
     raw = _with(json.loads((CONFIG_DIR / "sheet2d_circle.json").read_text()), "pe", [2.0, 1e308])
@@ -275,16 +273,13 @@ def test_overflowing_velocity_exits_2(tmp_path, capsys, monkeypatch):
     # lz = 2 * radius * axial_factor overflowed to dz = inf: exit 3, "pivot nan"
     ("sheet2d_circle.json", {"field.radius": 1e300, "grid.axial_factor": 1e10},
      "grid.axial_factor"),
-    # mu * sigma overflowed: NaN in the coupled blocks and exit 3 in 2D, a
-    # scipy ValueError traceback and exit 1 in 1D
-    ("sheet2d_circle.json", {"sheet.sigma": 1e300, "sheet.mu_r": 1e300}, "sheet.sigma"),
-    ("fig_pulse1d_pe2.json", {"material.sigma": 1e300, "material.mu": 1e300}, "material.sigma")])
+    # mu * sigma overflowed: NaN in the coupled blocks and exit 3
+    ("sheet2d_circle.json", {"sheet.sigma": 1e300, "sheet.mu_r": 1e300}, "sheet.sigma")])
 def test_overflowing_configs_exit_2_naming_the_field(tmp_path, capsys, config, overrides, field):
     raw = json.loads((CONFIG_DIR / config).read_text())
     for path, value in overrides.items():
         _with(raw, path, value)
-    command = "run-2d" if config.startswith("sheet") else "run-1d"
-    code, err = _exit_code_and_err(tmp_path, capsys, raw, command)
+    code, err = _exit_code_and_err(tmp_path, capsys, raw, "run-2d")
     assert code == 2 and f"'{field}'" in err
 
 
@@ -323,14 +318,15 @@ def test_misspelt_keys_exit_2_naming_every_unknown_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("config, command, path, value", [
-    ("fig_pulse1d_pe2.json", "run-1d", "material.sgima", 2.0),
+    ("fig_pulse1d_pe2.json", "run-1d", "pulse.amplitdue", 2.0),
     ("fig_pulse1d_pe2.json", "run-1d", "upstream_elements", 40),   # a sweep-error field
     ("sweep_peak_error.json", "sweep-error", "upstream_element", 40),
     ("sweep_peak_error.json", "sweep-error", "pulse", {"a": 1.0}),   # a run-1d section
     ("sheet2d_circle.json", "run-2d", "field.a", 1.3),    # a rect_pulse field on a circle
     ("sheet2d_circle.json", "run-2d", "dz", 0.1),
     ("sheet2d_rect.json", "run-2d", "field.radius", 1.3),
-    ("sheet2d_rect.json", "run-2d", "grid.air-ratio", 1.3)])
+    ("sheet2d_rect.json", "run-2d", "grid.air-ratio", 1.3),
+    ("fig_pulse1d_pe2.json", "run-1d", "material", {"sigma": 1.0})])   # Pe alone sets 1D
 def test_unknown_keys_of_each_subcommand_exit_2(tmp_path, capsys, config, command, path, value):
     raw = _with(json.loads((CONFIG_DIR / config).read_text()), path, value)
     raw["svg"] = False
@@ -367,12 +363,12 @@ def test_pe_excludes_pe_sweep(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("config, command, section, value", [
-    ("fig_pulse1d_pe2.json", "run-1d", "material", [1]),
+    ("fig_pulse1d_pe2.json", "run-1d", "pulse", [1]),
     ("fig_pulse1d_pe2.json", "run-1d", "pulse", 3.9),
     ("sheet2d_circle.json", "run-2d", "grid", None),
     ("sweep_peak_error.json", "sweep-error", "pe_sweep", [1.1, 1000.0])])
 def test_a_section_of_the_wrong_type_is_named(tmp_path, capsys, config, command, section, value):
-    # "material": [1] used to report material.sigma as missing
+    # a list section used to report its first field as missing
     raw = json.loads((CONFIG_DIR / config).read_text())
     raw[section] = value
     code, err = _exit_code_and_err(tmp_path, capsys, raw, command)
@@ -426,15 +422,15 @@ def test_run_1d_outputs_and_determinism(tmp_path):
 # dispatch its log and exp to per-CPU code.
 RUN_1D_SHA256 = {
     "fig_pulse1d_pe2.json": {
-        "run1d_averaged_pe2.0.csv": "737a84f182cc15d50529f432140c649c6222e185723893b2e52f0a6d47aa5ee3",
+        "run1d_averaged_pe2.0.csv": "5999e302df4e8215ac4b8277101f147fe96c3d03392c10325814b6b79be38c10",
         "run1d_averaged_pe2.0.svg": "5dd5bd085350ded9c65068ee782ae149b6113fc7d4c433fdb67931cd90005945",
-        "run1d_galerkin_pe2.0.csv": "be21b0dcac5d98c1836e4a8ed06c2ac9b4af6d20c2c7872e42f8404cac287895",
+        "run1d_galerkin_pe2.0.csv": "bf3975b722d9e59001340324316200311610395c01a999d00ef3c8ccb704d8ce",
         "run1d_galerkin_pe2.0.svg": "fd156b3f5ff7c13cf4a92ab1db9d2b25674c99ac56c81d6b85bb4f31b64befae",
     },
     "fig_pulse1d_pe2000.json": {
-        "run1d_averaged_pe2000.0.csv": "8f395f801f948337438f65eafe4cae52aa013bf434326dedf1a3e006ce8ec365",
+        "run1d_averaged_pe2000.0.csv": "e5195465f29e815735d3ace25852b32d6e42b91d81bd3336456ab8da23872fc7",
         "run1d_averaged_pe2000.0.svg": "8999ceffda3dabcc09d1dc19ffa590d88f9bed064ae34c0ee288f1f5bec5bf3e",
-        "run1d_galerkin_pe2000.0.csv": "17d3d1f139356245abd956aabd3b9ddc8da849ce2ee7a8be9aab59cb78603288",
+        "run1d_galerkin_pe2000.0.csv": "6789c6392a57b5dc54132f4809ceff76af1856e03f0f9a640d00efad9150e30a",
         "run1d_galerkin_pe2000.0.svg": "cdefda24355aa53fc6cbfe65c4e7155aded147170186aa8a9959972a6d2c7b3a",
     },
 }
@@ -445,6 +441,23 @@ def test_shipped_run_1d_outputs_keep_their_bytes(tmp_path, config):
     assert main(["run-1d", "--config", str(CONFIG_DIR / config), "--out", str(tmp_path)]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert got == RUN_1D_SHA256[config]
+
+
+@pytest.mark.parametrize("command, config", [
+    ("run-1d", "fig_pulse1d_pe2.json"), ("run-1d", "fig_pulse1d_pe2000.json"),
+    ("run-2d", "sheet2d_circle.json"), ("run-2d", "sheet2d_rect.json"),
+    ("sweep-error", "sweep_peak_error.json")])
+def test_the_echoed_config_reproduces_the_run(tmp_path, command, config):
+    # the config is the whole input of a run and every CSV echoes it: a
+    # rerun from the '# config' line of one CSV writes every file again
+    first, again, echoed = tmp_path / "first", tmp_path / "again", tmp_path / "echoed.json"
+    assert main([command, "--config", str(CONFIG_DIR / config), "--out", str(first)]) == 0
+    line = min(first.glob("*.csv")).read_text().splitlines()[1]
+    assert line.startswith("# config ")
+    echoed.write_text(line[len("# config "):])
+    assert main([command, "--config", str(echoed), "--out", str(again)]) == 0
+    files = lambda out: {p.name: p.read_bytes() for p in out.iterdir()}
+    assert files(again) == files(first)
 
 
 def test_run_1d_csv_round_trips_floats(tmp_path):
@@ -479,8 +492,8 @@ def test_run_2d_outputs(tmp_path):
 
 
 def test_field_csv_rows_are_the_element_centroids_y_major(tmp_path, monkeypatch):
-    # the per-element loop the field CSV was written with before its rows
-    # became one array: same values, same order, same text
+    # the per-element loop the field CSV was written with before it was
+    # written from columns: same values, same order, same text
     solved = []
     solve = fem2d.solve_2d
     monkeypatch.setattr(fem2d, "solve_2d",
@@ -492,8 +505,8 @@ def test_field_csv_rows_are_the_element_centroids_y_major(tmp_path, monkeypatch)
     yc = 0.5 * (sol.mesh.node_y()[:-1] + sol.mesh.node_y()[1:])
     cent = lambda f: 0.25 * (f[:-1, :-1] + f[:-1, 1:] + f[1:, :-1] + f[1:, 1:])
     ay, az, phi = cent(sol.a_y), cent(sol.a_z), cent(sol.phi)
-    rows = [",".join(cli._fmt(v) for v in (yc[mi], zc[ni], sol.b_x[mi, ni], ay[mi, ni],
-                                           az[mi, ni], phi[mi, ni]))
+    rows = [",".join(repr(float(v)) for v in (yc[mi], zc[ni], sol.b_x[mi, ni], ay[mi, ni],
+                                              az[mi, ni], phi[mi, ni]))
             for mi in range(len(yc)) for ni in range(len(zc))]
     assert (tmp_path / "field2d_averaged_pe2.0.csv").read_text().splitlines()[3:] == rows
 
@@ -637,6 +650,29 @@ def test_sweep_failure_names_its_case(tmp_path, capsys, monkeypatch, failing_cal
            "plateau_elements": 6, "downstream_elements": 4}
     code, err = _exit_code_and_err(tmp_path, capsys, raw, "sweep-error")
     assert code == 3 and f"numerical failure: {label}: forced failure" in err
+
+
+@pytest.mark.parametrize("key, factor", [("sigma", 2.0), ("mu_r", 3.0)])
+def test_sheet_sigma_and_mu_r_scale_phi_alone(key, factor):
+    # at a fixed Pe every row reads mu*sigma*u = 2 Pe/dz, and phi' = mu*sigma*phi
+    # takes up the rest: mu*sigma sets the scale of phi and moves no other
+    # field (about 3e-13 of its maximum here, 8e-13 for phi). That is why
+    # run-2d keeps sheet.sigma and mu_r, where run-1d has no material at all
+    raw = json.loads((CONFIG_DIR / "sheet2d_circle.json").read_text())
+
+    def solve(raw):
+        mesh, material, regions, profile = build_2d_case(ScenarioConfig.from_dict(raw), 60.0)
+        system = fem2d.assemble_2d(mesh, material, regions, profile, Scheme.GALERKIN)
+        more = [fem2d.rhs_2d(mesh, material, regions, profile, Scheme.ELEMENT_AVERAGED)]
+        return fem2d.solve_2d(system, more_rhs=more)
+
+    base = solve(raw)
+    raw["sheet"][key] *= factor
+    for old, new in zip(base, solve(raw)):
+        for name, scale in (("b_x", 1.0), ("a_y", 1.0), ("a_z", 1.0), ("phi", factor)):
+            ref = getattr(old, name)
+            assert np.max(np.abs(scale * getattr(new, name) - ref)) <= 1e-11 * np.max(np.abs(ref)), \
+                name
 
 
 def test_build_2d_case_grid_layout():
@@ -947,8 +983,7 @@ def test_main_exit_codes(tmp_path, capsys):
     raw = json.loads((CONFIG_DIR / "fig_pulse1d_pe2.json").read_text())
     raw["svg"] = False
     good.write_text(json.dumps(raw))
-    assert main(["run-1d", "--config", str(good), "--out", str(tmp_path / "o"),
-                 "--scheme", "averaged"]) == 0
+    assert main(["run-1d", "--config", str(good), "--out", str(tmp_path / "o")]) == 0
     out = capsys.readouterr().out
     assert "wrote" in out
 
@@ -979,15 +1014,25 @@ def test_out_under_a_file_exits_2_before_any_case_is_built(tmp_path, capsys, mon
     assert (tmp_path / "file").read_text() == "kept"
 
 
-def test_sweep_error_has_no_scheme_knob(tmp_path, capsys, monkeypatch):
-    # the sweep measures both schemes: --scheme is not an option of it, and
-    # a config scheme other than both is named before any output is made
+@pytest.mark.parametrize("command, config", [("run-1d", "fig_pulse1d_pe2.json"),
+                                             ("run-2d", "sheet2d_circle.json"),
+                                             ("sweep-error", "sweep_peak_error.json")])
+def test_no_command_takes_a_scheme_option(tmp_path, capsys, monkeypatch, command, config):
+    # the config's scheme is the one place that selects schemes, so the
+    # '# config' line of every CSV names the schemes that were run
     _forbid_assembly(monkeypatch)
-    config = CONFIG_DIR / "sweep_peak_error.json"
     with pytest.raises(SystemExit) as exit_:
-        main(["sweep-error", "--config", str(config), "--scheme", "averaged"])
+        main([command, "--config", str(CONFIG_DIR / config), "--out", str(tmp_path / "o"),
+              "--scheme", "averaged"])
     assert exit_.value.code == 2 and "--scheme" in capsys.readouterr().err
-    raw = json.loads(config.read_text())
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_error_has_no_scheme_knob(tmp_path, capsys, monkeypatch):
+    # the sweep measures both schemes: a config scheme other than both is
+    # named before any output is made
+    _forbid_assembly(monkeypatch)
+    raw = json.loads((CONFIG_DIR / "sweep_peak_error.json").read_text())
     for scheme in ("galerkin", "averaged"):
         code, err = _exit_code_and_err(tmp_path, capsys, dict(raw, scheme=scheme), "sweep-error")
         assert code == 2 and "'scheme'" in err

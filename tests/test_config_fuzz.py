@@ -104,7 +104,7 @@ def configs(draw):
            "dz": dz, "length": length,
            "pulse": {"a": length * draw(st.floats(0.01, 0.5)),
                      "b": length * draw(st.floats(0.5, 0.99)), "amplitude": draw(st.floats(-1, 5))},
-           "material": {"sigma": draw(SIZES), "mu": draw(SIZES)}, **draw(pe_fields())}
+           **draw(pe_fields())}
     return _corrupt(draw, raw, PATHS_1D)
 
 

@@ -915,6 +915,17 @@ def test_multi_rhs_solve_checks_every_rhs():
         solve_2d(g, more_rhs=[g.rhs[:-1]])
 
 
+def test_a_nan_residual_fails_the_2d_solve():
+    # the even sector of the circle sheet leaves the centre row's phi out of
+    # its band, so a NaN in that row's stencil reaches the residual alone;
+    # it used to pass a check that rejected only resid > budget
+    system = sheet_system(60.0, Scheme.GALERKIN, nz=5)
+    centre = system.mesh.ny // 2
+    system.columns[0, 0, 1, 1, centre] = np.nan
+    with pytest.raises(NumericalFailureError, match="2D residual nan"):
+        solve_2d(system)
+
+
 def test_assembly_is_deterministic():
     mesh, material, regions, profile, scheme = uniform_conductor_case()
     s1 = assemble_2d(mesh, material, regions, profile, scheme)
