@@ -72,9 +72,9 @@ SCHEMES = {"galerkin": (Scheme.GALERKIN,), "averaged": (Scheme.ELEMENT_AVERAGED,
 # marks a required field, and a rule is None, a (predicate, message) pair or a
 # choice {allowed value: the fields it adds beside it}. A section is a dict of
 # fields, read as {} when absent, or (dict, its fields, None) if optional.
+SCHEME = (str, dict.fromkeys(SCHEMES, {}), "both")
 SHARED = {
     "dimension": (int, {1: {}, 2: {}}, ...),
-    "scheme": (str, dict.fromkeys(SCHEMES, {}), "both"),
     "pe": ([float], NONNEGATIVE, None),
     "pe_sweep": (dict, {"lo": (float, POSITIVE, ...), "hi": (float, POSITIVE, ...),
                         "points": (int, (lambda v: 2 <= v <= MAX_SWEEP_POINTS,
@@ -83,11 +83,12 @@ SHARED = {
     "svg": (bool, None, False),
 }
 RUN_1D = {
-    "dz": (float, POSITIVE, ...), "length": (float, POSITIVE, ...),
+    "scheme": SCHEME, "dz": (float, POSITIVE, ...), "length": (float, POSITIVE, ...),
     "pulse": {"a": (float, None, ...), "b": (float, None, ...),
               "amplitude": (float, NONNEGATIVE, ...)},
 }
 RUN_2D = {
+    "scheme": SCHEME,
     "sheet": {"thickness": (float, POSITIVE, ...), "sigma": (float, POSITIVE, ...),
               "mu_r": (float, POSITIVE, 1.0), "air_factor": (float, NONNEGATIVE, 5.0)},
     "field": {"kind": (str, {"smooth_circle": {"radius": (float, POSITIVE, ...)},
@@ -141,11 +142,10 @@ def _walk(node: dict, table: dict, values: dict, prefix: str = "") -> dict:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario: the raw dict, its SHARED values and run parameters."""
+    """Validated scenario: the raw dict, its SHARED values and its Pe values."""
 
     raw: dict
     values: dict
-    schemes: Tuple[Scheme, ...]
     pe_values: Tuple[float, ...]
 
     @classmethod
@@ -172,7 +172,7 @@ class ScenarioConfig:
             raise ConfigError("pe_sweep.hi", "must exceed lo")
         pes = v["pe"] or sorted(set(np.geomspace(
             v["pe_sweep.lo"], v["pe_sweep.hi"], v["pe_sweep.points"]).tolist() + v["pe_sweep.include"]))
-        return cls(raw, v, SCHEMES[v["scheme"]], tuple(pes))
+        return cls(raw, v, tuple(pes))
 
     @property
     def pe_key(self) -> str:   # 'pe' or 'pe_sweep', whichever gave pe_values
@@ -282,15 +282,6 @@ def _write_outputs(record: RunRecord, cfg: ScenarioConfig, path: Path,
 # case builders
 
 
-def _material(path: str, pe: float, dz: float, sigma: float = 1.0, mu: float = 1.0):
-    """material_for_peclet, whose rejection (an overflowing mu*sigma*dz or
-    velocity) is reported against the config field ``path``."""
-    try:
-        return material_for_peclet(pe, dz, sigma=sigma, mu=mu)
-    except InvalidArgumentError as err:
-        raise ConfigError(path, str(err))
-
-
 def build_1d_case(cfg: ScenarioConfig, pe: float):
     f = cfg.fields("run-1d")
     dz, length, a, b = f["dz"], f["length"], f["pulse.a"], f["pulse.b"]
@@ -304,9 +295,15 @@ def build_1d_case(cfg: ScenarioConfig, pe: float):
     if len(cfg.pe_values) * mesh.node_count > MAX_RUN_NODES_1D:
         raise ConfigError(cfg.pe_key, f"{len(cfg.pe_values)} Pe values of {mesh.node_count} "
                           f"nodes each: over {MAX_RUN_NODES_1D} nodes in one run")
-    material = _material(cfg.pe_key, pe, dz)   # the 1D scheme reads Pe alone
+    _check_load(cfg, pe, dz)
     profile = RectPulse1D(a=a, b=b, amplitude=f["pulse.amplitude"])
-    return mesh, material, profile
+    return mesh, pe, profile
+
+
+def _check_load(cfg: ScenarioConfig, pe: float, dz: float) -> None:
+    """A Pe whose 1D load 2 Pe dz (fem1d.assemble_1d) overflows is a config error."""
+    if not 2 * pe * dz < math.inf:   # the 1D rows, 1 +- Pe, stay finite
+        raise ConfigError(cfg.pe_key, f"Pe = {pe:g} overflows the 1D load 2 Pe dz on dz = {dz:g}")
 
 
 def graded_sheet_rows(thickness: float, conductor_rows: int, air_factor: float,
@@ -353,7 +350,10 @@ def build_2d_case(cfg: ScenarioConfig, pe: float):
     # place the y = 0 node exactly: y0 is minus the cumulative height below it
     y0 = -float(np.cumsum(heights)[mid - 1])
     mesh = Mesh2D(nz=nz, dz=dz, row_heights=heights, z0=-lz / 2, y0=y0)
-    material = _material("sheet.sigma", pe, dz, f["sheet.sigma"], f["sheet.mu_r"] * MU0)
+    try:   # an overflowing mu*sigma*dz or velocity
+        material = material_for_peclet(pe, dz, f["sheet.sigma"], f["sheet.mu_r"] * MU0)
+    except InvalidArgumentError as err:
+        raise ConfigError("sheet.sigma", str(err))
     regions = fem2d.RegionMap2D.conducting_band(mesh, d)
     return mesh, material, regions, profile
 
@@ -373,13 +373,13 @@ def _failing_case(label: str):
 
 
 def run_1d(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
-    cases = [(pe, build_1d_case(cfg, pe)) for pe in cfg.pe_values]
+    cases = [build_1d_case(cfg, pe) for pe in cfg.pe_values]
     solved = []
-    for scheme in cfg.schemes:
-        for pe, (mesh, material, profile) in cases:
+    for scheme in SCHEMES[cfg.fields("run-1d")["scheme"]]:
+        for mesh, pe, profile in cases:
             t0 = time.perf_counter()
             with _failing_case(f"{scheme.value}, Pe = {pe:g}"):
-                sol = fem1d.solve_1d(fem1d.assemble_1d(mesh, material, profile, scheme))
+                sol = fem1d.solve_1d(fem1d.assemble_1d(mesh, pe, profile, scheme))
             solved.append((scheme, pe, mesh, sol, time.perf_counter() - t0))
     out_dir.mkdir(parents=True, exist_ok=True)
     record = RunRecord()
@@ -396,6 +396,7 @@ def run_1d(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
 
 def run_2d(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
     cases = [(pe, build_2d_case(cfg, pe)) for pe in cfg.pe_values]
+    schemes = SCHEMES[cfg.fields("run-2d")["scheme"]]
     record = RunRecord()
     # the left-hand side does not depend on the scheme: assemble and factor
     # it once per (mesh, Pe) and solve every scheme's right-hand side with
@@ -403,16 +404,16 @@ def run_2d(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
     solved = {}
     for pe, (mesh, material, regions, profile) in cases:
         t0 = time.perf_counter()
-        system = fem2d.assemble_2d(mesh, material, regions, profile, cfg.schemes[0])
+        system = fem2d.assemble_2d(mesh, material, regions, profile, schemes[0])
         more = [fem2d.rhs_2d(mesh, material, regions, profile, scheme)
-                for scheme in cfg.schemes[1:]]
+                for scheme in schemes[1:]]
         with _failing_case(f"Pe = {pe:g}"):   # one factorization serves every scheme
             sols = fem2d.solve_2d(system, more_rhs=more)
         wall = time.perf_counter() - t0
-        for scheme, sol in zip(cfg.schemes, sols):
+        for scheme, sol in zip(schemes, sols):
             solved[scheme, pe] = (sol, 3 * mesh.node_count, wall)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for scheme in cfg.schemes:
+    for scheme in schemes:
         traces = []
         for pe in cfg.pe_values:
             sol, dofs, wall = solved.pop((scheme, pe))
@@ -454,11 +455,11 @@ def measured_peak_errors(pe: float, dz: float, m_b: int, m_c: int, m_d: int,
     it. The central third of the plateau ends (m_c/3 + 1.5) dz before b, so
     there b_x is -B to within B e^{-2 Pe (m_c/3 + 1.5)}; sweep_error bounds it.
     """
-    mesh, material, profile = fem1d.rect_pulse_case(pe, dz, m_b, m_c, m_d, amplitude)
+    mesh, pe, profile = fem1d.rect_pulse_case(pe, dz, m_b, m_c, m_d, amplitude)
     errors = {}
     for scheme in schemes:
         with _failing_case(f"{scheme.value}, Pe = {pe:g}"):
-            sol = fem1d.solve_1d(fem1d.assemble_1d(mesh, material, profile, scheme))
+            sol = fem1d.solve_1d(fem1d.assemble_1d(mesh, pe, profile, scheme))
         dev = sol.b_x[m_b + 3: m_b + 3 + m_c] + amplitude
         errors[scheme] = float(dev[np.argmax(np.abs(dev))])
     return errors
@@ -472,9 +473,8 @@ def measured_peak_error(pe: float, dz: float, m_b: int, m_c: int, m_d: int,
 
 def sweep_error(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
     f = cfg.fields("sweep-error")
-    if f["scheme"] != "both":
-        raise ConfigError("scheme", "must be both: sweep-error measures both schemes")
     dz, amp = f["dz"], f["amplitude"]
+    _check_load(cfg, max(cfg.pe_values), dz)
     m_b, m_c, m_d = f["upstream_elements"], f["plateau_elements"], f["downstream_elements"]
     # the measured level -amplitude leaves out the continuous flux's layer
     # term, at most amplitude * e^{-2 Pe (m_c/3 + 1.5)} (measured_peak_errors)

@@ -1,10 +1,10 @@
 """Shared domain types: materials, meshes, applied-field profiles, the
-per-element Peclet number and the reference integrals of the one element
-of both dimensions; and the LAPACK module the 2D solver calls.
+checks of an element's Peclet number and length, the reference integrals of
+the one element of both dimensions; and the LAPACK module the 2D solver calls.
 
-The Peclet number is always recomputed from its constituents
-(``mu * sigma * |u_z| * dz / 2``) so the solver and the Z-domain analyzer
-can never disagree about it.
+The 1D solver takes the element Peclet number itself, the number that the
+Z-domain analyzer and the closed forms read. The 2D rows read u_z and
+mu*sigma apart, so the 2D solver takes a Material (material_for_peclet).
 """
 from __future__ import annotations
 
@@ -103,17 +103,15 @@ def _check_dz(dz: float) -> None:
         raise InvalidArgumentError(f"dz must be finite and > 0, got {dz}")
 
 
-def peclet_of(material: Material, dz: float) -> float:
-    """Peclet number mu*sigma*|u_z|*dz/2 for element length dz."""
-    _check_dz(dz)
-    return material.mu * material.sigma * abs(material.u_z) * dz / 2.0
+def _check_pe(pe: float) -> None:
+    if not 0 <= pe < math.inf:
+        raise InvalidArgumentError(f"pe must be finite and >= 0, got {pe}")
 
 
 def material_for_peclet(pe: float, dz: float, sigma: float = 1.0, mu: float = 1.0) -> Material:
     """Material whose velocity realizes the requested Peclet number on dz."""
     _check_dz(dz)
-    if pe < 0:
-        raise InvalidArgumentError(f"pe must be >= 0, got {pe}")
+    _check_pe(pe)
     musig_dz = mu * sigma * dz
     if not musig_dz < math.inf:   # an infinite product would give u_z = 0 and Pe = NaN
         raise InvalidArgumentError(f"mu*sigma*dz must be finite, got {mu}*{sigma}*{dz}")

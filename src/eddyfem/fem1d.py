@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (REFERENCE_INTEGRALS, InvalidArgumentError, Mesh1D, Material,
-                   NumericalFailureError, RectPulse1D, Scheme, material_for_peclet, peclet_of)
+from .core import (REFERENCE_INTEGRALS, InvalidArgumentError, Mesh1D, NumericalFailureError,
+                   RectPulse1D, Scheme, _check_pe)
 
 RESIDUAL_RTOL = 1e-10
 
@@ -119,16 +119,16 @@ class Solution1D:
     residual: float
 
 
-def assemble_1d(mesh: Mesh1D, material: Material, profile, scheme: Scheme) -> DiscreteSystem1D:
-    """Assemble the dz-scaled system: the element rows and, element by
-    element, the load.
+def assemble_1d(mesh: Mesh1D, pe: float, profile, scheme: Scheme) -> DiscreteSystem1D:
+    """Assemble the dz-scaled system at the element Peclet number ``pe``:
+    the element rows and, element by element, the load.
 
     The profile is sampled pointwise at the nodes. The element-averaged
     scheme replaces the two nodal input values of each element by their mean
     before integrating the load, which is what folds the (Z+1) factor into
     the discrete input.
     """
-    pe = peclet_of(material, mesh.dz)
+    _check_pe(pe)
     try:
         bn = np.asarray(profile.sample(mesh.nodes()), dtype=float)
     except (AttributeError, TypeError) as err:
@@ -206,7 +206,7 @@ def solve_1d(system: DiscreteSystem1D) -> Solution1D:
 
 
 def rect_pulse_case(pe, dz: float, m_b: int, m_c: int, m_d: int, amplitude: float = 1.0):
-    """Canonical validation scenario: mesh, material and pulse aligned with
+    """Canonical validation scenario: mesh, Pe and pulse aligned with
     the closed-form sub-domain layout (upstream run m_b, plateau m_c,
     downstream run m_d, three-element transitions between).
 
@@ -216,7 +216,6 @@ def rect_pulse_case(pe, dz: float, m_b: int, m_c: int, m_d: int, amplitude: floa
     """
     n = m_b + m_c + m_d + 7
     mesh = Mesh1D(dz, n)
-    material = material_for_peclet(float(pe), dz)
     lo, hi = m_b + 2, m_b + m_c + 4
     profile = RectPulse1D(a=(lo - 0.5) * dz, b=(hi + 0.5) * dz, amplitude=amplitude)
-    return mesh, material, profile
+    return mesh, float(pe), profile

@@ -47,8 +47,8 @@ def test_criterion_1_oracle_equivalence():
     results = []
     for scheme, pe, dz, m_b, m_c, m_d in cases:
         t0 = time.perf_counter()
-        mesh, material, profile = rect_pulse_case(pe, dz, m_b, m_c, m_d, B)
-        fem = solve_1d(assemble_1d(mesh, material, profile, scheme))
+        mesh, pe, profile = rect_pulse_case(pe, dz, m_b, m_c, m_d, B)
+        fem = solve_1d(assemble_1d(mesh, pe, profile, scheme))
         y = analytic_solve(pe, dz, B, m_b, m_c, m_d, scheme).nodal_values()
         wall = time.perf_counter() - t0
         rel = float(np.max(np.abs(fem.a_y - y))) / float(np.max(np.abs(y)))

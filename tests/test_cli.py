@@ -53,10 +53,12 @@ def test_missing_field_names_path():
 
 
 def test_bad_scheme_rejected():
+    # scheme is a field of the run-1d and run-2d tables, read with them
     raw = json.loads((CONFIG_DIR / "fig_pulse1d_pe2.json").read_text())
     raw["scheme"] = "upwind"
-    with pytest.raises(ConfigError):
-        ScenarioConfig.from_dict(raw)
+    with pytest.raises(ConfigError) as err:
+        build_1d_case(ScenarioConfig.from_dict(raw), 2.0)
+    assert err.value.path == "scheme"
 
 
 def _with(raw, path, value):
@@ -256,12 +258,16 @@ def test_overflowing_velocity_exits_2(tmp_path, capsys, monkeypatch):
     # 2 * Pe / (mu * sigma * dz) overflows to an infinite velocity, which
     # used to reach the solver and end in a traceback. Every case is built
     # before any is solved or written: a Pe whose velocity overflows fails
-    # the run before the good Pe = 2 is assembled. run-1d has no material,
-    # so the error names the Pe list
+    # the run before the good Pe = 2 is assembled. 1D has no velocity: there
+    # the load 2 Pe dz overflows, and the error names the Pe list, in run-1d
+    # and in sweep-error alike
     monkeypatch.setattr(fem1d, "assemble_1d", _no_assembly)
-    raw = _with(json.loads((CONFIG_DIR / "fig_pulse1d_pe2.json").read_text()), "pe", [2.0, 1e308])
-    code, err = _exit_code_and_err(tmp_path, capsys, raw)
-    assert code == 2 and "'pe'" in err and "u_z must be finite" in err
+    for config, command in (("fig_pulse1d_pe2.json", "run-1d"),
+                            ("sweep_peak_error.json", "sweep-error")):
+        raw = json.loads((CONFIG_DIR / config).read_text())
+        raw.pop("pe_sweep", None)
+        code, err = _exit_code_and_err(tmp_path, capsys, _with(raw, "pe", [2.0, 1e308]), command)
+        assert code == 2 and "'pe'" in err and "overflows the 1D load" in err
     # run-2d too: it used to assemble and solve Pe = 2 before it built Pe = 1e308
     monkeypatch.setattr(fem2d, "assemble_2d", _no_assembly)
     raw = _with(json.loads((CONFIG_DIR / "sheet2d_circle.json").read_text()), "pe", [2.0, 1e308])
@@ -294,7 +300,7 @@ def test_graded_sheet_rows_are_capped():
 
 def test_pe_sweep_expansion():
     cfg = ScenarioConfig.from_dict({
-        "dimension": 1, "scheme": "both",
+        "dimension": 1,
         "pe_sweep": {"lo": 2.0, "hi": 8.0, "points": 3, "include": [5.0]}})
     assert np.allclose(cfg.pe_values, (2.0, 4.0, 5.0, 8.0), rtol=1e-12)
     assert 5.0 in cfg.pe_values
@@ -682,8 +688,8 @@ def test_build_2d_case_grid_layout():
     assert ys[np.argmin(np.abs(ys))] == 0.0          # exact centerline node
     assert sum(regions.row_multipliers) == 8         # conductor rows
     assert mesh.node_z()[0] == pytest.approx(-7.8)   # 6x field width, centered
-    from eddyfem.core import peclet_of
-    assert peclet_of(material, mesh.dz) == pytest.approx(2.0, rel=1e-12)
+    pe = material.mu * material.sigma * material.u_z * mesh.dz / 2
+    assert pe == pytest.approx(2.0, rel=1e-12)
     assert ys[-1] - ys[0] == pytest.approx(11 * 1.3, rel=1e-9)  # d + 2*5d
 
 
@@ -693,7 +699,7 @@ def test_build_2d_case_grid_layout():
 
 def test_sweep_flags_out_of_validity_and_matches_formula(tmp_path):
     cfg = ScenarioConfig.from_dict({
-        "dimension": 1, "scheme": "both", "pe": [1.0, 2.0, 10.0],
+        "dimension": 1, "pe": [1.0, 2.0, 10.0],
         "dz": 0.2, "upstream_elements": 40, "plateau_elements": 30,
         "downstream_elements": 40, "amplitude": 1.0})
     rec = sweep_error(cfg, tmp_path)
@@ -772,6 +778,28 @@ def test_sweep_needs_a_plateau_whose_level_is_minus_amplitude(tmp_path, capsys, 
         assert code == 0
     else:
         assert code == 2 and "'plateau_elements'" in err and not (tmp_path / "o").exists()
+
+
+def test_the_sweep_solves_at_its_configured_pe(tmp_path, monkeypatch):
+    # every sweep point is assembled at the Pe of the config, the one the
+    # closed forms read: its element rows are the exact rows of that Pe,
+    # rounded once. A velocity 2 Pe/dz and back moved Pe 14.153714408315794
+    # by an ulp
+    systems = []
+    assemble_1d = fem1d.assemble_1d
+
+    def recording(mesh, pe, *args):
+        systems.append((pe, assemble_1d(mesh, pe, *args)))
+        return systems[-1][1]
+
+    monkeypatch.setattr(fem1d, "assemble_1d", recording)
+    cfg = load_cfg("sweep_peak_error.json")
+    sweep_error(cfg, tmp_path)
+    assert 14.153714408315794 in cfg.pe_values
+    assert sorted({pe for pe, _ in systems}) == [pe for pe in cfg.pe_values if pe > 1.0]
+    for pe, system in systems:
+        exact = fem1d._rows(Fraction(pe))
+        assert system.element == tuple(tuple(map(float, row)) for row in exact), pe
 
 
 def test_shared_reference_gives_the_single_scheme_errors():
@@ -1029,10 +1057,11 @@ def test_no_command_takes_a_scheme_option(tmp_path, capsys, monkeypatch, command
 
 
 def test_sweep_error_has_no_scheme_knob(tmp_path, capsys, monkeypatch):
-    # the sweep measures both schemes: a config scheme other than both is
-    # named before any output is made
+    # the sweep measures both schemes: its table has no scheme, so a config
+    # scheme, both included, is an unknown key, named before any output is made
     _forbid_assembly(monkeypatch)
     raw = json.loads((CONFIG_DIR / "sweep_peak_error.json").read_text())
-    for scheme in ("galerkin", "averaged"):
+    assert "scheme" not in raw
+    for scheme in ("galerkin", "averaged", "both"):
         code, err = _exit_code_and_err(tmp_path, capsys, dict(raw, scheme=scheme), "sweep-error")
-        assert code == 2 and "'scheme'" in err
+        assert code == 2 and "config field 'scheme': unknown key" in err

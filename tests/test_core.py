@@ -9,56 +9,44 @@ from hypothesis import given, strategies as st
 
 from eddyfem.core import (InvalidArgumentError, Material, Mesh1D, Mesh2D,
                           RectPulse1D, RectPulse2D, SmoothCircle2D,
-                          material_for_peclet, peclet_of)
+                          material_for_peclet)
 
 
-def test_peclet_high_speed_case():
-    # mu*sigma*u = 20000 per m, dz = 0.2 -> Pe = 2000
-    mat = Material(sigma=20000.0, mu=1.0, u_z=1.0)
-    assert peclet_of(mat, 0.2) == pytest.approx(2000.0, rel=1e-14)
-    assert type(peclet_of(mat, 0.2)) is float
+def test_material_for_peclet_high_speed_case():
+    # Pe = 2000 on dz = 0.2 with mu*sigma = 20000 per m: u = 1
+    assert material_for_peclet(2000.0, 0.2, sigma=20000.0).u_z == pytest.approx(1.0, rel=1e-14)
 
 
-def test_peclet_zero_velocity():
-    mat = Material(sigma=5.0, mu=2.0, u_z=0.0)
-    assert peclet_of(mat, 0.7) == 0.0
+def test_material_for_peclet_zero_pe():
+    assert material_for_peclet(0.0, 0.7, sigma=5.0, mu=2.0).u_z == 0.0
 
 
-def test_peclet_moderate_case():
-    # mu*sigma*u = 16 per m, dz = 0.25 -> Pe = 2
-    mat = Material(sigma=4.0, mu=2.0, u_z=2.0)
-    assert peclet_of(mat, 0.25) == pytest.approx(2.0, rel=1e-14)
+def test_material_for_peclet_moderate_case():
+    # Pe = 2 on dz = 0.25 with mu*sigma = 8 per m: u = 2
+    assert material_for_peclet(2.0, 0.25, sigma=4.0, mu=2.0).u_z == pytest.approx(2.0, rel=1e-14)
 
 
-def test_peclet_rejects_bad_dz():
-    mat = Material(sigma=1.0, mu=1.0, u_z=1.0)
-    with pytest.raises(InvalidArgumentError):
-        peclet_of(mat, 0.0)
-    with pytest.raises(InvalidArgumentError):
-        peclet_of(mat, -1.0)
-    with pytest.raises(InvalidArgumentError, match="dz must be finite"):
-        peclet_of(mat, math.inf)
-    with pytest.raises(InvalidArgumentError, match="dz must be finite"):
-        material_for_peclet(2.0, math.inf)
+def test_material_for_peclet_rejects_bad_dz():
+    for dz in (0.0, -1.0, math.inf):
+        with pytest.raises(InvalidArgumentError, match="dz must be finite"):
+            material_for_peclet(2.0, dz)
 
 
 @given(st.floats(0.1, 50), st.floats(0.1, 50), st.floats(0.0, 50), st.floats(0.01, 10),
        st.floats(0.5, 4))
-def test_peclet_linear_in_each_constituent(sigma, mu, u, dz, factor):
-    base = peclet_of(Material(sigma, mu, u), dz)
-    assert peclet_of(Material(sigma * factor, mu, u), dz) == pytest.approx(
+def test_material_for_peclet_velocity_scales_with_each_input(sigma, mu, pe, dz, factor):
+    # u = 2 Pe / (mu sigma dz): linear in Pe, inverse in mu, sigma and dz
+    base = material_for_peclet(pe, dz, sigma, mu).u_z
+    assert material_for_peclet(pe * factor, dz, sigma, mu).u_z == pytest.approx(
         base * factor, rel=1e-12)
-    assert peclet_of(Material(sigma, mu * factor, u), dz) == pytest.approx(
-        base * factor, rel=1e-12)
-    assert peclet_of(Material(sigma, mu, u * factor), dz) == pytest.approx(
-        base * factor, rel=1e-12)
-    assert peclet_of(Material(sigma, mu, u), dz * factor) == pytest.approx(
-        base * factor, rel=1e-12)
+    for args in ((pe, dz, sigma * factor, mu), (pe, dz, sigma, mu * factor),
+                 (pe, dz * factor, sigma, mu)):
+        assert material_for_peclet(*args).u_z == pytest.approx(base / factor, rel=1e-12)
 
 
 def test_material_for_peclet_round_trips():
     mat = material_for_peclet(37.5, 0.2, sigma=7.21e6, mu=4e-7 * math.pi)
-    assert peclet_of(mat, 0.2) == pytest.approx(37.5, rel=1e-12)
+    assert mat.mu * mat.sigma * mat.u_z * 0.2 / 2 == pytest.approx(37.5, rel=1e-12)
 
 
 def test_material_invariants():
@@ -82,8 +70,9 @@ def test_overflowing_velocity_is_an_invalid_argument():
     # 2 * Pe / (mu * sigma * dz) overflows to inf, which used to construct
     with pytest.raises(InvalidArgumentError, match="u_z must be finite"):
         material_for_peclet(1e300, 1e-10, sigma=1e-10)
-    with pytest.raises(InvalidArgumentError):
-        material_for_peclet(math.nan, 0.2)
+    for pe in (math.nan, math.inf, -1.0):   # named as pe, not as the velocity it gives
+        with pytest.raises(InvalidArgumentError, match=f"pe must be finite and >= 0, got {pe}"):
+            material_for_peclet(pe, 0.2)
     # an infinite mu*sigma*dz used to give u_z = 0, then Pe = inf * 0 = NaN
     with pytest.raises(InvalidArgumentError, match=r"mu\*sigma\*dz must be finite"):
         material_for_peclet(2.0, 0.25, sigma=1e300, mu=1e300)

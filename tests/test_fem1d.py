@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eddyfem.core import (InvalidArgumentError, Mesh1D, NumericalFailureError,
-                          RectPulse1D, Scheme, material_for_peclet, peclet_of)
+from eddyfem.core import InvalidArgumentError, Mesh1D, NumericalFailureError, RectPulse1D, Scheme
 from eddyfem import core, fem1d
 from eddyfem.fem1d import (RESIDUAL_RTOL, DiscreteSystem1D, assemble_1d, element_weights,
                            exact_stencil, rect_pulse_case, solve_1d)
@@ -17,9 +16,8 @@ from eddyfem.fem1d import (RESIDUAL_RTOL, DiscreteSystem1D, assemble_1d, element
 
 def small_case(pe=2.0, dz=0.25, scheme=Scheme.GALERKIN, n=41, pulse=(3.875, 6.125)):
     mesh = Mesh1D(dz, n)
-    material = material_for_peclet(pe, dz)
     profile = RectPulse1D(a=pulse[0], b=pulse[1], amplitude=1.0)
-    return assemble_1d(mesh, material, profile, scheme), mesh
+    return assemble_1d(mesh, pe, profile, scheme), mesh
 
 
 def test_interior_row_coefficients():
@@ -66,10 +64,9 @@ def test_table_assembly_is_bit_identical_to_the_written_out_formulas(scheme):
     for pe in (1.0, 1.1, 2.0, 7.3, 60.0, 2000.0, 1e6):
         for dz in (0.17, 0.2, 0.25, 1.0, 3.3):
             mesh = Mesh1D(dz, 23)
-            material = material_for_peclet(pe, dz, sigma=1.7)
             bn = rng.normal(size=23) * 10.0 ** rng.uniform(-6, 6)
-            got = assemble_1d(mesh, material, _Table(bn, dz), scheme)
-            ref = _written_out_assembly(mesh, peclet_of(material, dz), bn, scheme)
+            got = assemble_1d(mesh, pe, _Table(bn, dz), scheme)
+            ref = _written_out_assembly(mesh, pe, bn, scheme)
             for name, want in zip(("lower", "diag", "upper", "rhs"), ref):
                 assert getattr(got, name).tobytes() == want.tobytes(), (name, pe, dz)
 
@@ -137,9 +134,9 @@ def test_matmul_and_inf_norm_match_the_diagonal_formulas_bit_for_bit(pe, scheme)
     # the system keeps four numbers; its product and norm must round as the
     # three full diagonals did, row by row: diagonal, then lower, then upper
     rng = np.random.default_rng(11)
-    minimal = Mesh1D(0.5, 3), material_for_peclet(pe, 0.5), RectPulse1D(0.25, 0.75, 1.0)
-    for mesh, material, profile in (minimal, rect_pulse_case(pe, 0.2, 40, 30, 40)):
-        system = assemble_1d(mesh, material, profile, scheme)
+    minimal = Mesh1D(0.5, 3), pe, RectPulse1D(0.25, 0.75, 1.0)
+    for mesh, pe, profile in (minimal, rect_pulse_case(pe, 0.2, 40, 30, 40)):
+        system = assemble_1d(mesh, pe, profile, scheme)
         n = mesh.node_count
         for _ in range(5):
             x = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 6)
@@ -164,6 +161,12 @@ def refined_mesh(mesh, pe):
     a Galerkin reference that resolves the layer of the continuous model."""
     refine = math.ceil(2 * pe)
     return Mesh1D(mesh.dz / refine, mesh.element_count * refine + 1)
+
+
+def refined_pe(mesh, pe):
+    """The element Pe of refined_mesh(mesh, pe) at the pulse mesh's velocity
+    u = 2 Pe/dz: u times the refined dz, over 2."""
+    return 2 * pe / mesh.dz * refined_mesh(mesh, pe).dz / 2
 
 
 def test_galerkin_reference_peaks_below_three_and_a_half_node_arrays():
@@ -192,10 +195,9 @@ def test_interior_row_sum_is_zero():
 
 def test_constant_input_same_rhs_for_both_schemes():
     mesh = Mesh1D(0.25, 21)
-    material = material_for_peclet(3.0, 0.25)
     const = RectPulse1D(a=-1.0, b=100.0, amplitude=0.7)
-    rg = assemble_1d(mesh, material, const, Scheme.GALERKIN).rhs
-    ra = assemble_1d(mesh, material, const, Scheme.ELEMENT_AVERAGED).rhs
+    rg = assemble_1d(mesh, 3.0, const, Scheme.GALERKIN).rhs
+    ra = assemble_1d(mesh, 3.0, const, Scheme.ELEMENT_AVERAGED).rhs
     assert np.allclose(rg[1:-1], 2 * 3.0 * 0.25 * 0.7, rtol=1e-14)
     assert np.allclose(rg, ra, rtol=1e-14)
 
@@ -203,20 +205,18 @@ def test_constant_input_same_rhs_for_both_schemes():
 def test_averaged_rhs_single_hot_node():
     # B = (0, 1, 0) around an interior node -> rhs = 2 Pe dz * 2/4 = 0.5
     mesh = Mesh1D(0.25, 7)
-    material = material_for_peclet(2.0, 0.25)
     hot = RectPulse1D(a=0.25 * 3 - 0.1, b=0.25 * 3 + 0.1, amplitude=1.0)
-    system = assemble_1d(mesh, material, hot, Scheme.ELEMENT_AVERAGED)
+    system = assemble_1d(mesh, 2.0, hot, Scheme.ELEMENT_AVERAGED)
     assert system.rhs[3] == pytest.approx(0.5)
     assert system.rhs[2] == pytest.approx(0.25)   # neighbor weight 1/4
-    system_g = assemble_1d(mesh, material, hot, Scheme.GALERKIN)
+    system_g = assemble_1d(mesh, 2.0, hot, Scheme.GALERKIN)
     assert system_g.rhs[3] == pytest.approx(2 * 2.0 * 0.25 * 4 / 6)
 
 
 def test_zero_rhs_gives_zero_solution():
     mesh = Mesh1D(0.2, 30)
-    material = material_for_peclet(5.0, 0.2)
     off = RectPulse1D(a=100.0, b=101.0, amplitude=1.0)  # pulse outside the mesh
-    sol = solve_1d(assemble_1d(mesh, material, off, Scheme.GALERKIN))
+    sol = solve_1d(assemble_1d(mesh, 5.0, off, Scheme.GALERKIN))
     assert np.max(np.abs(sol.a_y)) == 0.0
     assert np.max(np.abs(sol.b_x)) == 0.0
 
@@ -237,8 +237,8 @@ def test_solve_residual_within_budget():
 def test_pulse_case_at_pe_1e300_solves_within_budget(scheme):
     # the matrix entries and the load both grow like Pe; at 1e300 neither
     # overflows, and the solve still meets its residual budget
-    mesh, material, profile = rect_pulse_case(1e300, 0.2, 40, 30, 40)
-    system = assemble_1d(mesh, material, profile, scheme)
+    mesh, pe, profile = rect_pulse_case(1e300, 0.2, 40, 30, 40)
+    system = assemble_1d(mesh, pe, profile, scheme)
     sol = solve_1d(system)
     assert np.all(np.isfinite(sol.b_x)) and _within_budget(system, sol)
 
@@ -251,7 +251,7 @@ def test_minimal_grid_solves(pe, scheme):
     # residual budget and agrees with a dense direct solve
     mesh = Mesh1D(0.5, 3)
     profile = RectPulse1D(a=0.25, b=0.75, amplitude=1.0)   # the interior node alone
-    system = assemble_1d(mesh, material_for_peclet(pe, 0.5), profile, scheme)
+    system = assemble_1d(mesh, pe, profile, scheme)
     sol = solve_1d(system)
     dense = np.diag(system.diag) + np.diag(system.lower, -1) + np.diag(system.upper, 1)
     x_ref = np.linalg.solve(dense, system.rhs)
@@ -323,9 +323,9 @@ def test_b_x_is_within_a_few_ulps_of_the_exact_solution(monkeypatch, pe, scheme)
 
     monkeypatch.setattr(core, "lapack", refuse)
     cases = [rect_pulse_case(pe, 0.2, 40, 30, 40)]
-    cases += [(Mesh1D(0.2, n), material_for_peclet(pe, 0.2), _table(n, n, 0.2)) for n in (3, 4, 5)]
-    for k, (mesh, material, profile) in enumerate(cases):
-        system = assemble_1d(mesh, material, profile, scheme)
+    cases += [(Mesh1D(0.2, n), pe, _table(n, n, 0.2)) for n in (3, 4, 5)]
+    for k, (mesh, pe, profile) in enumerate(cases):
+        system = assemble_1d(mesh, pe, profile, scheme)
         sol = solve_1d(system)
         x = _exact_thomas(system)
         dz = Fraction(mesh.dz)
@@ -340,9 +340,9 @@ def test_galerkin_reference_has_no_subnormal_tail():
     # about 1/3 per element at Pe 0.497; the solve must carry that decay on
     # to zero, not stall on thousands of subnormal values, each of which
     # costs the solve and every later pass over a_y a slow-path operation
-    mesh, material, profile = rect_pulse_case(33.3, 0.2, 40, 30, 40)
-    fine = refined_mesh(mesh, 33.3)
-    a_y = solve_1d(assemble_1d(fine, material, profile, Scheme.GALERKIN)).a_y
+    mesh, pe, profile = rect_pulse_case(33.3, 0.2, 40, 30, 40)
+    fine = refined_mesh(mesh, pe)
+    a_y = solve_1d(assemble_1d(fine, refined_pe(mesh, pe), profile, Scheme.GALERKIN)).a_y
     assert fine.node_count == 7773
     subnormal = (a_y != 0) & (np.abs(a_y) < np.finfo(float).tiny)
     assert np.count_nonzero(subnormal) <= 64
@@ -351,8 +351,8 @@ def test_galerkin_reference_has_no_subnormal_tail():
 def test_a_row_that_does_not_sum_to_zero_fails_the_residual_budget():
     # the solve assumes rows 1..n-1 sum to zero; the full-row residual is
     # what checks that assumption
-    mesh, material, profile = rect_pulse_case(2.0, 0.2, 40, 30, 40)
-    system = assemble_1d(mesh, material, profile, Scheme.GALERKIN)
+    mesh, pe, profile = rect_pulse_case(2.0, 0.2, 40, 30, 40)
+    system = assemble_1d(mesh, pe, profile, Scheme.GALERKIN)
     (l00, l01), (l10, l11) = system.element
     system = replace(system, element=((l00 + 1.0, l01), (l10, l11)))
     assert system.matmul(np.ones(mesh.node_count))[1:].any()
@@ -362,8 +362,8 @@ def test_a_row_that_does_not_sum_to_zero_fails_the_residual_budget():
 
 def test_matches_oracle_at_mid_peclet():
     from eddyfem.oracle import analytic_solve
-    mesh, material, profile = rect_pulse_case(2.0, 0.25, 30, 9, 30)
-    fem = solve_1d(assemble_1d(mesh, material, profile, Scheme.ELEMENT_AVERAGED))
+    mesh, pe, profile = rect_pulse_case(2.0, 0.25, 30, 9, 30)
+    fem = solve_1d(assemble_1d(mesh, pe, profile, Scheme.ELEMENT_AVERAGED))
     y = analytic_solve(2.0, 0.25, 1.0, 30, 9, 30, Scheme.ELEMENT_AVERAGED).nodal_values()
     assert np.max(np.abs(fem.a_y - y)) <= 1e-8 * np.max(np.abs(y))
 
@@ -383,9 +383,9 @@ def _alternation_run(values, threshold):
 
 def test_galerkin_high_pe_oscillates_averaged_does_not():
     pe, dz, m_b, m_c, m_d = 2000.0, 0.2, 30, 12, 30
-    mesh, material, profile = rect_pulse_case(pe, dz, m_b, m_c, m_d)
-    b_g = solve_1d(assemble_1d(mesh, material, profile, Scheme.GALERKIN)).b_x
-    b_a = solve_1d(assemble_1d(mesh, material, profile, Scheme.ELEMENT_AVERAGED)).b_x
+    mesh, pe, profile = rect_pulse_case(pe, dz, m_b, m_c, m_d)
+    b_g = solve_1d(assemble_1d(mesh, pe, profile, Scheme.GALERKIN)).b_x
+    b_a = solve_1d(assemble_1d(mesh, pe, profile, Scheme.ELEMENT_AVERAGED)).b_x
     # deviation from the ideal plateau level alternates sign element to
     # element through the downstream half of the pulse for Galerkin
     plateau = slice(m_b + 3, m_b + 3 + m_c)
@@ -399,8 +399,8 @@ def test_galerkin_high_pe_oscillates_averaged_does_not():
 def test_averaged_no_material_alternation_outside_pulse():
     for pe in (100.0, 2000.0):
         m_b, m_c, m_d = 30, 12, 30
-        mesh, material, profile = rect_pulse_case(pe, 0.25, m_b, m_c, m_d)
-        sol = solve_1d(assemble_1d(mesh, material, profile, Scheme.ELEMENT_AVERAGED))
+        mesh, pe, profile = rect_pulse_case(pe, 0.25, m_b, m_c, m_d)
+        sol = solve_1d(assemble_1d(mesh, pe, profile, Scheme.ELEMENT_AVERAGED))
         lo, hi = m_b + 2, m_b + m_c + 4
         outside = np.concatenate([sol.b_x[:lo - 1], sol.b_x[hi + 1:]])
         assert _alternation_run(outside, 1e-3) == 0
@@ -409,9 +409,9 @@ def test_averaged_no_material_alternation_outside_pulse():
 def test_schemes_agree_below_stability_threshold():
     # away from the input transitions both schemes resolve the same field
     pe, m_b, m_c, m_d = 0.5, 30, 12, 30
-    mesh, material, profile = rect_pulse_case(pe, 0.25, m_b, m_c, m_d)
-    b_g = solve_1d(assemble_1d(mesh, material, profile, Scheme.GALERKIN)).b_x
-    b_a = solve_1d(assemble_1d(mesh, material, profile, Scheme.ELEMENT_AVERAGED)).b_x
+    mesh, pe, profile = rect_pulse_case(pe, 0.25, m_b, m_c, m_d)
+    b_g = solve_1d(assemble_1d(mesh, pe, profile, Scheme.GALERKIN)).b_x
+    b_a = solve_1d(assemble_1d(mesh, pe, profile, Scheme.ELEMENT_AVERAGED)).b_x
     mask = np.ones(len(b_g), dtype=bool)
     mask[m_b:m_b + 3] = False                        # rising transition band
     mask[m_b + 3 + m_c:m_b + 6 + m_c] = False        # falling transition band
@@ -431,9 +431,9 @@ def test_refined_reference_plateau_level_is_minus_amplitude(pe):
     # a Galerkin reference that resolves the layer, averaged over the central
     # third of the shipped plateau, reads the level measured_peak_errors takes
     dz, m_b, m_c, m_d, amplitude = 0.2, 40, 30, 40, 1.0
-    mesh, material, profile = rect_pulse_case(pe, dz, m_b, m_c, m_d, amplitude)
+    mesh, pe, profile = rect_pulse_case(pe, dz, m_b, m_c, m_d, amplitude)
     fine = refined_mesh(mesh, pe)
-    b_x = solve_1d(assemble_1d(fine, material, profile, Scheme.GALERKIN)).b_x
+    b_x = solve_1d(assemble_1d(fine, refined_pe(mesh, pe), profile, Scheme.GALERKIN)).b_x
     z = fine.nodes()
     center = 0.5 * (z[:-1] + z[1:])
     z_lo, z_hi = (m_b + 3) * dz, (m_b + 3 + m_c) * dz
@@ -451,16 +451,15 @@ def test_kernel_solves_the_pulse_its_refined_reference_and_the_smallest_meshes(p
     # formulas' bit for bit, the residual is that of the three full diagonals,
     # and a_y is the pivoted banded LU's solution of the same rows
     from scipy.linalg import solve_banded
-    mesh, material, profile = rect_pulse_case(pe, 0.2, 40, 30, 40)
-    cases = [(mesh, profile)]
+    mesh, pe, profile = rect_pulse_case(pe, 0.2, 40, 30, 40)
+    cases = [(mesh, pe, profile)]
     if pe <= 1000.0:
-        cases.append((refined_mesh(mesh, pe), profile))
-    cases += [(Mesh1D(0.2, n), _table(n, n, 0.2)) for n in (3, 4, 5)]
-    for mesh, profile in cases:
-        system = assemble_1d(mesh, material, profile, scheme)
+        cases.append((refined_mesh(mesh, pe), refined_pe(mesh, pe), profile))
+    cases += [(Mesh1D(0.2, n), pe, _table(n, n, 0.2)) for n in (3, 4, 5)]
+    for mesh, pe, profile in cases:
+        system = assemble_1d(mesh, pe, profile, scheme)
         bn = np.asarray(profile.sample(mesh.nodes()), dtype=float)
-        lower, diag, upper, rhs = _written_out_assembly(mesh, peclet_of(material, mesh.dz), bn,
-                                                        scheme)
+        lower, diag, upper, rhs = _written_out_assembly(mesh, pe, bn, scheme)
         assert system.rhs.tobytes() == rhs.tobytes()
         sol = solve_1d(system)
         product, norm = _array_matmul(system, sol.a_y)
@@ -476,9 +475,15 @@ def test_kernel_solves_the_pulse_its_refined_reference_and_the_smallest_meshes(p
 
 def test_profile_mismatch_raises():
     mesh = Mesh1D(0.25, 11)
-    material = material_for_peclet(2.0, 0.25)
     with pytest.raises(InvalidArgumentError):
-        assemble_1d(mesh, material, object(), Scheme.GALERKIN)
+        assemble_1d(mesh, 2.0, object(), Scheme.GALERKIN)
+
+
+@pytest.mark.parametrize("pe", [-1.0, -math.inf, math.nan, math.inf])
+def test_assembly_rejects_a_negative_or_non_finite_pe(pe):
+    # the check material_for_peclet makes too, named as pe
+    with pytest.raises(InvalidArgumentError, match=f"pe must be finite and >= 0, got {pe}"):
+        assemble_1d(Mesh1D(0.25, 11), pe, RectPulse1D(1.0, 2.0, 1.0), Scheme.GALERKIN)
 
 
 def _table(seed, n, dz):
@@ -516,8 +521,8 @@ def _failing(system, mesh):
 
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_each_failure_reason_is_named(scheme):
-    mesh, material, profile = rect_pulse_case(2.0, 0.2, 40, 30, 40)
-    system = assemble_1d(mesh, material, profile, scheme)
+    mesh, pe, profile = rect_pulse_case(2.0, 0.2, 40, 30, 40)
+    system = assemble_1d(mesh, pe, profile, scheme)
     for reason, systems in _failing(system, mesh).items():
         for bad in systems:
             with pytest.raises(NumericalFailureError) as err, np.errstate(over="ignore"):
@@ -572,10 +577,8 @@ def test_kernel_solves_within_budget_in_edge_regimes(pe, nodes, dz, scheme, seed
     # value in row 0 the solution takes it and meets the residual budget on
     # the three full diagonals
     mesh = Mesh1D(dz, nodes)
-    material = material_for_peclet(pe, dz)
     table = _table(seed, nodes, dz)
-    system = assemble_1d(mesh, material, table, scheme)
-    pe = peclet_of(material, dz)
+    system = assemble_1d(mesh, pe, table, scheme)
     want = _written_out_assembly(mesh, pe, table.values, scheme)[3]
     if 0 < Fraction(pe) * Fraction(dz) < Fraction(sys.float_info.min):
         _assert_within_subnormal_rounding(system.rhs, pe, dz, table.values, scheme)

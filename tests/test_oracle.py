@@ -56,8 +56,8 @@ def test_residual_holds_for_both_schemes_generic_config():
 @pytest.mark.parametrize("scheme,pe,dz,m_b,m_c,m_d", FIG8_CASES)
 def test_matches_fem_solution(scheme, pe, dz, m_b, m_c, m_d):
     sol = analytic_solve(pe, dz, 1.0, m_b, m_c, m_d, scheme)
-    mesh, material, profile = rect_pulse_case(pe, dz, m_b, m_c, m_d)
-    fem = solve_1d(assemble_1d(mesh, material, profile, scheme))
+    mesh, pe, profile = rect_pulse_case(pe, dz, m_b, m_c, m_d)
+    fem = solve_1d(assemble_1d(mesh, pe, profile, scheme))
     y = sol.nodal_values()
     assert len(fem.a_y) == len(y)
     assert np.max(np.abs(fem.a_y - y)) <= 1e-8 * np.max(np.abs(y))
