@@ -301,9 +301,14 @@ def build_1d_case(cfg: ScenarioConfig, pe: float):
 
 
 def _check_load(cfg: ScenarioConfig, pe: float, dz: float) -> None:
-    """A Pe whose 1D load 2 Pe dz (fem1d.assemble_1d) overflows is a config error."""
+    """A Pe whose 1D load 2 Pe dz (fem1d.assemble_1d) overflows is a config
+    error, and so is a Pe of 2^53 or more, whose rows 1 +- Pe round off their
+    unit term (floats there are 2 or more apart) and solve another Pe."""
     if not 2 * pe * dz < math.inf:   # the 1D rows, 1 +- Pe, stay finite
         raise ConfigError(cfg.pe_key, f"Pe = {pe:g} overflows the 1D load 2 Pe dz on dz = {dz:g}")
+    if pe >= 2 ** 53:
+        raise ConfigError(cfg.pe_key, f"Pe = {pe:g} is 2^53 or more: the 1D rows 1 +- Pe "
+                          f"lose their unit term to rounding")
 
 
 def graded_sheet_rows(thickness: float, conductor_rows: int, air_factor: float,
@@ -350,6 +355,8 @@ def build_2d_case(cfg: ScenarioConfig, pe: float):
     # place the y = 0 node exactly: y0 is minus the cumulative height below it
     y0 = -float(np.cumsum(heights)[mid - 1])
     mesh = Mesh2D(nz=nz, dz=dz, row_heights=heights, z0=-lz / 2, y0=y0)
+    if not 2 * pe / dz < math.inf:   # mu*sigma*u_z of the coupled rows
+        raise ConfigError(cfg.pe_key, f"Pe = {pe:g} overflows mu sigma u_z = 2 Pe/dz on dz = {dz:g}")
     try:   # an overflowing mu*sigma*dz or velocity
         material = material_for_peclet(pe, dz, f["sheet.sigma"], f["sheet.mu_r"] * MU0)
     except InvalidArgumentError as err:

@@ -156,8 +156,10 @@ def solve_1d(system: DiscreteSystem1D) -> Solution1D:
     """Element-flux solve of the assembled system with a residual acceptance
     check.
 
-    Rows 1..n-1 sum to zero bit for bit (the interior diagonal is
-    (1-Pe)+(1+Pe)), so in d = diff(a_y) they read
+    Rows 1..n-1 sum to zero in exact arithmetic, and in floats at every
+    shipped Pe. At some Pe their rounded entries do not: the sum is 2^-53 at
+    Pe 0.9 and -2^-52 at Pe 1.0004394634841478. The solve reads the rows as
+    summing to zero, so in d = diff(a_y) they read
     -lower*d[i-1] + upper*d[i] = rhs[i], the outlet row without its upper
     term. Divided by the pivot -lower, that is a unit upper-bidiagonal system,
     solved from the outlet as the recurrence d[i] = c[i] - step*d[i+1] in
@@ -165,9 +167,9 @@ def solve_1d(system: DiscreteSystem1D) -> Solution1D:
     (-1+Pe)/(1+Pe), at most 1 in magnitude for Pe >= 0: no pivoting, and an
     upstream tail that decays to zero instead of sticking at a subnormal
     value. a_y is the running sum of d from the inlet's unit row, and
-    b_x = -d/dz. The residual is taken on the full rows, so a system whose
-    rows 1..n-1 do not sum to zero fails its budget rather than passing
-    unnoticed.
+    b_x = -d/dz. The residual is taken on the full rows: it is the guard on
+    that reading, so a system whose rows 1..n-1 are further from summing to
+    zero fails its budget rather than passing unnoticed.
     """
     lower, mid, upper, outlet = system._coefficients()
     rhs = system.rhs

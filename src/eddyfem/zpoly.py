@@ -7,7 +7,6 @@ exponent tuple is plenty.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -397,24 +396,3 @@ def separate(p: Poly) -> Optional[Tuple[Poly, Poly]]:
     p2 = Poly((v2,), {(j,): C[pi][j] / piv for j in range(d2 + 1)})
     return p1, p2
 
-
-@dataclass(frozen=True)
-class RationalFunction:
-    """Ratio of polynomials, kept in the given (possibly common-factor-
-    carrying) form; ztransfer.analyze reduces it by exact GCD."""
-
-    numerator: Poly
-    denominator: Poly
-
-    def __post_init__(self):
-        if self.numerator.variables != self.denominator.variables:
-            raise ValueError("numerator/denominator variable mismatch")
-        if self.denominator.is_zero():
-            raise ZeroDivisionError("denominator is identically zero")
-
-    def eval_complex(self, **values) -> complex:
-        return (self.numerator.eval_complex(**values)
-                / self.denominator.eval_complex(**values))
-
-    def __repr__(self):
-        return f"({self.numerator}) / ({self.denominator})"

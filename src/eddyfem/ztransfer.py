@@ -1,8 +1,8 @@
-"""Z-domain machinery: discrete transfer functions of the 1D scheme, the
-high-Pe 1D and 2D pole-cancellation certificates (exact multiplicities of
-the factors at -1 and +1), pole-zero analysis with exact cancellation
-detection, the named 2D stencil polynomials with their factorization
-identities, and the exact certificate of the paper's 1D peak-error bound.
+"""Z-domain machinery: the high-Pe 1D and 2D transfer functions, their
+pole-cancellation certificates (exact multiplicities of the factors at -1
+and +1), pole-zero analysis with exact cancellation detection, the named
+2D stencil polynomials with their factorization identities, and the exact
+certificate of the paper's 1D peak-error bound.
 
 Every stencil and input weight here is read from the tables the float
 assembly reads, and both dimensions from one element,
@@ -25,22 +25,13 @@ from typing import Dict, List, Optional, Tuple
 
 from . import fem1d, fem2d, oracle
 from .core import REFERENCE_INTEGRALS, Scheme
-from .zpoly import Poly, RationalFunction, gcd_univariate, roots_univariate, separate
+from .zpoly import Poly, gcd_univariate, roots_univariate, separate
 
 ZN = "Z_n"   # flow direction
 ZM = "Z_m"   # transverse direction
 Z1 = "Z"     # the single variable of the 1D analysis
 _BIVAR = (ZN, ZM)
 _FIELDS = ("phi", "A_y", "A_z")   # fem2d field order
-
-
-class SingularNormalizationError(ValueError):
-    """Pe = 1 degenerates the denominator normalization; carries the
-    unreduced rational function."""
-
-    def __init__(self, message: str, unreduced: RationalFunction):
-        super().__init__(message)
-        self.unreduced = unreduced
 
 
 class UnsupportedStructureError(ValueError):
@@ -94,27 +85,20 @@ def transverse_numerator_poly_galerkin() -> Poly:
 # 1D transfer function
 
 
-def tf_1d(scheme: Scheme, pe, dz) -> RationalFunction:
-    """Exact 1D transfer function from input flux density to nodal potential,
-    built from the interior row and load of fem1d.exact_stencil.
-
-    ``pe`` may be a number, or ``math.inf`` for the high-Pe limit: the ratio
-    of the Pe coefficients of the load and the row, both affine in Pe
-    (_pe_split checks it). The denominator is the unnormalized stencil
-    polynomial, whose roots are 1 and the growth ratio r = (-1-Pe)/(-1+Pe).
+def tf_1d(scheme: Scheme) -> Tuple[Poly, Poly]:
+    """High-Pe limit of the exact 1D transfer function from input flux
+    density to nodal potential, as (numerator, denominator): the Pe
+    coefficients of the load and the interior row of fem1d.exact_stencil at
+    unit spacing, both affine in Pe (_pe_split checks it). The denominator
+    is the limit of the unnormalized stencil polynomial, whose roots are 1
+    and the growth ratio r = (-1-Pe)/(-1+Pe).
     """
-    def at(p):
-        lhs, load = fem1d.exact_stencil(p, scheme)
-        return {"load": Poly.univariate(Z1, load) * Fraction(dz), "row": Poly.univariate(Z1, lhs)}
+    def at(pe):
+        lhs, load = fem1d.exact_stencil(pe, scheme)
+        return {"load": Poly.univariate(Z1, load), "row": Poly.univariate(Z1, lhs)}
 
-    if pe == math.inf:
-        _, slope = _pe_split(at)
-        return RationalFunction(slope["load"], slope["row"])
-    rf = RationalFunction(*at(Fraction(pe)).values())
-    if pe == 1:
-        raise SingularNormalizationError("Pe = 1 makes the denominator normalization "
-                                         "singular (leading coefficient Pe - 1 vanishes)", rf)
-    return rf
+    _, slope = _pe_split(at)
+    return slope["load"], slope["row"]
 
 
 def _pe_split(read) -> Tuple[Dict[str, Poly], Dict[str, Poly]]:
@@ -179,14 +163,13 @@ def _analyze_univariate(num: Poly, den: Poly, varname: str) -> Tuple[List[Root],
     return roots(den.exact_div(g, var)), roots(num.exact_div(g, var)), roots(g)
 
 
-def analyze(rf: RationalFunction) -> PoleZeroReport:
-    """Pole-zero report with exact cancellation detection.
+def analyze(num: Poly, den: Poly) -> PoleZeroReport:
+    """Pole-zero report of num/den with exact cancellation detection.
 
     Univariate input is reduced by exact GCD first; bivariate input must be
     separable (numerator and denominator each a product of univariate
     parts), and each variable is analyzed on its own unit circle.
     """
-    num, den = rf.numerator, rf.denominator
     if len(num.variables) == 1:
         poles, zeros, cancelled = _analyze_univariate(num, den, num.variables[0])
     else:
@@ -311,11 +294,6 @@ class TransferFunction2D:
     denominator_pe_degree: int
     zn_multiplicities: Dict[int, Tuple[int, int]]
 
-    def has_zn_pole(self, location) -> bool:
-        """Exact test: (Z_n - location) divides the leading denominator more
-        often than the leading numerator."""
-        return _multiplicity(self.denominator, location) > _multiplicity(self.numerator, location)
-
 
 def tf_2d(scheme: Scheme) -> TransferFunction2D:
     """Derive the high-Pe transfer function by Cramer's rule on the exact
@@ -368,10 +346,11 @@ def pole_certificates() -> List[IdentityReport]:
         keeps = scheme is Scheme.GALERKIN
         verb = "keeps" if keeps else "cancels"
         if dim == 1:
-            rf = tf_1d(scheme, math.inf, 1)
-            var, m = Z1, _multiplicities(rf.denominator, rf.numerator)
+            num1, den1 = tf_1d(scheme)
+            var, m = Z1, _multiplicities(den1, num1)
             name = f"{'galerkin' if keeps else 'element-averaged'} high-Pe limit {verb} Z = -1"
-            source = f"core.REFERENCE_INTEGRALS element, high-Pe limit: {scheme.value}: {rf}"
+            source = (f"core.REFERENCE_INTEGRALS element, high-Pe limit: {scheme.value}: "
+                      f"({num1}) / ({den1})")
             den_label, num_label = "denominator", "numerator"
         else:
             t = tf_2d(scheme)

@@ -268,11 +268,31 @@ def test_overflowing_velocity_exits_2(tmp_path, capsys, monkeypatch):
         raw.pop("pe_sweep", None)
         code, err = _exit_code_and_err(tmp_path, capsys, _with(raw, "pe", [2.0, 1e308]), command)
         assert code == 2 and "'pe'" in err and "overflows the 1D load" in err
-    # run-2d too: it used to assemble and solve Pe = 2 before it built Pe = 1e308
+    # run-2d too: it used to assemble and solve Pe = 2 before it built Pe = 1e308,
+    # and then it blamed sheet.sigma for the overflow of 2 Pe/dz
     monkeypatch.setattr(fem2d, "assemble_2d", _no_assembly)
     raw = _with(json.loads((CONFIG_DIR / "sheet2d_circle.json").read_text()), "pe", [2.0, 1e308])
     code, err = _exit_code_and_err(tmp_path, capsys, raw, "run-2d")
-    assert code == 2 and "'sheet.sigma'" in err and "u_z must be finite" in err
+    assert code == 2 and "'pe'" in err and "overflows mu sigma u_z" in err
+
+
+@pytest.mark.parametrize("pe", [2.0 ** 53, 2.0 ** 53 + 2, 1e16, 1e103])
+def test_1d_pe_past_the_float_ceiling_exits_2(tmp_path, capsys, monkeypatch, pe):
+    # from 2^53 on the rows 1 +- Pe round to the Pe -> oo limit (at 2^53 + 2
+    # their interior diagonal sums to 4), so a run there solved another Pe;
+    # sweep-error at 1e103 ended in the formula's OverflowError
+    monkeypatch.setattr(fem1d, "assemble_1d", _no_assembly)
+    for config, command in (("fig_pulse1d_pe2.json", "run-1d"),
+                            ("sweep_peak_error.json", "sweep-error")):
+        raw = json.loads((CONFIG_DIR / config).read_text())
+        raw.pop("pe_sweep", None)
+        code, err = _exit_code_and_err(tmp_path, capsys, _with(raw, "pe", [2.0, pe]), command)
+        assert code == 2 and "'pe'" in err and "2^53 or more" in err
+    raw = _with(json.loads((CONFIG_DIR / "sweep_peak_error.json").read_text()), "pe_sweep.hi", pe)
+    code, err = _exit_code_and_err(tmp_path, capsys, raw, "sweep-error")
+    assert code == 2 and "'pe_sweep'" in err
+    # the largest Pe below the ceiling still runs
+    assert build_1d_case(load_cfg("fig_pulse1d_pe2.json", pe=[2.0 ** 53 - 1]), 2.0 ** 53 - 1)
 
 
 @pytest.mark.parametrize("config, overrides, field", [
@@ -936,7 +956,8 @@ def test_verify_reads_the_assembly_stencils(monkeypatch):
         return real(pe, u, scheme)[0], real(pe, u, Scheme.GALERKIN)[1]
 
     monkeypatch.setattr(fem2d, "exact_patch_rows", galerkin_weights)
-    assert tf_2d(Scheme.ELEMENT_AVERAGED).has_zn_pole(-1)
+    den, num = tf_2d(Scheme.ELEMENT_AVERAGED).zn_multiplicities[-1]
+    assert den > num   # the Z_n = -1 pole is back
     buf = io.StringIO()
     assert verify(stream=buf) == 4
     assert "[FAIL] averaged cancels the Z_n = -1 pole" in buf.getvalue()

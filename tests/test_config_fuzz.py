@@ -3,14 +3,17 @@ through ScenarioConfig.from_dict and build_1d_case or build_2d_case with no
 assembly, either builds a case or raises ConfigError / InvalidArgumentError;
 and any config, misspelt or unknown keys included, run through cli.main for
 any subcommand ends with exit 0, 2 or 3, never with a traceback. The fields
-a corruption replaces are drawn from the schema tables in eddyfem.cli."""
+a corruption replaces are drawn from the schema tables in eddyfem.cli. The
+1D commands also run for real, unstubbed, on a tiny pulse over Pe up to
+1e308."""
 import json
 import math
+import re
 import string
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from eddyfem import cli, fem1d, fem2d
 from eddyfem.cli import ConfigError, ScenarioConfig, build_1d_case, build_2d_case
@@ -211,3 +214,38 @@ def test_cli_ends_with_exit_0_2_or_3(monkeypatch, case):
         assert code in (0, 2, 3)
         assert code != 2 or not (Path(tmp) / "out").exists()
         assert code == 2 or not unknown
+
+
+# ---------------------------------------------------------------------------
+# the 1D commands, unstubbed
+
+
+TINY_1D = {"run-1d": {"dimension": 1, "scheme": "both", "dz": 0.25, "length": 5.0,
+                      "pulse": {"a": 1.875, "b": 3.125, "amplitude": 1.0}, "svg": True},
+           "sweep-error": {"dimension": 1, "dz": 0.2, "upstream_elements": 3,
+                           "plateau_elements": 15, "downstream_elements": 3, "svg": True}}
+
+
+@settings(max_examples=60, deadline=2000)
+@given(st.one_of(st.floats(-3, 308), st.floats(-3, 16)).map(lambda e: 10.0 ** e))
+@example(0.0)
+@example(2.0 ** 53 - 1)
+@example(2.0 ** 53)
+@example(1e103)   # the peak-error formula's (1 + Pe)^3 overflowed here
+def test_1d_commands_end_with_exit_0_2_or_3_at_any_pe(pe):
+    # Pe log-uniform in [1e-3, 1e308], half the draws below 1e16, where the
+    # commands solve. A Pe the 1D rows cannot represent exits 2; a run at any
+    # other Pe writes only finite chart points
+    for command, raw in TINY_1D.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+            path.write_text(json.dumps({**raw, "pe": [pe]}))
+            code = cli.main([command, "--config", str(path), "--out", str(out)])
+            assert code in (0, 2, 3)
+            assert code != 2 or not out.exists()
+            if pe >= 2 ** 53:
+                assert code == 2
+            for svg in out.glob("*.svg") if code == 0 else ():
+                points = re.findall(r'points="([^"]*)"', svg.read_text())
+                assert points and all(math.isfinite(float(v)) for pts in points
+                                      for pair in pts.split() for v in pair.split(","))

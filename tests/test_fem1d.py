@@ -3,6 +3,7 @@ import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +192,22 @@ def test_interior_row_sum_is_zero():
     n = len(system.diag)
     rowsums = system.matmul(np.ones(n))
     assert np.max(np.abs(rowsums[1:-1])) == 0.0  # constants in the null space
+
+
+def test_interior_row_sums_to_zero_at_every_shipped_pe_but_not_at_every_pe():
+    # fl(1-Pe) + fl(1+Pe) need not be exactly 2: the interior fold is summed
+    # in Fractions. Every Pe of the shipped configs gives 0; Pe
+    # 1.0004394634841478 gives -2^-52, and its solve still passes the budget
+    from eddyfem.cli import ScenarioConfig
+    row_sum = lambda pe: sum(map(Fraction, fem1d._fold(fem1d._rows(pe))))
+    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+    shipped = {pe for path in configs for pe in ScenarioConfig.load(path).pe_values}
+    assert len(shipped) == 28 and all(row_sum(pe) == 0 for pe in shipped)
+    assert row_sum(1.0004394634841478) == Fraction(-1, 2 ** 52)
+    assert row_sum(0.9) == Fraction(1, 2 ** 53)
+    mesh, pe, profile = rect_pulse_case(1.0004394634841478, 0.2, 40, 30, 40)
+    for scheme in Scheme:
+        solve_1d(assemble_1d(mesh, pe, profile, scheme))   # raises over budget
 
 
 def test_constant_input_same_rhs_for_both_schemes():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from eddyfem.zpoly import (InexactDivisionError, Poly, RationalFunction,
+from eddyfem.zpoly import (InexactDivisionError, Poly,
                            gcd_univariate, roots_univariate, separate,
                            squarefree_factors)
 
@@ -104,11 +104,6 @@ def test_separate_rejects_coupled_poly():
     # the 9-point stencil polynomial is not a product of univariate parts
     from eddyfem.ztransfer import polys_2d
     assert separate(polys_2d()["S1"]) is None
-
-
-def test_rational_rejects_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        RationalFunction(zp(1), Poly.zero(("Z",)))
 
 
 def test_eval_exact_and_numeric():
