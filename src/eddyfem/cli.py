@@ -237,12 +237,11 @@ def svg_line_chart(path: Path, series: Dict[str, Tuple[np.ndarray, np.ndarray]],
     width, height, pad = 640, 400, 48
     xs = np.concatenate([x for x, _ in series.values()])
     ys = np.concatenate([y for _, y in series.values()])
-    x0, x1 = float(xs.min()), float(xs.max())
-    y0, y1 = float(ys.min()), float(ys.max())
-    if x1 == x0:
-        x1 = x0 + 1.0
-    if y1 == y0:
-        y1 = y0 + 1.0
+
+    def span(v):   # a zero-width range widens by max(1, its magnitude), past rounding
+        lo, hi = float(v.min()), float(v.max())
+        return (lo, lo + max(1.0, abs(lo))) if hi == lo else (lo, hi)
+    (x0, x1), (y0, y1) = span(xs), span(ys)
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
              f'<rect width="{width}" height="{height}" fill="white"/>',
@@ -462,14 +461,33 @@ def measured_peak_errors(pe: float, dz: float, m_b: int, m_c: int, m_d: int,
     it. The central third of the plateau ends (m_c/3 + 1.5) dz before b, so
     there b_x is -B to within B e^{-2 Pe (m_c/3 + 1.5)}; sweep_error bounds it.
     """
+    return {s: peak for s, (peak, *_) in
+            _plateau_peaks(pe, dz, m_b, m_c, m_d, schemes, amplitude).items()}
+
+
+def _plateau_peaks(pe, dz, m_b, m_c, m_d, schemes, amplitude):
+    """{scheme: (peak, system, solution, dev)}: measured_peak_errors' signed
+    peak, the solve it reads and the plateau deviations dev it is the peak of."""
     mesh, pe, profile = fem1d.rect_pulse_case(pe, dz, m_b, m_c, m_d, amplitude)
-    errors = {}
+    peaks = {}
     for scheme in schemes:
         with _failing_case(f"{scheme.value}, Pe = {pe:g}"):
-            sol = fem1d.solve_1d(fem1d.assemble_1d(mesh, pe, profile, scheme))
+            system = fem1d.assemble_1d(mesh, pe, profile, scheme)
+            sol = fem1d.solve_1d(system)
         dev = sol.b_x[m_b + 3: m_b + 3 + m_c] + amplitude
-        errors[scheme] = float(dev[np.argmax(np.abs(dev))])
-    return errors
+        peaks[scheme] = float(dev[np.argmax(np.abs(dev))]), system, sol, dev
+    return peaks
+
+
+def _resolution(peak, system, sol, dev) -> float:
+    """The floor under which a formula value is not compared with a
+    _plateau_peaks peak: the rounding floor of b_x
+    (fem1d.flux_rounding_floor), or infinity where a deviation of the other
+    sign comes within twice that of the peak, so that rounding may have
+    picked either sign."""
+    floor = fem1d.flux_rounding_floor(system, sol)
+    rival = float(np.max(np.abs(dev[dev * peak < 0]), initial=0.0))
+    return floor if abs(peak) - rival > 2 * floor else math.inf
 
 
 def measured_peak_error(pe: float, dz: float, m_b: int, m_c: int, m_d: int,
@@ -492,21 +510,26 @@ def sweep_error(cfg: ScenarioConfig, out_dir: Path) -> RunRecord:
                           f"off the model by {layer:.1e} of it at Pe = {low:g}, over 1e-6")
     record = RunRecord()
     t0 = time.perf_counter()
-    measured = {pe: measured_peak_errors(pe, dz, m_b, m_c, m_d, tuple(Scheme), amp)
-                for pe in cfg.pe_values if pe > 1.0}   # Pe <= 1: out of validity, empty cells
+    # Pe <= 1: out of validity, empty cells; else {scheme: (measured, floor, formula)}
+    rows = {pe: {s: (peak[0], _resolution(*peak), oracle.peak_error(s, pe, amp)) for s, peak in
+                 _plateau_peaks(pe, dz, m_b, m_c, m_d, tuple(Scheme), amp).items()}
+            for pe in cfg.pe_values if pe > 1.0}
     columns = {"pe": cfg.pe_values}
     for s in Scheme:   # measured, then formula error, for galerkin and then averaged
-        columns[f"measured_error_{s.value}"] = [measured[pe][s] if pe in measured else None
-                                                for pe in cfg.pe_values]
-        columns[f"formula_error_{s.value}"] = [oracle.peak_error(s, pe, amp) if pe in measured
-                                               else None for pe in cfg.pe_values]
-    columns["status"] = ["ok" if pe in measured else "out-of-validity" for pe in cfg.pe_values]
+        for name, k in (("measured", 0), ("formula", 2)):
+            columns[f"{name}_error_{s.value}"] = [rows[pe][s][k] if pe in rows else None
+                                                  for pe in cfg.pe_values]
+    # a formula value under its row's floor is not compared
+    columns["status"] = ["out-of-validity" if pe not in rows else
+                         "ok" if all(abs(formula) > floor
+                                     for _, floor, formula in rows[pe].values())
+                         else "below-resolution" for pe in cfg.pe_values]
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_outputs(record, cfg, out_dir / "sweep_error.csv", columns,
-                   ({f"measured {s.value}": (np.array(list(measured)),
-                                             np.abs([m[s] for m in measured.values()]))
+                   ({f"measured {s.value}": (np.array(list(rows)),
+                                             np.abs([row[s][0] for row in rows.values()]))
                      for s in Scheme}, "peak spurious error vs Pe")
-                   if measured else None)   # no Pe > 1: no chart
+                   if rows else None)   # no Pe > 1: no chart
     record.stats.append({"points": len(cfg.pe_values), "wall_s": time.perf_counter() - t0})
     return record
 

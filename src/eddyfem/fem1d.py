@@ -207,6 +207,22 @@ def solve_1d(system: DiscreteSystem1D) -> Solution1D:
     return Solution1D(a_y=a_y, b_x=b_x, residual=resid)
 
 
+def flux_rounding_floor(system: DiscreteSystem1D, solution: Solution1D) -> float:
+    """The rounding floor of each b_x of solve_1d's ``solution``: the
+    residual budget of solve_1d with eps in place of RESIDUAL_RTOL, taken
+    on the element-flux rows that the solve reads (d = -dz * b_x, rows
+    -lower*d[i-1] + upper*d[i], so ||A||inf * max|x| is
+    (|lower| + |upper|) * dz * max|b_x|), carried to d through the inverse
+    of their unit upper-bidiagonal form (entries at most 1 in magnitude, so
+    at most one per element in a row) and divided by the pivot |lower| and
+    by dz."""
+    lower, _, upper, _ = system._coefficients()
+    dz, count = system.mesh.dz, len(solution.b_x)
+    rows = ((abs(lower) + abs(upper)) * dz * float(np.abs(solution.b_x).max())
+            + float(np.abs(system.rhs).max()))
+    return count * math.ulp(1.0) * rows / (abs(lower) * dz)
+
+
 def rect_pulse_case(pe, dz: float, m_b: int, m_c: int, m_d: int, amplitude: float = 1.0):
     """Canonical validation scenario: mesh, Pe and pulse aligned with
     the closed-form sub-domain layout (upstream run m_b, plateau m_c,

@@ -65,20 +65,22 @@ RESIDUAL_RTOL = 1e-8
 def elemental_blocks(dz, dy) -> Dict[str, np.ndarray]:
     """4x4 elemental matrices for a dz-by-dy rectangle in tensor node order
     (local index 2*iy + iz): tensor products of the 1D reference integrals,
-    core.REFERENCE_INTEGRALS.
-
-    Works elementwise in the arithmetic of dz/dy: pass Fractions to get
-    exact (object-array) blocks, floats to get float blocks.
+    core.REFERENCE_INTEGRALS. dy is a scalar, or a mesh's row heights shaped
+    (rows, 1, 1): then every block leads with (rows,), block[r] bit for bit
+    the scalar call's at height r. Works elementwise in the arithmetic of
+    dz/dy: Fractions give exact (object-array) blocks, floats float blocks.
     """
     one = dz / dz  # multiplicative unit of the input arithmetic
     dtype = object if isinstance(one, Fraction) else float
     m, s, c, n = (one * np.array(REFERENCE_INTEGRALS[name], dtype=dtype)
                   for name in ("mass", "stiffness", "convection", "integral"))
     w, wy = np.multiply.outer(n, n), np.multiply.outer(c.sum(axis=0), n)
+    lead = np.shape(dy)[:-2]   # () for a scalar dy
 
     def tens(Y, Zb, scale):
-        # entry [2*iy + iz, 2*jy + jz] = scale * Y[iy, jy] * Zb[iz, jz]
-        return np.multiply.outer(scale * Y, Zb).transpose(0, 2, 1, 3).reshape(4, 4)
+        # entry [..., 2*iy + iz, 2*jy + jz] = scale * Y[iy, jy] * Zb[iz, jz]
+        t = (scale * Y)[..., :, None, :, None] * Zb[:, None, :]
+        return np.broadcast_to(t, lead + t.shape[-4:]).reshape(lead + (4, 4))
 
     return {
         "lap": tens(m, s, dy / dz) + tens(s, m, dz / dy),
@@ -198,31 +200,24 @@ LOAD_TABLE = (
 )
 
 
-def _coef(sign, names, factors):
-    return math.prod((factors[f] for f in names), start=sign)
-
-
 def _element_rows(blocks, factors, scheme: Scheme):
     """The BLOCK_TABLE blocks, then the LOAD_TABLE loads of ``scheme``, in
     table order, from elemental blocks and factor values given as scalars
     or arrays that broadcast together."""
     def term(sign, names, block):
-        return _coef(sign, names, factors) * blocks[block]
+        return math.prod((factors[f] for f in names), start=sign) * blocks[block]
     return ([sum((term(*t) for t in terms[1:]), term(*terms[0])) for _, _, terms in BLOCK_TABLE]
             + [term(sign, names, loads[scheme]) for _, sign, names, loads in LOAD_TABLE])
 
 
 def _mesh_rows(mesh: Mesh2D, material: Material, regions: RegionMap2D, scheme: Scheme):
     """What the matrix and the right-hand side share: the stacked
-    _element_rows of every mesh row (the elemental blocks computed once per
-    distinct row height) and the Dirichlet mask, fixed[field, m, n]."""
+    _element_rows of every mesh row, from one elemental_blocks call on all
+    the row heights, and the Dirichlet mask, fixed[field, m, n]."""
     if len(regions.row_multipliers) != mesh.ny - 1:
         raise InvalidArgumentError("region map does not match the mesh rows")
-    ny, nz, dz = mesh.ny, mesh.nz, mesh.dz
-    dys, row_kind = np.unique(mesh.row_heights, return_inverse=True)
-    per_height = [elemental_blocks(dz, dy) for dy in dys]
-    blk = {k: np.array([b[k] for b in per_height], dtype=float)[row_kind]
-           for k in per_height[0]}
+    ny, nz = mesh.ny, mesh.nz
+    blk = elemental_blocks(mesh.dz, np.array(mesh.row_heights)[:, None, None])
     flag = np.asarray(regions.row_multipliers)[:, None, None]
     factors = {"flag": flag, "u": material.u_z, "musig": material.mu * material.sigma * flag}
 
@@ -240,8 +235,8 @@ def assemble_2d(mesh: Mesh2D, material: Material, regions: RegionMap2D,
     """Assemble the coupled system in one pass over its distinct z-columns.
 
     All elements in a mesh row share the same elemental blocks (uniform dz,
-    per-row dy), so the blocks are computed once per distinct row height,
-    and each (block, i, j) entry is added along every mesh row at once.
+    per-row dy), so one call computes the blocks of every row, and each
+    (block, i, j) entry is added along every mesh row at once.
     Every interior node column then receives the same sums in the same
     order, so the adds run on a window of three columns (inlet, interior,
     outlet) that holds the whole matrix, and the loads are folded with it.

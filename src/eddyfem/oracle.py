@@ -190,14 +190,26 @@ def peak_error(scheme: Scheme, pe, amplitude: float) -> float:
     Galerkin:         B (Pe^2-3)(Pe-1) / (3 (Pe+1)^3).
 
     Both formulas vanish at Pe = 1, the edge of their validity range. An
-    exact Fraction Pe gives an exact value; any other Pe is read as a float.
+    exact Fraction Pe gives an exact value; any other Pe is read as a float,
+    and the written-out forms above give its bits wherever their numerator
+    and denominator are finite. Past that (a float 3 (1 + Pe)^3 overflows
+    above Pe ~ 3.9e102) the value is a product of ratios, each finite for
+    every float Pe.
     """
     pev = pe if isinstance(pe, Fraction) else float(pe)
     if pev < 1:
         raise OutOfValidityError(f"peak-error formulas require Pe >= 1, got {pev}")
-    if scheme is Scheme.ELEMENT_AVERAGED:
-        return amplitude * (1 - pev) / (1 + pev) ** 3
-    return amplitude * (pev * pev - 3) * (pev - 1) / (3 * (1 + pev) ** 3)
+    averaged, q = scheme is Scheme.ELEMENT_AVERAGED, 1 + pev
+    try:
+        num, den = ((amplitude * (1 - pev), q ** 3) if averaged
+                    else (amplitude * (pev * pev - 3) * (pev - 1), 3 * q ** 3))
+    except OverflowError:   # a float q ** 3
+        num = den = math.inf
+    if abs(num) < math.inf and den < math.inf:
+        return num / den
+    if averaged:
+        return amplitude * ((1 - pev) / q) / q / q
+    return amplitude * ((pev - 3 / pev) / q) * (pev / q) * ((pev - 1) / q) / 3
 
 
 def peak_error_from_solution(sol: AnalyticSolution) -> float:

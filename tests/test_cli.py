@@ -2,8 +2,10 @@ import hashlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -441,11 +443,13 @@ def test_run_1d_outputs_and_determinism(tmp_path):
         assert Path(p).read_bytes() == Path(q).read_bytes()
 
 
-# sha256 of every file of the two shipped run-1d configs. The 1D solve is
-# a recurrence over Python floats, so these bytes do not depend on the BLAS
-# or LAPACK build. The 2D files are left unpinned: their bytes come from
-# the LAPACK band LU of the build. So is sweep_error.*: np.geomspace may
-# dispatch its log and exp to per-CPU code.
+# sha256 of every file of the two shipped run-1d configs and of the shipped
+# sweep. The 1D solve is a recurrence over Python floats, so these bytes do
+# not depend on the BLAS or LAPACK build. The sweep's Pe come from
+# np.geomspace, whose log and exp numpy may dispatch to per-CPU code, so
+# its pins hold where those round as on the x86-64 build that recorded
+# them. The 2D files are left unpinned: their bytes come from the LAPACK
+# band LU of the build.
 RUN_1D_SHA256 = {
     "fig_pulse1d_pe2.json": {
         "run1d_averaged_pe2.0.csv": "5999e302df4e8215ac4b8277101f147fe96c3d03392c10325814b6b79be38c10",
@@ -462,11 +466,24 @@ RUN_1D_SHA256 = {
 }
 
 
+SWEEP_SHA256 = {
+    "sweep_error.csv": "1141708f7fc2e5b68d9604476cfbbcca6ed2c3e43691d38431a730a07e7bee1a",
+    "sweep_error.svg": "d8e4b45a166a3bb2ee60fab6b5fdf89bf86c7126396405ee7047f418a3581b83",
+}
+
+
 @pytest.mark.parametrize("config", sorted(RUN_1D_SHA256))
 def test_shipped_run_1d_outputs_keep_their_bytes(tmp_path, config):
     assert main(["run-1d", "--config", str(CONFIG_DIR / config), "--out", str(tmp_path)]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert got == RUN_1D_SHA256[config]
+
+
+def test_shipped_sweep_outputs_keep_their_bytes(tmp_path):
+    config = CONFIG_DIR / "sweep_peak_error.json"
+    assert main(["sweep-error", "--config", str(config), "--out", str(tmp_path)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == SWEEP_SHA256
 
 
 @pytest.mark.parametrize("command, config", [
@@ -733,6 +750,39 @@ def test_sweep_flags_out_of_validity_and_matches_formula(tmp_path):
         assert r[5] == "ok"
         assert abs(float(r[1]) - float(r[2])) <= 1e-6
         assert abs(float(r[3]) - float(r[4])) <= 1e-6
+
+
+def test_sweep_rows_under_the_rounding_floor_are_below_resolution(tmp_path):
+    # at Pe 2^53 - 1 the Galerkin plateau deviation alternates between +1/3
+    # and -1/3, with magnitudes closer than the rounding floor of b_x, so
+    # rounding picks the measured peak's sign (-1/3 against the formula's
+    # +1/3), and the averaged formula, -1.2e-32, lies under the floor. The
+    # Pe 2 row is compared, and its columns agree
+    cfg = ScenarioConfig.from_dict({
+        "dimension": 1, "pe": [2.0, 2.0 ** 53 - 1], "dz": 0.2, "upstream_elements": 3,
+        "plateau_elements": 15, "downstream_elements": 3})
+    rec = sweep_error(cfg, tmp_path)
+    rows = [ln.split(",") for ln in Path(rec.outputs[0]).read_text().splitlines()[3:]]
+    assert [r[5] for r in rows] == ["ok", "below-resolution"]
+    assert float(rows[1][1]) * float(rows[1][2]) < 0   # the signs the row does not compare
+    for measured, formula in (rows[0][1:3], rows[0][3:5]):
+        assert float(measured) == pytest.approx(float(formula), abs=1e-15)
+
+
+def test_svg_line_chart_widens_a_zero_width_range_past_its_rounding(tmp_path):
+    # a one-point series at 1e102 left the x range 1e102 + 1.0 == 1e102
+    # wide, and the chart wrote NaN points with a RuntimeWarning; a range
+    # near 0 keeps its unit width, as every shipped chart has it
+    path = tmp_path / "chart.svg"
+    for x, y, labels in ((1e102, 0.5, ["1e+102", "2e+102", "0.5", "1.5"]),
+                         (-3.0, 1e102, ["-3", "0", "1e+102", "2e+102"]),
+                         (0.25, 0.0, ["0.25", "1.25", "0", "1"])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cli.svg_line_chart(path, {"one point": (np.array([x]), np.array([y]))}, "t")
+        text = path.read_text()
+        assert re.findall(r'points="([^"]*)"', text) == ["48.00,352.00"]
+        assert re.findall(r'font-size="10">([^<]*)<', text) == labels
 
 
 def test_sweep_without_a_valid_pe_writes_no_chart(tmp_path, capsys):

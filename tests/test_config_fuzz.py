@@ -235,7 +235,9 @@ TINY_1D = {"run-1d": {"dimension": 1, "scheme": "both", "dz": 0.25, "length": 5.
 def test_1d_commands_end_with_exit_0_2_or_3_at_any_pe(pe):
     # Pe log-uniform in [1e-3, 1e308], half the draws below 1e16, where the
     # commands solve. A Pe the 1D rows cannot represent exits 2; a run at any
-    # other Pe writes only finite chart points
+    # other Pe writes only finite chart points, and a sweep row it compares
+    # (status ok, every formula value above the row's rounding floor) has
+    # measured and formula columns of one sign
     for command, raw in TINY_1D.items():
         with tempfile.TemporaryDirectory() as tmp:
             path, out = Path(tmp) / "config.json", Path(tmp) / "out"
@@ -249,3 +251,9 @@ def test_1d_commands_end_with_exit_0_2_or_3_at_any_pe(pe):
                 points = re.findall(r'points="([^"]*)"', svg.read_text())
                 assert points and all(math.isfinite(float(v)) for pts in points
                                       for pair in pts.split() for v in pair.split(","))
+            for csv in out.glob("sweep_error.csv") if code == 0 else ():
+                for row in csv.read_text().splitlines()[3:]:
+                    _, *cells, status = row.split(",")
+                    measured, formula = cells[0::2], cells[1::2]
+                    assert status != "ok" or all(float(m) * float(f) > 0
+                                                 for m, f in zip(measured, formula)), row

@@ -352,6 +352,22 @@ def test_b_x_is_within_a_few_ulps_of_the_exact_solution(monkeypatch, pe, scheme)
             assert error <= Fraction(rtol) * max(map(abs, exact)), mesh.node_count
 
 
+@pytest.mark.parametrize("pe", [1 + 1e-9, 1.07, 2.0, 1000.0, 1e8, 2.0 ** 53 - 1])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_flux_rounding_floor_bounds_the_error_of_b_x(pe, scheme):
+    # the floor under which sweep-error compares no formula value holds the
+    # distance of every b_x from the exact solve of the same float rows, on
+    # the shipped sweep's mesh and on a 28-node one, up to Pe 2^53 - 1
+    for args in ((0.2, 40, 30, 40), (0.2, 3, 15, 3)):
+        mesh, pe, profile = rect_pulse_case(pe, *args)
+        system = assemble_1d(mesh, pe, profile, scheme)
+        sol = solve_1d(system)
+        x, dz = _exact_thomas(system), Fraction(mesh.dz)
+        error = max(abs(Fraction(v) - (x[i] - x[i + 1]) / dz)
+                    for i, v in enumerate(sol.b_x.tolist()))
+        assert 0 < error <= Fraction(fem1d.flux_rounding_floor(system, sol)), mesh.node_count
+
+
 def test_galerkin_reference_has_no_subnormal_tail():
     # upstream of the pulse the refined reference decays by (1-Pe)/(1+Pe),
     # about 1/3 per element at Pe 0.497; the solve must carry that decay on

@@ -223,6 +223,21 @@ def test_elemental_blocks_are_the_written_out_blocks_bit_for_bit():
             assert [(type(v), v) for v in got[name].flat] == [(type(v), v) for v in w.flat], name
 
 
+def test_elemental_blocks_of_the_row_heights_are_the_scalar_calls_bit_for_bit():
+    # _mesh_rows evaluates the element once, on the (rows, 1, 1) column of
+    # the mesh's row heights; row r of every block is the scalar call's at
+    # height r
+    heights = np.array(graded_sheet_rows(1.3, 16, 5.0, 1.3)[0])   # the shipped grading
+    for dz in (1.0, 0.17, 1 / 3, 7e5):
+        stacked = elemental_blocks(dz, heights[:, None, None])
+        for r, dy in enumerate(heights):
+            single = elemental_blocks(dz, dy)
+            assert stacked.keys() == single.keys()
+            for name, block in single.items():
+                assert stacked[name].shape == (len(heights), 4, 4), name
+                assert stacked[name][r].tobytes() == block.tobytes(), (dz, r, name)
+
+
 def drop_corner_0(rows):
     rows = rows.copy()
     rows[..., 0, :] = 0

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -105,6 +106,20 @@ def test_peak_error_is_exact_for_fractions_and_keeps_its_float_bits():
         assert peak_error(Scheme.ELEMENT_AVERAGED, pe, 0.7) == 0.7 * (1.0 - p) / (1.0 + p) ** 3
         assert peak_error(Scheme.GALERKIN, pe, 0.7) == \
             0.7 * (p * p - 3.0) * (p - 1.0) / (3.0 * (1.0 + p) ** 3)
+
+
+@pytest.mark.parametrize("pe", [5e102, 1e103, 1e200, 1e300])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_peak_error_stays_finite_and_exact_to_a_few_ulps_at_any_float_pe(scheme, pe):
+    # past Pe ~ 3.9e102 the written-out 3 (1 + Pe)^3 overflows (to 0.0 for
+    # Galerkin, then an OverflowError from 5.6e102); the ratio form there is
+    # within 4 eps of the exact value of the Fraction path, or within one
+    # subnormal step where that value underflows
+    for amplitude in (1.0, 0.7, 1e10):
+        got = peak_error(scheme, pe, amplitude)
+        exact = peak_error(scheme, Fraction(pe), Fraction(amplitude))
+        bound = 4 * Fraction(np.finfo(float).eps) * abs(exact) + Fraction(5e-324)
+        assert math.isfinite(got) and abs(Fraction(got) - exact) <= bound, amplitude
 
 
 def test_peak_error_from_constants_matches_closed_form():
