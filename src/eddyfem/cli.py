@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 config error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
 import sys
@@ -140,6 +141,18 @@ def _walk(node: dict, table: dict, values: dict, prefix: str = "") -> dict:
     return values
 
 
+def _geometric_grid(lo: float, hi: float, points: int) -> List[float]:
+    """``points`` values from lo to hi, evenly spaced in log, with the
+    endpoints exact, as np.geomspace gives them but with the same bits on
+    every CPU: decimal's ln and exp are correctly rounded at 40 digits, where
+    numpy's per-CPU SIMD log and power are not."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        a, b = decimal.Decimal(lo).ln(), decimal.Decimal(hi).ln()
+        inner = [float((a + (b - a) * i / (points - 1)).exp()) for i in range(1, points - 1)]
+    return [lo, *inner, hi]
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Validated scenario: the raw dict, its SHARED values and its Pe values."""
@@ -170,8 +183,8 @@ class ScenarioConfig:
             seen.add(pe)
         if v["pe_sweep"] is not None and not v["pe_sweep.hi"] > v["pe_sweep.lo"]:
             raise ConfigError("pe_sweep.hi", "must exceed lo")
-        pes = v["pe"] or sorted(set(np.geomspace(
-            v["pe_sweep.lo"], v["pe_sweep.hi"], v["pe_sweep.points"]).tolist() + v["pe_sweep.include"]))
+        pes = v["pe"] or sorted(set(_geometric_grid(
+            v["pe_sweep.lo"], v["pe_sweep.hi"], v["pe_sweep.points"]) + v["pe_sweep.include"]))
         return cls(raw, v, tuple(pes))
 
     @property
@@ -238,9 +251,12 @@ def svg_line_chart(path: Path, series: Dict[str, Tuple[np.ndarray, np.ndarray]],
     xs = np.concatenate([x for x, _ in series.values()])
     ys = np.concatenate([y for _, y in series.values()])
 
-    def span(v):   # a zero-width range widens by max(1, its magnitude), past rounding
+    # a zero-width range widens by max(1, its magnitude), past rounding, and
+    # downward where widening it upward would overflow
+    def span(v):
         lo, hi = float(v.min()), float(v.max())
-        return (lo, lo + max(1.0, abs(lo))) if hi == lo else (lo, hi)
+        w = max(1.0, abs(lo)) if hi == lo else 0.0
+        return (lo, hi + w) if hi + w < math.inf else (lo - w, hi)
     (x0, x1), (y0, y1) = span(xs), span(ys)
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',

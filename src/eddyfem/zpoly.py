@@ -3,7 +3,8 @@
 All coefficients are ``fractions.Fraction``; add/mul/exact-divide are closed
 and exact, so identity proofs built on this module admit no tolerance.
 Degrees stay small here (<= 8 per variable), so a sparse dict keyed by the
-exponent tuple is plenty.
+exponent tuple is plenty, and it is the only representation: division and
+evaluation work on it directly.
 """
 from __future__ import annotations
 
@@ -146,22 +147,13 @@ class Poly:
         return out
 
     # -- evaluation ---------------------------------------------------
-    def eval(self, **values) -> Fraction:
-        """Exact evaluation; every variable must be given a rational value."""
-        vals = tuple(_frac(values[v]) for v in self.variables)
+    def eval(self, **values):
+        """Value at the given point, in the arithmetic of the values: exact
+        (a Fraction) for ints and Fractions, complex for complex values."""
+        vals = tuple(values[v] for v in self.variables)
         total = Fraction(0)
         for k, c in self.coeffs.items():
             term = c
-            for e, x in zip(k, vals):
-                term *= x ** e
-            total += term
-        return total
-
-    def eval_complex(self, **values) -> complex:
-        vals = tuple(complex(values[v]) for v in self.variables)
-        total = 0j
-        for k, c in self.coeffs.items():
-            term = complex(c)
             for e, x in zip(k, vals):
                 term *= x ** e
             total += term
@@ -177,19 +169,6 @@ class Poly:
         for (e,), c in self.coeffs.items():
             out[e] = c
         return out
-
-    def as_univariate_in(self, var: str) -> List["Poly"]:
-        """Coefficients of powers of ``var``, each a Poly in the other variable."""
-        if len(self.variables) == 1:
-            return [Poly.const(c, self.variables) for c in self.dense_1d()]
-        i = self.variables.index(var)
-        j = 1 - i
-        other = (self.variables[j],)
-        d = self.degree(var)
-        buckets: List[Dict[Tuple[int, ...], Fraction]] = [dict() for _ in range(max(d + 1, 1))]
-        for k, c in self.coeffs.items():
-            buckets[k[i]][(k[j],)] = c
-        return [Poly(other, b) for b in buckets]
 
     def derivative(self, var: str) -> "Poly":
         i = self.variables.index(var)
@@ -218,45 +197,26 @@ class Poly:
     def divmod_in(self, divisor: "Poly", var: str) -> Tuple["Poly", "Poly"]:
         """Long division by a univariate divisor (a polynomial in ``var``
         with rational coefficients), treating self as a polynomial in ``var``
-        over the remaining variable; dense_1d rejects a bivariate divisor."""
+        over the remaining variable; dense_1d rejects a bivariate divisor.
+
+        From the top power of ``var`` down, each nonzero remainder term at
+        that power gives one quotient term, whose multiple of the divisor is
+        subtracted from the remainder in place (zeros are dropped at the end)."""
         dcoef = divisor.dense_1d()
-        while dcoef and dcoef[-1] == 0:
-            dcoef.pop()
-        if not dcoef:
+        if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
+        i = self.variables.index(var)
         dd = len(dcoef) - 1
-        lead = dcoef[-1]
-
-        rem = self.as_univariate_in(var)
-        other = rem[0].variables if rem else (var,)
-        quo: List[Poly] = []
-        while len(rem) - 1 >= dd and any(not p.is_zero() for p in rem):
-            top = len(rem) - 1
-            if rem[top].is_zero():
-                rem.pop()
-                continue
-            q = rem[top] * (Fraction(1) / lead)
-            shift = top - dd
-            for i, dc in enumerate(dcoef):
-                rem[shift + i] = rem[shift + i] - q * dc
-            while len(quo) <= shift:
-                quo.append(Poly.zero(other))
-            quo[shift] = quo[shift] + q
-            rem.pop()
-
-        def rebuild(coef_list: List[Poly]) -> Poly:
-            # coefficient e of var, a Poly in the other variable (a constant
-            # for univariate self), back into one polynomial
-            i = self.variables.index(var)
-            out = {}
-            for e, p in enumerate(coef_list):
-                for (eo,), c in p.coeffs.items():
-                    k = [eo] * len(self.variables)
-                    k[i] = e
-                    out[tuple(k)] = c
-            return Poly(self.variables, out)
-
-        return rebuild(quo), rebuild(rem)
+        rem = dict(self.coeffs)
+        quo: Dict[Tuple[int, ...], Fraction] = {}
+        for top in range(self.degree(var), dd - 1, -1):
+            for k in [k for k, c in rem.items() if k[i] == top and c]:
+                q = rem.pop(k) / dcoef[dd]
+                quo[k[:i] + (top - dd,) + k[i + 1:]] = q
+                for e, dc in enumerate(dcoef[:dd]):
+                    t = k[:i] + (top - dd + e,) + k[i + 1:]
+                    rem[t] = rem.get(t, 0) - q * dc
+        return Poly(self.variables, quo), Poly(self.variables, rem)
 
     def exact_div(self, divisor: "Poly", var: Optional[str] = None) -> "Poly":
         """Exact quotient; raises InexactDivisionError if a remainder is left."""
@@ -362,7 +322,7 @@ def roots_univariate(p: Poly, residual_rtol: float = 1e-12) -> List[Tuple[comple
             coef = [float(c) for c in reversed(f.dense_1d())]
             for z in np.roots(coef):
                 z = complex(z)
-                res = abs(f.eval_complex(**{var: z}))
+                res = abs(f.eval(**{var: z}))
                 scale = sum(abs(float(c)) * abs(z) ** i for i, c in enumerate(f.dense_1d()))
                 if res > residual_rtol * max(scale, 1e-300):
                     raise ArithmeticError(

@@ -263,14 +263,16 @@ def _det_pe_leading(m0, m1) -> Tuple[Poly, int]:
 
 def _multiplicity(p: Poly, location) -> int:
     """How many times (v - location) divides the nonzero polynomial p, v its
-    first variable (Z in 1D, Z_n in 2D): the number of its successive
-    v-derivatives, p itself first, that vanish at v = location."""
+    first variable (Z in 1D, Z_n in 2D), counted by exact division."""
     if p.is_zero():
         raise UnsupportedStructureError("the zero polynomial has no finite multiplicity")
     var, k = p.variables[0], 0
-    while sum(c * location ** e for e, c in enumerate(p.as_univariate_in(var))).is_zero():
-        p, k = p.derivative(var), k + 1
-    return k
+    factor = Poly.univariate(var, [-location, 1])
+    while True:
+        q, r = p.divmod_in(factor, var)
+        if not r.is_zero():
+            return k
+        p, k = q, k + 1
 
 
 def _multiplicities(den: Poly, num: Poly) -> Dict[int, Tuple[int, int]]:

@@ -445,11 +445,10 @@ def test_run_1d_outputs_and_determinism(tmp_path):
 
 # sha256 of every file of the two shipped run-1d configs and of the shipped
 # sweep. The 1D solve is a recurrence over Python floats, so these bytes do
-# not depend on the BLAS or LAPACK build. The sweep's Pe come from
-# np.geomspace, whose log and exp numpy may dispatch to per-CPU code, so
-# its pins hold where those round as on the x86-64 build that recorded
-# them. The 2D files are left unpinned: their bytes come from the LAPACK
-# band LU of the build.
+# not depend on the BLAS or LAPACK build. The sweep's Pe grid comes from
+# decimal's correctly rounded ln and exp, not from numpy's per-CPU SIMD
+# loops, so it does not depend on the CPU either. The 2D files are left
+# unpinned: their bytes come from the LAPACK band LU of the build.
 RUN_1D_SHA256 = {
     "fig_pulse1d_pe2.json": {
         "run1d_averaged_pe2.0.csv": "5999e302df4e8215ac4b8277101f147fe96c3d03392c10325814b6b79be38c10",
@@ -467,7 +466,7 @@ RUN_1D_SHA256 = {
 
 
 SWEEP_SHA256 = {
-    "sweep_error.csv": "1141708f7fc2e5b68d9604476cfbbcca6ed2c3e43691d38431a730a07e7bee1a",
+    "sweep_error.csv": "5f806bb35a2c84f374d9eabbe577cefb9a62076a8414bbcceaf28591530ee1dc",
     "sweep_error.svg": "d8e4b45a166a3bb2ee60fab6b5fdf89bf86c7126396405ee7047f418a3581b83",
 }
 
@@ -484,6 +483,21 @@ def test_shipped_sweep_outputs_keep_their_bytes(tmp_path):
     assert main(["sweep-error", "--config", str(config), "--out", str(tmp_path)]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert got == SWEEP_SHA256
+
+
+# numpy's AVX-512 loops off: with them, np.geomspace moved 3 of the shipped
+# sweep's Pe by an ulp on an AVX-512 CPU
+NO_AVX512 = "AVX512F AVX512CD AVX512_SKX AVX512_CLX AVX512_CNL AVX512_ICL AVX512_SPR X86_V4"
+
+
+def test_the_sweep_grid_does_not_depend_on_numpys_cpu_dispatch():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
+            "from eddyfem.cli import ScenarioConfig\n"
+            f"print(repr(ScenarioConfig.load({str(CONFIG_DIR / 'sweep_peak_error.json')!r}).pe_values))")
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120, env={"NPY_DISABLE_CPU_FEATURES": NO_AVX512})
+    assert out.stdout.strip() == repr(load_cfg("sweep_peak_error.json").pe_values)
 
 
 @pytest.mark.parametrize("command, config", [
@@ -785,6 +799,15 @@ def test_svg_line_chart_widens_a_zero_width_range_past_its_rounding(tmp_path):
         assert re.findall(r'font-size="10">([^<]*)<', text) == labels
 
 
+def test_svg_line_chart_widens_a_range_downward_where_upward_overflows(tmp_path):
+    # 1.7e308 + 1.7e308 is inf: the x axis was labelled 1.7e+308 to inf
+    path = tmp_path / "chart.svg"
+    cli.svg_line_chart(path, {"one point": (np.array([1.7e308]), np.array([-1.7e308]))}, "t")
+    text = path.read_text()
+    assert re.findall(r'points="([^"]*)"', text) == ["592.00,352.00"]
+    assert re.findall(r'font-size="10">([^<]*)<', text) == ["0", "1.7e+308", "-1.7e+308", "0"]
+
+
 def test_sweep_without_a_valid_pe_writes_no_chart(tmp_path, capsys):
     # with no Pe > 1 the chart has no points; it used to end in a numpy
     # traceback (exit 1) after the CSV was written
@@ -853,8 +876,7 @@ def test_sweep_needs_a_plateau_whose_level_is_minus_amplitude(tmp_path, capsys, 
 def test_the_sweep_solves_at_its_configured_pe(tmp_path, monkeypatch):
     # every sweep point is assembled at the Pe of the config, the one the
     # closed forms read: its element rows are the exact rows of that Pe,
-    # rounded once. A velocity 2 Pe/dz and back moved Pe 14.153714408315794
-    # by an ulp
+    # rounded once. A velocity 2 Pe/dz and back moved some of them by an ulp
     systems = []
     assemble_1d = fem1d.assemble_1d
 
@@ -865,7 +887,8 @@ def test_the_sweep_solves_at_its_configured_pe(tmp_path, monkeypatch):
     monkeypatch.setattr(fem1d, "assemble_1d", recording)
     cfg = load_cfg("sweep_peak_error.json")
     sweep_error(cfg, tmp_path)
-    assert 14.153714408315794 in cfg.pe_values
+    dz = cfg.raw["dz"]
+    assert 241.8930976523018 in [pe for pe in cfg.pe_values if 2.0 * pe / dz * dz / 2.0 != pe]
     assert sorted({pe for pe, _ in systems}) == [pe for pe in cfg.pe_values if pe > 1.0]
     for pe, system in systems:
         exact = fem1d._rows(Fraction(pe))

@@ -32,6 +32,23 @@ def test_divmod_roundtrip(p, d):
     assert r.degree() < max(d.degree(), 0) or r.is_zero()
 
 
+BIVAR = ("Z_n", "Z_m")
+small_bivariate = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                                  st.integers(-9, 9), max_size=8).map(lambda c: Poly(BIVAR, c))
+
+
+@given(small_bivariate, st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+       st.sampled_from(BIVAR))
+def test_bivariate_divmod_roundtrip(p, dcoef, var):
+    # division by a polynomial in either variable, over the other one
+    d = Poly.univariate(var, dcoef)
+    if d.is_zero():
+        return
+    q, r = p.divmod_in(d, var)
+    assert q * d.map_variables(BIVAR, BIVAR.index(var)) + r == p
+    assert r.degree(var) < d.degree()
+
+
 def test_exact_div_raises_with_remainder():
     p = zp(1, 0, 1)  # Z^2 + 1
     d = zp(1, 1)     # Z + 1
@@ -109,7 +126,7 @@ def test_separate_rejects_coupled_poly():
 def test_eval_exact_and_numeric():
     p = zp(1, -2, 3)  # 3Z^2 - 2Z + 1
     assert p.eval(Z=Fraction(1, 2)) == Fraction(3, 4)
-    assert p.eval_complex(Z=0.5) == pytest.approx(0.75)
+    assert p.eval(Z=0.5 + 0j) == pytest.approx(0.75)
 
 
 def test_float_coefficients_become_exact_binary_rationals():

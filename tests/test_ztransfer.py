@@ -279,6 +279,31 @@ def _bivar(p):
     return p.map_variables((ZN, ZM), 0 if p.variables == (ZN,) else 1)
 
 
+def _vanishes_at(q, a):
+    # q with its first variable set to a is the zero polynomial (in the other
+    # variable, if any)
+    at_a = {}
+    for k, c in q.coeffs.items():
+        at_a[k[1:]] = at_a.get(k[1:], 0) + c * a ** k[0]
+    return not any(at_a.values())
+
+
+@given(st.integers(0, 4), st.sampled_from([-1, 1, Fraction(1, 2)]), st.booleans(),
+       st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                       st.integers(-5, 5), min_size=1, max_size=6))
+def test_multiplicity_counts_the_factors_put_in(k, a, bivariate, coeffs):
+    # (v - a)^k q has multiplicity exactly k at a when q(a) != 0
+    if bivariate:
+        q = Poly((ZN, ZM), coeffs)
+        v = Poly((ZN, ZM), {(1, 0): 1})
+    else:
+        q = Poly((ZN,), {(i,): c for (i, _), c in coeffs.items()})
+        v = Poly.univariate(ZN, [0, 1])
+    if q.is_zero() or _vanishes_at(q, a):
+        return
+    assert ztransfer._multiplicity((v - a) ** k * q, a) == k
+
+
 def test_tf2d_galerkin_keeps_oscillatory_pole():
     t = tf_2d(Scheme.GALERKIN)
     assert t.zn_multiplicities == {-1: (2, 1), 1: (2, 1)}   # a pole at Z_n = -1 and at 1
