@@ -45,6 +45,7 @@ bit for bit, so solve_2d factors the even sector alone.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -135,24 +136,21 @@ class DiscreteSystem2D:
     inlet, interior and outlet. ``mirrored`` says that the matrix commutes
     with the signed reflection about the centre node row (see solve_2d).
     solve_2d reads only the columns; ``_stencil``, the per-node stencil,
-    is built on each read, and the CSR ``matrix`` from it on first read."""
+    is built on each read, and the CSR ``matrix`` from it once, on first read."""
 
     def __init__(self, columns: np.ndarray, column_of, rhs: np.ndarray, mesh: Mesh2D,
                  mirrored: bool):
         self.columns, self.column_of = columns, np.asarray(column_of)
         self.rhs, self.mesh, self.mirrored = rhs, mesh, mirrored
-        self._matrix = None
 
     @property
     def _stencil(self) -> np.ndarray:
         """S[row field, col field, dy, dz, m, n], a fresh array."""
         return self.columns[..., self.column_of]
 
-    @property
+    @functools.cached_property
     def matrix(self) -> sp.spmatrix:
-        if self._matrix is None:
-            self._matrix = _stencil_to_csr(self._stencil)
-        return self._matrix
+        return _stencil_to_csr(self._stencil)
 
 
 @dataclass(frozen=True)
@@ -369,11 +367,11 @@ def _sector(columns: np.ndarray, column_of: np.ndarray, s: int):
 
 
 def _band(pos: np.ndarray, columns: np.ndarray, column_of: np.ndarray):
-    """(ab, kl, ku, ||A||inf) of the rows of ``columns`` (node column n
-    reads column column_of[n]), with unknown (c, m, n) at band position
-    pos[c, m, n] (-1: none) and its neighbours' positions read off
-    _neighbours. A[i, j] sits at ab[kl + ku + i - j, j], below kl rows of
-    workspace for the fill that row pivoting creates.
+    """(ab, kl, ku) of the rows of ``columns`` (node column n reads column
+    column_of[n]), with unknown (c, m, n) at band position pos[c, m, n]
+    (-1: none) and its neighbours' positions read off _neighbours. A[i, j]
+    sits at ab[kl + ku + i - j, j], below kl rows of workspace for the fill
+    that row pivoting creates.
 
     The band is a run of slabs along its slow axis (_node_interleaved):
     node columns when z is slow, node rows when y is. The band columns of
@@ -381,8 +379,7 @@ def _band(pos: np.ndarray, columns: np.ndarray, column_of: np.ndarray):
     with z slow their block is set by the stencil columns those three
     slabs read. Each distinct block is scattered once and copied to the
     slabs that repeat it; node rows differ, so with y slow every block is
-    scattered. A slab's rows repeat with its block, so ||A||inf is the
-    largest row sum over the distinct slabs."""
+    scattered."""
     h, nz = pos.shape[1:]
     z_slow = h <= nz
     stops = np.max(pos, axis=(0, 1) if z_slow else (0, 2)) + 1
@@ -391,7 +388,7 @@ def _band(pos: np.ndarray, columns: np.ndarray, column_of: np.ndarray):
     first = {}
     keys = zip(ident[:-2], ident[1:-1], ident[2:])
     rep = [first.setdefault(key, t) for t, key in enumerate(keys)]   # first slab of each key
-    near, found, row_sums = _neighbours(pos, -1), [], []
+    near, found = _neighbours(pos, -1), []
     for t in first.values():
         w = np.arange(max(t - 1, 0), min(t + 2, len(stops)))
         ms, ns = np.ix_(*((np.arange(h), w) if z_slow else (w, np.arange(nz))))
@@ -400,12 +397,8 @@ def _band(pos: np.ndarray, columns: np.ndarray, column_of: np.ndarray):
         j = near[..., ms, ns]
         i, j = np.broadcast_to(i, v.shape), np.broadcast_to(j, v.shape)
         entry = (v != 0) & (i >= 0) & (j >= 0)
-        rows = entry & (starts[t] <= i) & (i < stops[t])
-        row_sums.append(np.max(np.bincount(i[rows] - starts[t], weights=np.abs(v[rows]),
-                                           minlength=stops[t] - starts[t])))
         cols = entry & (starts[t] <= j) & (j < stops[t])
         found.append((i[cols], j[cols], v[cols]))
-    norm = float(np.max(row_sums))
     kl = max(int(np.max(a - b, initial=0)) for a, b, _ in found)
     ku = max(int(np.max(b - a, initial=0)) for a, b, _ in found)
     height, n = 2 * kl + ku + 1, int(stops[-1])
@@ -416,17 +409,17 @@ def _band(pos: np.ndarray, columns: np.ndarray, column_of: np.ndarray):
     for t, r in enumerate(rep):
         if r != t:
             ab[starts[t] * height:stops[t] * height] = ab[starts[r] * height:stops[r] * height]
-    return ab.reshape(n, height).T, kl, ku, norm
+    return ab.reshape(n, height).T, kl, ku
 
 
 def _band_solve(pos: np.ndarray, columns: np.ndarray, column_of: np.ndarray,
-                rhs: np.ndarray) -> Tuple[np.ndarray, int]:
+                rhs: np.ndarray, norm: float) -> Tuple[np.ndarray, int]:
     """Solve the system of _band(pos, columns, column_of) for rhs (3, H, nz,
-    right-hand sides) by a banded LU. A pivot |u_kk| <= eps * ||A||inf
-    counts as singular, whether or not elimination produced an exact zero.
-    Returns x (0 where pos is -1), kl."""
+    right-hand sides) by a banded LU. A pivot |u_kk| <= eps * norm counts
+    as singular, whether or not elimination produced an exact zero; solve_2d
+    passes the full matrix's ||A||inf. Returns x (0 where pos is -1), kl."""
     flapack = lapack()
-    ab, kl, ku, norm = _band(pos, columns, column_of)
+    ab, kl, ku = _band(pos, columns, column_of)
     lu, piv, info = flapack.dgbtrf(ab, kl, ku, overwrite_ab=1)
     pivots = np.abs(lu[kl + ku])   # the diagonal of U
     floor = np.finfo(float).eps * norm
@@ -460,10 +453,11 @@ def solve_2d(system: DiscreteSystem2D, more_rhs: Optional[Sequence[np.ndarray]] 
     (b + s P b) / 2. A sector that no right-hand side reaches is never
     touched, so its singularity is not tested. Other systems get one band
     LU over the whole grid. Each band is filled from the columns, one
-    scatter per distinct block of band columns (_band). The residual and
-    ||A||inf run over the runs of node columns that read one column
-    (_matvec). ``mirrored`` set on a matrix that does not commute with P
-    fails the residual check.
+    scatter per distinct block of band columns (_band). ||A||inf is
+    computed once, from the columns, and both each pivot floor eps*||A||inf
+    and each residual budget read it; the residual runs over the runs of
+    node columns that read one column (_matvec). ``mirrored`` set on a
+    matrix that does not commute with P fails the residual check.
     Solution2D.band_kl records the kl of each band factored: (66,) for the
     refined sheet at nz = 257 (about 25 MB), (128,) for its whole grid (97
     MB). Given ``more_rhs``, further right-hand sides for the same matrix,
@@ -475,6 +469,8 @@ def solve_2d(system: DiscreteSystem2D, more_rhs: Optional[Sequence[np.ndarray]] 
     if any(np.shape(b) != (n,) for b in rhs_all):
         raise InvalidArgumentError("right-hand side does not match the matrix")
     rhs = np.stack(rhs_all, axis=-1).reshape(3, ny, nz, -1)
+    # a row adds its 27 terms in column order, like a CSR product of system.matrix
+    norm_a = float(np.max(np.abs(columns).reshape(3, 27, ny, -1).sum(axis=1)))
     if system.mirrored:
         half = (ny + 1) // 2
         parity = np.asarray(MIRROR_PARITY, dtype=float)[:, None, None, None]
@@ -483,15 +479,13 @@ def solve_2d(system: DiscreteSystem2D, more_rhs: Optional[Sequence[np.ndarray]] 
             part = ((rhs + s * p_rhs) / 2)[:, :half]
             if not np.any(part):
                 continue   # no right-hand side reaches this sector: its x is 0
-            x_s, kl = _band_solve(*_sector(columns, column_of, s), part)
+            x_s, kl = _band_solve(*_sector(columns, column_of, s), part, norm_a)
             xs[:, :half] += x_s
             xs[:, half:] += s * parity * x_s[:, half - 2::-1]
             band_kl += (kl,)
     else:
-        xs, kl = _band_solve(_node_interleaved(ny, nz), columns, column_of, rhs)
+        xs, kl = _band_solve(_node_interleaved(ny, nz), columns, column_of, rhs, norm_a)
         band_kl = (kl,)
-    # a row adds its 27 terms in column order, like a CSR product of system.matrix
-    norm_a = float(np.max(np.abs(columns).reshape(3, 27, ny, -1).sum(axis=1)))
     sols = []
     for c, b in enumerate(rhs_all):
         x = xs[..., c]

@@ -178,8 +178,8 @@ def stencil_sector(stencil, s):
 
 
 def stencil_band(pos, parts):
-    """(ab, kl, ku, ||A||inf) of the rows in parts, one scatter over every
-    node of the grid."""
+    """(ab, kl, ku) of the rows in parts, one scatter over every node of
+    the grid."""
     cols, found = neighbours(pos, -1), []
     for stencil, m0 in parts:
         rows = slice(m0, m0 + stencil.shape[4])
@@ -189,13 +189,12 @@ def stencil_band(pos, parts):
         found.append((i[entry], j[entry], stencil[entry]))
     i, j, v = (np.concatenate(a) for a in zip(*found))
     n = int(np.max(pos)) + 1
-    norm = float(np.max(np.bincount(i, weights=np.abs(v), minlength=n)))
     i -= j
     kl, ku = int(np.max(i, initial=0)), -int(np.min(i, initial=0))
     height = 2 * kl + ku + 1
     ab = np.zeros(height * n)
     ab[j.astype(np.intp) * height + i + (kl + ku)] = v
-    return ab.reshape(n, height).T, kl, ku, norm
+    return ab.reshape(n, height).T, kl, ku
 
 
 def stencil_matvec(stencil, x):

@@ -58,7 +58,7 @@ def test_correctness_gate_reads_the_lazy_matrix():
     workloads, spans = load("workloads"), load("spans")
     system, sol, mesh = workloads._sheet_solve(60.0, Scheme.ELEMENT_AVERAGED,
                                                dict(workloads.SHEET["grid"]))
-    assert system._matrix is None   # not built by the assembly or the solve
+    assert "matrix" not in vars(system)   # not built by the assembly or the solve
     assert workloads.residual_ratio_2d(system, workloads._flat(sol)) <= 1.0
     tracer = spans.Tracer()
     spans._after_solve_2d(tracer, system)

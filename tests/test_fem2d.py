@@ -717,14 +717,12 @@ def test_sector_band_matches_an_independent_fold(case, s):
     system = assemble_2d(*SECTOR_CASES[case](), Scheme.GALERKIN)
     a, mesh = system.matrix, system.mesh
     keep, q, perm = csr_sector_fold(a, mesh, s)
-    ab, kl, ku, norm = fem2d._band(*fem2d._sector(system.columns, system.column_of, s))
+    ab, kl, ku = fem2d._band(*fem2d._sector(system.columns, system.column_of, s))
     ref, kl_ref, ku_ref = band_of(a[keep] @ q, perm, kl, ku)
     mag, _, _ = band_of(abs(a[keep]) @ abs(q), perm, kl, ku)
     assert (kl, ku) == (kl_ref, ku_ref)
     eps = np.finfo(float).eps
     assert np.all(np.abs(ab - ref) <= 8 * eps * mag) and np.any(ref != 0.0)
-    norm_ref = np.max(abs(a[keep]) @ abs(q) @ np.ones(len(keep)))
-    assert abs(norm - norm_ref) <= 8 * eps * norm_ref
 
 
 @pytest.mark.parametrize("field", [CIRCLE, RECT], ids=["circle", "rect"])
@@ -732,8 +730,9 @@ def test_sector_band_matches_an_independent_fold(case, s):
 def test_skipped_odd_sector_clears_the_pivot_floor(field, pe, monkeypatch):
     # the check that skipping the odd sector leaves out would pass: its
     # band, filled from the stencil, factors with every pivot above
-    # eps * ||A_odd||inf of the independent fold (the matrix does not
-    # depend on the scheme)
+    # eps * ||A_odd||inf of the independent fold and above the floor
+    # eps * ||A||inf that solve_2d would pass (the matrix does not depend
+    # on the scheme)
     system = assemble_2d(*sheet_parts(pe, field=field), Scheme.GALERKIN)
     a, mesh = system.matrix, system.mesh
     keep, q, _ = csr_sector_fold(a, mesh, -1)
@@ -751,10 +750,11 @@ def test_skipped_odd_sector_clears_the_pivot_floor(field, pe, monkeypatch):
     load = np.zeros((3 * mesh.node_count, 1))
     load[keep] = np.random.default_rng(3).standard_normal((len(keep), 1))
     x = np.zeros((3, mesh.ny, mesh.nz, 1))
+    norm_a = float(np.max(np.abs(a).sum(axis=1)))
     x[:, :half], _ = fem2d._band_solve(*fem2d._sector(system.columns, system.column_of, -1),
-                                        load.reshape(x.shape)[:, :half])
+                                        load.reshape(x.shape)[:, :half], norm_a)
     (pivots, info), = factored
-    floor = np.finfo(float).eps * float(np.max(np.abs(a_odd).sum(axis=1)))
+    floor = np.finfo(float).eps * max(float(np.max(np.abs(a_odd).sum(axis=1))), norm_a)
     assert info == 0 and np.min(pivots) > floor
     x_odd = x.reshape(load.shape)[keep]
     assert np.max(np.abs(a_odd @ x_odd - load[keep])) <= 1e-8 * np.max(np.abs(load))
@@ -1054,14 +1054,14 @@ def test_columns_are_the_whole_grid_stencil_bit_for_bit(case):
 
 
 def recorded_bands(monkeypatch):
-    """Record (ab, kl, ku, norm) of every band filled from here on, before
-    it is factored in place."""
+    """Record (ab, kl, ku) of every band filled from here on, before it is
+    factored in place."""
     bands, band = [], fem2d._band
 
     def recording(*args):
-        ab, kl, ku, norm = band(*args)
-        bands.append((ab.copy(), kl, ku, norm))
-        return ab, kl, ku, norm
+        ab, kl, ku = band(*args)
+        bands.append((ab.copy(), kl, ku))
+        return ab, kl, ku
 
     monkeypatch.setattr(fem2d, "_band", recording)
     return bands
@@ -1100,12 +1100,34 @@ def test_factored_band_is_the_whole_grid_scatter_bit_for_bit(case, monkeypatch):
     else:
         refs = [stencil_band(fem2d._node_interleaved(mesh.ny, mesh.nz), [(stencil, 0)])]
     assert len(bands) == len(refs)
-    for (ab, kl, ku, norm), (ab_r, kl_r, ku_r, norm_r) in zip(bands, refs):
-        assert (kl, ku, norm) == (kl_r, ku_r, norm_r)
+    for (ab, kl, ku), (ab_r, kl_r, ku_r) in zip(bands, refs):
+        assert (kl, ku) == (kl_r, ku_r)
         assert ab.shape == ab_r.shape and ab.tobytes() == ab_r.tobytes()
     for sol, b in zip(sols, (system.rhs, load)):
         ax = stencil_matvec(stencil, np.stack([sol.phi, sol.a_y, sol.a_z]))
         assert sol.residual == np.max(np.abs(ax.ravel() - b))
+
+
+@pytest.mark.parametrize("sectors", [True, False], ids=["sectors", "whole"])
+def test_every_pivot_floor_reads_the_full_matrix_norm(sectors, monkeypatch):
+    # solve_2d computes ||A||inf once, from the columns, and hands it to
+    # every band it factors: both sectors (a random load reaches the odd
+    # one) or the whole grid, each within 4 eps of the CSR matrix's norm
+    system = sheet_system(60.0, Scheme.GALERKIN)
+    system = DiscreteSystem2D(system.columns, system.column_of, system.rhs, system.mesh,
+                              sectors)
+    norms, band_solve = [], fem2d._band_solve
+
+    def recording(*args):
+        norms.append(args[-1])
+        return band_solve(*args)
+
+    monkeypatch.setattr(fem2d, "_band_solve", recording)
+    load = np.random.default_rng(13).standard_normal(system.rhs.shape)
+    sols = solve_2d(system, more_rhs=[load])
+    want = float(np.max(np.abs(system.matrix).sum(axis=1)))
+    assert len(norms) == len(sols[1].band_kl) == (2 if sectors else 1)
+    assert all(abs(norm - want) <= 4 * np.finfo(float).eps * want for norm in norms)
 
 
 def test_hand_built_columns_fill_every_block():
@@ -1119,9 +1141,9 @@ def test_hand_built_columns_fill_every_block():
     stencil = system._stencil
     stencil[2, ..., m, n] = stencil[0, ..., m, n]
     pos = fem2d._node_interleaved(mesh.ny, mesh.nz)
-    ab, kl, ku, norm = fem2d._band(pos, stencil, every)
-    ab_r, kl_r, ku_r, norm_r = stencil_band(pos, [(stencil, 0)])
-    assert (kl, ku, norm) == (kl_r, ku_r, norm_r) and ab.tobytes() == ab_r.tobytes()
+    ab, kl, ku = fem2d._band(pos, stencil, every)
+    ab_r, kl_r, ku_r = stencil_band(pos, [(stencil, 0)])
+    assert (kl, ku) == (kl_r, ku_r) and ab.tobytes() == ab_r.tobytes()
     x = np.random.default_rng(2).standard_normal((3, mesh.ny, mesh.nz))
     assert fem2d._matvec(stencil, every, x).tobytes() == stencil_matvec(stencil, x).tobytes()
     stencil = system._stencil

@@ -9,10 +9,11 @@ workload named in BENCHMARK.json it runs, for that file's ``run_seconds``,
 
 and keeps the JSON object on its last stdout line. It then runs the Tier-1
 suite (``python -m pytest -q --continue-on-collection-errors`` with ``src``
-on PYTHONPATH) and keeps its pass and fail counts and its wall time. The
-file records the checked-out commit and whether tracked files differed from
-it, in which case the measured tree is that commit plus the uncommitted
-change.
+on PYTHONPATH) and keeps its pass, fail and error counts and its wall time;
+it exits nonzero, writing nothing, if pytest's last stdout line carries no
+counts. The file records the checked-out commit and whether tracked files
+differed from it, in which case the measured tree is that commit plus the
+uncommitted change.
 """
 from __future__ import annotations
 
@@ -53,8 +54,13 @@ def run_tier1() -> dict:
     out = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
                          cwd=ROOT, env=env, capture_output=True, text=True)
     wall = time.perf_counter() - start
-    counts = tier1_counts(out.stdout.strip().splitlines()[-1])
+    last = (out.stdout.strip().splitlines() or [""])[-1]
+    counts = tier1_counts(last)
+    if not counts:
+        sys.exit(f"no Tier-1 counts on pytest's last stdout line: {last!r}")
+    # pytest writes '1 error' but '2 errors'
     return {"passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
+            "errors": counts.get("error", 0) + counts.get("errors", 0),
             "wall_s": round(wall, 2)}
 
 
